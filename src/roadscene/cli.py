@@ -86,15 +86,8 @@ def _load_matches(path) -> list[Correspondence]:
 def _load_trajectories(path) -> list[list[PixelPoint]]:
     trajectories = []
     text = Path(path).read_text(encoding="utf-8")
-    import json
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from None
-        if not isinstance(row, dict) or "points" not in row:
+    for lineno, row in records.json_rows(text):
+        if "points" not in row:
             raise SchemaError(f"line {lineno}: expected {{'points': [...]}}")
         try:
             trajectories.append([

@@ -2,18 +2,19 @@
 
 Detections and tracks travel as JSON Lines, calibration and heat maps as
 JSON, per-frame stats as CSV.  All writers are deterministic: keys are
-sorted, separators fixed, floats serialized by repr.  Readers fail fast and
-name the offending line.
+sorted, separators fixed, floats serialized by repr.  Readers fail fast,
+name the offending line and refuse non-finite numbers.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .analytics import HEAT_KINDS, FrameStats, HeatMap
+from .analytics import _BUMP_UNITS, HEAT_KINDS, FrameStats, HeatMap
 from .errors import SchemaError
 from .geometry import BEV, PERSPECTIVE, Homography
 from .tracking import CLASS_NAMES, Detection
@@ -30,10 +31,23 @@ def dump_json(obj, path) -> None:
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} is not allowed")
+
+
+# Python's decoder accepts NaN and +-Infinity, which are not JSON
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
+def parse_json(text: str):
+    """Decode one JSON document; raises ValueError, also on NaN/Infinity."""
+    return _DECODER.decode(text)
+
+
 def load_json(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+        return parse_json(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -47,7 +61,13 @@ def _number(value, key: str, lineno: int) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"line {lineno}: {key} must be a number, "
                           f"got {value!r}")
-    return float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SchemaError(f"line {lineno}: {key} must be finite")
+    return value
 
 
 def _number_list(value, key: str, n: int, lineno: int) -> tuple:
@@ -57,13 +77,14 @@ def _number_list(value, key: str, n: int, lineno: int) -> tuple:
     return tuple(_number(v, key, lineno) for v in value)
 
 
-def _rows(text: str):
+def json_rows(text: str):
+    """Yield (line number, object) for each non-blank JSON Lines row."""
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
-        except json.JSONDecodeError as exc:
+            row = parse_json(line)
+        except ValueError as exc:
             raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from None
         if not isinstance(row, dict):
             raise SchemaError(f"line {lineno}: expected an object")
@@ -79,7 +100,7 @@ def parse_detections(text: str) -> list[tuple[int, list[Detection]]]:
     """
     frames: list[tuple[int, list[Detection]]] = []
     last = -1
-    for lineno, row in _rows(text):
+    for lineno, row in json_rows(text):
         frame = _require(row, "frame", lineno)
         if isinstance(frame, bool) or not isinstance(frame, int) or frame < 0:
             raise SchemaError(f"line {lineno}: frame must be a "
@@ -158,7 +179,7 @@ def parse_tracks(text: str) -> list[dict]:
     """Parse track JSON Lines; returns the row dicts after validation."""
     out: list[dict] = []
     last = -1
-    for lineno, row in _rows(text):
+    for lineno, row in json_rows(text):
         frame = _require(row, "frame", lineno)
         if isinstance(frame, bool) or not isinstance(frame, int) or frame < 0:
             raise SchemaError(f"line {lineno}: frame must be a "
@@ -271,6 +292,9 @@ def load_stats(path) -> list[FrameStats]:
             raise SchemaError(f"{path}: line {lineno}: expected 4 fields")
         try:
             avg = None if parts[3] == "" else float(parts[3])
+            if avg is not None and not math.isfinite(avg):
+                raise ValueError(f"avg_speed_mph must be finite, "
+                                 f"got {parts[3]!r}")
             out.append(FrameStats(frame=int(parts[0]),
                                   vehicle_count=int(parts[1]),
                                   pedestrian_count=int(parts[2]),
@@ -293,30 +317,64 @@ def merge_stats(shards: list[list[FrameStats]]) -> list[FrameStats]:
 # --- heat maps --------------------------------------------------------------
 
 def save_heatmap(path, heat: HeatMap) -> None:
-    dump_json({
+    """Write the map as one compact, sorted-key JSON line.
+
+    Compact output goes through json's C encoder; indenting would force the
+    pure-Python encoder and make the file ~4x larger.
+    """
+    Path(path).write_text(_dump_row({
         "kind": heat.kind,
         "shape": list(heat.shape),
         "events": heat.events,
         "units": heat.units().tolist(),
-    }, path)
+    }) + "\n", encoding="utf-8")
+
+
+def _heat_units(path, rows) -> np.ndarray:
+    """Integer grid from the JSON `units` rows; bools and floats refused."""
+    if not isinstance(rows, list) or not all(isinstance(r, list)
+                                             for r in rows):
+        raise SchemaError(f"{path}: units must be a list of rows")
+    types = set()
+    for row in rows:
+        types.update(map(type, row))
+    if not types <= {int}:
+        raise SchemaError(f"{path}: units must be integers")
+    try:
+        return np.array(rows, dtype=np.int64)
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"{path}: units: {exc}") from None
 
 
 def load_heatmap(path) -> HeatMap:
+    """Read a heat map, checking units >= 0 and sum(units) == 144 x events."""
     data = load_json(path)
     for key in ("kind", "shape", "events", "units"):
         if not isinstance(data, dict) or key not in data:
             raise SchemaError(f"{path}: heat map needs key {key!r}")
     if data["kind"] not in HEAT_KINDS:
         raise SchemaError(f"{path}: unknown heat kind {data['kind']!r}")
-    units = np.asarray(data["units"], dtype=np.int64)
-    shape = tuple(data["shape"])
-    if units.ndim != 2 or units.shape != shape:
+    units = _heat_units(path, data["units"])
+    shape = data["shape"]
+    if (units.ndim != 2 or not isinstance(shape, list)
+            or units.shape != tuple(shape)):
         raise SchemaError(f"{path}: units shape {units.shape} does not "
                           f"match declared {shape}")
     events = data["events"]
     if isinstance(events, bool) or not isinstance(events, int) or events < 0:
         raise SchemaError(f"{path}: events must be a non-negative integer")
-    return HeatMap.from_units(units, events, data["kind"])
+    try:
+        heat = HeatMap.from_units(units, events, data["kind"])
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    if units.min() < 0:
+        raise SchemaError(f"{path}: units must be non-negative")
+    # summed as Python ints, so a corrupt file cannot wrap int64
+    total = sum(map(sum, data["units"]))
+    if total != _BUMP_UNITS * events:
+        raise SchemaError(f"{path}: units sum to {total}, not "
+                          f"{_BUMP_UNITS} x {events} events")
+    return heat
 
 
 # --- road boundary ----------------------------------------------------------

@@ -24,7 +24,7 @@ from .geometry import (BEV, PERSPECTIVE, CameraModel, Homography,
                        projection_matrix)
 from .imaging import ImageBuffer, write_pnm
 from .motion import MPH_PER_MPS, wrap_angle
-from .records import dump_json, write_detections
+from .records import dump_json, parse_json, write_detections
 from .seeding import subsystem_rng
 from .tracking import CLASS_NAMES, Detection
 
@@ -235,10 +235,9 @@ def parse_scenario(data: dict) -> ScenarioSpec:
 
 
 def load_scenario(path) -> ScenarioSpec:
-    import json
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+        data = parse_json(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
         raise InvalidSpec(f"cannot read scenario {path}: {exc}") from None
     return parse_scenario(data)
 

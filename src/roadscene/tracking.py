@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .kalman import kf_predict_step, kf_update_step
 
@@ -64,7 +63,7 @@ class Detection:
         if len(self.class_probs) != N_CLASSES:
             raise ValueError(f"expected {N_CLASSES} class probabilities, "
                              f"got {len(self.class_probs)}")
-        if any(p < 0 or p > 1 for p in self.class_probs):
+        if any(not 0 <= p <= 1 for p in self.class_probs):
             raise ValueError("class probabilities must be in [0, 1]")
         if sum(self.class_probs) > 1.0 + 1e-6:
             raise ValueError("class probabilities sum above 1")
@@ -133,6 +132,8 @@ def associate(tracks: Sequence[Sequence[float]],
     """
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
+    # imported here so that only `track` pays scipy's ~0.6 s import
+    from scipy.optimize import linear_sum_assignment
     scores = np.zeros((len(tracks), len(detections)))
     for i, t in enumerate(tracks):
         for j, d in enumerate(detections):

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from scene_helpers import scene_dict
 
+import roadscene
 from roadscene.cli import main
 from roadscene.records import load_heatmap, load_stats, load_tracks
 
@@ -213,6 +218,60 @@ def test_malformed_detections_names_line(tmp_path, pipeline, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "SchemaError" in err and "line 2" in err
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
+def test_nan_class_probability_exits_2(tmp_path, pipeline, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"frame": 0, "bbox": [1, 1, 2, 2], "score": 0.5, '
+                   '"probs": [NaN' + ", 0.0" * 10 + ']}\n')
+    code = run("track", "--detections", str(bad),
+               "--calibration", str(pipeline["cal"] / "calibration.json"),
+               "--out", str(tmp_path / "t.jsonl"))
+    assert code == 2
+    assert "line 1" in _one_error_line(capsys)
+
+
+def test_nan_track_speed_exits_2(tmp_path, pipeline, capsys):
+    rows = pipeline["tracks"].read_text().splitlines()
+    row = json.loads(rows[0])
+    row["speed_mph"] = float("nan")
+    rows[0] = json.dumps(row)
+    bad = tmp_path / "tracks.jsonl"
+    bad.write_text("\n".join(rows) + "\n")
+    code = run("analyze", "--tracks", str(bad),
+               "--calibration", str(pipeline["cal"] / "calibration.json"),
+               "--out", str(tmp_path / "an"))
+    assert code == 2
+    assert "SchemaError" in _one_error_line(capsys)
+
+
+def test_corrupt_heat_shard_exits_2(tmp_path, capsys):
+    shard = tmp_path / "heat_vehicle.json"
+    shard.write_text('{"events": 0, "kind": "vehicle", "shape": [1, 2], '
+                     '"units": [[-5, 1.7]]}\n')
+    out = tmp_path / "merged.json"
+    code = run("merge", str(shard), str(shard), "--out", str(out))
+    assert code == 2
+    assert "units" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(roadscene.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    probe = ("import sys, roadscene.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_bad_config_exits_2(tmp_path, capsys):

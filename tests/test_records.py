@@ -5,7 +5,7 @@ from roadscene.analytics import FrameStats, HeatMap, bump
 from roadscene.errors import SchemaError
 from roadscene.geometry import BEV, PERSPECTIVE, PixelPoint
 from roadscene.records import (load_boundary, load_detections, load_heatmap,
-                               load_stats, load_tracks, merge_stats,
+                               load_json, load_stats, load_tracks, merge_stats,
                                parse_detections, parse_tracks, save_boundary,
                                save_heatmap, track_row, tracks_by_frame,
                                write_detections, write_stats, write_tracks)
@@ -66,6 +66,14 @@ def test_detections_bad_bbox_rejected():
                          '"probs": ' + str([0.0] * N) + '}\n')
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_detections_non_finite_rejected(value):
+    row = ('{"frame": 0, "bbox": [1, 1, 2, 2], "score": 0.5, '
+           '"probs": [%s' + ", 0.0" * (N - 1) + ']}')
+    with pytest.raises(SchemaError, match="line 2"):
+        parse_detections(row % 0.5 + "\n" + row % value + "\n")
+
+
 def test_detections_extra_keys_ignored():
     row = ('{"frame": 0, "bbox": [1, 1, 2, 2], "score": 0.5, '
            '"probs": ' + str([0.0] * N) + ', "camera": 0, "t": 0.0}')
@@ -107,6 +115,22 @@ def test_tracks_decreasing_frames_rejected():
         parse_tracks(a + "\n" + b + "\n")
 
 
+@pytest.mark.parametrize("value", ["NaN", "-Infinity", "1e999"])
+def test_tracks_non_finite_speed_rejected(value):
+    import json
+    row = json.dumps(track_row(0, 1, "car", (1, 1, 2, 2), (1, 2),
+                               bev=(1.0, 2.0), speed_mph=7.0))
+    with pytest.raises(SchemaError, match="line 1"):
+        parse_tracks(row.replace("7.0", value) + "\n")
+
+
+def test_json_file_non_finite_rejected(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text('{"g": [[1, 0, 0], [0, 1, 0], [0, 0, NaN]]}\n')
+    with pytest.raises(SchemaError, match="NaN"):
+        load_json(path)
+
+
 def test_tracks_writer_is_deterministic(tmp_path):
     rows = [track_row(0, 1, "bus", (1.5, 2.5, 3.0, 4.0), (1.5, 4.5),
                       speed_mph=3.25)]
@@ -133,6 +157,15 @@ def test_stats_header_checked(tmp_path):
         load_stats(path)
 
 
+@pytest.mark.parametrize("avg", ["nan", "inf", "-Infinity"])
+def test_stats_non_finite_rejected(tmp_path, avg):
+    path = tmp_path / "s.csv"
+    path.write_text("frame,vehicles,pedestrians,avg_speed_mph\n"
+                    f"0,1,0,{avg}\n")
+    with pytest.raises(SchemaError, match="line 2.*finite"):
+        load_stats(path)
+
+
 def test_stats_merge_sorts_disjoint_shards():
     a = [FrameStats(0, 1, 0, 5.0), FrameStats(1, 1, 0, 5.0)]
     b = [FrameStats(2, 1, 0, 5.0)]
@@ -154,8 +187,11 @@ def test_heatmap_round_trip(tmp_path):
     bump(heat, PixelPoint.bev(0.0, 0.0))
     path = tmp_path / "h.json"
     save_heatmap(path, heat)
+    text = path.read_text()
+    assert text.endswith("}\n") and text.count("\n") == 1
     back = load_heatmap(path)
     assert back.kind == "vehicle"
+    assert back.shape == (8, 9)
     assert back.events == 2
     assert np.array_equal(back.units(), heat.units())
 
@@ -165,6 +201,24 @@ def test_heatmap_shape_mismatch_rejected(tmp_path):
     path.write_text('{"kind": "vehicle", "shape": [2, 2], "events": 0, '
                     '"units": [[0, 0, 0], [0, 0, 0]]}')
     with pytest.raises(SchemaError, match="shape"):
+        load_heatmap(path)
+
+
+@pytest.mark.parametrize("events, units, match", [
+    (0, "[[-5, 1.7]]", "integers"),
+    (1, "[[144.0, 0]]", "integers"),
+    (1, "[[true, 143]]", "integers"),
+    (0, "[[-1, 1]]", "non-negative"),
+    (1, "[[100, 43]]", "sum"),
+    (1, "[[144, 144]]", "sum"),
+    (0, "[[0], [0, 0]]", "units"),
+    (0, "[[0, 0]], \"shape\": 2", "shape"),
+])
+def test_heatmap_invariants_checked(tmp_path, events, units, match):
+    path = tmp_path / "h.json"
+    path.write_text('{"kind": "vehicle", "shape": [1, 2], '
+                    '"events": %d, "units": %s}' % (events, units))
+    with pytest.raises(SchemaError, match=match):
         load_heatmap(path)
 
 

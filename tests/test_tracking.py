@@ -268,3 +268,5 @@ class TestDetectionValidation:
             Detection(0, (1, 1, 2, 2), 0.5, (0.5,) * 4)
         with pytest.raises(ValueError):
             Detection(0, (1, 1, 2, 2), 0.5, (0.2,) * N_CLASSES)
+        with pytest.raises(ValueError):
+            Detection(0, (1, 1, 2, 2), 0.5, (float("nan"),) * N_CLASSES)
