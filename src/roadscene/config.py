@@ -51,8 +51,6 @@ class Config:
     # background extraction
     alpha: float = 0.01
     background_frames: int = 70
-    # motion
-    occlusion_buffer: int = 25
     # rendering
     render_floor: int = 5
     render_alpha: float = 0.6
@@ -174,7 +172,6 @@ _KEYS = {
     "box.beta": ("beta", _positive_float),
     "background.alpha": ("alpha", _unit_open),
     "background.frames": ("background_frames", _positive_int),
-    "motion.occlusion_buffer": ("occlusion_buffer", _positive_int),
     "render.floor": ("render_floor", _nonneg_int),
     "render.alpha": ("render_alpha", _unit_closed),
     "boundary.radius": ("boundary_radius", _positive_float),

@@ -87,10 +87,6 @@ class InsufficientTrajectories(InputError):
 
 # --- tracking / motion ------------------------------------------------------
 
-class BufferExceeded(InputError):
-    """Requested prediction horizon exceeds the configured buffer."""
-
-
 class DegenerateDisplacement(ProcessingError):
     """Two coincident points define no direction."""
 

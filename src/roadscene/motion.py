@@ -14,77 +14,54 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
-from .errors import BufferExceeded, DegenerateDisplacement
+from .errors import DegenerateDisplacement
 from .geometry import BEV, GroundScale, PixelPoint
-from .kalman import kf_predict_step, kf_update_step
+from .kalman import Cov, kf_predict_step, kf_update_step
 
 MPH_PER_MPS = 2.236936
 
 PROCESS_SPECTRAL_DENSITY = 10.0  # px^2 / s^5
 MEASUREMENT_VARIANCE = 4.0       # px^2 per axis
-OCCLUSION_BUFFER_LIMIT = 25      # frames
 
-# state layout: [x, y, vx, vy, ax, ay]
-_AXIS = {"x": (0, 2, 4), "y": (1, 3, 5)}
-_H = np.zeros((2, 6))
-_H[0, 0] = _H[1, 1] = 1.0
-_R = np.eye(2) * MEASUREMENT_VARIANCE
+_P0 = ((MEASUREMENT_VARIANCE, 0.0, 0.0), (0.0, 1e6, 0.0), (0.0, 0.0, 1e4))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BevKalmanState:
-    """Smoothed BEV kinematic state with its covariance."""
+    """Smoothed BEV kinematic state with its covariance.
 
-    x: np.ndarray          # (6,) [x, y, vx, vy, ax, ay]
-    p: np.ndarray          # (6, 6)
+    Both axes follow the same model and are observed with the same noise,
+    so they share one 3x3 (position, velocity, acceleration) covariance.
+    """
+
+    x: Sequence[float]   # [x, y, vx, vy, ax, ay]
+    p: Cov               # (3, 3), shared by x and y
 
     def __post_init__(self):
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("state vector must be finite")
+        if len(self.x) != 6 or not all(map(math.isfinite, self.x)):
+            raise ValueError("state vector must be 6 finite numbers")
 
     @staticmethod
     def initial(x: float, y: float) -> "BevKalmanState":
-        state = np.array([x, y, 0.0, 0.0, 0.0, 0.0])
-        p = np.diag([MEASUREMENT_VARIANCE, MEASUREMENT_VARIANCE,
-                     1e6, 1e6, 1e4, 1e4])
-        return BevKalmanState(state, p)
+        return BevKalmanState((float(x), float(y), 0.0, 0.0, 0.0, 0.0), _P0)
 
     @property
     def position(self) -> PixelPoint:
-        return PixelPoint(float(self.x[0]), float(self.x[1]), BEV)
+        return PixelPoint(self.x[0], self.x[1], BEV)
 
     @property
     def velocity(self) -> tuple[float, float]:
-        return (float(self.x[2]), float(self.x[3]))
+        return (self.x[2], self.x[3])
 
 
-def _transition(t_w: float) -> np.ndarray:
-    f = np.eye(6)
-    for _, (pi, vi, ai) in _AXIS.items():
-        f[pi, vi] = t_w
-        f[pi, ai] = 0.5 * t_w * t_w
-        f[vi, ai] = t_w
-    return f
-
-
-def _process_noise(t_w: float, q: float) -> np.ndarray:
+def _process_noise(t_w: float, q: float) -> Cov:
     t2 = t_w * t_w
     t3 = t2 * t_w
     t4 = t3 * t_w
     t5 = t4 * t_w
-    block = q * np.array([
-        [t5 / 20.0, t4 / 8.0, t3 / 6.0],
-        [t4 / 8.0, t3 / 3.0, t2 / 2.0],
-        [t3 / 6.0, t2 / 2.0, t_w],
-    ])
-    out = np.zeros((6, 6))
-    for _, idx in _AXIS.items():
-        for a, ia in enumerate(idx):
-            for b, ib in enumerate(idx):
-                out[ia, ib] = block[a, b]
-    return out
+    return ((q * (t5 / 20.0), q * (t4 / 8.0), q * (t3 / 6.0)),
+            (q * (t4 / 8.0), q * (t3 / 3.0), q * (t2 / 2.0)),
+            (q * (t3 / 6.0), q * (t2 / 2.0), q * t_w))
 
 
 def kf_predict(state: BevKalmanState, t_w: float,
@@ -92,28 +69,22 @@ def kf_predict(state: BevKalmanState, t_w: float,
     """Propagate the constant-acceleration model by t_w seconds."""
     if t_w <= 0:
         raise ValueError(f"t_w must be > 0, got {t_w}")
-    x, p = kf_predict_step(state.x, state.p, _transition(t_w),
-                           _process_noise(t_w, q))
-    return BevKalmanState(x, p)
+    return BevKalmanState(*kf_predict_step(state.x, state.p, t_w,
+                                           _process_noise(t_w, q)))
 
 
 def kf_update(state: BevKalmanState,
               observation: tuple[float, float]) -> BevKalmanState:
     """Fold in one BEV position observation."""
-    z = np.asarray(observation, dtype=np.float64)
-    if not np.all(np.isfinite(z)) or z.shape != (2,):
+    try:
+        z = tuple(map(float, observation))
+        ok = len(z) == 2 and all(map(math.isfinite, z))
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:
         raise ValueError("observation must be a finite (x, y) pair")
-    x, p = kf_update_step(state.x, state.p, z, _H, _R)
-    return BevKalmanState(x, p)
-
-
-def raw_speed(l_t: PixelPoint, l_prev: PixelPoint, dt: float,
-              scale: GroundScale) -> float:
-    """Instantaneous displacement speed in meters per second."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    d = math.hypot(l_t.x - l_prev.x, l_t.y - l_prev.y)
-    return d * scale.iota / dt
+    return BevKalmanState(*kf_update_step(state.x, state.p, z,
+                                          MEASUREMENT_VARIANCE))
 
 
 def speed_mph(state: BevKalmanState, scale: GroundScale,
@@ -168,29 +139,3 @@ def abf(theta_prev: float, theta_now: float) -> float:
     w = bounce_weight(delta)
     return wrap_angle(theta_prev + w * delta)
 
-
-def predict_gap(state: BevKalmanState, n_frames: int, t_w: float,
-                limit: int = OCCLUSION_BUFFER_LIMIT) -> list[PixelPoint]:
-    """Dead-reckon positions across a detection gap, up to the buffer limit."""
-    if n_frames > limit:
-        raise BufferExceeded(
-            f"gap of {n_frames} frames exceeds buffer limit {limit}")
-    out = []
-    current = state
-    for _ in range(max(0, n_frames)):
-        current = kf_predict(current, t_w)
-        out.append(current.position)
-    return out
-
-
-@dataclass(frozen=True)
-class MotionEstimate:
-    """Per-frame motion readout attached to a track."""
-
-    position: PixelPoint
-    speed: float
-    heading: float
-
-    def __post_init__(self):
-        if self.speed < 0:
-            raise ValueError("speed must be >= 0")

@@ -389,7 +389,16 @@ def load_boundary(path):
     data = load_json(path)
     if not isinstance(data, dict) or "chains" not in data:
         raise SchemaError(f"{path}: boundary needs key 'chains'")
-    chains = []
-    for chain in data["chains"]:
-        chains.append(tuple((int(x), int(y)) for x, y in chain))
-    return BoundarySet(chains=tuple(chains))
+    chains = data["chains"]
+    if not isinstance(chains, list) or not all(
+            isinstance(chain, list) and all(map(_is_int_pair, chain))
+            for chain in chains):
+        raise SchemaError(f"{path}: chains must be lists of integer "
+                          f"[x, y] pairs")
+    return BoundarySet(chains=tuple(tuple(map(tuple, chain))
+                                    for chain in chains))
+
+
+def _is_int_pair(point) -> bool:
+    return (isinstance(point, list) and len(point) == 2
+            and all(type(v) is int for v in point))

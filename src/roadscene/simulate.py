@@ -104,23 +104,40 @@ class ScenarioSpec:
     road_polygon: tuple[tuple[float, float], ...] = ()
 
 
-def _spec_number(data: dict, key: str, cast=float):
-    if key not in data:
-        raise InvalidSpec(f"missing field {key!r}")
+def _finite(value, label: str, cast=float):
     try:
-        return cast(data[key])
-    except (TypeError, ValueError):
-        raise InvalidSpec(f"field {key!r}: bad value {data[key]!r}") from None
+        out = cast(value)
+        if math.isfinite(out):
+            return out
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidSpec(f"{label}: bad value {value!r}")
+
+
+def _spec_number(data: dict, key: str, cast=float, default=None):
+    """Finite `cast(data[key])`; `default` when given and the key is absent."""
+    if key not in data:
+        if default is None:
+            raise InvalidSpec(f"missing field {key!r}")
+        return default
+    return _finite(data[key], f"field {key!r}", cast)
+
+
+def _pair(value, label: str, cast=float):
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise InvalidSpec(f"{label} must be a pair")
+    return (_finite(value[0], label, cast), _finite(value[1], label, cast))
 
 
 def _spec_pair(data: dict, key: str, cast=float):
-    value = data.get(key)
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise InvalidSpec(f"field {key!r} must be a pair")
-    try:
-        return (cast(value[0]), cast(value[1]))
-    except (TypeError, ValueError):
-        raise InvalidSpec(f"field {key!r}: bad value {value!r}") from None
+    return _pair(data.get(key), f"field {key!r}", cast)
+
+
+def _spec_list(data: dict, key: str) -> list:
+    value = data.get(key, [])
+    if not isinstance(value, (list, tuple)):
+        raise InvalidSpec(f"field {key!r} must be a list")
+    return value
 
 
 def _world_rect(spec_fields) -> tuple[float, float, float, float]:
@@ -158,30 +175,30 @@ def parse_scenario(data: dict) -> ScenarioSpec:
     if duration < 1:
         raise InvalidSpec(f"duration must be >= 1, got {duration}")
 
-    noise = float(data.get("noise_sigma_px", 0.0))
-    dropout = float(data.get("dropout", 0.0))
+    noise = _spec_number(data, "noise_sigma_px", default=0.0)
+    dropout = _spec_number(data, "dropout", default=0.0)
     if noise < 0:
         raise InvalidSpec("noise_sigma_px must be non-negative")
     if not 0.0 <= dropout < 1.0:
         raise InvalidSpec("dropout must be in [0, 1)")
-    n_matches = int(data.get("n_matches", 0))
+    n_matches = _spec_number(data, "n_matches", int, default=0)
     if n_matches < 0:
         raise InvalidSpec("n_matches must be non-negative")
-    match_sigma = float(data.get("match_sigma_px", 0.0))
+    match_sigma = _spec_number(data, "match_sigma_px", default=0.0)
     if match_sigma < 0:
         raise InvalidSpec("match_sigma_px must be non-negative")
-    outlier_fraction = float(data.get("outlier_fraction", 0.0))
+    outlier_fraction = _spec_number(data, "outlier_fraction", default=0.0)
     if not 0.0 <= outlier_fraction < 1.0:
         raise InvalidSpec("outlier_fraction must be in [0, 1)")
 
-    road_polygon = tuple(
-        (float(p[0]), float(p[1])) for p in data.get("road_polygon", ()))
+    road_polygon = tuple(_pair(v, f"road_polygon[{i}]") for i, v
+                         in enumerate(_spec_list(data, "road_polygon")))
     if road_polygon and len(road_polygon) < 3:
         raise InvalidSpec("road_polygon needs at least 3 vertices")
 
     xmin, ymin, xmax, ymax = _world_rect((world_origin, bev_size, iota))
     actors = []
-    for i, actor in enumerate(data.get("actors", ())):
+    for i, actor in enumerate(_spec_list(data, "actors")):
         label = f"actors[{i}]"
         if not isinstance(actor, dict):
             raise InvalidSpec(f"{label} must be an object")
@@ -208,7 +225,7 @@ def parse_scenario(data: dict) -> ScenarioSpec:
                     f"rectangle [{xmin}, {xmax}] x [{ymin}, {ymax}]")
             waypoints.append((t, (x, y)))
         hidden = []
-        for rng_pair in actor.get("hidden", ()):
+        for rng_pair in _spec_list(actor, "hidden"):
             try:
                 a, b = int(rng_pair[0]), int(rng_pair[1])
             except (TypeError, ValueError, IndexError):
@@ -217,7 +234,7 @@ def parse_scenario(data: dict) -> ScenarioSpec:
             if a < 0 or b < a:
                 raise InvalidSpec(f"{label}: bad hidden range [{a}, {b}]")
             hidden.append((a, b))
-        flicker = float(actor.get("flicker", 0.0))
+        flicker = _spec_number(actor, "flicker", default=0.0)
         if not 0.0 <= flicker < 1.0:
             raise InvalidSpec(f"{label}: flicker must be in [0, 1)")
         actors.append(ActorScript(class_name=class_name,

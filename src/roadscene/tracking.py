@@ -9,18 +9,20 @@ class-agnostic.
 State vector (18): [x, y, s, r, vx, vy, vs, c0..c10] where (x, y) is the
 bottom-center reference point of the box, s the box area, r the aspect
 ratio (constant in the process model).  Observation (15): [x, y, s, r,
-c0..c10].
+c0..c10].  The covariance stays block-diagonal, so a track keeps four
+`kalman` blocks: {x, vx} and {y, vy} sharing one 2x2 covariance, {s, vs},
+{r}, and the category components sharing one variance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .kalman import kf_predict_step, kf_update_step
+from .kalman import Cov, kf_predict_step, kf_update_step
 
 CLASS_NAMES = (
     "articulated_truck",
@@ -37,9 +39,6 @@ CLASS_NAMES = (
 )
 N_CLASSES = len(CLASS_NAMES)
 PEDESTRIAN = "pedestrian"
-
-_DIM_X = 7 + N_CLASSES
-_DIM_Z = 4 + N_CLASSES
 
 
 @dataclass(frozen=True)
@@ -69,37 +68,6 @@ class Detection:
             raise ValueError("class probabilities sum above 1")
 
 
-@dataclass(frozen=True)
-class AnchorSpec:
-    """Grid cell top-left corner and anchor box size, in pixels."""
-
-    cell: tuple[float, float]
-    anchor: tuple[float, float]
-
-    def __post_init__(self):
-        if self.anchor[0] <= 0 or self.anchor[1] <= 0:
-            raise ValueError("anchor size must be positive")
-
-
-def _sigmoid(v: float) -> float:
-    if v >= 0:
-        return 1.0 / (1.0 + math.exp(-v))
-    e = math.exp(v)
-    return e / (1.0 + e)
-
-
-def decode_offsets(offsets: tuple[float, float, float, float],
-                   spec: AnchorSpec) -> tuple[float, float, float, float]:
-    """Raw network offsets to a center/size bbox for one anchor."""
-    x_o, y_o, w_o, h_o = offsets
-    x_c, y_c = spec.cell
-    w_a, h_a = spec.anchor
-    return (_sigmoid(x_o) + x_c,
-            _sigmoid(y_o) + y_c,
-            w_a * math.exp(w_o),
-            h_a * math.exp(h_o))
-
-
 def reference_point(bbox: Sequence[float]) -> tuple[float, float]:
     """Bottom-center of a center/size bbox: the ground contact point."""
     x_b, y_b, w_b, h_b = bbox
@@ -121,6 +89,26 @@ def iou(a: Sequence[float], b: Sequence[float]) -> float:
     return inter / union
 
 
+def iou_matrix(tracks: Sequence[Sequence[float]],
+               detections: Sequence[Sequence[float]]) -> np.ndarray:
+    """`iou` of every track box with every detection box, as one array.
+
+    The arithmetic is `iou`'s, step for step, so each entry equals the
+    scalar result bit for bit.
+    """
+    # a[k] is a (tracks, 1) column, b[k] a (1, detections) row
+    a = np.asarray(tracks, dtype=np.float64).reshape(-1, 4).T[:, :, None]
+    b = np.asarray(detections, dtype=np.float64).reshape(-1, 4).T[:, None, :]
+    iw = (np.minimum(a[0] + a[2] / 2.0, b[0] + b[2] / 2.0)
+          - np.maximum(a[0] - a[2] / 2.0, b[0] - b[2] / 2.0))
+    ih = (np.minimum(a[1] + a[3] / 2.0, b[1] + b[3] / 2.0)
+          - np.maximum(a[1] - a[3] / 2.0, b[1] - b[3] / 2.0))
+    inter = iw * ih
+    union = a[2] * a[3] + b[2] * b[3] - inter
+    return np.divide(inter, union, out=np.zeros_like(inter),
+                     where=(iw > 0) & (ih > 0))
+
+
 def associate(tracks: Sequence[Sequence[float]],
               detections: Sequence[Sequence[float]],
               iou_min: float = 0.3
@@ -134,18 +122,12 @@ def associate(tracks: Sequence[Sequence[float]],
         return [], list(range(len(tracks))), list(range(len(detections)))
     # imported here so that only `track` pays scipy's ~0.6 s import
     from scipy.optimize import linear_sum_assignment
-    scores = np.zeros((len(tracks), len(detections)))
-    for i, t in enumerate(tracks):
-        for j, d in enumerate(detections):
-            scores[i, j] = iou(t, d)
+    scores = iou_matrix(tracks, detections)
     rows, cols = linear_sum_assignment(-scores)
-    matches = []
-    matched_t, matched_d = set(), set()
-    for i, j in zip(rows, cols):
-        if scores[i, j] >= iou_min:
-            matches.append((int(i), int(j)))
-            matched_t.add(int(i))
-            matched_d.add(int(j))
+    matches = [(int(i), int(j)) for i, j in zip(rows, cols)
+               if scores[i, j] >= iou_min]
+    matched_t = {i for i, _ in matches}
+    matched_d = {j for _, j in matches}
     unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]
     unmatched_d = [j for j in range(len(detections)) if j not in matched_d]
     return matches, unmatched_t, unmatched_d
@@ -153,46 +135,32 @@ def associate(tracks: Sequence[Sequence[float]],
 
 # --- per-track Kalman model -------------------------------------------------
 
-def _transition() -> np.ndarray:
-    f = np.eye(_DIM_X)
-    f[0, 4] = f[1, 5] = f[2, 6] = 1.0
-    return f
+class _Block(NamedTuple):
+    """One block of the track filter: initial and process covariance, and
+    the observation variance shared by its axes."""
+
+    p0: Cov
+    q: Cov
+    r: float
 
 
-def _observation_model() -> np.ndarray:
-    h = np.zeros((_DIM_Z, _DIM_X))
-    h[0, 0] = h[1, 1] = h[2, 2] = h[3, 3] = 1.0
-    for i in range(N_CLASSES):
-        h[4 + i, 7 + i] = 1.0
-    return h
+# the blocks in state order: [x, y, vx, vy]; [s, vs]; [r]; [c0..c10]
+_BLOCKS = (
+    _Block(((10.0, 0.0), (0.0, 1e4)), ((1.0, 0.0), (0.0, 0.01)), 1.0),
+    _Block(((10.0, 0.0), (0.0, 1e4)), ((1.0, 0.0), (0.0, 1e-4)), 10.0),
+    _Block(((10.0,),), ((1.0,),), 0.01),
+    _Block(((10.0,),), ((1e-4,),), 0.01),
+)
+_XY, _AREA, _ASPECT, _CATEGORY = range(len(_BLOCKS))
 
 
-_F = _transition()
-_H = _observation_model()
-_Q = np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4] + [1e-4] * N_CLASSES)
-_R = np.diag([1.0, 1.0, 10.0, 0.01] + [0.01] * N_CLASSES)
-_P0 = np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4] + [10.0] * N_CLASSES)
-
-
-def _one_hot(class_probs: Sequence[float]) -> np.ndarray:
-    c = np.zeros(N_CLASSES)
-    c[int(np.argmax(class_probs))] = 1.0
-    return c
-
-
-def _measurement(det: Detection) -> np.ndarray:
-    x_b, y_b, w_b, h_b = det.bbox
-    rx, ry = reference_point(det.bbox)
-    return np.concatenate([[rx, ry, w_b * h_b, w_b / h_b],
-                           _one_hot(det.class_probs)])
-
-
-def _state_bbox(x: np.ndarray) -> tuple[float, float, float, float]:
-    s = max(float(x[2]), 1e-6)
-    r = max(float(x[3]), 1e-6)
-    w = math.sqrt(s * r)
-    h = s / w
-    return (float(x[0]), float(x[1]) - h / 2.0, w, h)
+def _observation(det: Detection) -> tuple[Sequence[float], ...]:
+    """Per-block observation: reference point, area, aspect, class one-hot."""
+    _, _, w_b, h_b = det.bbox
+    probs = det.class_probs
+    one_hot = [0.0] * N_CLASSES
+    one_hot[probs.index(max(probs))] = 1.0
+    return reference_point(det.bbox), (w_b * h_b,), (w_b / h_b,), one_hot
 
 
 @dataclass(frozen=True)
@@ -226,47 +194,60 @@ class TrackSnapshot:
 
 
 class Track:
-    """Mutable tracker-internal record; snapshots are handed out instead."""
+    """Mutable tracker-internal record; snapshots are handed out instead.
+
+    `blocks` holds one (state, covariance) pair per `_BLOCKS` entry, in
+    the layout of `kalman`.
+    """
 
     def __init__(self, track_id: int, det: Detection, frame: int):
         self.id = track_id
-        z = _measurement(det)
-        self.x = np.zeros(_DIM_X)
-        self.x[:4] = z[:4]
-        self.x[7:] = z[4:]
-        self.p = _P0.copy()
+        # observed values, then zero rates
+        self.blocks = [([*z] + [0.0] * (len(z) * (len(m.p0) - 1)), m.p0)
+                       for z, m in zip(_observation(det), _BLOCKS)]
         self.hits = 1
         self.age = 0
         self.time_since_update = 0
         self.trajectory: list[tuple[int, float, float]] = [
-            (frame, float(self.x[0]), float(self.x[1]))]
+            (frame, *self.blocks[_XY][0][:2])]
 
     def predict(self):
-        if self.x[2] + self.x[6] <= 0:
-            self.x[6] = 0.0
-        self.x, self.p = kf_predict_step(self.x, self.p, _F, _Q)
+        (s, vs), _ = self.blocks[_AREA]
+        if s + vs <= 0:
+            self.blocks[_AREA][0][1] = 0.0
+        self.blocks = [kf_predict_step(state, p, 1.0, m.q)
+                       for (state, p), m in zip(self.blocks, _BLOCKS)]
         self.age += 1
         self.time_since_update += 1
 
     def update(self, det: Detection, frame: int):
-        self.x, self.p = kf_update_step(self.x, self.p, _measurement(det),
-                                        _H, _R)
+        self.blocks = [kf_update_step(state, p, z, m.r) for (state, p), z, m
+                       in zip(self.blocks, _observation(det), _BLOCKS)]
         self.hits += 1
         self.time_since_update = 0
-        self.trajectory.append((frame, float(self.x[0]), float(self.x[1])))
+        self.trajectory.append((frame, *self.blocks[_XY][0][:2]))
+
+    def state(self) -> TrackState:
+        (x, y, vx, vy), (s, vs), (r,), category = (
+            state for state, _ in self.blocks)
+        return TrackState(x=x, y=y, s=s, r=r, vx=vx, vy=vy, vs=vs,
+                          category=tuple(category))
 
     def predicted_bbox(self) -> tuple[float, float, float, float]:
-        return _state_bbox(self.x)
+        x, y = self.blocks[_XY][0][:2]
+        s = max(self.blocks[_AREA][0][0], 1e-6)
+        r = max(self.blocks[_ASPECT][0][0], 1e-6)
+        w = math.sqrt(s * r)
+        h = s / w
+        return (x, y - h / 2.0, w, h)
 
     def class_index(self) -> int:
-        return int(np.argmax(self.x[7:]))
+        category, _ = self.blocks[_CATEGORY]
+        return category.index(max(category))
 
     def snapshot(self, frame: int) -> TrackSnapshot:
         idx = self.class_index()
-        state = TrackState(
-            x=float(self.x[0]), y=float(self.x[1]), s=float(self.x[2]),
-            r=float(self.x[3]), vx=float(self.x[4]), vy=float(self.x[5]),
-            vs=float(self.x[6]), category=tuple(float(v) for v in self.x[7:]))
+        state = self.state()
         return TrackSnapshot(
             frame=frame, track_id=self.id, bbox=self.predicted_bbox(),
             class_index=idx, class_name=CLASS_NAMES[idx],
@@ -310,9 +291,3 @@ class MomctTracker:
         return [t.snapshot(self.frame) for t in self.tracks
                 if t.time_since_update == 0 and t.hits >= self.min_hits]
 
-
-def momct_step(tracker: MomctTracker, detections: Sequence[Detection],
-               frame: int | None = None
-               ) -> tuple[MomctTracker, list[TrackSnapshot]]:
-    """Functional wrapper over `MomctTracker.step`."""
-    return tracker, tracker.step(detections, frame)

@@ -295,6 +295,36 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     assert "InvalidSpec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("noise_sigma_px", [1]),
+    ("noise_sigma_px", "nan"),
+    ("n_matches", "many"),
+    ("dropout", "inf"),
+    ("road_polygon", [[1, "a"], [2, 3], [4, 5]]),
+    ("road_polygon", [[1, 2, 3], [2, 3], [4, 5]]),
+    ("road_polygon", 7),
+])
+def test_bad_scenario_field_exits_2(tmp_path, capsys, key, value):
+    scene = tmp_path / "scene.json"
+    data = scene_dict()
+    data[key] = value
+    scene.write_text(json.dumps(data))
+    code = run("simulate", "--spec", str(scene),
+               "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "InvalidSpec" in _one_error_line(capsys)
+
+
+def test_malformed_boundary_exits_2(tmp_path, pipeline, capsys):
+    boundary = tmp_path / "boundary.json"
+    boundary.write_text('{"chains": [[1, 2]]}')
+    code = run("analyze", "--tracks", str(pipeline["tracks"]),
+               "--calibration", str(pipeline["cal"] / "calibration.json"),
+               "--boundary", str(boundary), "--out", str(tmp_path / "an"))
+    assert code == 2
+    assert "SchemaError" in _one_error_line(capsys)
+
+
 def test_zero_pedestrian_scene_renders_with_note(tmp_path, pipeline, capsys):
     scene = write_scene(
         tmp_path / "scene.json", duration=40,

@@ -10,7 +10,6 @@ def test_defaults():
     assert cfg.fps == 25.0
     assert cfg.iota_m_per_px == 0.05
     assert cfg.speed_limit_mph == 30.0
-    assert cfg.occlusion_buffer == 25
     assert cfg.priors["bus"] == DimensionPrior(5.8, 2.9)
 
 

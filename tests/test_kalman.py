@@ -1,0 +1,188 @@
+"""The closed-form block filters against the dense filters they replace.
+
+The reference models below are the dense 18-state tracker filter and 6-state
+BEV filter, written with full matrices and a matrix inverse.  The block
+forms must follow them within 1e-9 relative over random predict, update
+and gap sequences.
+"""
+
+import numpy as np
+import pytest
+
+from roadscene.kalman import kf_predict_step, kf_update_step
+from roadscene.motion import (MEASUREMENT_VARIANCE, PROCESS_SPECTRAL_DENSITY,
+                              BevKalmanState, kf_predict, kf_update)
+from roadscene.tracking import N_CLASSES, Detection, Track, reference_point
+
+RTOL = 1e-9
+
+
+def dense_predict(x, p, f, q):
+    return f @ x, f @ p @ f.T + q
+
+
+def dense_update(x, p, z, h, r):
+    innovation = z - h @ x
+    s = h @ p @ h.T + r
+    k = p @ h.T @ np.linalg.inv(s)
+    x = x + k @ innovation
+    p = (np.eye(len(x)) - k @ h) @ p
+    return x, 0.5 * (p + p.T)
+
+
+def assert_close(got, want):
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=0)
+
+
+# --- tracker: [x, y, s, r, vx, vy, vs, c0..c10] observed on [x, y, s, r, c] --
+
+DIM_X = 7 + N_CLASSES
+DIM_Z = 4 + N_CLASSES
+TRACK_F = np.eye(DIM_X)
+TRACK_F[0, 4] = TRACK_F[1, 5] = TRACK_F[2, 6] = 1.0
+TRACK_H = np.zeros((DIM_Z, DIM_X))
+TRACK_H[:4, :4] = np.eye(4)
+TRACK_H[4:, 7:] = np.eye(N_CLASSES)
+TRACK_Q = np.diag([1.0, 1.0, 1.0, 1.0, 0.01, 0.01, 1e-4] + [1e-4] * N_CLASSES)
+TRACK_R = np.diag([1.0, 1.0, 10.0, 0.01] + [0.01] * N_CLASSES)
+TRACK_P0 = np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4]
+                   + [10.0] * N_CLASSES)
+
+
+class DenseTrack:
+    def __init__(self, det):
+        z = measurement(det)
+        self.x = np.zeros(DIM_X)
+        self.x[:4] = z[:4]
+        self.x[7:] = z[4:]
+        self.p = TRACK_P0.copy()
+
+    def predict(self):
+        if self.x[2] + self.x[6] <= 0:
+            self.x[6] = 0.0
+        self.x, self.p = dense_predict(self.x, self.p, TRACK_F, TRACK_Q)
+
+    def update(self, det):
+        self.x, self.p = dense_update(self.x, self.p, measurement(det),
+                                      TRACK_H, TRACK_R)
+
+
+def measurement(det):
+    _, _, w, h = det.bbox
+    c = np.zeros(N_CLASSES)
+    c[int(np.argmax(det.class_probs))] = 1.0
+    return np.concatenate([[*reference_point(det.bbox), w * h, w / h], c])
+
+
+def block_track_dense(track):
+    """The 18-vector and 18x18 covariance spelled out from the blocks."""
+    st = track.state()
+    x = np.array([st.x, st.y, st.s, st.r, st.vx, st.vy, st.vs,
+                  *st.category])
+    (_, p_xy), (_, p_s), (_, p_r), (_, p_c) = track.blocks
+    p = np.zeros((DIM_X, DIM_X))
+    for rows, block in (((0, 4), p_xy), ((1, 5), p_xy), ((2, 6), p_s),
+                        ((3,), p_r)):
+        p[np.ix_(rows, rows)] = block
+    p[7:, 7:] = np.eye(N_CLASSES) * p_c[0][0]
+    return x, p
+
+
+def random_detection(rng, frame, center, size):
+    probs = rng.dirichlet(np.ones(N_CLASSES)) * 0.99
+    return Detection(frame, (center[0], center[1], size[0], size[1]), 0.9,
+                     tuple(float(v) for v in probs))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_track_filter_matches_dense(seed):
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(50, 500, 2)
+    velocity = rng.normal(0, 3, 2)
+    size = rng.uniform(10, 60, 2)
+    det = random_detection(rng, 0, center, size)
+    track, dense = Track(1, det, 0), DenseTrack(det)
+    for frame in range(1, 150):
+        track.predict()
+        dense.predict()
+        center = center + velocity
+        # shrinking boxes drive s + vs below zero, exercising the vs clamp
+        size = np.maximum(size * rng.uniform(0.7, 1.2, 2), 0.5)
+        if rng.uniform() < 0.75:  # otherwise a gap: predict only
+            det = random_detection(rng, frame, center + rng.normal(0, 1, 2),
+                                   size)
+            track.update(det, frame)
+            dense.update(det)
+        x, p = block_track_dense(track)
+        assert_close(x, dense.x)
+        assert_close(p, dense.p)
+    assert track.class_index() == int(np.argmax(dense.x[7:]))
+
+
+# --- BEV: [x, y, vx, vy, ax, ay] observed on [x, y] ---------------------------
+
+AXES = ((0, 2, 4), (1, 3, 5))
+BEV_H = np.zeros((2, 6))
+BEV_H[0, 0] = BEV_H[1, 1] = 1.0
+BEV_R = np.eye(2) * MEASUREMENT_VARIANCE
+BEV_P0 = np.diag([MEASUREMENT_VARIANCE] * 2 + [1e6] * 2 + [1e4] * 2)
+
+
+def bev_transition(t):
+    f = np.eye(6)
+    for pi, vi, ai in AXES:
+        f[pi, vi] = f[vi, ai] = t
+        f[pi, ai] = 0.5 * t * t
+    return f
+
+
+def bev_noise(t, q=PROCESS_SPECTRAL_DENSITY):
+    block = q * np.array([[t ** 5 / 20, t ** 4 / 8, t ** 3 / 6],
+                          [t ** 4 / 8, t ** 3 / 3, t ** 2 / 2],
+                          [t ** 3 / 6, t ** 2 / 2, t]])
+    out = np.zeros((6, 6))
+    for idx in AXES:
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
+def bev_dense_p(state):
+    p = np.zeros((6, 6))
+    for idx in AXES:
+        p[np.ix_(idx, idx)] = state.p
+    return p
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bev_filter_matches_dense(seed):
+    rng = np.random.default_rng(100 + seed)
+    t_w = 1.0 / 25.0
+    pos = rng.uniform(0, 800, 2)
+    vel = rng.normal(0, 40, 2)
+    state = BevKalmanState.initial(*pos)
+    x, p = np.array([*pos, 0, 0, 0, 0]), BEV_P0.copy()
+    for _ in range(300):
+        gap = int(rng.choice([1, 1, 1, 2, 3, 7]))
+        pos = pos + vel * gap * t_w
+        vel = vel + rng.normal(0, 5, 2)
+        state = kf_predict(state, gap * t_w)
+        x, p = dense_predict(x, p, bev_transition(gap * t_w),
+                             bev_noise(gap * t_w))
+        if rng.uniform() < 0.8:
+            z = pos + rng.normal(0, 2, 2)
+            state = kf_update(state, tuple(z))
+            x, p = dense_update(x, p, z, BEV_H, BEV_R)
+        assert_close(state.x, x)
+        assert_close(bev_dense_p(state), p)
+
+
+def test_block_steps_keep_symmetry_exactly():
+    rng = np.random.default_rng(7)
+    m = rng.normal(size=(3, 3))
+    p = tuple(map(tuple, m @ m.T + np.eye(3)))
+    state = list(rng.normal(size=6))
+    q = tuple(map(tuple, np.eye(3) * 0.1))
+    for _ in range(50):
+        state, p = kf_predict_step(state, p, float(rng.uniform(0.01, 0.5)), q)
+        state, p = kf_update_step(state, p, rng.normal(size=2), 0.5)
+        assert np.array_equal(np.array(p), np.array(p).T)

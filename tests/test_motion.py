@@ -5,28 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadscene.errors import BufferExceeded, DegenerateDisplacement
+from roadscene.errors import DegenerateDisplacement
 from roadscene.geometry import GroundScale, PixelPoint
 from roadscene.motion import (
     BevKalmanState,
-    MotionEstimate,
     abf,
     bounce_weight,
     heading,
     kf_predict,
     kf_update,
-    predict_gap,
-    raw_speed,
     speed_mph,
     wrap_angle,
 )
 
 
 def state_with(x=0.0, y=0.0, vx=0.0, vy=0.0, ax=0.0, ay=0.0):
-    s = BevKalmanState.initial(x, y)
-    vec = s.x.copy()
-    vec[2:] = [vx, vy, ax, ay]
-    return BevKalmanState(vec, s.p.copy())
+    return BevKalmanState((x, y, vx, vy, ax, ay),
+                          BevKalmanState.initial(x, y).p)
 
 
 class TestKfPredict:
@@ -65,7 +60,8 @@ class TestKfUpdate:
             s = kf_predict(s, 0.04)
             obs = (100.0 + rng.normal(0, 2), 100.0 + rng.normal(0, 2))
             s = kf_update(s, obs)
-        sigma_v = np.sqrt(s.p[2, 2])
+        # p is the (position, velocity, acceleration) covariance of each axis
+        sigma_v = np.sqrt(s.p[1][1])
         assert abs(s.x[2]) < 3 * sigma_v
         assert abs(s.x[3]) < 3 * sigma_v
         assert sigma_v < 2.5
@@ -86,29 +82,25 @@ class TestKfUpdate:
                 worst = max(worst, speed_mph(s, GroundScale(0.05)))
         assert worst < 0.5
 
+    @pytest.mark.parametrize("observation", [
+        (1.0,), (1.0, 2.0, 3.0), ("a", 2.0), (float("nan"), 1.0),
+        (1.0, float("inf")), None,
+    ])
+    def test_rejects_bad_observation(self, observation):
+        with pytest.raises(ValueError):
+            kf_update(state_with(), observation)
+
+    def test_rejects_non_finite_state(self):
+        with pytest.raises(ValueError):
+            BevKalmanState((0.0, float("nan"), 0.0, 0.0, 0.0, 0.0),
+                           state_with().p)
+
     def test_constant_velocity_recovered(self):
         s = BevKalmanState.initial(0.0, 0.0)
         for frame in range(1, 101):
             s = kf_predict(s, 0.04)
             s = kf_update(s, (50.0 * 0.04 * frame, 0.0))
         assert s.x[2] == pytest.approx(50.0, rel=0.05)
-
-
-class TestRawSpeed:
-    def test_identical_points(self):
-        p = PixelPoint.bev(10, 10)
-        assert raw_speed(p, p, 0.04, GroundScale(0.05)) == 0.0
-
-    def test_hand_example(self):
-        a = PixelPoint.bev(0, 0)
-        b = PixelPoint.bev(2, 0)
-        assert raw_speed(b, a, 0.04, GroundScale(0.05)) == pytest.approx(2.5)
-
-    def test_symmetry(self):
-        a = PixelPoint.bev(3, 4)
-        b = PixelPoint.bev(-1, 9)
-        scale = GroundScale(0.1)
-        assert raw_speed(a, b, 0.5, scale) == raw_speed(b, a, 0.5, scale)
 
 
 class TestSpeedMph:
@@ -202,19 +194,14 @@ class TestWrapAngle:
 
 
 class TestPredictGap:
-    def test_empty_gap(self):
-        assert predict_gap(state_with(), 0, 0.04) == []
-
     def test_straight_line_spacing(self):
         s = state_with(x=10.0, vx=50.0)
-        positions = predict_gap(s, 5, 0.04)
-        xs = [p.x for p in positions]
+        xs = []
+        for _ in range(5):
+            s = kf_predict(s, 0.04)
+            xs.append(s.x[0])
         assert xs == pytest.approx([12.0, 14.0, 16.0, 18.0, 20.0], abs=1e-9)
-        assert all(p.y == pytest.approx(0.0, abs=1e-12) for p in positions)
-
-    def test_buffer_limit(self):
-        with pytest.raises(BufferExceeded):
-            predict_gap(state_with(), 26, 0.04)
+        assert s.x[1] == pytest.approx(0.0, abs=1e-12)
 
     def test_reconverges_after_gap(self):
         rng = np.random.default_rng(122)
@@ -234,8 +221,3 @@ class TestPredictGap:
         assert min(errors) < 2.0
         assert errors[-1] < 2.0
 
-
-class TestMotionEstimate:
-    def test_rejects_negative_speed(self):
-        with pytest.raises(ValueError):
-            MotionEstimate(PixelPoint.bev(0, 0), -1.0, 0.0)

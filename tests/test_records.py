@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,14 @@ def test_boundary_round_trip(tmp_path):
     save_boundary(path, boundary)
     back = load_boundary(path)
     assert back.chains == boundary.chains
+
+
+@pytest.mark.parametrize("chains", [
+    [[1, 2]], 5, [5], [[[1, 2], [3]]], [[[1.5, 2]]], [[[True, 2]]],
+    [[["1", 2]]],
+])
+def test_boundary_chains_checked(tmp_path, chains):
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps({"chains": chains}))
+    with pytest.raises(SchemaError, match="chains"):
+        load_boundary(path)

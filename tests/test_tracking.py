@@ -2,17 +2,18 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from roadscene.tracking import (
     CLASS_NAMES,
     N_CLASSES,
-    AnchorSpec,
     Detection,
     MomctTracker,
     associate,
-    decode_offsets,
     iou,
-    momct_step,
+    iou_matrix,
     reference_point,
 )
 
@@ -30,26 +31,6 @@ def probs_for(index, p=0.9):
 def det(frame, x, y, w=30.0, h=20.0, cls=CAR, objectness=0.9):
     return Detection(frame=frame, bbox=(x, y, w, h), objectness=objectness,
                      class_probs=probs_for(cls))
-
-
-class TestDecodeOffsets:
-    def test_zero_offsets(self):
-        spec = AnchorSpec(cell=(10.0, 20.0), anchor=(4.0, 6.0))
-        assert decode_offsets((0, 0, 0, 0), spec) == pytest.approx(
-            (10.5, 20.5, 4.0, 6.0))
-
-    def test_width_monotone_to_zero(self):
-        spec = AnchorSpec(cell=(0.0, 0.0), anchor=(4.0, 6.0))
-        widths = [decode_offsets((0, 0, w_o, 0), spec)[2]
-                  for w_o in (0.0, -2.0, -5.0, -20.0)]
-        assert all(a > b for a, b in zip(widths, widths[1:]))
-        assert widths[-1] < 1e-7
-
-    def test_sigmoid_saturates(self):
-        spec = AnchorSpec(cell=(10.0, 20.0), anchor=(4.0, 6.0))
-        x_b, y_b, _, _ = decode_offsets((10.0, 10.0, 0.0, 0.0), spec)
-        assert x_b == pytest.approx(11.0, abs=1e-3)
-        assert y_b == pytest.approx(21.0, abs=1e-3)
 
 
 class TestReferencePoint:
@@ -134,10 +115,43 @@ class TestAssociate:
         assert associate([(0, 0, 4, 4)], []) == ([], [0], [])
 
 
+# boxes on a coarse grid as well as anywhere, so that boxes that touch
+# (zero-width overlap) and identical boxes come up
+_coord = st.one_of(st.integers(-20, 120).map(float),
+                   st.floats(-20.0, 120.0, allow_nan=False))
+_size = st.one_of(st.integers(1, 40).map(float),
+                  st.floats(1e-3, 60.0, allow_nan=False))
+_boxes = st.lists(st.tuples(_coord, _coord, _size, _size), max_size=8)
+
+
+class TestIouMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(_boxes, _boxes, st.floats(0.0, 1.0))
+    def test_equals_scalar_iou_and_matches(self, tracks, dets, iou_min):
+        want = np.array([[iou(t, d) for d in dets] for t in tracks],
+                        dtype=np.float64).reshape(len(tracks), len(dets))
+        got = iou_matrix(tracks, dets)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+        matches, ut, ud = associate(tracks, dets, iou_min)
+        if tracks and dets:
+            rows, cols = linear_sum_assignment(-want)
+            want_matches = [(int(i), int(j)) for i, j in zip(rows, cols)
+                            if want[i, j] >= iou_min]
+        else:
+            want_matches = []
+        assert matches == want_matches
+        assert ut == [i for i in range(len(tracks))
+                      if i not in {m[0] for m in matches}]
+        assert ud == [j for j in range(len(dets))
+                      if j not in {m[1] for m in matches}]
+
+
 class TestMomctTracker:
     def test_genesis(self):
         tracker = MomctTracker()
-        tracker, reported = momct_step(tracker, [det(0, 50, 50)])
+        reported = tracker.step([det(0, 50, 50)])
         assert len(tracker.tracks) == 1
         assert tracker.tracks[0].id == 1
         assert len(tracker.tracks[0].trajectory) == 1
@@ -251,7 +265,7 @@ class TestMomctTracker:
         for frame in range(60):
             cls = int(rng.integers(0, N_CLASSES))
             tracker.step([det(frame, 60, 40, cls=cls)], frame)
-        cat = tracker.tracks[0].x[7:]
+        cat = np.array(tracker.tracks[0].state().category)
         assert np.all(cat >= -0.5)
         assert np.all(cat <= 1.5)
 
