@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -274,14 +274,6 @@ class StateClassifier:
                          speeding=frozenset(speeding),
                          collision_risk=frozenset(at_risk),
                          congestion=frozenset(congested))
-
-
-def classify_states(frames: Iterable[tuple[int, Sequence[TrackObservation]]],
-                    boundary: BoundarySet | None, scale: GroundScale,
-                    cfg: AnalyticsConfig = AnalyticsConfig(),
-                    fps: float = 25.0) -> list[StateSets]:
-    classifier = StateClassifier(boundary, scale, cfg, fps)
-    return [classifier.step(frame, obs) for frame, obs in frames]
 
 
 def update_heatmaps(maps: Mapping[str, HeatMap],

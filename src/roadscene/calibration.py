@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     DegenerateConfiguration,
-    DegeneratePoints,
     InsufficientMatches,
     InsufficientTrajectories,
     InvalidProbability,
@@ -53,7 +52,6 @@ class Correspondence:
 class RansacParams:
     tau_z: float = 3.0
     rho: float = 0.99
-    gamma: int = 4
     max_iter: int = 10000
 
     def __post_init__(self):
@@ -61,8 +59,6 @@ class RansacParams:
             raise ValueError(f"tau_z must be > 0, got {self.tau_z}")
         if not 0.0 < self.rho < 1.0:
             raise InvalidProbability(f"rho must be in (0, 1), got {self.rho}")
-        if self.gamma != 4:
-            raise ValueError("sample size is fixed at 4 for homographies")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -139,8 +135,8 @@ def ransac_homography(matches: Sequence[Correspondence],
         if votes > best_votes:
             best_h, best_mask, best_votes = h, mask, votes
             eps = best_votes / n
-            budget = min(params.max_iter, ransac_iterations(
-                params.rho, eps, params.gamma))
+            budget = min(params.max_iter,
+                         ransac_iterations(params.rho, eps))
         i += 1
 
     if best_votes < 4:
@@ -161,70 +157,21 @@ def ransac_homography(matches: Sequence[Correspondence],
                         iterations_run=i, vote_history=history)
 
 
-# --- trajectory line fitting ------------------------------------------------
+# --- trajectory straightness ------------------------------------------------
 
-@dataclass(frozen=True)
-class TrajectoryLine:
-    """A line a*x + b*y + c = 0 with unit normal (a, b)."""
-
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        if abs(self.a * self.a + self.b * self.b - 1.0) > 1e-9:
-            raise ValueError("line normal must be unit length")
-
-    def distance(self, p: PixelPoint) -> float:
-        return abs(self.a * p.x + self.b * p.y + self.c)
-
-    def residual(self, points: Sequence[PixelPoint]) -> float:
-        return float(sum((self.a * p.x + self.b * p.y + self.c) ** 2
-                         for p in points))
-
-
-def _scatter(xy: np.ndarray) -> tuple[np.ndarray, float, float, float]:
-    centroid = xy.mean(axis=0)
-    d = xy - centroid
+def _scatter(xy: np.ndarray) -> tuple[float, float, float]:
+    """Centered second moments (sxx, sxy, syy) of an (n, 2) array."""
+    d = xy - xy.mean(axis=0)
     sxx = float(np.dot(d[:, 0], d[:, 0]))
     syy = float(np.dot(d[:, 1], d[:, 1]))
     sxy = float(np.dot(d[:, 0], d[:, 1]))
-    return centroid, sxx, sxy, syy
+    return sxx, sxy, syy
 
 
 def _min_scatter_eig(sxx: float, sxy: float, syy: float) -> float:
     tr = sxx + syy
     disc = math.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy)
     return 0.5 * (tr - disc)
-
-
-def fit_line_tls(points: Sequence[PixelPoint]) -> TrajectoryLine:
-    """Total-least-squares line: orthogonal regression through the centroid.
-
-    The normal is the eigenvector of the smallest eigenvalue of the 2x2
-    coordinate scatter; the squared residual sum equals that eigenvalue.
-    Sign convention: a > 0, or b > 0 when a = 0.
-    """
-    if len(points) < 2:
-        raise DegeneratePoints(f"need at least 2 points, got {len(points)}")
-    xy = np.array([[p.x, p.y] for p in points], dtype=np.float64)
-    centroid, sxx, sxy, syy = _scatter(xy)
-    if max(np.max(np.abs(xy - centroid)), 0.0) < 1e-12:
-        raise DegeneratePoints("all points coincide")
-    lam = _min_scatter_eig(sxx, sxy, syy)
-    # eigenvector of the 2x2 scatter for lam, picking the better-conditioned
-    # of the two analytic forms; isotropic scatter falls back to (1, 0)
-    v1 = (-sxy, sxx - lam)
-    v2 = (syy - lam, -sxy)
-    v = v1 if math.hypot(*v1) >= math.hypot(*v2) else v2
-    norm = math.hypot(*v)
-    if norm < 1e-12:
-        v, norm = (1.0, 0.0), 1.0
-    a, b = v[0] / norm, v[1] / norm
-    if a < 0 or (a == 0 and b < 0):
-        a, b = -a, -b
-    c = -(a * centroid[0] + b * centroid[1])
-    return TrajectoryLine(a, b, c)
 
 
 # --- evolution-strategy minimizer -------------------------------------------
@@ -298,8 +245,7 @@ def straightness_objective(trajectories: Sequence[np.ndarray],
         und = undistort_xy(stacked, params)
         total = 0.0
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            _, sxx, sxy, syy = _scatter(und[lo:hi])
-            total += _min_scatter_eig(sxx, sxy, syy)
+            total += _min_scatter_eig(*_scatter(und[lo:hi]))
         return total
 
     return objective

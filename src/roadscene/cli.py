@@ -52,6 +52,12 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _out_file(args) -> Path:
+    out = Path(args.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 # --- simulate ---------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
@@ -171,8 +177,7 @@ def _cmd_track(args) -> int:
     scale = GroundScale(calib.get("iota_m_per_px") or cfg.iota_m_per_px)
     detections = load_detections(args.detections)
 
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out_file(args)
     if not detections:
         write_tracks(out_path, [])
         print("track: no detections, wrote empty tracks")
@@ -377,12 +382,12 @@ def _cmd_merge(args) -> int:
                 merged.merge(other)
             except ValueError as exc:
                 raise SchemaError(str(exc)) from None
-        save_heatmap(args.out, merged)
+        save_heatmap(_out_file(args), merged)
         print(f"merge: {len(paths)} heat shards -> {args.out} "
               f"({merged.events} events)")
     elif suffixes == {".csv"}:
         merged_stats = merge_stats([load_stats(p) for p in paths])
-        write_stats(args.out, merged_stats)
+        write_stats(_out_file(args), merged_stats)
         print(f"merge: {len(paths)} stats shards -> {args.out} "
               f"({len(merged_stats)} frames)")
     else:

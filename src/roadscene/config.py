@@ -35,7 +35,6 @@ class Config:
     # homography consensus
     ransac_tau: float = 3.0
     ransac_rho: float = 0.99
-    ransac_gamma: int = 4
     ransac_max_iter: int = 10000
     # road segmentation
     srg_tau_alpha: float = 12.0
@@ -54,14 +53,11 @@ class Config:
     # rendering
     render_floor: int = 5
     render_alpha: float = 0.6
-    # stationary-heading probe radius (px)
-    boundary_radius: float = 5.0
     priors: dict[str, DimensionPrior] = field(
         default_factory=lambda: dict(DEFAULT_PRIORS))
 
     def ransac_params(self) -> RansacParams:
         return RansacParams(tau_z=self.ransac_tau, rho=self.ransac_rho,
-                            gamma=self.ransac_gamma,
                             max_iter=self.ransac_max_iter)
 
     def srg_params(self) -> SrgParams:
@@ -121,6 +117,13 @@ def _unit_closed(raw: str) -> float:
     return value
 
 
+def _intensity_step(raw: str) -> float:
+    value = _parse_float(raw)
+    if not 0.0 < value < 256.0:
+        raise ValueError("must be in (0, 256)")
+    return value
+
+
 def _parse_int(raw: str) -> int:
     return int(raw, 10)
 
@@ -158,9 +161,8 @@ _KEYS = {
     "tracker.objectness_min": ("objectness_min", _unit_closed),
     "ransac.tau": ("ransac_tau", _positive_float),
     "ransac.rho": ("ransac_rho", _unit_open),
-    "ransac.gamma": ("ransac_gamma", _positive_int),
     "ransac.max_iter": ("ransac_max_iter", _positive_int),
-    "srg.tau_alpha": ("srg_tau_alpha", _positive_float),
+    "srg.tau_alpha": ("srg_tau_alpha", _intensity_step),
     "analytics.parking_speed_mph": ("parking_speed_mph", _nonneg_float),
     "analytics.parking_border_m": ("parking_border_m", _positive_float),
     "analytics.parking_duration_s": ("parking_duration_s", _positive_float),
@@ -174,7 +176,6 @@ _KEYS = {
     "background.frames": ("background_frames", _positive_int),
     "render.floor": ("render_floor", _nonneg_int),
     "render.alpha": ("render_alpha", _unit_closed),
-    "boundary.radius": ("boundary_radius", _positive_float),
 }
 
 

@@ -77,10 +77,6 @@ class NoConsensus(ProcessingError):
     """No model reached the required inlier support."""
 
 
-class DegeneratePoints(ProcessingError):
-    """Point set carries no direction information (all points coincide)."""
-
-
 class InsufficientTrajectories(InputError):
     """No trajectory long enough to constrain the distortion fit."""
 
@@ -99,10 +95,6 @@ class NoSeeds(InputError):
 
 class EmptyMask(InputError):
     """Mask contains no foreground pixels."""
-
-
-class InsufficientIntersection(ProcessingError):
-    """Boundary does not intersect the probe annulus often enough."""
 
 
 # --- cuboids / analytics ----------------------------------------------------

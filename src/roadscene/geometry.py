@@ -65,9 +65,6 @@ class PixelPoint:
     def bev(x: float, y: float) -> "PixelPoint":
         return PixelPoint(float(x), float(y), BEV)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=np.float64)
-
 
 def canonicalize_matrix(g: np.ndarray) -> np.ndarray:
     """Scale a 3x3 matrix to Frobenius norm 1 with a deterministic sign.

@@ -98,7 +98,6 @@ class BackgroundAccumulator:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         self.alpha = alpha
         self.b: np.ndarray | None = None
-        self.frames_seen = 0
 
     def background(self) -> ImageBuffer:
         if self.b is None:
@@ -119,7 +118,6 @@ def accumulate_background(acc: BackgroundAccumulator,
                 f"shape {acc.b.shape}")
         acc.b *= (1.0 - acc.alpha)
         acc.b += acc.alpha * pix
-    acc.frames_seen += 1
     return acc
 
 
@@ -208,32 +206,14 @@ def distort_point(p: PixelPoint, params: DistortionParams) -> PixelPoint:
     return PixelPoint(xs + xn * f * scale, ys + yn * f * scale, p.frame)
 
 
-def undistort_point(p: PixelPoint, params: DistortionParams,
-                    rounds: int = 5) -> PixelPoint:
-    """Approximate inverse of `distort_point` by fixed-point iteration.
+def undistort_xy(xy: np.ndarray, params: DistortionParams,
+                 rounds: int = 5) -> np.ndarray:
+    """Approximate inverse of `distort_point` over an (n, 2) array.
 
     Iterates r_u <- r_d / (1 + k1 r_u^2 + k2 r_u^4) starting from r_u = r_d
     for a fixed number of rounds; five is plenty for |k| <= 0.5 over the
     unit-normalized image.
     """
-    xs, ys = params.center
-    scale = params.half_diagonal
-    xn = (p.x - xs) / scale
-    yn = (p.y - ys) / scale
-    rd = math.hypot(xn, yn)
-    if rd == 0.0:
-        return PixelPoint(p.x, p.y, p.frame)
-    ru = rd
-    for _ in range(rounds):
-        ru = rd / _radial_factor(params, ru * ru)
-    ratio = ru / rd
-    return PixelPoint(xs + xn * ratio * scale, ys + yn * ratio * scale,
-                      p.frame)
-
-
-def undistort_xy(xy: np.ndarray, params: DistortionParams,
-                 rounds: int = 5) -> np.ndarray:
-    """Vectorized `undistort_point` over an (n, 2) coordinate array."""
     xs, ys = params.center
     scale = params.half_diagonal
     k1, k2 = params.k

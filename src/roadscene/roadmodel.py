@@ -5,9 +5,7 @@ trajectories: an adjacent pixel joins when its intensity differs from the
 pixel that reached it by less than tau_alpha, so the result is the closure
 of the seeds in the graph whose edges connect 8-neighbors with similar
 intensity.  The grown mask is cleaned by morphological closing, its border
-is traced into ordered chains, and those chains answer nearest-boundary and
-local-boundary-direction queries for vehicles that stand still too long to
-have a usable heading of their own.
+is traced into ordered chains.
 """
 
 from __future__ import annotations
@@ -17,14 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyMask,
-    InsufficientIntersection,
-    NoSeeds,
-)
+from .errors import EmptyMask, NoSeeds
 from .geometry import BEV, PixelPoint
 from .imaging import ImageBuffer, dilate3x3, erode3x3
-from .motion import heading
 
 # clockwise ring of 8-neighbor offsets (dx, dy), y pointing down
 _RING = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
@@ -34,14 +27,11 @@ _RING_INDEX = {off: i for i, off in enumerate(_RING)}
 @dataclass(frozen=True)
 class SrgParams:
     tau_alpha: float = 12.0
-    connectivity: int = 8
 
     def __post_init__(self):
         if not 0 < self.tau_alpha < 256:
             raise ValueError(f"tau_alpha must be in (0, 256), "
                              f"got {self.tau_alpha}")
-        if self.connectivity != 8:
-            raise ValueError("only 8-connectivity is supported")
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,45 +219,3 @@ def extract_boundary(mask: RoadMask) -> BoundarySet:
             chains.append(tuple(chain))
     return BoundarySet(chains=tuple(chains))
 
-
-def nearest_boundary_point(p: PixelPoint,
-                           boundary: BoundarySet) -> tuple[PixelPoint, float]:
-    """Closest boundary pixel; ties go to the lowest (y, then x)."""
-    pts = boundary.points()
-    if len(pts) == 0:
-        raise EmptyMask("boundary set is empty")
-    d2 = (pts[:, 0] - p.x) ** 2 + (pts[:, 1] - p.y) ** 2
-    best = d2.min()
-    tied = pts[d2 == best]
-    order = np.lexsort((tied[:, 0], tied[:, 1]))
-    bx, by = tied[order[0]]
-    return PixelPoint.bev(float(bx), float(by)), float(np.sqrt(best))
-
-
-def boundary_heading(l_r: PixelPoint, boundary: BoundarySet,
-                     radius: float = 5.0) -> float:
-    """Local boundary direction at a boundary point, in [0, 180) degrees.
-
-    Intersects the boundary with an annulus of the given radius (half-width
-    0.5 px) and takes the direction between the two intersection pixels
-    farthest apart.  When fewer than two pixels intersect, the radius is
-    doubled, up to four times.
-    """
-    pts = np.unique(boundary.points(), axis=0)
-    order = np.lexsort((pts[:, 0], pts[:, 1]))
-    pts = pts[order]
-    d = np.hypot(pts[:, 0] - l_r.x, pts[:, 1] - l_r.y)
-    for attempt in range(5):
-        r = radius * (2 ** attempt)
-        ring = pts[np.abs(d - r) <= 0.5]
-        if len(ring) < 2:
-            continue
-        diff = ring[:, None, :] - ring[None, :, :]
-        pair_d2 = (diff ** 2).sum(axis=2)
-        i, j = np.unravel_index(int(np.argmax(pair_d2)), pair_d2.shape)
-        theta = heading(PixelPoint.bev(float(ring[j, 0]), float(ring[j, 1])),
-                        PixelPoint.bev(float(ring[i, 0]), float(ring[i, 1])))
-        return theta % 180.0
-    raise InsufficientIntersection(
-        f"fewer than 2 boundary pixels within any probe annulus around "
-        f"({l_r.x}, {l_r.y})")

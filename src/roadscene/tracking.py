@@ -164,20 +164,6 @@ def _observation(det: Detection) -> tuple[Sequence[float], ...]:
 
 
 @dataclass(frozen=True)
-class TrackState:
-    """Snapshot of the smoothed per-track state."""
-
-    x: float
-    y: float
-    s: float
-    r: float
-    vx: float
-    vy: float
-    vs: float
-    category: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class TrackSnapshot:
     """One reported track at one frame."""
 
@@ -187,10 +173,6 @@ class TrackSnapshot:
     class_index: int
     class_name: str
     ref: tuple[float, float]
-    state: TrackState
-    hits: int
-    age: int
-    time_since_update: int
 
 
 class Track:
@@ -200,16 +182,13 @@ class Track:
     the layout of `kalman`.
     """
 
-    def __init__(self, track_id: int, det: Detection, frame: int):
+    def __init__(self, track_id: int, det: Detection):
         self.id = track_id
         # observed values, then zero rates
         self.blocks = [([*z] + [0.0] * (len(z) * (len(m.p0) - 1)), m.p0)
                        for z, m in zip(_observation(det), _BLOCKS)]
         self.hits = 1
-        self.age = 0
         self.time_since_update = 0
-        self.trajectory: list[tuple[int, float, float]] = [
-            (frame, *self.blocks[_XY][0][:2])]
 
     def predict(self):
         (s, vs), _ = self.blocks[_AREA]
@@ -217,21 +196,13 @@ class Track:
             self.blocks[_AREA][0][1] = 0.0
         self.blocks = [kf_predict_step(state, p, 1.0, m.q)
                        for (state, p), m in zip(self.blocks, _BLOCKS)]
-        self.age += 1
         self.time_since_update += 1
 
-    def update(self, det: Detection, frame: int):
+    def update(self, det: Detection):
         self.blocks = [kf_update_step(state, p, z, m.r) for (state, p), z, m
                        in zip(self.blocks, _observation(det), _BLOCKS)]
         self.hits += 1
         self.time_since_update = 0
-        self.trajectory.append((frame, *self.blocks[_XY][0][:2]))
-
-    def state(self) -> TrackState:
-        (x, y, vx, vy), (s, vs), (r,), category = (
-            state for state, _ in self.blocks)
-        return TrackState(x=x, y=y, s=s, r=r, vx=vx, vy=vy, vs=vs,
-                          category=tuple(category))
 
     def predicted_bbox(self) -> tuple[float, float, float, float]:
         x, y = self.blocks[_XY][0][:2]
@@ -247,12 +218,10 @@ class Track:
 
     def snapshot(self, frame: int) -> TrackSnapshot:
         idx = self.class_index()
-        state = self.state()
+        x, y = self.blocks[_XY][0][:2]
         return TrackSnapshot(
             frame=frame, track_id=self.id, bbox=self.predicted_bbox(),
-            class_index=idx, class_name=CLASS_NAMES[idx],
-            ref=(state.x, state.y), state=state, hits=self.hits,
-            age=self.age, time_since_update=self.time_since_update)
+            class_index=idx, class_name=CLASS_NAMES[idx], ref=(x, y))
 
 
 class MomctTracker:
@@ -281,9 +250,9 @@ class MomctTracker:
             [t.predicted_bbox() for t in self.tracks],
             [d.bbox for d in dets], self.iou_min)
         for ti, di in matches:
-            self.tracks[ti].update(dets[di], self.frame)
+            self.tracks[ti].update(dets[di])
         for di in unmatched_d:
-            self.tracks.append(Track(self.next_id, dets[di], self.frame))
+            self.tracks.append(Track(self.next_id, dets[di]))
             self.next_id += 1
 
         self.tracks = [t for t in self.tracks

@@ -10,7 +10,6 @@ from roadscene.analytics import (
     TrackObservation,
     average_speed,
     bump,
-    classify_states,
     frame_stats,
     make_heatmaps,
     render,
@@ -260,7 +259,8 @@ class TestStates:
 
     def test_classify_states_sequence(self):
         frames = [(f, [obs(1, 30, 30, 35.0)]) for f in range(3)]
-        out = classify_states(frames, left_border(), SCALE)
+        clf = StateClassifier(left_border(), SCALE, AnalyticsConfig(), 25.0)
+        out = [clf.step(frame, observations) for frame, observations in frames]
         assert [s.frame for s in out] == [0, 1, 2]
         assert all(s.speeding == frozenset({1}) for s in out)
 

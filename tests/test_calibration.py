@@ -7,16 +7,13 @@ from roadscene.calibration import (
     Correspondence,
     EsResult,
     RansacParams,
-    TrajectoryLine,
     es_minimize,
     fit_distortion_es,
-    fit_line_tls,
     ransac_homography,
     ransac_iterations,
     straightness_objective,
 )
 from roadscene.errors import (
-    DegeneratePoints,
     InsufficientMatches,
     InsufficientTrajectories,
     InvalidProbability,
@@ -146,51 +143,64 @@ class TestRansacHomography:
             ransac_homography(matches, RansacParams(max_iter=50), rng_seed=9)
 
 
-class TestFitLineTls:
-    def test_horizontal_axis(self):
-        pts = [PixelPoint.perspective(x, 0) for x in (0, 1, 2, 5)]
-        line = fit_line_tls(pts)
-        assert (line.a, line.b) == pytest.approx((0.0, 1.0), abs=1e-12)
-        assert line.c == pytest.approx(0.0, abs=1e-12)
-        assert line.residual(pts) < 1e-24
+def line_residual(points, theta):
+    """Squared residual sum of `points` about the line through their
+    centroid with unit normal (cos theta, sin theta); theta may be an
+    array of angles."""
+    xy = np.asarray(points, dtype=np.float64)
+    d = xy - xy.mean(axis=0)
+    theta = np.asarray(theta, dtype=np.float64)[..., None]
+    return np.sum((np.cos(theta) * d[:, 0] + np.sin(theta) * d[:, 1]) ** 2,
+                  axis=-1)
 
-    def test_exact_sloped_line(self):
-        pts = [PixelPoint.perspective(x, 2 * x + 1) for x in range(-3, 4)]
-        line = fit_line_tls(pts)
-        assert line.residual(pts) < 1e-12
+
+def brute_force_min_residual(points):
+    """Smallest line residual over a normal-angle grid, refined once."""
+    coarse = np.linspace(0.0, math.pi, 100_001)
+    best = coarse[np.argmin(line_residual(points, coarse))]
+    fine = np.linspace(best - 1e-4, best + 1e-4, 20_001)
+    return float(np.min(line_residual(points, fine)))
+
+
+def single_trajectory_score(points):
+    """`straightness_objective` of one trajectory at k = 0 (no lens)."""
+    objective = straightness_objective([np.asarray(points, dtype=np.float64)],
+                                       (320, 240))
+    return objective(np.zeros(2))
+
+
+class TestStraightnessObjective:
+    """At k = 0 each trajectory scores its total-least-squares line
+    residual: the minimum over all lines of the squared distance sum."""
+
+    def test_horizontal_trajectory_scores_zero(self):
+        assert single_trajectory_score(
+            [(x, 0.0) for x in (0, 1, 2, 5)]) < 1e-24
+
+    def test_sloped_trajectory_scores_zero(self):
+        assert single_trajectory_score(
+            [(x, 2.0 * x + 1.0) for x in range(-3, 4)]) < 1e-12
 
     def test_square_matches_angle_grid(self):
-        pts = [PixelPoint.perspective(0, 0), PixelPoint.perspective(1, 0),
-               PixelPoint.perspective(1, 1), PixelPoint.perspective(0, 1)]
-        line = fit_line_tls(pts)
-        cx = sum(p.x for p in pts) / 4
-        cy = sum(p.y for p in pts) / 4
-        best = math.inf
-        for theta in np.arange(0.0, math.pi, 1e-3):
-            a, b = math.cos(theta), math.sin(theta)
-            c = -(a * cx + b * cy)
-            r = sum((a * p.x + b * p.y + c) ** 2 for p in pts)
-            best = min(best, r)
-        assert line.residual(pts) <= best + 1e-6
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        assert single_trajectory_score(square) == pytest.approx(
+            brute_force_min_residual(square), rel=1e-9, abs=1e-12)
 
-    def test_beats_axis_aligned_lines(self):
+    def test_random_points_match_angle_grid(self):
         rng = np.random.default_rng(71)
         for _ in range(20):
-            pts = [PixelPoint.perspective(*rng.uniform(0, 100, 2))
-                   for _ in range(8)]
-            line = fit_line_tls(pts)
-            cx = sum(p.x for p in pts) / len(pts)
-            cy = sum(p.y for p in pts) / len(pts)
-            vert = TrajectoryLine(1.0, 0.0, -cx)
-            horiz = TrajectoryLine(0.0, 1.0, -cy)
-            assert line.residual(pts) <= min(vert.residual(pts),
-                                             horiz.residual(pts)) + 1e-9
+            pts = rng.uniform(0, 100, size=(8, 2))
+            assert single_trajectory_score(pts) == pytest.approx(
+                brute_force_min_residual(pts), rel=1e-9)
 
-    def test_degenerate_points(self):
-        with pytest.raises(DegeneratePoints):
-            fit_line_tls([PixelPoint.perspective(1, 1)] * 5)
-        with pytest.raises(DegeneratePoints):
-            fit_line_tls([PixelPoint.perspective(1, 1)])
+    def test_sums_over_trajectories(self):
+        rng = np.random.default_rng(72)
+        trajectories = [rng.uniform(0, 200, size=(n, 2)) for n in (5, 9, 6)]
+        k = np.array([-0.1, 0.02])
+        total = straightness_objective(trajectories, (320, 240))(k)
+        parts = sum(straightness_objective([t], (320, 240))(k)
+                    for t in trajectories)
+        assert total == pytest.approx(parts, rel=1e-12)
 
 
 def synthetic_trajectories(rng, k, image_size=(320, 240), n_traj=12,

@@ -274,6 +274,36 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.strip() == "[]"
 
 
+@pytest.mark.parametrize("line, command", [
+    ("ransac.gamma = 5", "calibrate"),
+    ("boundary.radius = 5", "analyze"),
+    ("srg.tau_alpha = 300", "segment"),
+])
+def test_rejected_config_line_exits_2(tmp_path, pipeline, capsys, line,
+                                      command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    inputs = {
+        "calibrate": ["--matches", str(pipeline["sim"] / "matches.json")],
+        "analyze": ["--tracks", str(pipeline["tracks"]), "--calibration",
+                    str(pipeline["cal"] / "calibration.json")],
+        "segment": ["--tracks", str(pipeline["tracks"]),
+                    "--satellite", str(pipeline["sim"] / "satellite.pgm")],
+    }[command]
+    code = run(command, *inputs, "--config", str(cfg),
+               "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "ConfigError: line 1" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("name", ["heat_vehicle.json", "stats.csv"])
+def test_merge_creates_missing_out_directory(tmp_path, pipeline, name):
+    shard = pipeline["an"] / name
+    out = tmp_path / "missing" / "dir" / name
+    assert run("merge", str(shard), "--out", str(out)) == 0
+    assert out.read_bytes() == shard.read_bytes()
+
+
 def test_bad_config_exits_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("fps = fast\n")

@@ -1,8 +1,12 @@
+import sys
+
 import pytest
 
+from roadscene import config
 from roadscene.box3d import DimensionPrior
 from roadscene.config import Config, load_config, parse_config
 from roadscene.errors import ConfigError
+from roadscene.imaging import BackgroundAccumulator
 
 
 def test_defaults():
@@ -94,3 +98,45 @@ def test_load_config_round_trip(tmp_path):
     cfg = load_config(path)
     assert cfg.seed == 42
     assert cfg.fps == 10.0
+
+
+_TINY = repr(5e-324)
+_HUGE = repr(sys.float_info.max)
+_BIG_INT = str(10 ** 30)
+
+# parser name -> the lowest and the highest value it accepts
+_PARSER_ENDS = {
+    "_positive_float": (_TINY, _HUGE),
+    "_nonneg_float": ("0", _HUGE),
+    "_unit_open": (_TINY, repr(1.0 - 2 ** -53)),
+    "_unit_closed": ("0", "1"),
+    "_intensity_step": (_TINY, repr(256.0 - 2 ** -45)),
+    "_positive_int": ("1", _BIG_INT),
+    "_nonneg_int": ("0", _BIG_INT),
+    "_speed_axis": config._SPEED_AXES,
+}
+
+
+@pytest.mark.parametrize("key", sorted(config._KEYS))
+def test_every_accepted_value_builds(key):
+    _, parser = config._KEYS[key]
+    for raw in _PARSER_ENDS[parser.__name__]:
+        cfg = parse_config(f"{key} = {raw}\n")
+        cfg.ransac_params()
+        cfg.srg_params()
+        cfg.analytics_config()
+        cfg.scale()
+        BackgroundAccumulator(cfg.alpha)
+
+
+def test_tau_alpha_range():
+    assert parse_config("srg.tau_alpha = 255.5\n").srg_tau_alpha == 255.5
+    for raw in ("0", "256", "300"):
+        with pytest.raises(ConfigError, match=r"line 1: srg.tau_alpha.*256"):
+            parse_config(f"srg.tau_alpha = {raw}\n")
+
+
+@pytest.mark.parametrize("key", ["ransac.gamma", "boundary.radius"])
+def test_removed_keys_are_unknown(key):
+    with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
+        parse_config(f"{key} = 5\n")

@@ -21,7 +21,7 @@ from roadscene.imaging import (
     histogram_match,
     read_pnm,
     to_gray,
-    undistort_point,
+    undistort_xy,
     write_pnm,
 )
 
@@ -70,7 +70,6 @@ class TestBackground:
     def test_first_frame_initializes(self):
         acc = BackgroundAccumulator(alpha=0.01)
         accumulate_background(acc, gray([[10, 20], [30, 40]]))
-        assert acc.frames_seen == 1
         assert np.array_equal(acc.b, [[10, 20], [30, 40]])
 
     def test_constant_video_fixed_point(self):
@@ -177,14 +176,13 @@ class TestDistortion:
         # the far corners for |k1| = 0.2); more rounds converge fully
         params = self.params((-0.2, 0.05))
         rng = np.random.default_rng(31)
-        worst5 = worst20 = 0.0
-        for _ in range(100):
-            p = PixelPoint.perspective(rng.uniform(0, 320), rng.uniform(0, 240))
-            q = distort_point(p, params)
-            b5 = undistort_point(q, params)
-            b20 = undistort_point(q, params, rounds=20)
-            worst5 = max(worst5, abs(b5.x - p.x), abs(b5.y - p.y))
-            worst20 = max(worst20, abs(b20.x - p.x), abs(b20.y - p.y))
+        xy = rng.uniform(0, (320, 240), size=(100, 2))
+        distorted = np.array([
+            [q.x, q.y] for q in (distort_point(PixelPoint.perspective(x, y),
+                                               params) for x, y in xy)])
+        worst5 = np.max(np.abs(undistort_xy(distorted, params) - xy))
+        worst20 = np.max(np.abs(undistort_xy(distorted, params, rounds=20)
+                                - xy))
         assert worst5 < 5e-2
         assert worst20 < 1e-9
 

@@ -76,10 +76,8 @@ def measurement(det):
 
 def block_track_dense(track):
     """The 18-vector and 18x18 covariance spelled out from the blocks."""
-    st = track.state()
-    x = np.array([st.x, st.y, st.s, st.r, st.vx, st.vy, st.vs,
-                  *st.category])
-    (_, p_xy), (_, p_s), (_, p_r), (_, p_c) = track.blocks
+    (xy, p_xy), (area, p_s), (aspect, p_r), (category, p_c) = track.blocks
+    x = np.array([*xy[:2], area[0], *aspect, *xy[2:], area[1], *category])
     p = np.zeros((DIM_X, DIM_X))
     for rows, block in (((0, 4), p_xy), ((1, 5), p_xy), ((2, 6), p_s),
                         ((3,), p_r)):
@@ -101,7 +99,7 @@ def test_track_filter_matches_dense(seed):
     velocity = rng.normal(0, 3, 2)
     size = rng.uniform(10, 60, 2)
     det = random_detection(rng, 0, center, size)
-    track, dense = Track(1, det, 0), DenseTrack(det)
+    track, dense = Track(1, det), DenseTrack(det)
     for frame in range(1, 150):
         track.predict()
         dense.predict()
@@ -111,7 +109,7 @@ def test_track_filter_matches_dense(seed):
         if rng.uniform() < 0.75:  # otherwise a gap: predict only
             det = random_detection(rng, frame, center + rng.normal(0, 1, 2),
                                    size)
-            track.update(det, frame)
+            track.update(det)
             dense.update(det)
         x, p = block_track_dense(track)
         assert_close(x, dense.x)

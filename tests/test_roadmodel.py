@@ -3,16 +3,13 @@ import collections
 import numpy as np
 import pytest
 
-from roadscene.errors import EmptyMask, InsufficientIntersection, NoSeeds
+from roadscene.errors import EmptyMask, NoSeeds
 from roadscene.geometry import PixelPoint
 from roadscene.imaging import ImageBuffer
 from roadscene.roadmodel import (
-    BoundarySet,
     RoadMask,
     SrgParams,
-    boundary_heading,
     extract_boundary,
-    nearest_boundary_point,
     refine_mask,
     srg_segment,
 )
@@ -128,8 +125,6 @@ class TestSrgSegment:
             SrgParams(tau_alpha=0)
         with pytest.raises(ValueError):
             SrgParams(tau_alpha=256)
-        with pytest.raises(ValueError):
-            SrgParams(connectivity=4)
 
 
 class TestRefineMask:
@@ -225,92 +220,3 @@ class TestExtractBoundary:
         with pytest.raises(EmptyMask):
             extract_boundary(RoadMask(np.zeros((4, 4), dtype=bool)))
 
-
-class TestNearestBoundaryPoint:
-    def test_point_on_boundary(self):
-        boundary = extract_boundary(block_mask(20, 20, 5, 15, 5, 15))
-        point, dist = nearest_boundary_point(PixelPoint.bev(5, 9), boundary)
-        assert (point.x, point.y) == (5, 9)
-        assert dist == 0.0
-
-    def test_interior_point(self):
-        boundary = extract_boundary(block_mask(20, 20, 0, 20, 8, 12))
-        point, dist = nearest_boundary_point(PixelPoint.bev(10, 10), boundary)
-        assert point.x in (8, 11)
-        assert dist == pytest.approx(1.0)
-
-    def test_tie_prefers_lowest_y_then_x(self):
-        chain = ((0, 0), (2, 0), (0, 2), (2, 2))
-        boundary = BoundarySet(chains=(chain,))
-        point, _ = nearest_boundary_point(PixelPoint.bev(1.0, 1.0), boundary)
-        assert (point.x, point.y) == (0, 0)
-
-    def test_matches_linear_scan(self):
-        rng = np.random.default_rng(9)
-        road = flood_oracle(random_scene(rng), [(32, 32)], 12)
-        if not road.any():
-            road[32, 32] = True
-        boundary = extract_boundary(RoadMask(road))
-        pts = boundary.points()
-        for _ in range(100):
-            q = rng.uniform(0, 64, size=2)
-            point, dist = nearest_boundary_point(
-                PixelPoint.bev(q[0], q[1]), boundary)
-            d = np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1])
-            assert dist == pytest.approx(d.min(), abs=1e-12)
-
-    def test_frame_preserved(self):
-        boundary = BoundarySet(chains=(((3, 4),),))
-        point, _ = nearest_boundary_point(PixelPoint.bev(0, 0), boundary)
-        assert point.frame == "bev"
-
-
-def column_boundary(height=40, x=0):
-    road = np.zeros((height, 30), dtype=bool)
-    road[:, x] = True
-    return extract_boundary(RoadMask(road))
-
-
-class TestBoundaryHeading:
-    def test_vertical_boundary(self):
-        theta = boundary_heading(PixelPoint.bev(0, 17), column_boundary())
-        assert theta == pytest.approx(90.0)
-
-    def test_horizontal_boundary(self):
-        road = np.zeros((30, 40), dtype=bool)
-        road[3, :] = True
-        boundary = extract_boundary(RoadMask(road))
-        theta = boundary_heading(PixelPoint.bev(17, 3), boundary)
-        assert theta == pytest.approx(0.0)
-
-    def test_diagonal_boundary(self):
-        yy, xx = np.mgrid[0:64, 0:64]
-        boundary = extract_boundary(RoadMask(yy >= xx))
-        theta = boundary_heading(PixelPoint.bev(32, 32), boundary)
-        assert theta == pytest.approx(45.0, abs=6.0)
-
-    def test_result_in_half_turn_range(self):
-        rng = np.random.default_rng(21)
-        road = flood_oracle(random_scene(rng), [(20, 20), (44, 44)], 12)
-        road[20, 20] = True
-        boundary = extract_boundary(RoadMask(road))
-        pts = boundary.points()
-        for x, y in pts[:: max(1, len(pts) // 25)]:
-            try:
-                theta = boundary_heading(
-                    PixelPoint.bev(float(x), float(y)), boundary)
-            except InsufficientIntersection:
-                continue
-            assert 0.0 <= theta < 180.0
-
-    def test_radius_fallback_doubles(self):
-        # two lone pixels 10 away from the probe: the radius-5 annulus is
-        # empty, the first doubling catches both
-        boundary = BoundarySet(chains=(((0, 0),), ((20, 0),)))
-        theta = boundary_heading(PixelPoint.bev(10, 0), boundary, radius=5.0)
-        assert theta == pytest.approx(0.0)
-
-    def test_insufficient_intersection(self):
-        boundary = BoundarySet(chains=(((0, 0),),))
-        with pytest.raises(InsufficientIntersection):
-            boundary_heading(PixelPoint.bev(0, 0), boundary)

@@ -154,7 +154,6 @@ class TestMomctTracker:
         reported = tracker.step([det(0, 50, 50)])
         assert len(tracker.tracks) == 1
         assert tracker.tracks[0].id == 1
-        assert len(tracker.tracks[0].trajectory) == 1
         # not confirmed yet with min_hits = 3
         assert reported == []
 
@@ -247,12 +246,13 @@ class TestMomctTracker:
 
     def test_trajectory_frames_increase(self):
         tracker = MomctTracker()
+        frames = []
         for frame in range(12):
             dets = [] if frame in (4, 7) else [det(frame, 50.0 + frame, 50.0)]
-            tracker.step(dets, frame)
-        frames = [f for f, _, _ in tracker.tracks[0].trajectory]
-        assert frames == sorted(frames)
-        assert len(frames) == len(set(frames))
+            frames += [s.frame for s in tracker.step(dets, frame)
+                       if s.track_id == 1]
+        # confirmed from the third hit on, never reported on a missed frame
+        assert frames == [2, 3, 5, 6, 8, 9, 10, 11]
 
     def test_objectness_gate(self):
         tracker = MomctTracker(objectness_min=0.25)
@@ -265,7 +265,8 @@ class TestMomctTracker:
         for frame in range(60):
             cls = int(rng.integers(0, N_CLASSES))
             tracker.step([det(frame, 60, 40, cls=cls)], frame)
-        cat = np.array(tracker.tracks[0].state().category)
+        category, _ = tracker.tracks[0].blocks[-1]
+        cat = np.array(category)
         assert np.all(cat >= -0.5)
         assert np.all(cat <= 1.5)
 
