@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyHeatMap, MissingCalibration
+from .errors import EmptyHeatMap, MissingCalibration, ShapeMismatch
 from .geometry import (
     BEV,
     PERSPECTIVE,
@@ -380,8 +380,8 @@ def render(heat: HeatMap, base: ImageBuffer | None = None,
         else:
             base_rgb = base_px
         if base_rgb.shape[:2] != norm.shape:
-            raise ValueError(f"base shape {base_rgb.shape[:2]} does not "
-                             f"match output {norm.shape}")
+            raise ShapeMismatch(f"base shape {base_rgb.shape[:2]} does not "
+                                f"match output {norm.shape}")
         blended = np.floor(alpha * color + (1 - alpha) * base_rgb + 0.5)
         out = np.where(visible[:, :, None], blended, base_rgb)
     else:

@@ -34,6 +34,16 @@ from .geometry import (
 )
 from .imaging import DistortionParams, undistort_xy
 
+# correspondences drawn per RANSAC hypothesis: the minimum for a homography
+_SAMPLE_SIZE = 4
+
+# (1+lambda) evolution strategy, see `es_minimize`
+_ES_LAMBDA = 8
+_ES_SIGMA0 = 0.05
+_ES_MAX_GENERATIONS = 200
+_ES_REL_TOL = 1e-9
+_ES_PATIENCE = 20
+
 
 @dataclass(frozen=True)
 class Correspondence:
@@ -73,10 +83,11 @@ class RansacResult:
     vote_history: list[int] = field(default_factory=list)
 
 
-def ransac_iterations(rho: float, epsilon: float, gamma: int = 4) -> int:
+def ransac_iterations(rho: float, epsilon: float) -> int:
     """Iterations needed to sample one all-inlier draw with probability rho.
 
-    ceil(log(1 - rho) / log(1 - epsilon**gamma)); 1 when epsilon = 1.
+    ceil(log(1 - rho) / log(1 - epsilon**4)), 4 being the sample size;
+    1 when epsilon = 1.
     """
     if not 0.0 < rho < 1.0:
         raise InvalidProbability(f"rho must be in (0, 1), got {rho}")
@@ -84,7 +95,7 @@ def ransac_iterations(rho: float, epsilon: float, gamma: int = 4) -> int:
         raise InvalidProbability(f"epsilon must be in (0, 1], got {epsilon}")
     if epsilon == 1.0:
         return 1
-    denom = math.log1p(-epsilon ** gamma)
+    denom = math.log1p(-epsilon ** _SAMPLE_SIZE)
     return int(math.ceil(math.log1p(-rho) / denom))
 
 
@@ -101,8 +112,9 @@ def ransac_homography(matches: Sequence[Correspondence],
     inliers, in which case the voted model is kept.
     """
     n = len(matches)
-    if n < 4:
-        raise InsufficientMatches(f"need at least 4 matches, got {n}")
+    if n < _SAMPLE_SIZE:
+        raise InsufficientMatches(
+            f"need at least {_SAMPLE_SIZE} matches, got {n}")
     cam_xy = np.array([[m.cam.x, m.cam.y] for m in matches])
     sat_xy = np.array([[m.sat.x, m.sat.y] for m in matches])
 
@@ -121,7 +133,7 @@ def ransac_homography(matches: Sequence[Correspondence],
     history: list[int] = []
     i = 0
     while i < budget:
-        idx = rng.choice(n, size=4, replace=False)
+        idx = rng.choice(n, size=_SAMPLE_SIZE, replace=False)
         try:
             g = estimate_dlt_xy(cam_xy[idx], sat_xy[idx])
         except DegenerateConfiguration:
@@ -139,9 +151,9 @@ def ransac_homography(matches: Sequence[Correspondence],
                          ransac_iterations(params.rho, eps))
         i += 1
 
-    if best_votes < 4:
-        raise NoConsensus(
-            f"best consensus has {best_votes} votes, need at least 4")
+    if best_votes < _SAMPLE_SIZE:
+        raise NoConsensus(f"best consensus has {best_votes} votes, "
+                          f"need at least {_SAMPLE_SIZE}")
 
     try:
         g = estimate_dlt_xy(cam_xy[best_mask], sat_xy[best_mask])
@@ -187,29 +199,26 @@ class EsResult:
 
 def es_minimize(objective: Callable[[np.ndarray], float],
                 x0: Sequence[float],
-                rng: np.random.Generator,
-                lambda_: int = 8,
-                sigma0: float = 0.05,
-                max_generations: int = 200,
-                rel_tol: float = 1e-9,
-                patience: int = 20) -> EsResult:
+                rng: np.random.Generator) -> EsResult:
     """Elitist (1+lambda) evolution strategy with multiplicative step control.
 
-    Each generation draws lambda isotropic Gaussian offspring around the
-    parent; the parent is replaced only by a strictly better offspring, so
-    the best objective value never increases.  The step size grows by 1.5
-    on success and shrinks by 0.82 on failure.  Terminates after
-    max_generations, or earlier once the relative improvement has stayed
-    below rel_tol for `patience` consecutive generations.
+    Each generation draws _ES_LAMBDA isotropic Gaussian offspring around
+    the parent; the parent is replaced only by a strictly better offspring,
+    so the best objective value never increases.  The step size starts at
+    _ES_SIGMA0, grows by 1.5 on success and shrinks by 0.82 on failure.
+    Terminates after _ES_MAX_GENERATIONS, or earlier once the relative
+    improvement has stayed below _ES_REL_TOL for _ES_PATIENCE consecutive
+    generations.
     """
     parent = np.asarray(x0, dtype=np.float64)
     f_parent = float(objective(parent))
-    sigma = float(sigma0)
+    sigma = _ES_SIGMA0
     history = [f_parent]
     stalled = 0
     gen = 0
-    for gen in range(1, max_generations + 1):
-        offspring = parent + sigma * rng.standard_normal((lambda_, parent.size))
+    for gen in range(1, _ES_MAX_GENERATIONS + 1):
+        offspring = parent + sigma * rng.standard_normal(
+            (_ES_LAMBDA, parent.size))
         scores = np.array([objective(o) for o in offspring])
         j = int(np.argmin(scores))
         if scores[j] < f_parent:
@@ -217,12 +226,12 @@ def es_minimize(objective: Callable[[np.ndarray], float],
             parent = offspring[j].copy()
             f_parent = float(scores[j])
             sigma *= 1.5
-            stalled = stalled + 1 if improvement < rel_tol else 0
+            stalled = stalled + 1 if improvement < _ES_REL_TOL else 0
         else:
             sigma *= 0.82
             stalled += 1
         history.append(f_parent)
-        if stalled >= patience:
+        if stalled >= _ES_PATIENCE:
             break
     return EsResult(x=parent, fx=f_parent, history=history, generations=gen)
 

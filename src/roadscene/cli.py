@@ -5,7 +5,8 @@ Subcommands cover the whole pipeline: simulate (oracle scene), calibrate
 segment (road mask from trajectories), analyze (states, stats, heat maps),
 render (heat map images) and merge (combine sharded outputs).
 
-Exit codes: 0 success, 1 runtime/numerical failure, 2 bad input.
+Exit codes: 0 success, 1 runtime/numerical failure, 2 bad input, which
+includes paths that cannot be read, decoded as UTF-8 or written.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def _cmd_simulate(args) -> int:
 
 def _load_matches(path) -> list[Correspondence]:
     data = load_json(path)
-    if not isinstance(data, dict) or "pairs" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
         raise SchemaError(f"{path}: matches need a 'pairs' list")
     out = []
     for i, pair in enumerate(data["pairs"]):
@@ -82,7 +83,8 @@ def _load_matches(path) -> list[Correspondence]:
             out.append(Correspondence(
                 cam=PixelPoint.perspective(float(cam[0]), float(cam[1])),
                 sat=PixelPoint.bev(float(sat[0]), float(sat[1]))))
-        except (TypeError, KeyError, ValueError, IndexError):
+        except (TypeError, KeyError, ValueError, IndexError,
+                OverflowError):
             raise SchemaError(
                 f"{path}: pairs[{i}] must be "
                 f"{{'cam': [x, y], 'sat': [x, y]}}") from None
@@ -99,7 +101,8 @@ def _load_trajectories(path) -> list[list[PixelPoint]]:
             trajectories.append([
                 PixelPoint.perspective(float(p[0]), float(p[1]))
                 for p in row["points"]])
-        except (TypeError, ValueError, IndexError):
+        except (TypeError, KeyError, ValueError, IndexError,
+                OverflowError):
             raise SchemaError(
                 f"line {lineno}: points must be [x, y] pairs") from None
     return trajectories
@@ -140,7 +143,7 @@ def _cmd_calibrate(args) -> int:
             write_pnm(matched, out / "background_matched.pgm")
 
     matches = _load_matches(args.matches)
-    result = ransac_homography(matches, cfg.ransac_params(),
+    result = ransac_homography(matches, cfg.ransac,
                                rng_seed=subsystem_seed(cfg.seed, "ransac"))
     residuals = []
     for m, keep in zip(matches, result.inlier_mask):
@@ -206,7 +209,7 @@ def _cmd_track(args) -> int:
                 entry["kf"] = kf
                 entry["frame"] = frame
             pos = entry["kf"].position
-            speed = speed_mph(entry["kf"], scale, cfg.speed_axis)
+            speed = speed_mph(entry["kf"], scale)
             if entry["last_pos"] is not None:
                 try:
                     raw = heading(pos, entry["last_pos"])
@@ -257,7 +260,7 @@ def _cmd_segment(args) -> int:
         if cell not in seen:
             seen.add(cell)
             seeds.append(PixelPoint.bev(float(cell[0]), float(cell[1])))
-    mask = srg_segment(satellite, seeds, cfg.srg_params())
+    mask = srg_segment(satellite, seeds, cfg.srg)
     refined = refine_mask(mask)
     boundary = extract_boundary(refined)
     out = _out_dir(args)
@@ -310,8 +313,7 @@ def _cmd_analyze(args) -> int:
     else:
         stop = max(grouped) if grouped else start - 1
 
-    classifier = StateClassifier(boundary, scale, cfg.analytics_config(),
-                                 cfg.fps)
+    classifier = StateClassifier(boundary, scale, cfg.analytics, cfg.fps)
     maps = make_heatmaps(shape)
     stats = []
     event_rows = []
@@ -480,16 +482,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        return _fail(exc, 2)
     except ProcessingError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
 
 
 if __name__ == "__main__":

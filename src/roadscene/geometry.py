@@ -80,6 +80,8 @@ def canonicalize_matrix(g: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(g))
     if norm < _EPS:
         raise SingularMatrix("matrix is numerically zero")
+    if not math.isfinite(norm):
+        raise SingularMatrix("matrix norm overflows")
     g = g / norm
     if abs(g[2, 2]) > _EPS:
         pivot = g[2, 2]

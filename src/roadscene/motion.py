@@ -54,7 +54,8 @@ class BevKalmanState:
         return (self.x[2], self.x[3])
 
 
-def _process_noise(t_w: float, q: float) -> Cov:
+def _process_noise(t_w: float) -> Cov:
+    q = PROCESS_SPECTRAL_DENSITY
     t2 = t_w * t_w
     t3 = t2 * t_w
     t4 = t3 * t_w
@@ -64,13 +65,12 @@ def _process_noise(t_w: float, q: float) -> Cov:
             (q * (t3 / 6.0), q * (t2 / 2.0), q * t_w))
 
 
-def kf_predict(state: BevKalmanState, t_w: float,
-               q: float = PROCESS_SPECTRAL_DENSITY) -> BevKalmanState:
+def kf_predict(state: BevKalmanState, t_w: float) -> BevKalmanState:
     """Propagate the constant-acceleration model by t_w seconds."""
     if t_w <= 0:
         raise ValueError(f"t_w must be > 0, got {t_w}")
     return BevKalmanState(*kf_predict_step(state.x, state.p, t_w,
-                                           _process_noise(t_w, q)))
+                                           _process_noise(t_w)))
 
 
 def kf_update(state: BevKalmanState,
@@ -87,21 +87,9 @@ def kf_update(state: BevKalmanState,
                                           MEASUREMENT_VARIANCE))
 
 
-def speed_mph(state: BevKalmanState, scale: GroundScale,
-              speed_axis: str = "planar") -> float:
-    """Smoothed speed in miles per hour.
-
-    speed_axis "planar" uses the velocity norm; "x_only" uses |vx| alone
-    for scenes where motion is rectified to the x axis.
-    """
-    vx, vy = state.velocity
-    if speed_axis == "x_only":
-        pixels_per_s = abs(vx)
-    elif speed_axis == "planar":
-        pixels_per_s = math.hypot(vx, vy)
-    else:
-        raise ValueError(f"unknown speed_axis {speed_axis!r}")
-    return pixels_per_s * scale.iota * MPH_PER_MPS
+def speed_mph(state: BevKalmanState, scale: GroundScale) -> float:
+    """Smoothed speed in miles per hour, from the BEV velocity norm."""
+    return math.hypot(*state.velocity) * scale.iota * MPH_PER_MPS
 
 
 def heading(l_t: PixelPoint, l_prev: PixelPoint) -> float:

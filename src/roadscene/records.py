@@ -16,7 +16,7 @@ import numpy as np
 
 from .analytics import _BUMP_UNITS, HEAT_KINDS, FrameStats, HeatMap
 from .errors import SchemaError
-from .geometry import BEV, PERSPECTIVE, Homography
+from .geometry import Homography
 from .tracking import CLASS_NAMES, Detection
 
 _SEPARATORS = (",", ":")
@@ -57,17 +57,21 @@ def _require(row: dict, key: str, lineno: int):
     return row[key]
 
 
-def _number(value, key: str, lineno: int) -> float:
+def _finite(value) -> bool:
+    """True for a JSON number, not a bool, that is finite as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"line {lineno}: {key} must be a number, "
-                          f"got {value!r}")
+        return False
     try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise SchemaError(f"line {lineno}: {key} must be finite")
-    return value
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        return False
+
+
+def _number(value, key: str, lineno: int) -> float:
+    if not _finite(value):
+        raise SchemaError(f"line {lineno}: {key} must be a finite number, "
+                          f"got {value!r}")
+    return float(value)
 
 
 def _number_list(value, key: str, n: int, lineno: int) -> tuple:
@@ -128,12 +132,11 @@ def load_detections(path) -> list[tuple[int, list[Detection]]]:
     return parse_detections(Path(path).read_text(encoding="utf-8"))
 
 
-def write_detections(path, frames, fps: float | None = None,
-                     camera_id: int = 0) -> None:
+def write_detections(path, frames, fps: float | None = None) -> None:
     """Write (frame, [Detection]) groups as JSON Lines.
 
-    Each row also carries the source camera id and, when fps is known,
-    the frame timestamp in seconds.
+    Each row also carries the source camera id, always 0, and, when fps is
+    known, the frame timestamp in seconds.
     """
     lines = []
     for frame, dets in frames:
@@ -143,7 +146,7 @@ def write_detections(path, frames, fps: float | None = None,
                 "bbox": list(det.bbox),
                 "score": det.objectness,
                 "probs": list(det.class_probs),
-                "camera": camera_id,
+                "camera": 0,
             }
             if fps is not None:
                 row["t"] = frame / fps
@@ -225,21 +228,35 @@ def tracks_by_frame(rows: list[dict]) -> dict[int, list[dict]]:
 def homography_to_json(h: Homography) -> list[list[float]]:
     return [[float(v) for v in row] for row in h.matrix]
 
-def homography_from_json(rows, source=PERSPECTIVE, target=BEV) -> Homography:
-    arr = np.asarray(rows, dtype=np.float64)
-    if arr.shape != (3, 3):
-        raise SchemaError(f"homography must be 3x3, got shape {arr.shape}")
-    return Homography(arr, source=source, target=target)
-
 
 def load_calibration(path) -> dict:
-    """Load calibration JSON; returns the dict with 'g' as a Homography."""
+    """Load calibration JSON; returns the dict with 'g' as a Homography.
+
+    `g` must be three rows of three finite numbers, `iota_m_per_px` null or
+    a finite number > 0, and `bev_size` null or two positive integers.
+    """
     data = load_json(path)
     if not isinstance(data, dict) or "g" not in data:
         raise SchemaError(f"{path}: calibration must be an object "
                           f"with a 'g' matrix")
+    g = data["g"]
+    if not (isinstance(g, list) and len(g) == 3 and all(
+            isinstance(row, list) and len(row) == 3 and all(map(_finite, row))
+            for row in g)):
+        raise SchemaError(f"{path}: g must be three rows of three finite "
+                          f"numbers")
+    iota = data.get("iota_m_per_px")
+    if iota is not None and not (_finite(iota) and iota > 0):
+        raise SchemaError(f"{path}: iota_m_per_px must be null or a finite "
+                          f"number > 0, got {iota!r}")
+    size = data.get("bev_size")
+    if size is not None and not (
+            isinstance(size, list) and len(size) == 2
+            and all(type(v) is int and v > 0 for v in size)):
+        raise SchemaError(f"{path}: bev_size must be null or two positive "
+                          f"integers, got {size!r}")
     data = dict(data)
-    data["g"] = homography_from_json(data["g"])
+    data["g"] = Homography(np.array(g, dtype=np.float64))
     return data
 
 
@@ -393,12 +410,13 @@ def load_boundary(path):
     if not isinstance(chains, list) or not all(
             isinstance(chain, list) and all(map(_is_int_pair, chain))
             for chain in chains):
-        raise SchemaError(f"{path}: chains must be lists of integer "
-                          f"[x, y] pairs")
+        raise SchemaError(f"{path}: chains must be lists of [x, y] pairs "
+                          f"of 64-bit integers")
     return BoundarySet(chains=tuple(tuple(map(tuple, chain))
                                     for chain in chains))
 
 
 def _is_int_pair(point) -> bool:
     return (isinstance(point, list) and len(point) == 2
-            and all(type(v) is int for v in point))
+            and all(type(v) is int and -2 ** 63 <= v < 2 ** 63
+                    for v in point))

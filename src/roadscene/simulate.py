@@ -155,10 +155,8 @@ def parse_scenario(data: dict) -> ScenarioSpec:
     missing = [k for k in cam_keys if k not in cam_data]
     if missing:
         raise InvalidSpec(f"camera is missing {missing}")
-    try:
-        camera = CameraModel(**{k: float(cam_data[k]) for k in cam_keys})
-    except (TypeError, ValueError) as exc:
-        raise InvalidSpec(f"camera: {exc}") from None
+    camera = CameraModel(**{k: _finite(cam_data[k], f"camera.{k}")
+                            for k in cam_keys})
 
     image_size = _spec_pair(data, "image_size", int)
     bev_size = _spec_pair(data, "bev_size", int)
@@ -210,12 +208,10 @@ def parse_scenario(data: dict) -> ScenarioSpec:
             raise InvalidSpec(f"{label}: path must be a non-empty list")
         waypoints = []
         for j, node in enumerate(path):
-            try:
-                t, (x, y) = float(node[0]), node[1]
-                x, y = float(x), float(y)
-            except (TypeError, ValueError, IndexError):
-                raise InvalidSpec(
-                    f"{label}: path[{j}] must be [t, [x, y]]") from None
+            if not isinstance(node, list) or len(node) != 2:
+                raise InvalidSpec(f"{label}: path[{j}] must be [t, [x, y]]")
+            t = _finite(node[0], f"{label}: path[{j}] time")
+            x, y = _pair(node[1], f"{label}: path[{j}] position")
             if waypoints and t <= waypoints[-1][0]:
                 raise InvalidSpec(
                     f"{label}: path timestamps must be increasing")
@@ -226,11 +222,7 @@ def parse_scenario(data: dict) -> ScenarioSpec:
             waypoints.append((t, (x, y)))
         hidden = []
         for rng_pair in _spec_list(actor, "hidden"):
-            try:
-                a, b = int(rng_pair[0]), int(rng_pair[1])
-            except (TypeError, ValueError, IndexError):
-                raise InvalidSpec(
-                    f"{label}: hidden ranges must be [from, to]") from None
+            a, b = _pair(rng_pair, f"{label}: hidden range", int)
             if a < 0 or b < a:
                 raise InvalidSpec(f"{label}: bad hidden range [{a}, {b}]")
             hidden.append((a, b))

@@ -170,7 +170,6 @@ class TrackSnapshot:
     frame: int
     track_id: int
     bbox: tuple[float, float, float, float]
-    class_index: int
     class_name: str
     ref: tuple[float, float]
 
@@ -217,11 +216,10 @@ class Track:
         return category.index(max(category))
 
     def snapshot(self, frame: int) -> TrackSnapshot:
-        idx = self.class_index()
         x, y = self.blocks[_XY][0][:2]
         return TrackSnapshot(
             frame=frame, track_id=self.id, bbox=self.predicted_bbox(),
-            class_index=idx, class_name=CLASS_NAMES[idx], ref=(x, y))
+            class_name=CLASS_NAMES[self.class_index()], ref=(x, y))
 
 
 class MomctTracker:

@@ -74,8 +74,8 @@ def test_criterion_01_calibration_accuracy():
 
 # 2. Adaptive iteration formula, exact ceiling values.
 def test_criterion_02_ransac_iteration_formula():
-    a = ransac_iterations(0.99, 0.5, 4)
-    b = ransac_iterations(0.99, 0.9, 4)
+    a = ransac_iterations(0.99, 0.5)
+    b = ransac_iterations(0.99, 0.9)
     report(2, a == 72 and b == 5,
            f"iterations(0.99, 0.5, 4) = {a} (= 72), "
            f"iterations(0.99, 0.9, 4) = {b} (= 5)")

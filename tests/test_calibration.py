@@ -54,23 +54,23 @@ def make_matches(rng, h, n, n_outliers, noise=0.0):
 
 class TestRansacIterations:
     def test_all_inliers(self):
-        assert ransac_iterations(0.99, 1.0, 4) == 1
+        assert ransac_iterations(0.99, 1.0) == 1
 
     def test_half_inliers(self):
-        assert ransac_iterations(0.99, 0.5, 4) == 72
+        assert ransac_iterations(0.99, 0.5) == 72
 
     def test_mostly_inliers(self):
-        assert ransac_iterations(0.99, 0.9, 4) == 5
+        assert ransac_iterations(0.99, 0.9) == 5
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidProbability):
-            ransac_iterations(1.0, 0.5, 4)
+            ransac_iterations(1.0, 0.5)
         with pytest.raises(InvalidProbability):
-            ransac_iterations(0.0, 0.5, 4)
+            ransac_iterations(0.0, 0.5)
         with pytest.raises(InvalidProbability):
-            ransac_iterations(0.99, 0.0, 4)
+            ransac_iterations(0.99, 0.0)
         with pytest.raises(InvalidProbability):
-            ransac_iterations(0.99, 1.1, 4)
+            ransac_iterations(0.99, 1.1)
 
 
 class TestRansacHomography:

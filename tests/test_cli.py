@@ -478,3 +478,45 @@ def test_analyze_without_bev_size_fails(tmp_path, pipeline):
     assert run("analyze", "--tracks", str(pipeline["tracks"]),
                "--calibration", str(cal), "--bev-size", "400", "300",
                "--out", str(tmp_path / "an2")) == 0
+
+
+def test_unreadable_paths_exit_2(tmp_path, pipeline, capsys):
+    cal = str(pipeline["cal"] / "calibration.json")
+    dets = str(pipeline["sim"] / "detections.jsonl")
+    missing = ["track", "--detections", dets,
+               "--calibration", str(tmp_path / "nope.json")]
+    assert run(*missing, "--out", str(tmp_path / "t.jsonl")) == 2
+    assert "FileNotFoundError" in _one_error_line(capsys)
+
+    utf16 = tmp_path / "dets.jsonl"
+    utf16.write_bytes(b"\xff\xfe" + '{"frame": 0}'.encode("utf-16-le"))
+    assert run("track", "--detections", str(utf16), "--calibration", cal,
+               "--out", str(tmp_path / "t.jsonl")) == 2
+    assert "UnicodeDecodeError" in _one_error_line(capsys)
+
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert run("merge", str(pipeline["an"] / "stats.csv"),
+               "--out", str(afile / "stats.csv")) == 2
+    assert "FileExistsError" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("iota_m_per_px", "abc"),
+    ("iota_m_per_px", 0),
+    ("bev_size", ["a", 10]),
+    ("bev_size", [10, -10]),
+    ("bev_size", [10]),
+    ("g", [[1, 0, 0], [0, 1, 0], [0, 0, "x"]]),
+    ("g", [[1, 0, 0], [0, 1, 0]]),
+])
+def test_bad_calibration_field_exits_2(tmp_path, pipeline, capsys, key,
+                                       value):
+    cal = tmp_path / "cal.json"
+    data = json.loads((pipeline["cal"] / "calibration.json").read_text())
+    data[key] = value
+    cal.write_text(json.dumps(data))
+    code = run("analyze", "--tracks", str(pipeline["tracks"]),
+               "--calibration", str(cal), "--out", str(tmp_path / "an"))
+    assert code == 2
+    assert f"SchemaError: {cal}: {key}" in _one_error_line(capsys)

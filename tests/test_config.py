@@ -3,17 +3,20 @@ import sys
 import pytest
 
 from roadscene import config
+from roadscene.analytics import AnalyticsConfig
 from roadscene.box3d import DimensionPrior
+from roadscene.calibration import RansacParams
 from roadscene.config import Config, load_config, parse_config
 from roadscene.errors import ConfigError
 from roadscene.imaging import BackgroundAccumulator
+from roadscene.roadmodel import SrgParams
 
 
 def test_defaults():
     cfg = Config()
     assert cfg.fps == 25.0
     assert cfg.iota_m_per_px == 0.05
-    assert cfg.speed_limit_mph == 30.0
+    assert cfg.analytics.speed_limit_mph == 30.0
     assert cfg.priors["bus"] == DimensionPrior(5.8, 2.9)
 
 
@@ -26,7 +29,7 @@ def test_parse_overrides_and_comments():
         "ransac.rho = 0.9\n")
     assert cfg.fps == 30.0
     assert cfg.max_age == 5
-    assert cfg.ransac_rho == 0.9
+    assert cfg.ransac.rho == 0.9
     # untouched keys keep their defaults
     assert cfg.min_hits == 3
 
@@ -71,19 +74,14 @@ def test_prior_needs_two_values():
         parse_config("prior.car = 4.5\n")
 
 
-def test_speed_axis_values():
-    assert parse_config("speed_axis = x_only\n").speed_axis == "x_only"
-    with pytest.raises(ConfigError):
-        parse_config("speed_axis = sideways\n")
-
-
 def test_builders_produce_validated_params():
     cfg = parse_config("ransac.tau = 2.0\nsrg.tau_alpha = 20\n"
-                       "analytics.parking_duration_s = 30\n")
-    assert cfg.ransac_params().tau_z == 2.0
-    assert cfg.srg_params().tau_alpha == 20.0
-    assert cfg.analytics_config().parking_duration_s == 30.0
-    assert cfg.scale().iota == cfg.iota_m_per_px
+                       "analytics.parking_duration_s = 30\n"
+                       "speed_limit_mph = 40\nransac.rho = 0.9\n")
+    assert cfg.ransac == RansacParams(tau_z=2.0, rho=0.9)
+    assert cfg.srg == SrgParams(tau_alpha=20.0)
+    assert cfg.analytics == AnalyticsConfig(speed_limit_mph=40.0,
+                                            parking_duration_s=30.0)
     assert cfg.tracker_kwargs()["min_hits"] == 3
 
 
@@ -107,36 +105,60 @@ _BIG_INT = str(10 ** 30)
 # parser name -> the lowest and the highest value it accepts
 _PARSER_ENDS = {
     "_positive_float": (_TINY, _HUGE),
-    "_nonneg_float": ("0", _HUGE),
     "_unit_open": (_TINY, repr(1.0 - 2 ** -53)),
     "_unit_closed": ("0", "1"),
-    "_intensity_step": (_TINY, repr(256.0 - 2 ** -45)),
     "_positive_int": ("1", _BIG_INT),
     "_nonneg_int": ("0", _BIG_INT),
-    "_speed_axis": config._SPEED_AXES,
+}
+
+_POSITIVE = ((_TINY, _HUGE), ("0", "-1"))
+# key of a stage-type field -> (values just inside its bounds, values just
+# outside), as the stage type's own check draws them
+_STAGE_BOUNDS = {
+    "ransac.tau": _POSITIVE,
+    "ransac.rho": ((_TINY, repr(1.0 - 2 ** -53)), ("0", "1")),
+    "ransac.max_iter": (("1", _BIG_INT), ("0",)),
+    "srg.tau_alpha": ((_TINY, repr(256.0 - 2 ** -45)), ("0", "256")),
+    "speed_limit_mph": _POSITIVE,
+    "analytics.parking_speed_mph": (("0", _HUGE), ("-" + _TINY,)),
+    "analytics.parking_border_m": _POSITIVE,
+    "analytics.parking_duration_s": _POSITIVE,
+    "analytics.proximity_risk_m": _POSITIVE,
+    "analytics.congestion_distance_m": _POSITIVE,
+    "analytics.congestion_speed_mph": _POSITIVE,
 }
 
 
 @pytest.mark.parametrize("key", sorted(config._KEYS))
 def test_every_accepted_value_builds(key):
-    _, parser = config._KEYS[key]
-    for raw in _PARSER_ENDS[parser.__name__]:
+    target, parser = config._KEYS[key]
+    inside, outside = (_STAGE_BOUNDS[key] if "." in target
+                       else (_PARSER_ENDS[parser.__name__], ()))
+    for raw in inside:
         cfg = parse_config(f"{key} = {raw}\n")
-        cfg.ransac_params()
-        cfg.srg_params()
-        cfg.analytics_config()
-        cfg.scale()
         BackgroundAccumulator(cfg.alpha)
+    for raw in outside:
+        with pytest.raises(ConfigError, match=f"line 1: {key}: "):
+            parse_config(f"{key} = {raw}\n")
+
+
+def test_stage_keys_are_range_checked_by_their_type_only():
+    stage_keys = {k for k, (target, _) in config._KEYS.items()
+                  if "." in target}
+    assert stage_keys == set(_STAGE_BOUNDS)
+    assert {config._KEYS[k][1] for k in stage_keys} == {
+        config._parse_float, config._parse_int}
 
 
 def test_tau_alpha_range():
-    assert parse_config("srg.tau_alpha = 255.5\n").srg_tau_alpha == 255.5
+    assert parse_config("srg.tau_alpha = 255.5\n").srg.tau_alpha == 255.5
     for raw in ("0", "256", "300"):
         with pytest.raises(ConfigError, match=r"line 1: srg.tau_alpha.*256"):
             parse_config(f"srg.tau_alpha = {raw}\n")
 
 
-@pytest.mark.parametrize("key", ["ransac.gamma", "boundary.radius"])
+@pytest.mark.parametrize("key", ["ransac.gamma", "boundary.radius",
+                                 "speed_axis"])
 def test_removed_keys_are_unknown(key):
     with pytest.raises(ConfigError, match=f"line 1: unknown key '{key}'"):
         parse_config(f"{key} = 5\n")

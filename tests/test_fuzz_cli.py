@@ -1,0 +1,260 @@
+"""Hostile input through every command: the exit-code contract holds.
+
+Each case runs `cli.main` in-process over a small valid chain with one input
+file replaced, either by arbitrary bytes or by a mutation of the valid file
+(a JSON node swapped for an odd value or dropped, a row or line replaced, a
+PNM header field changed).  The property: the exit code is 0, 1 or 2, no
+exception escapes, and a nonzero exit prints exactly one `error:` line.
+"""
+
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scene_helpers import scene_dict
+
+from roadscene.cli import main
+
+_CONFIG = ("seed = 3\nfps = 25\nransac.tau = 3.0\nsrg.tau_alpha = 12\n"
+           "speed_limit_mph = 4\nanalytics.parking_duration_s = 0.2\n"
+           "prior.car = 4.5 1.8\n")
+
+
+def _run(argv: list[str]) -> None:
+    assert main(argv) == 0, argv
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory) -> dict[str, Path]:
+    """Valid inputs for every command, from one short simulated scene."""
+    root = tmp_path_factory.mktemp("fuzz")
+    scene = root / "scene.json"
+    scene.write_text(json.dumps(scene_dict(
+        duration=24, n_matches=40, match_sigma=0.3, outliers=0.2,
+        iota=0.25, bev=(80, 60), actors=[
+            {"class": "car",
+             "path": [[0.0, [-8.0, 14.0]], [1.0, [8.0, 14.0]]]},
+            {"class": "pedestrian",
+             "path": [[0.0, [0.0, 12.5]], [1.0, [1.0, 12.5]]]},
+        ])))
+    sim, cal, road, an = (root / d for d in ("sim", "cal", "road", "an"))
+    config = root / "run.cfg"
+    config.write_text(_CONFIG)
+    _run(["simulate", "--spec", str(scene), "--frames", "--out", str(sim),
+          "--config", str(config)])
+    frame = root / "frames" / "0000.pgm"
+    frame.parent.mkdir()
+    shutil.copy(sim / "frames" / "frame_0000.pgm", frame)
+    trajectories = root / "trajectories.jsonl"
+    trajectories.write_text(json.dumps(
+        {"points": [[100 + 9 * i, 300 - 2 * i] for i in range(8)]}) + "\n")
+    _run(["calibrate", "--matches", str(sim / "matches.json"),
+          "--satellite", str(sim / "satellite.pgm"), "--out", str(cal)])
+    tracks = root / "tracks.jsonl"
+    _run(["track", "--detections", str(sim / "detections.jsonl"),
+          "--calibration", str(cal / "calibration.json"),
+          "--out", str(tracks)])
+    _run(["segment", "--tracks", str(tracks),
+          "--satellite", str(sim / "satellite.pgm"), "--out", str(road)])
+    _run(["analyze", "--tracks", str(tracks),
+          "--calibration", str(cal / "calibration.json"),
+          "--boundary", str(road / "boundary.json"), "--out", str(an),
+          "--config", str(config)])
+    return {"scene": scene, "config": config, "matches": sim / "matches.json",
+            "satellite": sim / "satellite.pgm", "frame": frame,
+            "trajectories": trajectories,
+            "detections": sim / "detections.jsonl",
+            "calibration": cal / "calibration.json", "tracks": tracks,
+            "boundary": road / "boundary.json",
+            "heat": an / "heat_vehicle.json", "stats": an / "stats.csv",
+            "perspective": frame}
+
+
+def _argv(command: str, p: dict[str, Path], out: Path) -> list[str]:
+    """The command line of `command` over the input files in `p`."""
+    out = str(out)
+    return {
+        "simulate": ["simulate", "--spec", p["scene"], "--config",
+                     p["config"], "--out", out],
+        "calibrate": ["calibrate", "--matches", p["matches"], "--satellite",
+                      p["satellite"], "--frames-dir", p["frame"].parent,
+                      "--trajectories", p["trajectories"], "--image-size",
+                      "640", "480", "--out", out],
+        "track": ["track", "--detections", p["detections"], "--calibration",
+                  p["calibration"], "--config", p["config"],
+                  "--out", out + "/tracks.jsonl"],
+        "segment": ["segment", "--tracks", p["tracks"], "--satellite",
+                    p["satellite"], "--out", out],
+        "analyze": ["analyze", "--tracks", p["tracks"], "--calibration",
+                    p["calibration"], "--boundary", p["boundary"],
+                    "--config", p["config"], "--out", out],
+        "render": ["render", "--heat-dir", p["heat"].parent, "--calibration",
+                   p["calibration"], "--satellite", p["satellite"],
+                   "--perspective-base", p["perspective"], "--out", out],
+        "merge-heat": ["merge", p["heat"], p["heat"], "--out",
+                       out + "/heat_vehicle.json"],
+        "merge-stats": ["merge", p["stats"], p["stats"], "--out",
+                        out + "/stats.csv"],
+    }[command]
+
+
+# (command, the input slot that gets hostile bytes)
+CASES = [
+    ("simulate", "scene"), ("simulate", "config"),
+    ("calibrate", "matches"), ("calibrate", "satellite"),
+    ("calibrate", "frame"), ("calibrate", "trajectories"),
+    ("track", "detections"), ("track", "calibration"), ("track", "config"),
+    ("segment", "tracks"), ("segment", "satellite"),
+    ("analyze", "tracks"), ("analyze", "calibration"),
+    ("analyze", "boundary"), ("analyze", "config"),
+    ("render", "heat"), ("render", "calibration"), ("render", "satellite"),
+    ("render", "perspective"),
+    ("merge-heat", "heat"), ("merge-stats", "stats"),
+]
+_IDS = [f"{c}-{s}" for c, s in CASES]
+
+
+def check_contract(chain, command: str, slot: str, data: bytes) -> None:
+    """Run `command` with `slot` replaced by `data`; assert the contract."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        hostile = tmp / "in" / chain[slot].name
+        hostile.parent.mkdir()
+        hostile.write_bytes(data)
+        paths = dict(chain, **{slot: hostile})
+        argv = [str(a) for a in _argv(command, paths, tmp / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+# --- mutations --------------------------------------------------------------
+
+# raw JSON tokens that json.dumps never writes for a Python value
+_RAW_TOKENS = ["1e400", "-1e400", "NaN", "Infinity", "-0", "1E-400"]
+_MARK = "\u0000raw"
+
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(),
+    st.sampled_from([0, -1, 1, 2, 3, 10 ** 30, -(10 ** 400), 0.5, -0.5]),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4), st.just([]), st.just({}),
+    st.lists(st.integers(-5, 500), min_size=1, max_size=4),
+    st.sampled_from([_MARK + str(i) for i in range(len(_RAW_TOKENS))]),
+)
+
+
+def _nodes(doc, path=()):
+    """Every (path, node) of a JSON document, root first."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, path + (key,))
+
+
+def _mutate_json(draw, doc):
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(doc))
+        path, _ = nodes[draw(st.integers(0, len(nodes) - 1))]
+        if not path:
+            doc = draw(_ODD_VALUES)
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(_ODD_VALUES)
+    text = json.dumps(doc)
+    for i, token in enumerate(_RAW_TOKENS):
+        text = text.replace(json.dumps(_MARK + str(i)), token)
+    return text
+
+
+def _mutate_lines(draw, text, row):
+    lines = text.splitlines() or [""]
+    i = draw(st.integers(0, len(lines) - 1))
+    action = draw(st.sampled_from(["row", "drop", "repeat", "text"]))
+    if action == "row":
+        lines[i] = row(lines[i])
+    elif action == "drop":
+        del lines[i]
+    elif action == "repeat":
+        lines.insert(0, lines[i])
+    else:
+        lines[i] = draw(st.text(max_size=20))
+    return "\n".join(lines) + "\n"
+
+
+def _mutate_pnm(draw, data: bytes) -> bytes:
+    header = data.split(b"\n", 3)  # magic, "w h", maxval, raster
+    part = draw(st.integers(0, 3))
+    if part == 3:
+        header[3] = header[3][:draw(st.integers(0, len(header[3])))]
+    else:
+        header[part] = draw(st.sampled_from(
+            [b"P5", b"P6", b"P3", b"", b"0 0", b"1 1", b"-3 4", b"4 999999",
+             b"65536", b"255", b"x", b"2 2 255"]))
+    return b"\n".join(header)
+
+
+_JSON_SLOTS = {"scene", "matches", "calibration", "boundary", "heat"}
+_JSONL_SLOTS = {"detections", "tracks", "trajectories"}
+_PNM_SLOTS = {"satellite", "frame", "perspective"}
+_ODD_TOKENS = st.sampled_from(["nan", "inf", "-1", "0", "1e400", "abc", "",
+                               "1" * 400, "0.5", "300", "x y"])
+
+
+@st.composite
+def mutated(draw, chain, slot):
+    data = chain[slot].read_bytes()
+    if slot in _PNM_SLOTS:
+        return _mutate_pnm(draw, data)
+    text = data.decode("utf-8")
+    if slot in _JSON_SLOTS:
+        return _mutate_json(draw, json.loads(text)).encode()
+
+    def row(line: str) -> str:
+        if slot in _JSONL_SLOTS:
+            return _mutate_json(draw, json.loads(line))
+        # config and stats lines: an odd value after the key or the frame
+        odd = draw(_ODD_TOKENS)
+        if "=" in line:
+            return line.partition("=")[0] + "= " + odd
+        fields = line.split(",")
+        return ",".join([fields[0], odd] + fields[2:])
+
+    return _mutate_lines(draw, text, row).encode()
+
+
+_FUZZ = settings(max_examples=12, deadline=None, derandomize=True,
+                 database=None,
+                 suppress_health_check=[HealthCheck.too_slow])
+
+
+@pytest.mark.parametrize("command, slot", CASES, ids=_IDS)
+@_FUZZ
+@given(data=st.binary(max_size=64))
+def test_arbitrary_bytes_keep_the_exit_contract(chain, command, slot, data):
+    check_contract(chain, command, slot, data)
+
+
+@pytest.mark.parametrize("command, slot", CASES, ids=_IDS)
+@_FUZZ
+@given(st.data())
+def test_mutated_input_keeps_the_exit_contract(chain, command, slot, data):
+    check_contract(chain, command, slot, data.draw(mutated(chain, slot)))

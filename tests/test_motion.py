@@ -116,16 +116,6 @@ class TestSpeedMph:
         assert speed_mph(state_with(vx=6.0, vy=8.0), scale) == pytest.approx(
             speed_mph(state_with(vx=10.0), scale), abs=1e-12)
 
-    def test_x_only_axis(self):
-        scale = GroundScale(0.05)
-        v = speed_mph(state_with(vx=-10.0, vy=99.0), scale,
-                      speed_axis="x_only")
-        assert v == pytest.approx(10.0 * 0.05 * 2.236936, abs=1e-12)
-
-    def test_unknown_axis(self):
-        with pytest.raises(ValueError):
-            speed_mph(state_with(), GroundScale(0.05), speed_axis="y_only")
-
 
 class TestHeading:
     def test_east(self):
