@@ -14,8 +14,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import MissingPrior
-from .geometry import BEV, GroundScale, Homography, PixelPoint, apply
+from .geometry import (BEV, GroundScale, Homography, PixelPoint, apply,
+                       apply_xy)
 
 HEIGHT_COEFFICIENT = 0.6  # fraction of detected pixel height kept for roofs
 
@@ -78,6 +81,42 @@ class Cuboid:
         return [[c.x, c.y] for c in self.corners]
 
 
+# signs of (half length, half width) per corner: front-left, then
+# counter-clockwise
+_CORNER_SIGNS = np.array([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)])
+
+
+def _footprints_xy(centers: np.ndarray, class_names: Sequence[str],
+                   headings_deg: Sequence[float],
+                   priors: Mapping[str, DimensionPrior],
+                   scale: GroundScale) -> np.ndarray:
+    """(n, 4, 2) BEV footprint corners, one object per row of (n, 2)
+    centers."""
+    half = []
+    for name in class_names:
+        prior = priors.get(name)
+        if prior is None:
+            raise MissingPrior(f"no dimension prior for class '{name}'")
+        half.append((scale.to_pixels(prior.length_m) / 2.0,
+                     scale.to_pixels(prior.width_m) / 2.0))
+    half = np.array(half).reshape(-1, 2)
+    theta = [math.radians(h) for h in headings_deg]
+    ux = np.array([math.cos(t) for t in theta])[:, None]
+    uy = np.array([math.sin(t) for t in theta])[:, None]
+    a = half[:, :1] * _CORNER_SIGNS[:, 0]
+    b = half[:, 1:] * _CORNER_SIGNS[:, 1]
+    # the normal to the heading is (-uy, ux)
+    x = centers[:, :1] + a * ux + b * -uy
+    y = centers[:, 1:] + a * uy + b * ux
+    return np.stack([x, y], axis=-1)
+
+
+def _roof_height(bbox_2d: Sequence[float], class_name: str,
+                 beta: float) -> float:
+    h_b = float(bbox_2d[3])
+    return h_b if class_name == PEDESTRIAN_CLASS else beta * h_b
+
+
 def make_footprint(center_bev: PixelPoint, class_name: str,
                    heading_deg: float,
                    priors: Mapping[str, DimensionPrior],
@@ -90,20 +129,9 @@ def make_footprint(center_bev: PixelPoint, class_name: str,
     if center_bev.frame != BEV:
         raise ValueError(f"footprint center must be a bev point, got "
                          f"'{center_bev.frame}'")
-    prior = priors.get(class_name)
-    if prior is None:
-        raise MissingPrior(f"no dimension prior for class '{class_name}'")
-    half_l = scale.to_pixels(prior.length_m) / 2.0
-    half_w = scale.to_pixels(prior.width_m) / 2.0
-    theta = math.radians(heading_deg)
-    ux, uy = math.cos(theta), math.sin(theta)
-    nx, ny = -math.sin(theta), math.cos(theta)
-    offsets = ((half_l, half_w), (-half_l, half_w),
-               (-half_l, -half_w), (half_l, -half_w))
-    return tuple(
-        PixelPoint.bev(center_bev.x + a * ux + b * nx,
-                       center_bev.y + a * uy + b * ny)
-        for a, b in offsets)
+    corners = _footprints_xy(np.array([[center_bev.x, center_bev.y]]),
+                             [class_name], [heading_deg], priors, scale)[0]
+    return tuple(PixelPoint.bev(x, y) for x, y in corners.tolist())
 
 
 def lift_to_3d(footprint_bev: Sequence[PixelPoint], h_inv: Homography,
@@ -120,7 +148,28 @@ def lift_to_3d(footprint_bev: Sequence[PixelPoint], h_inv: Homography,
         raise ValueError(f"footprint needs 4 corners, got "
                          f"{len(footprint_bev)}")
     floor = tuple(apply(h_inv, c) for c in footprint_bev)
-    h_b = float(bbox_2d[3])
-    h_3d = h_b if class_name == PEDESTRIAN_CLASS else beta * h_b
+    h_3d = _roof_height(bbox_2d, class_name, beta)
     roof = tuple(PixelPoint(c.x, c.y - h_3d, c.frame) for c in floor)
     return Cuboid(corners=floor + roof)
+
+
+def lift_cuboids(centers_bev: Sequence[Sequence[float]],
+                 class_names: Sequence[str], headings_deg: Sequence[float],
+                 bboxes: Sequence[Sequence[float]], h_inv: Homography,
+                 priors: Mapping[str, DimensionPrior], scale: GroundScale,
+                 beta: float = HEIGHT_COEFFICIENT) -> np.ndarray:
+    """`make_footprint` then `lift_to_3d` for n objects as one array pass.
+
+    Takes one BEV (x, y) center, class, heading and 2D box per object and
+    returns (n, 8, 2) perspective corners in `Cuboid` order.  The
+    arithmetic is the scalar functions', step for step, so every corner
+    equals theirs bit for bit.
+    """
+    centers = np.asarray(centers_bev, dtype=np.float64).reshape(-1, 2)
+    ground = _footprints_xy(centers, class_names, headings_deg, priors, scale)
+    u, v = apply_xy(h_inv, ground[..., 0], ground[..., 1])
+    h_3d = np.array([_roof_height(b, name, beta)
+                     for b, name in zip(bboxes, class_names)])
+    floor = np.stack([u, v], axis=-1)
+    roof = np.stack([u, v - h_3d[:, None]], axis=-1)
+    return np.concatenate([floor, roof], axis=1)

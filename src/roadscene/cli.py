@@ -16,15 +16,17 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import records
 from .analytics import (HEAT_KINDS, StateClassifier, TrackObservation,
                         frame_stats, make_heatmaps, render, update_heatmaps)
-from .box3d import lift_to_3d, make_footprint
+from .box3d import lift_cuboids
 from .calibration import Correspondence, fit_distortion_es, ransac_homography
 from .config import Config, load_config
 from .errors import (ConfigError, DegenerateDisplacement, EmptyHeatMap,
                      InputError, ProcessingError, SchemaError)
-from .geometry import GroundScale, PixelPoint, apply, invert
+from .geometry import GroundScale, PixelPoint, apply, apply_xy, invert
 from .imaging import (BackgroundAccumulator, accumulate_background,
                       histogram_match, read_pnm, to_gray, write_pnm)
 from .motion import (BevKalmanState, abf, heading, kf_predict, kf_update,
@@ -193,19 +195,23 @@ def _cmd_track(args) -> int:
     motion: dict[int, dict] = {}
     rows = []
     for frame in range(last_frame + 1):
-        for snap in tracker.step(by_frame.get(frame, []), frame):
-            ref_pt = PixelPoint.perspective(*snap.ref)
-            bev = apply(g, ref_pt)
+        snaps = tracker.step(by_frame.get(frame, []), frame)
+        if not snaps:
+            continue
+        refs = np.array([snap.ref for snap in snaps])
+        bev_x, bev_y = apply_xy(g, refs[:, 0], refs[:, 1])
+        lifted = []  # (row, BEV center, snapshot, heading) per cuboid
+        for snap, bev in zip(snaps, zip(bev_x.tolist(), bev_y.tolist())):
             entry = motion.get(snap.track_id)
             if entry is None:
-                kf = BevKalmanState.initial(bev.x, bev.y)
+                kf = BevKalmanState.initial(*bev)
                 entry = {"kf": kf, "frame": frame, "heading": None,
                          "last_pos": None}
                 motion[snap.track_id] = entry
             else:
                 gap = frame - entry["frame"]
                 kf = kf_predict(entry["kf"], gap * t_w)
-                kf = kf_update(kf, (bev.x, bev.y))
+                kf = kf_update(kf, bev)
                 entry["kf"] = kf
                 entry["frame"] = frame
             pos = entry["kf"].position
@@ -219,21 +225,23 @@ def _cmd_track(args) -> int:
                     pass
             entry["last_pos"] = pos
 
+            row = track_row(frame, snap.track_id, snap.class_name,
+                            snap.bbox, snap.ref, bev=(pos.x, pos.y),
+                            speed_mph=speed, heading_deg=entry["heading"])
+            rows.append(row)
             theta = entry["heading"]
             if theta is None and snap.class_name == PEDESTRIAN:
                 theta = 0.0
-            cuboid = None
             if theta is not None:
-                footprint = make_footprint(pos, snap.class_name, theta,
-                                           cfg.priors, scale)
-                cube = lift_to_3d(footprint, g_inv, snap.bbox,
-                                  snap.class_name, beta=cfg.beta)
-                cuboid = cube.as_lists()
-            rows.append(track_row(frame, snap.track_id, snap.class_name,
-                                  snap.bbox, snap.ref, bev=(pos.x, pos.y),
-                                  speed_mph=speed,
-                                  heading_deg=entry["heading"],
-                                  cuboid=cuboid))
+                lifted.append((row, (pos.x, pos.y), snap, theta))
+        if lifted:
+            owners, centers, lifted_snaps, headings = zip(*lifted)
+            cuboids = lift_cuboids(
+                centers, [s.class_name for s in lifted_snaps], headings,
+                [s.bbox for s in lifted_snaps], g_inv, cfg.priors, scale,
+                beta=cfg.beta)
+            for row, cuboid in zip(owners, cuboids.tolist()):
+                row["cuboid"] = cuboid
     write_tracks(out_path, rows)
     print(f"track: {len(rows)} track rows, "
           f"{len({r['id'] for r in rows})} identities")
@@ -374,6 +382,7 @@ def _cmd_render(args) -> int:
 # --- merge ------------------------------------------------------------------
 
 def _cmd_merge(args) -> int:
+    _config_from(args)  # no tunables: this only refuses a bad --config
     paths = [Path(p) for p in args.inputs]
     suffixes = {p.suffix for p in paths}
     if suffixes == {".json"}:

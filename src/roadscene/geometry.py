@@ -123,19 +123,41 @@ def apply(h: Homography, p: PixelPoint) -> PixelPoint:
     """Map one point through a homography, checking frame tags.
 
     Raises DegeneratePoint when the point projects to infinity, i.e. the
-    homogeneous denominator falls below 1e-12 in magnitude.
+    homogeneous denominator falls below 1e-12 in magnitude or the image
+    overflows.
     """
     if p.frame != h.source:
         raise FrameMismatch(
             f"point is in frame '{p.frame}' but homography maps from "
             f"'{h.source}'")
-    g = h.matrix
-    den = g[2, 0] * p.x + g[2, 1] * p.y + g[2, 2]
-    if abs(den) < _EPS:
-        raise DegeneratePoint(f"point ({p.x}, {p.y}) maps to infinity")
-    u = (g[0, 0] * p.x + g[0, 1] * p.y + g[0, 2]) / den
-    v = (g[1, 0] * p.x + g[1, 1] * p.y + g[1, 2]) / den
+    u, v = apply_xy(h, p.x, p.y)
     return PixelPoint(u, v, h.target)
+
+
+def apply_xy(h: Homography, x, y):
+    """`apply` without frame tags on x and y coordinate arrays of one
+    shape, or on two scalars; returns (u, v) likewise.
+
+    The points are taken to lie in `h.source`.  `apply` itself evaluates
+    this expression, so array and scalar results agree bit for bit.
+    Raises DegeneratePoint for the first point whose homogeneous
+    denominator falls below 1e-12 in magnitude or whose image overflows.
+    """
+    g = h.matrix
+    den = g[2, 0] * x + g[2, 1] * y + g[2, 2]
+    _raise_first(np.abs(den) < _EPS, x, y)
+    u = (g[0, 0] * x + g[0, 1] * y + g[0, 2]) / den
+    v = (g[1, 0] * x + g[1, 1] * y + g[1, 2]) / den
+    _raise_first(~(np.isfinite(u) & np.isfinite(v)), x, y)
+    return u, v
+
+
+def _raise_first(bad, x, y) -> None:
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        k = hits[0]
+        raise DegeneratePoint(f"point ({np.ravel(x)[k]}, {np.ravel(y)[k]}) "
+                              f"maps to infinity")
 
 
 def apply_many(h: Homography, xy: np.ndarray) -> np.ndarray:

@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .analytics import _BUMP_UNITS, HEAT_KINDS, FrameStats, HeatMap
-from .errors import SchemaError
-from .geometry import Homography
+from .errors import SchemaError, SingularMatrix
+from .geometry import Homography, invert
 from .tracking import CLASS_NAMES, Detection
 
 _SEPARATORS = (",", ":")
@@ -232,8 +232,10 @@ def homography_to_json(h: Homography) -> list[list[float]]:
 def load_calibration(path) -> dict:
     """Load calibration JSON; returns the dict with 'g' as a Homography.
 
-    `g` must be three rows of three finite numbers, `iota_m_per_px` null or
-    a finite number > 0, and `bev_size` null or two positive integers.
+    `g` must be three rows of three finite numbers that make an invertible
+    homography (its inverse too, which `track` and `render` use),
+    `iota_m_per_px` null or a finite number > 0, and `bev_size` null or two
+    positive integers.
     """
     data = load_json(path)
     if not isinstance(data, dict) or "g" not in data:
@@ -255,8 +257,14 @@ def load_calibration(path) -> dict:
             and all(type(v) is int and v > 0 for v in size)):
         raise SchemaError(f"{path}: bev_size must be null or two positive "
                           f"integers, got {size!r}")
+    try:
+        h = Homography(np.array(g, dtype=np.float64))
+        invert(h)
+    except SingularMatrix as exc:
+        raise SchemaError(f"{path}: g must be an invertible homography: "
+                          f"{exc}") from None
     data = dict(data)
-    data["g"] = Homography(np.array(g, dtype=np.float64))
+    data["g"] = h
     return data
 
 

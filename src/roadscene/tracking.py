@@ -120,17 +120,91 @@ def associate(tracks: Sequence[Sequence[float]],
     """
     if not tracks or not detections:
         return [], list(range(len(tracks))), list(range(len(detections)))
-    # imported here so that only `track` pays scipy's ~0.6 s import
-    from scipy.optimize import linear_sum_assignment
     scores = iou_matrix(tracks, detections)
-    rows, cols = linear_sum_assignment(-scores)
-    matches = [(int(i), int(j)) for i, j in zip(rows, cols)
-               if scores[i, j] >= iou_min]
+    rows, cols = _min_cost_assignment((-scores).tolist())
+    matches = [(i, j) for i, j in zip(rows, cols) if scores[i, j] >= iou_min]
     matched_t = {i for i, _ in matches}
     matched_d = {j for _, j in matches}
     unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]
     unmatched_d = [j for j in range(len(detections)) if j not in matched_d]
     return matches, unmatched_t, unmatched_d
+
+
+def _min_cost_assignment(cost: list[list[float]]
+                         ) -> tuple[list[int], list[int]]:
+    """Rows and columns of a minimum-cost assignment of a finite matrix.
+
+    Every row of a wide matrix, or every column of a tall one, is assigned;
+    rows come out ascending.  This is the shortest augmenting path method
+    of Crouse, "On implementing 2D rectangular assignment algorithms"
+    (IEEE TAES, 2016), written step for step as scipy's
+    `linear_sum_assignment` implements it, so that both break ties alike.
+    """
+    n_rows, n_cols = len(cost), len(cost[0])
+    transpose = n_cols < n_rows
+    if transpose:
+        cost = [list(col) for col in zip(*cost)]
+        n_rows, n_cols = n_cols, n_rows
+    u = [0.0] * n_rows
+    v = [0.0] * n_cols
+    path = [-1] * n_cols
+    col4row = [-1] * n_rows
+    row4col = [-1] * n_cols
+    for cur_row in range(n_rows):
+        # Dijkstra from cur_row over reduced costs until a free column.
+        # Scanning columns in reverse makes a constant matrix come out as
+        # the identity.
+        remaining = list(range(n_cols - 1, -1, -1))
+        shortest = [math.inf] * n_cols
+        visited_rows = []
+        visited_cols = []
+        min_val = 0.0
+        i = cur_row
+        sink = -1
+        while sink == -1:
+            visited_rows.append(i)
+            row, u_i = cost[i], u[i]
+            index = -1
+            lowest = math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - u_i - v[j]
+                s = shortest[j]
+                if r < s:
+                    path[j] = i
+                    shortest[j] = s = r
+                # among equal minima prefer a free column: it ends the path
+                if s <= lowest and (s < lowest or row4col[j] == -1):
+                    lowest = s
+                    index = it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            visited_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+
+        u[cur_row] += min_val
+        for i in visited_rows:
+            if i != cur_row:
+                u[i] += min_val - shortest[col4row[i]]
+        for j in visited_cols:
+            v[j] -= min_val - shortest[j]
+
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur_row:
+                break
+
+    if transpose:
+        order = sorted(range(n_rows), key=col4row.__getitem__)
+        return [col4row[k] for k in order], order
+    return list(range(n_rows)), col4row
 
 
 # --- per-track Kalman model -------------------------------------------------

@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadscene.box3d import (
     DEFAULT_PRIORS,
     Cuboid,
     DimensionPrior,
+    lift_cuboids,
     lift_to_3d,
     make_footprint,
 )
@@ -198,3 +203,69 @@ class TestCuboid:
         assert cuboid.as_lists()[0] == [0.0, 10.0]
         assert cuboid.as_lists()[4] == [0.0, 4.0]
         assert len(cuboid.as_lists()) == 8
+
+
+def reference_cuboid(cx, cy, class_name, heading_deg, bbox, h_inv, scale,
+                     beta):
+    """Footprint, back-projection and roof shift of one object, written
+    out with Python floats in the order the scalar functions compute."""
+    prior = DEFAULT_PRIORS[class_name]
+    half_l = scale.to_pixels(prior.length_m) / 2.0
+    half_w = scale.to_pixels(prior.width_m) / 2.0
+    theta = math.radians(heading_deg)
+    ux, uy = math.cos(theta), math.sin(theta)
+    nx, ny = -math.sin(theta), math.cos(theta)
+    g = h_inv.matrix.tolist()
+    floor = []
+    for a, b in ((half_l, half_w), (-half_l, half_w),
+                 (-half_l, -half_w), (half_l, -half_w)):
+        x = cx + a * ux + b * nx
+        y = cy + a * uy + b * ny
+        den = g[2][0] * x + g[2][1] * y + g[2][2]
+        floor.append([(g[0][0] * x + g[0][1] * y + g[0][2]) / den,
+                      (g[1][0] * x + g[1][1] * y + g[1][2]) / den])
+    h_3d = bbox[3] if class_name == "pedestrian" else beta * bbox[3]
+    return floor + [[u, v - h_3d] for u, v in floor]
+
+
+_objects = st.lists(st.tuples(
+    st.floats(-50.0, 450.0), st.floats(-50.0, 350.0),
+    st.sampled_from(sorted(DEFAULT_PRIORS)),
+    st.one_of(st.sampled_from([0.0, 90.0, -180.0, 180.0]),
+              st.floats(-180.0, 180.0)),
+    st.floats(1.0, 200.0)), min_size=1, max_size=12)
+
+
+class TestLiftCuboids:
+    @settings(max_examples=200, deadline=None)
+    @given(_objects, st.floats(0.01, 0.2), st.floats(0.1, 1.0))
+    def test_bitwise_equal_to_scalar_arithmetic(self, objects, iota, beta):
+        scale = GroundScale(iota)
+        h_inv = Homography(
+            np.array([[0.9, -0.1, 30.0],
+                      [0.05, 1.2, -8.0],
+                      [3e-4, 1e-4, 1.0]]),
+            source=BEV, target=PERSPECTIVE)
+        bboxes = [(0.0, 0.0, 10.0, h) for *_, h in objects]
+        got = lift_cuboids([(x, y) for x, y, *_ in objects],
+                           [o[2] for o in objects], [o[3] for o in objects],
+                           bboxes, h_inv, DEFAULT_PRIORS, scale, beta=beta)
+        want = [reference_cuboid(x, y, name, theta, bbox, h_inv, scale, beta)
+                for (x, y, name, theta, _), bbox in zip(objects, bboxes)]
+        assert got.tobytes() == np.array(want).tobytes()
+        scalar = [lift_to_3d(make_footprint(PixelPoint.bev(x, y), name,
+                                            theta, DEFAULT_PRIORS, scale),
+                             h_inv, bbox, name, beta=beta).as_lists()
+                  for (x, y, name, theta, _), bbox in zip(objects, bboxes)]
+        assert got.tobytes() == np.array(scalar).tobytes()
+
+    def test_empty_batch(self):
+        got = lift_cuboids([], [], [], [], identity_back_projection(),
+                           DEFAULT_PRIORS, SCALE)
+        assert got.shape == (0, 8, 2)
+
+    def test_missing_prior(self):
+        with pytest.raises(MissingPrior, match="hovercraft"):
+            lift_cuboids([(0, 0), (1, 1)], ["car", "hovercraft"], [0, 0],
+                         [(0, 0, 5, 5)] * 2, identity_back_projection(),
+                         DEFAULT_PRIORS, SCALE)

@@ -262,16 +262,33 @@ def test_corrupt_heat_shard_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def _scipy_modules_after(code: str) -> str:
+    """Run `code` in a fresh interpreter and return the sorted list of
+    scipy modules it left loaded, as printed."""
     src = str(Path(roadscene.__file__).parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    probe = ("import sys, roadscene.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True, timeout=60).stdout
-    assert out.strip() == "[]"
+    probe = (f"import sys; {code}; print(sorted(m for m in sys.modules "
+             f"if m.split('.')[0] == 'scipy'))")
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True,
+                          timeout=60).stdout.splitlines()[-1]
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    assert _scipy_modules_after("import roadscene.cli") == "[]"
+
+
+def test_track_runs_without_scipy(pipeline, tmp_path):
+    argv = ["track", "--detections", str(pipeline["sim"] / "detections.jsonl"),
+            "--calibration", str(pipeline["cal"] / "calibration.json"),
+            "--out", str(tmp_path / "tracks.jsonl")]
+    code = ("from roadscene.cli import main; "
+            f"assert main({argv!r}) == 0")
+    assert _scipy_modules_after(code) == "[]"
+    assert ((tmp_path / "tracks.jsonl").read_bytes()
+            == pipeline["tracks"].read_bytes())
 
 
 @pytest.mark.parametrize("line, command", [
@@ -294,6 +311,20 @@ def test_rejected_config_line_exits_2(tmp_path, pipeline, capsys, line,
                "--out", str(tmp_path / "out"))
     assert code == 2
     assert "ConfigError: line 1" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("config, error", [
+    ("missing.cfg", "ConfigError: cannot read config"),
+    ("bad.cfg", "ConfigError: line 1"),
+])
+def test_merge_reads_its_config(tmp_path, pipeline, capsys, config, error):
+    (tmp_path / "bad.cfg").write_text("fps = fast\n")
+    out = tmp_path / "stats.csv"
+    code = run("merge", str(pipeline["an"] / "stats.csv"), "--out", str(out),
+               "--config", str(tmp_path / config))
+    assert code == 2
+    assert error in _one_error_line(capsys)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["heat_vehicle.json", "stats.csv"])
@@ -520,3 +551,26 @@ def test_bad_calibration_field_exits_2(tmp_path, pipeline, capsys, key,
                "--calibration", str(cal), "--out", str(tmp_path / "an"))
     assert code == 2
     assert f"SchemaError: {cal}: {key}" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("g", [
+    [[1, 2, 3], [2, 4, 6], [0, 0, 1]],    # singular
+    [[1, 0, 0], [0, 1e-7, 0], [0, 0, 1]],  # its inverse is numerically singular
+    [[1e300, 1e300, 1e300]] * 3,           # the norm overflows
+], ids=["singular", "singular-inverse", "norm-overflow"])
+@pytest.mark.parametrize("command", ["track", "render"])
+def test_non_invertible_calibration_exits_2(tmp_path, pipeline, capsys, g,
+                                            command):
+    cal = tmp_path / "cal.json"
+    data = json.loads((pipeline["cal"] / "calibration.json").read_text())
+    data["g"] = g
+    cal.write_text(json.dumps(data))
+    inputs = {
+        "track": ["--detections", str(pipeline["sim"] / "detections.jsonl")],
+        "render": ["--heat-dir", str(pipeline["an"])],
+    }[command]
+    code = run(command, *inputs, "--calibration", str(cal),
+               "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert (f"SchemaError: {cal}: g must be an invertible homography"
+            in _one_error_line(capsys))

@@ -6,8 +6,9 @@ import pytest
 from roadscene.analytics import FrameStats, HeatMap, bump
 from roadscene.errors import SchemaError
 from roadscene.geometry import BEV, PERSPECTIVE, PixelPoint
-from roadscene.records import (load_boundary, load_detections, load_heatmap,
-                               load_json, load_stats, load_tracks, merge_stats,
+from roadscene.records import (load_boundary, load_calibration,
+                               load_detections, load_heatmap, load_json,
+                               load_stats, load_tracks, merge_stats,
                                parse_detections, parse_tracks, save_boundary,
                                save_heatmap, track_row, tracks_by_frame,
                                write_detections, write_stats, write_tracks)
@@ -131,6 +132,18 @@ def test_json_file_non_finite_rejected(tmp_path):
     path.write_text('{"g": [[1, 0, 0], [0, 1, 0], [0, 0, NaN]]}\n')
     with pytest.raises(SchemaError, match="NaN"):
         load_json(path)
+
+
+@pytest.mark.parametrize("g", [
+    [[1, 2, 3], [2, 4, 6], [0, 0, 1]],
+    [[1, 0, 0], [0, 1e-7, 0], [0, 0, 1]],
+    [[1e300, 1e300, 1e300]] * 3,
+])
+def test_calibration_g_must_be_invertible(tmp_path, g):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"g": g}))
+    with pytest.raises(SchemaError, match="invertible homography"):
+        load_calibration(path)
 
 
 def test_tracks_writer_is_deterministic(tmp_path):

@@ -11,6 +11,7 @@ from roadscene.tracking import (
     N_CLASSES,
     Detection,
     MomctTracker,
+    _min_cost_assignment,
     associate,
     iou,
     iou_matrix,
@@ -146,6 +147,33 @@ class TestIouMatrix:
                       if i not in {m[0] for m in matches}]
         assert ud == [j for j in range(len(dets))
                       if j not in {m[1] for m in matches}]
+
+
+# cost matrices with 1-8 rows and columns: uniform floats, small integers
+# (many ties), all zeros, and IoU-like costs that are mostly -0.0
+_COST_ELEMENTS = (
+    st.floats(-1e6, 1e6),
+    st.integers(-2, 2).map(float),
+    st.just(0.0),
+    st.one_of(st.just(-0.0), st.floats(-1.0, 0.0)),
+)
+
+
+@st.composite
+def _cost_matrices(draw):
+    n_rows, n_cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    element = draw(st.sampled_from(_COST_ELEMENTS))
+    flat = draw(st.lists(element, min_size=n_rows * n_cols,
+                         max_size=n_rows * n_cols))
+    return [flat[r * n_cols:(r + 1) * n_cols] for r in range(n_rows)]
+
+
+class TestMinCostAssignment:
+    @settings(max_examples=1000, deadline=None)
+    @given(_cost_matrices())
+    def test_equals_scipy(self, cost):
+        rows, cols = linear_sum_assignment(np.array(cost, dtype=np.float64))
+        assert _min_cost_assignment(cost) == (rows.tolist(), cols.tolist())
 
 
 class TestMomctTracker:
