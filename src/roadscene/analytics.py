@@ -192,6 +192,27 @@ def bump(heat: HeatMap, p: PixelPoint) -> HeatMap:
     return heat
 
 
+# row and column offset of each kernel cell, in `_KERNEL.ravel()` order
+_KERNEL_DY = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])
+_KERNEL_DX = np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1])
+
+
+def _deposit(heat: HeatMap, xy: np.ndarray) -> None:
+    """`bump` at each BEV position of the (n, 2) array `xy`, with one
+    `np.add.at`; integer adds commute, so the grid equals n bumps."""
+    h, w = heat.shape
+    center = np.minimum(np.maximum(np.floor(xy + 0.5), 0), (w - 1, h - 1))
+    center = center.astype(np.int64)
+    xs = center[:, :1] + _KERNEL_DX
+    ys = center[:, 1:] + _KERNEL_DY
+    inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    weights = _KERNEL.ravel() * inside
+    # clipped kernel sums always divide 144, as in `bump`
+    weights *= (_BUMP_UNITS // weights.sum(axis=1))[:, None]
+    np.add.at(heat._units, (ys[inside], xs[inside]), weights[inside])
+    heat.events += len(xy)
+
+
 class StateClassifier:
     """Per-frame behavioural classification with parking memory.
 
@@ -283,16 +304,19 @@ def update_heatmaps(maps: Mapping[str, HeatMap],
     all pedestrians, non-parked vehicles, and the speeding, congestion
     and collision-risk sets."""
     by_id = {o.track_id: o for o in observations}
+    points: dict[str, list[PixelPoint]] = {kind: [] for kind in HEAT_KINDS}
     for o in observations:
         if o.is_pedestrian:
-            bump(maps["pedestrian"], o.position)
+            points["pedestrian"].append(o.position)
         elif o.track_id not in states.parking:
-            bump(maps["vehicle"], o.position)
+            points["vehicle"].append(o.position)
     for kind, ids in (("speeding", states.speeding),
                       ("congestion", states.congestion),
                       ("proximity", states.collision_risk)):
-        for track_id in sorted(ids):
-            bump(maps[kind], by_id[track_id].position)
+        points[kind] += [by_id[track_id].position for track_id in ids]
+    for kind, ps in points.items():
+        if ps:
+            _deposit(maps[kind], np.array([(p.x, p.y) for p in ps]))
     return maps
 
 
@@ -360,14 +384,13 @@ def render(heat: HeatMap, base: ImageBuffer | None = None,
             raise ValueError("h_inv must map bev to perspective")
         xs, ys = np.meshgrid(np.arange(out_w), np.arange(out_h))
         grid = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
-        src = apply_many(g, grid)
-        sx = np.floor(src[:, 0] + 0.5).astype(np.int64)
-        sy = np.floor(src[:, 1] + 0.5).astype(np.int64)
+        # bounds are tested before the cast, which inf would not survive
+        sx, sy = np.floor(apply_many(g, grid) + 0.5).T
         inside = ((sx >= 0) & (sx < values.shape[1])
-                  & (sy >= 0) & (sy < values.shape[0])
-                  & np.isfinite(src).all(axis=1))
+                  & (sy >= 0) & (sy < values.shape[0]))
         sampled = np.zeros(len(grid))
-        sampled[inside] = norm[sy[inside], sx[inside]]
+        sampled[inside] = norm[sy[inside].astype(np.int64),
+                               sx[inside].astype(np.int64)]
         norm = sampled.reshape(out_h, out_w)
 
     visible = norm >= floor

@@ -277,6 +277,13 @@ def fit_distortion_es(trajectories: Sequence[Sequence[PixelPoint]],
             "need at least one trajectory with >= 5 points")
     objective = straightness_objective(arrays, image_size)
     rng = np.random.default_rng(seed)
-    result = es_minimize(objective, (0.0, 0.0), rng)
+    # points far outside the image overflow r**2; their nan or inf score
+    # never wins a generation, and a non-finite start is refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = es_minimize(objective, (0.0, 0.0), rng)
+    if not math.isfinite(result.fx):
+        raise InsufficientTrajectories(
+            "trajectory points lie too far out to score, even without "
+            "distortion")
     return DistortionParams.centered((float(result.x[0]), float(result.x[1])),
                                      image_size)

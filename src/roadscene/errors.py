@@ -78,7 +78,7 @@ class NoConsensus(ProcessingError):
 
 
 class InsufficientTrajectories(InputError):
-    """No trajectory long enough to constrain the distortion fit."""
+    """No trajectory that can constrain the distortion fit."""
 
 
 # --- tracking / motion ------------------------------------------------------

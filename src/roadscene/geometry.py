@@ -77,7 +77,8 @@ def canonicalize_matrix(g: np.ndarray) -> np.ndarray:
         raise SingularMatrix(f"expected a 3x3 matrix, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise SingularMatrix("matrix has non-finite entries")
-    norm = float(np.linalg.norm(g))
+    with np.errstate(over="ignore"):  # an inf norm is refused below
+        norm = float(np.linalg.norm(g))
     if norm < _EPS:
         raise SingularMatrix("matrix is numerically zero")
     if not math.isfinite(norm):

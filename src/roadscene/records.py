@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -341,18 +342,79 @@ def merge_stats(shards: list[list[FrameStats]]) -> list[FrameStats]:
 
 # --- heat maps --------------------------------------------------------------
 
-def save_heatmap(path, heat: HeatMap) -> None:
-    """Write the map as one compact, sorted-key JSON line.
+def _heatmap_text(kind: str, events: int, units: np.ndarray) -> str:
+    """The map as `_dump_row` spells it, plus a newline.
 
-    Compact output goes through json's C encoder; indenting would force the
-    pure-Python encoder and make the file ~4x larger.
+    That is sorted keys, compact separators, one line.  Each all-zero row is
+    one shared string and only nonzero cells are formatted, so the cost
+    follows the deposits rather than the 480k cells of a large map.
     """
-    Path(path).write_text(_dump_row({
-        "kind": heat.kind,
-        "shape": list(heat.shape),
-        "events": heat.events,
-        "units": heat.units().tolist(),
-    }) + "\n", encoding="utf-8")
+    h, w = units.shape
+    zero = "[" + ",".join("0" * w) + "]"  # cell j at offset 2j + 1
+    rows = [zero] * h
+    for i in np.flatnonzero(units.any(axis=1)).tolist():
+        row = units[i]
+        cols = np.flatnonzero(row)
+        parts = []
+        prev = 0
+        for j, value in zip(cols.tolist(), row[cols].tolist()):
+            parts += (zero[prev:2 * j + 1], str(value))
+            prev = 2 * j + 2
+        parts.append(zero[prev:])
+        rows[i] = "".join(parts)
+    return (f'{{"events":{events},"kind":{json.dumps(kind)},'
+            f'"shape":[{h},{w}],"units":[' + ",".join(rows) + "]}\n")
+
+
+def save_heatmap(path, heat: HeatMap) -> None:
+    """Write the map as one compact, sorted-key JSON line."""
+    Path(path).write_text(_heatmap_text(heat.kind, heat.events, heat.units()),
+                          encoding="utf-8")
+
+
+# Numbers of at most 20 digits: int64 needs 19, and int() refuses over 4300.
+# The patterns are strings, which `re` compiles and caches on first use
+# rather than at import.
+_HEAT_HEAD = (rb'\{"events":(\d{1,20}),"kind":"([a-z]+)",'
+              rb'"shape":\[(\d{1,20}),(\d{1,20})\],"units":\[')
+_CELL = rb"\d{1,20}"
+
+
+def _parse_own_heatmap(data: bytes):
+    """(kind, events, units) of bytes that `_heatmap_text` wrote, else None.
+
+    Only the header and the nonzero cells are parsed.  The result stands
+    only if encoding it again gives `data` byte for byte; the encoding is
+    one-to-one, so a parse that round-trips is the right one whatever the
+    input was.
+    """
+    head = re.match(_HEAT_HEAD, data)
+    if head is None:
+        return None
+    events, kind, h, w = (int(head[1]), head[2].decode(), int(head[3]),
+                          int(head[4]))
+    body = data[head.end():]
+    # every cell takes at least two bytes, which bounds the allocation
+    if (kind not in HEAT_KINDS or h < 1 or w < 1
+            or len(body) < h * (2 * w + 2)):
+        return None
+    b = np.frombuffer(body, dtype=np.uint8)
+    digit = (b >= ord("0")) & (b <= ord("9"))
+    lead = np.flatnonzero(digit & (b != ord("0")))
+    starts = lead[~digit[lead - 1]]  # lead - 1 wraps only in bad input
+    cell = re.compile(_CELL)
+    values = [int(cell.match(body, s)[0]) for s in starts.tolist()]
+    # a cell's flat index is the number of commas before it
+    cells = np.add.reduceat(b == ord(","), np.r_[0, starts],
+                            dtype=np.int64)[:-1].cumsum()
+    if values and (max(values) >= 2 ** 63 or cells[-1] >= h * w):
+        return None
+    units = np.zeros(h * w, dtype=np.int64)
+    units[cells] = values
+    units = units.reshape(h, w)
+    if _heatmap_text(kind, events, units).encode("ascii") != data:
+        return None
+    return kind, events, units
 
 
 def _heat_units(path, rows) -> np.ndarray:
@@ -371,8 +433,8 @@ def _heat_units(path, rows) -> np.ndarray:
         raise SchemaError(f"{path}: units: {exc}") from None
 
 
-def load_heatmap(path) -> HeatMap:
-    """Read a heat map, checking units >= 0 and sum(units) == 144 x events."""
+def _parse_json_heatmap(path):
+    """(kind, events, units) of any JSON spelling of a heat map."""
     data = load_json(path)
     for key in ("kind", "shape", "events", "units"):
         if not isinstance(data, dict) or key not in data:
@@ -381,25 +443,35 @@ def load_heatmap(path) -> HeatMap:
         raise SchemaError(f"{path}: unknown heat kind {data['kind']!r}")
     units = _heat_units(path, data["units"])
     shape = data["shape"]
-    if (units.ndim != 2 or not isinstance(shape, list)
-            or units.shape != tuple(shape)):
+    if not (isinstance(shape, list) and len(shape) == 2
+            and all(type(v) is int and v > 0 for v in shape)):
+        raise SchemaError(f"{path}: shape must be two positive integers, "
+                          f"got {shape!r}")
+    if units.shape != tuple(shape):
         raise SchemaError(f"{path}: units shape {units.shape} does not "
                           f"match declared {shape}")
     events = data["events"]
     if isinstance(events, bool) or not isinstance(events, int) or events < 0:
         raise SchemaError(f"{path}: events must be a non-negative integer")
-    try:
-        heat = HeatMap.from_units(units, events, data["kind"])
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
+    return data["kind"], events, units
+
+
+def load_heatmap(path) -> HeatMap:
+    """Read a heat map, checking units >= 0 and sum(units) == 144 x events.
+
+    The writer's own bytes are parsed directly; any other JSON spelling
+    goes through the general decoder.
+    """
+    kind, events, units = (_parse_own_heatmap(Path(path).read_bytes())
+                           or _parse_json_heatmap(path))
     if units.min() < 0:
         raise SchemaError(f"{path}: units must be non-negative")
     # summed as Python ints, so a corrupt file cannot wrap int64
-    total = sum(map(sum, data["units"]))
+    total = sum(units[units > 0].tolist())
     if total != _BUMP_UNITS * events:
         raise SchemaError(f"{path}: units sum to {total}, not "
                           f"{_BUMP_UNITS} x {events} events")
-    return heat
+    return HeatMap.from_units(units, events, kind)
 
 
 # --- road boundary ----------------------------------------------------------

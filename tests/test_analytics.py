@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadscene.analytics import (
     AnalyticsConfig,
@@ -314,6 +316,46 @@ class TestUpdateHeatmaps:
         assert maps["speeding"].events == 1
         assert maps["congestion"].events == 2
         assert maps["proximity"].events == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_batched_deposits_equal_sequential_bumps(self, data):
+        h, w = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+
+        def coord(size):
+            # interior, border and clamped out-of-range centres
+            return st.one_of(
+                st.floats(-3.0, size + 2.0),
+                st.sampled_from([-1e9, -0.5, 0.0, 0.49, size - 1.0,
+                                 size - 0.5, size + 0.5, 1e9]))
+
+        n = data.draw(st.integers(1, 12))
+        observations = [
+            obs(i, data.draw(coord(w)), data.draw(coord(h)), 1.0,
+                class_index=data.draw(st.sampled_from([CAR, 7])))
+            for i in range(n)]
+        ids = st.frozensets(st.integers(0, n - 1))
+        parking = data.draw(ids)
+        states = StateSets(frame=0, parking=parking,
+                           speeding=data.draw(ids),
+                           collision_risk=data.draw(ids),
+                           congestion=data.draw(ids) - parking)
+        maps = update_heatmaps(make_heatmaps((h, w)), observations, states)
+
+        expected = make_heatmaps((h, w))
+        for o in observations:
+            if o.is_pedestrian:
+                bump(expected["pedestrian"], o.position)
+            elif o.track_id not in states.parking:
+                bump(expected["vehicle"], o.position)
+        for kind, members in (("speeding", states.speeding),
+                              ("congestion", states.congestion),
+                              ("proximity", states.collision_risk)):
+            for track_id in sorted(members):
+                bump(expected[kind], observations[track_id].position)
+        for kind, heat in expected.items():
+            assert maps[kind].events == heat.events
+            assert np.array_equal(maps[kind].units(), heat.units()), kind
 
 
 class TestFrameStats:

@@ -4,14 +4,19 @@ Each case runs `cli.main` in-process over a small valid chain with one input
 file replaced, either by arbitrary bytes or by a mutation of the valid file
 (a JSON node swapped for an odd value or dropped, a row or line replaced, a
 PNM header field changed).  The property: the exit code is 0, 1 or 2, no
-exception escapes, and a nonzero exit prints exactly one `error:` line.
+exception escapes, no numpy warning is issued, and a nonzero exit prints
+exactly one `error:` line.
 """
 
 import contextlib
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -19,6 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scene_helpers import scene_dict
 
+import roadscene
 from roadscene.cli import main
 
 _CONFIG = ("seed = 3\nfps = 25\nransac.tau = 3.0\nsrg.tau_alpha = 12\n"
@@ -131,7 +137,11 @@ def check_contract(chain, command: str, slot: str, data: bytes) -> None:
         argv = [str(a) for a in _argv(command, paths, tmp / "out")]
         err = io.StringIO()
         with contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(io.StringIO()):
+                contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings():
+            # outside pytest a numpy warning would reach stderr, besides
+            # the one error: line; here it escapes as an exception
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(argv)
     assert code in (0, 1, 2)
     if code:
@@ -258,3 +268,46 @@ def test_arbitrary_bytes_keep_the_exit_contract(chain, command, slot, data):
 @given(st.data())
 def test_mutated_input_keeps_the_exit_contract(chain, command, slot, data):
     check_contract(chain, command, slot, data.draw(mutated(chain, slot)))
+
+
+# --- inputs that once printed numpy warnings --------------------------------
+
+def _run_uncaptured(argv: list) -> tuple[int, str]:
+    """Exit code and stderr of the command in a fresh interpreter, where
+    warnings go to stderr as they would for a user."""
+    src = str(Path(roadscene.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "roadscene.cli"] + [str(a) for a in argv],
+        env=env, capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("g, code", [
+    ([[1e300, 0, 0], [0, 1e300, 0], [0, 0, 1]], 2),  # the norm overflows
+    ([[1, 0, 0], [0, 1, 0], [0.01, 0, -0.3]], 0),  # grid sent to infinity
+])
+def test_render_extreme_calibration_prints_no_warning(chain, tmp_path, g,
+                                                      code):
+    calib = json.loads(chain["calibration"].read_text())
+    calib["g"] = g
+    (tmp_path / "calibration.json").write_text(json.dumps(calib))
+    paths = dict(chain, calibration=tmp_path / "calibration.json")
+    got, stderr = _run_uncaptured(_argv("render", paths, tmp_path / "out"))
+    assert got == code
+    lines = stderr.splitlines()
+    assert len(lines) == (1 if code else 0)
+    assert all(line.startswith("error: ") for line in lines)
+
+
+def test_calibrate_far_trajectories_exit_2_without_warning(chain, tmp_path):
+    trajectories = tmp_path / "trajectories.jsonl"
+    trajectories.write_text(json.dumps({"points": [
+        [1e200 + 9e190 * i, 3e200 - 2e190 * i] for i in range(8)]}) + "\n")
+    paths = dict(chain, trajectories=trajectories)
+    code, stderr = _run_uncaptured(_argv("calibrate", paths, tmp_path / "out"))
+    assert code == 2
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("error: InsufficientTrajectories")

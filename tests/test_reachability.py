@@ -21,6 +21,9 @@ ALLOWED = {
     ("imaging", "distort_point"): "lens-model oracle: the acceptance tests "
                                   "distort synthetic trajectories with it, "
                                   "and a simulated lens would apply it",
+    ("analytics", "bump"): "scalar reference that the batched deposits of "
+                           "`update_heatmaps` must equal cell for cell "
+                           "(tests/test_analytics.py)",
 }
 
 

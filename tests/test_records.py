@@ -1,9 +1,13 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from roadscene.analytics import FrameStats, HeatMap, bump
+from roadscene import records
+from roadscene.analytics import HEAT_KINDS, FrameStats, HeatMap, bump
 from roadscene.errors import SchemaError
 from roadscene.geometry import BEV, PERSPECTIVE, PixelPoint
 from roadscene.records import (load_boundary, load_calibration,
@@ -243,6 +247,113 @@ def test_heatmap_unknown_kind_rejected(tmp_path):
                     '"units": [[0]]}')
     with pytest.raises(SchemaError, match="kind"):
         load_heatmap(path)
+
+
+@pytest.mark.parametrize("separator", [",", ", "])  # fast and general path
+def test_heatmap_sum_does_not_wrap_int64(tmp_path, separator):
+    # four cells of 2**62 sum to 2**64, which int64 would wrap to 0
+    path = tmp_path / "h.json"
+    path.write_text('{"events":0,"kind":"vehicle","shape":[1,4],'
+                    '"units":[[%s]]}\n' % separator.join([str(2 ** 62)] * 4))
+    with pytest.raises(SchemaError, match="sum"):
+        load_heatmap(path)
+
+
+@pytest.mark.parametrize("shape", ["[true, 2.0]", "[1, 2.0]", "[true, 2]",
+                                   "[1.0, 2]"])
+def test_heatmap_shape_must_be_two_positive_ints(tmp_path, shape):
+    path = tmp_path / "h.json"
+    path.write_text('{"kind": "vehicle", "shape": %s, "events": 0, '
+                    '"units": [[0, 0]]}' % shape)
+    with pytest.raises(SchemaError, match="shape"):
+        load_heatmap(path)
+
+
+def _json_spelling(heat: HeatMap, **changes) -> str:
+    """The heat map as `json.dumps` spells it, compact and sorted."""
+    doc = {"kind": heat.kind, "shape": list(heat.shape),
+           "events": heat.events, "units": heat.units().tolist()}
+    doc.update(changes)
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+@st.composite
+def _heat_maps(draw, shapes):
+    """Sparse to dense maps with cells up to 2**62; events is arbitrary."""
+    h, w = draw(shapes)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    top = draw(st.sampled_from([1, 143, 2 ** 31, 2 ** 62]))
+    density = draw(st.sampled_from([0.0, 0.002, 0.2, 1.0]))
+    units = rng.integers(0, top, size=(h, w), endpoint=True)
+    units[rng.random((h, w)) >= density] = 0
+    return HeatMap.from_units(units, draw(st.integers(0, 2 ** 40)),
+                              draw(st.sampled_from(HEAT_KINDS)))
+
+
+_N = st.integers(2, 40)
+_WRITER_SHAPES = st.one_of(
+    st.just((1, 1)), st.tuples(st.just(1), _N), st.tuples(_N, st.just(1)),
+    st.just((600, 800)), st.tuples(_N, _N))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_heat_maps(_WRITER_SHAPES))
+def test_heatmap_writer_bytes_equal_json_dumps(tmp_path_factory, heat):
+    path = tmp_path_factory.mktemp("heat") / "h.json"
+    save_heatmap(path, heat)
+    assert path.read_text(encoding="utf-8") == _json_spelling(heat)
+
+
+def _load_outcome(path):
+    try:
+        heat = load_heatmap(path)
+    except SchemaError as exc:
+        return "error", str(exc)
+    return heat.kind, heat.events, heat.units().tolist()
+
+
+_MUTATIONS = ["none", "space", "true", "1.0", "-1", "short row",
+              "extra key", "above 2**63"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_heat_maps(st.tuples(st.integers(1, 6), st.integers(1, 6))),
+       st.sampled_from(_MUTATIONS), st.data())
+def test_heatmap_fast_reader_equals_general_decoder(
+        tmp_path_factory, heat, mutation, data):
+    # mass-consistent most of the time, so both paths get past the checks
+    rows = heat.units().tolist()
+    rows[0][0] += -sum(map(sum, rows)) % 144
+    events = sum(map(sum, rows)) // 144 + data.draw(
+        st.sampled_from([0, 0, 0, 1]))
+    heat = HeatMap.from_units(np.array(rows), events, heat.kind)
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[0]) - 1))
+    raw = {"true": "true", "1.0": "1.0", "-1": "-1"}.get(mutation)
+    if raw is not None:
+        rows[i][j] = "RAW"
+    elif mutation == "short row":
+        del rows[i][-1]
+    elif mutation == "above 2**63":
+        rows[i][j] = 2 ** 63 + data.draw(st.integers(0, 2 ** 64))
+    extra = {"extra": 1} if mutation == "extra key" else {}
+    text = _json_spelling(heat, units=rows, **extra)
+    if raw is not None:
+        text = text.replace('"RAW"', raw)
+    if mutation == "space":
+        at = data.draw(st.integers(0, len(text) - 1))
+        text = text[:at] + " " + text[at:]
+    path = tmp_path_factory.mktemp("heat") / "h.json"
+    path.write_text(text, encoding="utf-8")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fast = records._parse_own_heatmap(text.encode())
+        outcome = _load_outcome(path)
+    assert (fast is not None) == (mutation == "none")
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(records, "_parse_own_heatmap", lambda data: None)
+        assert outcome == _load_outcome(path)
 
 
 # --- boundary ---------------------------------------------------------------
