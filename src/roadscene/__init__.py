@@ -1,7 +1,8 @@
 """Traffic-scene geometry, tracking and analytics for fixed roadside cameras."""
 
-from .analytics import (AnalyticsConfig, HeatMap, StateClassifier,
-                        frame_stats, make_heatmaps, render, update_heatmaps)
+from .analytics import (AnalyticsConfig, FrameTracks, HeatMap,
+                        StateClassifier, frame_stats, make_heatmaps, render,
+                        update_heatmaps)
 from .box3d import DEFAULT_PRIORS, lift_to_3d, make_footprint
 from .calibration import (RansacParams, fit_distortion_es, ransac_homography,
                           ransac_iterations)
@@ -22,9 +23,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AnalyticsConfig", "BackgroundAccumulator", "BevKalmanState",
     "CLASS_NAMES", "CameraModel", "Config", "DEFAULT_PRIORS", "Detection",
-    "DistortionParams", "GroundScale", "HeatMap", "Homography", "ImageBuffer",
-    "InputError", "MomctTracker", "PixelPoint", "ProcessingError",
-    "RansacParams", "RoadSceneError", "SrgParams", "StateClassifier", "abf",
+    "DistortionParams", "FrameTracks", "GroundScale", "HeatMap",
+    "Homography", "ImageBuffer", "InputError", "MomctTracker", "PixelPoint",
+    "ProcessingError", "RansacParams", "RoadSceneError", "SrgParams",
+    "StateClassifier", "abf",
     "apply", "apply_many", "compose_from_camera", "estimate_dlt",
     "extract_boundary", "fit_distortion_es", "frame_stats", "heading",
     "histogram_match", "invert", "kf_predict", "kf_update", "lift_to_3d",

@@ -1,19 +1,21 @@
 """Long-horizon traffic analytics over tracked BEV positions.
 
-Each frame, tracks are classified into behavioural sets (parked, speeding,
-collision-risk pedestrians, congested vehicles) and deposited into per-kind
-heat maps.  A heat map cell accumulates unit-mass 3x3 kernel deposits, so
-its total mass always equals the number of recorded events; that identity
-is kept exact by backing the map with integers in units of 1/144 (the
-smallest cell weight after renormalizing clipped border kernels), which
-also makes sharded accumulation merge associatively without float drift.
+Each frame's tracks arrive as columns (`FrameTracks`).  They are classified
+into behavioural sets (parked, speeding, collision-risk pedestrians,
+congested vehicles), each a threshold on a speed or on a BEV distance, and
+deposited into per-kind heat maps.  A heat map cell accumulates unit-mass
+3x3 kernel deposits, so its total mass always equals the number of recorded
+events; that identity is kept exact by backing the map with integers in
+units of 1/144 (the smallest cell weight after renormalizing clipped border
+kernels), which also makes sharded accumulation merge associatively
+without float drift.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -29,9 +31,6 @@ from .geometry import (
 )
 from .imaging import ImageBuffer
 from .roadmodel import BoundarySet
-from .tracking import CLASS_NAMES
-
-PEDESTRIAN_INDEX = CLASS_NAMES.index("pedestrian")
 
 # one bump deposits this many integer units (mass 1.0)
 _BUMP_UNITS = 144
@@ -69,26 +68,21 @@ class AnalyticsConfig:
             raise ValueError("parking_speed_mph must be non-negative")
 
 
-@dataclass(frozen=True)
-class TrackObservation:
-    """One track's state at one frame, as the analytics layer sees it."""
+class FrameTracks(NamedTuple):
+    """One frame's tracks as columns: unique ids (int64), pedestrian flags,
+    (n, 2) BEV positions and speeds in mph, which are >= 0."""
 
-    track_id: int
-    class_index: int
-    position: PixelPoint  # bev
-    speed_mph: float
+    ids: np.ndarray
+    pedestrian: np.ndarray
+    xy: np.ndarray
+    speed_mph: np.ndarray
 
-    def __post_init__(self):
-        if self.position.frame != BEV:
-            raise ValueError(f"analytics positions must be bev points, "
-                             f"got '{self.position.frame}'")
-        if not (math.isfinite(self.speed_mph) and self.speed_mph >= 0):
-            raise ValueError(f"speed must be finite and non-negative, "
-                             f"got {self.speed_mph}")
 
-    @property
-    def is_pedestrian(self) -> bool:
-        return self.class_index == PEDESTRIAN_INDEX
+def _members(ids: np.ndarray, chosen) -> np.ndarray:
+    """Mask of the `ids` that are in the set `chosen`."""
+    if not chosen:
+        return np.zeros(len(ids), dtype=bool)
+    return np.array([i in chosen for i in ids.tolist()], dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -135,14 +129,15 @@ class HeatMap:
     @classmethod
     def from_units(cls, units: np.ndarray, events: int,
                    kind: str) -> "HeatMap":
-        """Rebuild a map from serialized integer units."""
+        """Rebuild a map from serialized integer units.  An int64 array is
+        taken over, not copied: the caller hands in a fresh one."""
         arr = np.asarray(units, dtype=np.int64)
         if arr.ndim != 2:
             raise ValueError(f"units must be 2-d, got shape {arr.shape}")
         if events < 0:
             raise ValueError(f"events must be >= 0, got {events}")
         heat = cls(arr.shape, kind)
-        heat._units = arr.copy()
+        heat._units = arr
         heat.events = int(events)
         return heat
 
@@ -231,92 +226,63 @@ class StateClassifier:
         self.cfg = cfg
         self.fps = fps
         self._border = (np.unique(boundary.points(), axis=0).astype(float)
-                        if boundary is not None else None)
+                        if boundary is not None else np.empty((0, 2)))
         self._still_frames: dict[int, int] = {}
 
-    def _near_border(self, p: PixelPoint) -> bool:
-        if self._border is None or len(self._border) == 0:
-            return False
-        d = np.hypot(self._border[:, 0] - p.x, self._border[:, 1] - p.y)
-        return self.scale.to_meters(float(d.min())) < self.cfg.parking_border_m
-
-    def step(self, frame: int,
-             observations: Sequence[TrackObservation]) -> StateSets:
+    # far-apart finite positions may have infinite distances
+    @np.errstate(over="ignore")
+    def step(self, frame: int, tracks: FrameTracks) -> StateSets:
         cfg = self.cfg
-        vehicles = [o for o in observations if not o.is_pedestrian]
-        pedestrians = [o for o in observations if o.is_pedestrian]
+        ids, speed = tracks.ids, tracks.speed_mph
+        vehicle = ~tracks.pedestrian
 
-        parked = set()
+        # still vehicles within parking_border_m of the nearest border point
+        still = vehicle & (speed < cfg.parking_speed_mph)
+        if still.any():
+            p = tracks.xy[still]
+            d = np.hypot(self._border[:, 0] - p[:, :1],
+                         self._border[:, 1] - p[:, 1:])
+            nearest = d.min(axis=1, initial=np.inf)  # inf with no border
+            still[still] = self.scale.to_meters(nearest) < cfg.parking_border_m
         needed = int(math.ceil(cfg.parking_duration_s * self.fps))
-        seen_ids = set()
-        for v in vehicles:
-            seen_ids.add(v.track_id)
-            if v.speed_mph < cfg.parking_speed_mph \
-                    and self._near_border(v.position):
-                run = self._still_frames.get(v.track_id, 0) + 1
-                self._still_frames[v.track_id] = run
-                if run >= needed:
-                    parked.add(v.track_id)
-            else:
-                self._still_frames.pop(v.track_id, None)
-        for track_id in list(self._still_frames):
-            if track_id not in seen_ids:
-                del self._still_frames[track_id]
+        self._still_frames = {i: self._still_frames.get(i, 0) + 1
+                              for i in ids[still].tolist()}
+        parked = {i for i, run in self._still_frames.items() if run >= needed}
 
-        speeding = {v.track_id for v in vehicles
-                    if v.speed_mph > cfg.speed_limit_mph}
-
-        moving = [v for v in vehicles if v.track_id not in parked]
-        risk_m = cfg.proximity_risk_m
-        at_risk = set()
-        for p in pedestrians:
-            for v in moving:
-                d = math.hypot(v.position.x - p.position.x,
-                               v.position.y - p.position.y)
-                if self.scale.to_meters(d) < risk_m:
-                    at_risk.add(p.track_id)
-                    break
-
-        congested = set()
+        moving = vehicle & ~_members(ids, parked)
+        # distances from every track to every moving vehicle, itself excluded
+        cols = np.flatnonzero(moving)
+        d = np.hypot(tracks.xy[:, :1] - tracks.xy[cols, 0],
+                     tracks.xy[:, 1:] - tracks.xy[cols, 1])
+        d[cols, np.arange(len(cols))] = np.inf
+        at_risk = tracks.pedestrian & (
+            self.scale.to_meters(d) < cfg.proximity_risk_m).any(axis=1)
         limit_px = self.scale.to_pixels(cfg.congestion_distance_m)
-        for i, v in enumerate(moving):
-            if v.speed_mph >= cfg.congestion_speed_mph:
-                continue
-            for j, other in enumerate(moving):
-                if i == j:
-                    continue
-                d = math.hypot(other.position.x - v.position.x,
-                               other.position.y - v.position.y)
-                if d < limit_px:
-                    congested.add(v.track_id)
-                    break
+        congested = (moving & (speed < cfg.congestion_speed_mph)
+                     & (d < limit_px).any(axis=1))
 
-        return StateSets(frame=frame, parking=frozenset(parked),
-                         speeding=frozenset(speeding),
-                         collision_risk=frozenset(at_risk),
-                         congestion=frozenset(congested))
+        return StateSets(
+            frame=frame, parking=frozenset(parked),
+            speeding=frozenset(
+                ids[vehicle & (speed > cfg.speed_limit_mph)].tolist()),
+            collision_risk=frozenset(ids[at_risk].tolist()),
+            congestion=frozenset(ids[congested].tolist()))
 
 
-def update_heatmaps(maps: Mapping[str, HeatMap],
-                    observations: Sequence[TrackObservation],
+def update_heatmaps(maps: Mapping[str, HeatMap], tracks: FrameTracks,
                     states: StateSets) -> Mapping[str, HeatMap]:
     """Deposit one frame of classified positions into the five maps:
     all pedestrians, non-parked vehicles, and the speeding, congestion
     and collision-risk sets."""
-    by_id = {o.track_id: o for o in observations}
-    points: dict[str, list[PixelPoint]] = {kind: [] for kind in HEAT_KINDS}
-    for o in observations:
-        if o.is_pedestrian:
-            points["pedestrian"].append(o.position)
-        elif o.track_id not in states.parking:
-            points["vehicle"].append(o.position)
-    for kind, ids in (("speeding", states.speeding),
-                      ("congestion", states.congestion),
-                      ("proximity", states.collision_risk)):
-        points[kind] += [by_id[track_id].position for track_id in ids]
-    for kind, ps in points.items():
-        if ps:
-            _deposit(maps[kind], np.array([(p.x, p.y) for p in ps]))
+    ids = tracks.ids
+    masks = {"pedestrian": tracks.pedestrian,
+             "vehicle": ~tracks.pedestrian & ~_members(ids, states.parking),
+             "speeding": _members(ids, states.speeding),
+             "congestion": _members(ids, states.congestion),
+             "proximity": _members(ids, states.collision_risk)}
+    for kind, mask in masks.items():
+        if mask.any():
+            _deposit(maps[kind], tracks.xy[mask])
     return maps
 
 
@@ -324,23 +290,19 @@ def make_heatmaps(shape: tuple[int, int]) -> dict[str, HeatMap]:
     return {kind: HeatMap(shape, kind) for kind in HEAT_KINDS}
 
 
-def average_speed(observations: Sequence[TrackObservation],
-                  states: StateSets) -> float | None:
-    """Mean speed over non-parked vehicles; None when there are none."""
-    speeds = [o.speed_mph for o in observations
-              if not o.is_pedestrian and o.track_id not in states.parking]
-    if not speeds:
-        return None
-    return sum(speeds) / len(speeds)
-
-
-def frame_stats(frame: int, observations: Sequence[TrackObservation],
+def frame_stats(frame: int, tracks: FrameTracks,
                 states: StateSets) -> FrameStats:
-    pedestrians = sum(1 for o in observations if o.is_pedestrian)
+    """Counts per class, and the mean speed of the non-parked vehicles
+    (None when there are none)."""
+    vehicle = ~tracks.pedestrian & ~_members(tracks.ids, states.parking)
+    # an ordered Python sum, whose bits stats.csv records
+    speeds = tracks.speed_mph[vehicle].tolist()
+    pedestrians = int(tracks.pedestrian.sum())
     return FrameStats(frame=frame,
-                      vehicle_count=len(observations) - pedestrians,
+                      vehicle_count=len(tracks.ids) - pedestrians,
                       pedestrian_count=pedestrians,
-                      avg_speed_mph=average_speed(observations, states))
+                      avg_speed_mph=sum(speeds) / len(speeds) if speeds
+                      else None)
 
 
 def _colorize(norm: np.ndarray) -> np.ndarray:
@@ -382,8 +344,8 @@ def render(heat: HeatMap, base: ImageBuffer | None = None,
         g = invert(h_inv)  # perspective -> bev
         if g.source != PERSPECTIVE:
             raise ValueError("h_inv must map bev to perspective")
-        xs, ys = np.meshgrid(np.arange(out_w), np.arange(out_h))
-        grid = np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
+        # (x, y) of each output pixel, row by row
+        grid = np.indices((out_h, out_w), dtype=float)[::-1].reshape(2, -1).T
         # bounds are tested before the cast, which inf would not survive
         sx, sy = np.floor(apply_many(g, grid) + 0.5).T
         inside = ((sx >= 0) & (sx < values.shape[1])
@@ -405,8 +367,9 @@ def render(heat: HeatMap, base: ImageBuffer | None = None,
         if base_rgb.shape[:2] != norm.shape:
             raise ShapeMismatch(f"base shape {base_rgb.shape[:2]} does not "
                                 f"match output {norm.shape}")
-        blended = np.floor(alpha * color + (1 - alpha) * base_rgb + 0.5)
-        out = np.where(visible[:, :, None], blended, base_rgb)
+        out = base_rgb.copy()
+        out[visible] = np.floor(alpha * color[visible]
+                                + (1 - alpha) * base_rgb[visible] + 0.5)
     else:
         out = np.where(visible[:, :, None], color, 0)
-    return ImageBuffer(out.astype(np.uint8))
+    return ImageBuffer(out)

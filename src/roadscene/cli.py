@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import records
-from .analytics import (HEAT_KINDS, StateClassifier, TrackObservation,
+from .analytics import (HEAT_KINDS, FrameTracks, StateClassifier,
                         frame_stats, make_heatmaps, render, update_heatmaps)
 from .box3d import lift_cuboids
 from .calibration import Correspondence, fit_distortion_es, ransac_homography
@@ -39,7 +39,7 @@ from .records import (dump_json, load_boundary, load_calibration,
 from .roadmodel import extract_boundary, refine_mask, srg_segment
 from .seeding import subsystem_seed
 from .simulate import load_scenario, run_simulate
-from .tracking import CLASS_NAMES, PEDESTRIAN, MomctTracker
+from .tracking import PEDESTRIAN, MomctTracker
 
 
 def _config_from(args) -> Config:
@@ -292,18 +292,18 @@ def _resolve_bev_shape(args, calib) -> tuple[int, int]:
                       "bev_size in calibration.json")
 
 
-def _observations(rows: list[dict]) -> list[TrackObservation]:
-    obs = []
-    for row in rows:
-        if row["bev"] is None:
-            continue
-        speed = row["speed_mph"]
-        obs.append(TrackObservation(
-            track_id=row["id"],
-            class_index=CLASS_NAMES.index(row["class"]),
-            position=PixelPoint.bev(row["bev"][0], row["bev"][1]),
-            speed_mph=0.0 if speed is None else max(speed, 0.0)))
-    return obs
+def _frame_tracks(rows: list[dict]) -> FrameTracks:
+    """The rows that have a BEV position, as columns; a missing speed
+    reads 0 and a negative one is clamped to 0."""
+    rows = [row for row in rows if row["bev"] is not None]
+    speeds = [row["speed_mph"] for row in rows]
+    return FrameTracks(
+        ids=np.array([row["id"] for row in rows], dtype=np.int64),
+        pedestrian=np.array([row["class"] == PEDESTRIAN for row in rows],
+                            dtype=bool),
+        xy=np.array([row["bev"] for row in rows], dtype=float).reshape(-1, 2),
+        speed_mph=np.array([0.0 if v is None else max(v, 0.0)
+                            for v in speeds], dtype=float))
 
 
 def _cmd_analyze(args) -> int:
@@ -326,11 +326,11 @@ def _cmd_analyze(args) -> int:
     stats = []
     event_rows = []
     for frame in range(start, stop + 1):
-        obs = _observations(grouped.get(frame, []))
-        states = classifier.step(frame, obs)
-        stats.append(frame_stats(frame, obs, states))
+        tracks = _frame_tracks(grouped.get(frame, []))
+        states = classifier.step(frame, tracks)
+        stats.append(frame_stats(frame, tracks, states))
         event_rows.extend(state_rows(states))
-        update_heatmaps(maps, obs, states)
+        update_heatmaps(maps, tracks, states)
 
     out = _out_dir(args)
     write_stats(out / "stats.csv", stats)

@@ -96,6 +96,23 @@ def json_rows(text: str):
         yield lineno, row
 
 
+def _frame(row: dict, last: int, lineno: int) -> int:
+    """The row's frame: a non-negative integer, not below `last`."""
+    frame = _require(row, "frame", lineno)
+    if isinstance(frame, bool) or not isinstance(frame, int) or frame < 0:
+        raise SchemaError(f"line {lineno}: frame must be a "
+                          f"non-negative integer, got {frame!r}")
+    if frame < last:
+        raise SchemaError(f"line {lineno}: frame {frame} after "
+                          f"frame {last}; frames must be non-decreasing")
+    return frame
+
+
+def _int64(value) -> bool:
+    """True for a JSON integer, not a bool, that fits a signed 64 bits."""
+    return type(value) is int and -2 ** 63 <= value < 2 ** 63
+
+
 # --- detections -------------------------------------------------------------
 
 def parse_detections(text: str) -> list[tuple[int, list[Detection]]]:
@@ -106,13 +123,7 @@ def parse_detections(text: str) -> list[tuple[int, list[Detection]]]:
     frames: list[tuple[int, list[Detection]]] = []
     last = -1
     for lineno, row in json_rows(text):
-        frame = _require(row, "frame", lineno)
-        if isinstance(frame, bool) or not isinstance(frame, int) or frame < 0:
-            raise SchemaError(f"line {lineno}: frame must be a "
-                              f"non-negative integer, got {frame!r}")
-        if frame < last:
-            raise SchemaError(f"line {lineno}: frame {frame} after "
-                              f"frame {last}; frames must be non-decreasing")
+        frame = _frame(row, last, lineno)
         bbox = _number_list(_require(row, "bbox", lineno), "bbox", 4, lineno)
         score = _number(_require(row, "score", lineno), "score", lineno)
         probs = _number_list(_require(row, "probs", lineno), "probs",
@@ -180,21 +191,23 @@ def write_tracks(path, rows) -> None:
 
 
 def parse_tracks(text: str) -> list[dict]:
-    """Parse track JSON Lines; returns the row dicts after validation."""
+    """Parse track JSON Lines; returns the row dicts after validation.
+
+    A frame lists each track id at most once.
+    """
     out: list[dict] = []
     last = -1
     for lineno, row in json_rows(text):
-        frame = _require(row, "frame", lineno)
-        if isinstance(frame, bool) or not isinstance(frame, int) or frame < 0:
-            raise SchemaError(f"line {lineno}: frame must be a "
-                              f"non-negative integer, got {frame!r}")
-        if frame < last:
-            raise SchemaError(f"line {lineno}: frame {frame} after "
-                              f"frame {last}; frames must be non-decreasing")
-        last = frame
+        frame = _frame(row, last, lineno)
+        if frame != last:
+            last, ids = frame, set()
         track_id = _require(row, "id", lineno)
-        if isinstance(track_id, bool) or not isinstance(track_id, int):
-            raise SchemaError(f"line {lineno}: id must be an integer")
+        if not _int64(track_id):
+            raise SchemaError(f"line {lineno}: id must be a 64-bit integer")
+        if track_id in ids:
+            raise SchemaError(f"line {lineno}: id {track_id} appears twice "
+                              f"in frame {frame}")
+        ids.add(track_id)
         class_name = _require(row, "class", lineno)
         if class_name not in CLASS_NAMES:
             raise SchemaError(f"line {lineno}: unknown class {class_name!r}")
@@ -498,5 +511,4 @@ def load_boundary(path):
 
 def _is_int_pair(point) -> bool:
     return (isinstance(point, list) and len(point) == 2
-            and all(type(v) is int and -2 ** 63 <= v < 2 ** 63
-                    for v in point))
+            and all(map(_int64, point)))

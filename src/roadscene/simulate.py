@@ -105,12 +105,14 @@ class ScenarioSpec:
 
 
 def _finite(value, label: str, cast=float):
-    try:
-        out = cast(value)
-        if math.isfinite(out):
-            return out
-    except (TypeError, ValueError, OverflowError):
-        pass
+    """A finite JSON number, not a bool, as `cast`; int takes only ints."""
+    if not isinstance(value, bool) and isinstance(
+            value, int if cast is int else (int, float)):
+        try:
+            if math.isfinite(value):
+                return cast(value)
+        except OverflowError:  # an int beyond float range
+            pass
     raise InvalidSpec(f"{label}: bad value {value!r}")
 
 

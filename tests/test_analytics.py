@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,10 @@ from hypothesis import strategies as st
 from roadscene.analytics import (
     AnalyticsConfig,
     FrameStats,
+    FrameTracks,
     HeatMap,
     StateClassifier,
     StateSets,
-    TrackObservation,
-    average_speed,
     bump,
     frame_stats,
     make_heatmaps,
@@ -22,13 +23,26 @@ from roadscene.geometry import BEV, PERSPECTIVE, GroundScale, Homography, PixelP
 from roadscene.imaging import ImageBuffer
 from roadscene.roadmodel import BoundarySet
 
-CAR = 3
 SCALE = GroundScale(iota=0.1)  # 10 px per meter
 
 
-def obs(track_id, x, y, speed, class_index=CAR):
-    return TrackObservation(track_id=track_id, class_index=class_index,
-                            position=PixelPoint.bev(x, y), speed_mph=speed)
+def obs(track_id, x, y, speed, pedestrian=False):
+    """One track row: (id, pedestrian, x, y, speed in mph)."""
+    return (track_id, pedestrian, float(x), float(y), float(speed))
+
+
+def ft(rows) -> FrameTracks:
+    """The rows of `obs` as one frame's columns."""
+    return FrameTracks(
+        ids=np.array([r[0] for r in rows], dtype=np.int64),
+        pedestrian=np.array([r[1] for r in rows], dtype=bool),
+        xy=np.array([r[2:4] for r in rows], dtype=float).reshape(-1, 2),
+        speed_mph=np.array([r[4] for r in rows], dtype=float))
+
+
+def no_states(frame=0):
+    return StateSets(frame=frame, parking=frozenset(), speeding=frozenset(),
+                     collision_risk=frozenset(), congestion=frozenset())
 
 
 def left_border(height=60):
@@ -134,45 +148,45 @@ class TestParking:
         clf = self.make()
         states = None
         for frame in range(61):
-            states = clf.step(frame, [obs(1, 5.0, 30.0, 0.0)])
+            states = clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
         assert 1 in states.parking
 
     def test_not_parked_before_one_minute(self):
         clf = self.make()
         for frame in range(59):
-            states = clf.step(frame, [obs(1, 5.0, 30.0, 0.0)])
+            states = clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
         assert 1 not in states.parking
 
     def test_far_from_border_never_parks(self):
         clf = self.make()
         for frame in range(120):
-            states = clf.step(frame, [obs(1, 30.0, 30.0, 0.0)])
+            states = clf.step(frame, ft([obs(1, 30.0, 30.0, 0.0)]))
         assert states.parking == frozenset()
 
     def test_moving_near_border_never_parks(self):
         clf = self.make()
         for frame in range(120):
-            states = clf.step(frame, [obs(1, 5.0, 30.0, 2.0)])
+            states = clf.step(frame, ft([obs(1, 5.0, 30.0, 2.0)]))
         assert states.parking == frozenset()
 
     def test_membership_drops_on_first_fast_frame(self):
         clf = self.make()
         for frame in range(80):
-            states = clf.step(frame, [obs(1, 5.0, 30.0, 0.0)])
+            states = clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
         assert 1 in states.parking
-        states = clf.step(80, [obs(1, 5.0, 30.0, 1.0)])
+        states = clf.step(80, ft([obs(1, 5.0, 30.0, 1.0)]))
         assert 1 not in states.parking
         # the consecutive run restarts from scratch
-        states = clf.step(81, [obs(1, 5.0, 30.0, 0.0)])
+        states = clf.step(81, ft([obs(1, 5.0, 30.0, 0.0)]))
         assert 1 not in states.parking
 
     def test_gap_in_observations_resets_run(self):
         clf = self.make()
         for frame in range(50):
-            clf.step(frame, [obs(1, 5.0, 30.0, 0.0)])
-        clf.step(50, [])  # track missed for one frame
+            clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
+        clf.step(50, ft([]))  # track missed for one frame
         for frame in range(51, 101):
-            states = clf.step(frame, [obs(1, 5.0, 30.0, 0.0)])
+            states = clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
         assert 1 not in states.parking
 
     def test_missing_scale(self):
@@ -181,10 +195,10 @@ class TestParking:
 
 
 class TestStates:
-    def step_once(self, observations, **kwargs):
+    def step_once(self, rows, **kwargs):
         clf = StateClassifier(left_border(), SCALE,
                               AnalyticsConfig(**kwargs), 25.0)
-        return clf.step(0, observations)
+        return clf.step(0, ft(rows))
 
     def test_speeding_above_limit(self):
         states = self.step_once([obs(1, 30, 30, 35.0), obs(2, 40, 30, 25.0)])
@@ -195,31 +209,31 @@ class TestStates:
         assert states.speeding == frozenset()
 
     def test_pedestrian_never_speeding(self):
-        states = self.step_once([obs(1, 30, 30, 40.0, class_index=7)])
+        states = self.step_once([obs(1, 30, 30, 40.0, pedestrian=True)])
         assert states.speeding == frozenset()
 
     def test_pedestrian_near_moving_vehicle_at_risk(self):
         states = self.step_once([
             obs(1, 30.0, 30.0, 10.0),
-            obs(2, 34.0, 30.0, 3.0, class_index=7),  # 0.4 m away
+            obs(2, 34.0, 30.0, 3.0, pedestrian=True),  # 0.4 m away
         ])
         assert states.collision_risk == frozenset({2})
 
     def test_pedestrian_far_from_vehicles_safe(self):
         states = self.step_once([
             obs(1, 30.0, 30.0, 10.0),
-            obs(2, 55.0, 30.0, 3.0, class_index=7),  # 2.5 m away
+            obs(2, 55.0, 30.0, 3.0, pedestrian=True),  # 2.5 m away
         ])
         assert states.collision_risk == frozenset()
 
     def test_pedestrian_near_parked_vehicle_not_at_risk(self):
         clf = StateClassifier(left_border(), SCALE, AnalyticsConfig(), 1.0)
         for frame in range(90):
-            clf.step(frame, [obs(1, 5.0, 30.0, 0.0)])
-        states = clf.step(90, [
+            clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
+        states = clf.step(90, ft([
             obs(1, 5.0, 30.0, 0.0),
-            obs(2, 9.0, 30.0, 3.0, class_index=7),  # 0.4 m from parked car
-        ])
+            obs(2, 9.0, 30.0, 3.0, pedestrian=True),  # 0.4 m from parked car
+        ]))
         assert 1 in states.parking
         assert states.collision_risk == frozenset()
 
@@ -244,11 +258,11 @@ class TestStates:
     def test_parked_vehicle_excluded_from_congestion(self):
         clf = StateClassifier(left_border(), SCALE, AnalyticsConfig(), 1.0)
         for frame in range(90):
-            clf.step(frame, [obs(1, 5.0, 30.0, 0.0)])
-        states = clf.step(90, [
+            clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
+        states = clf.step(90, ft([
             obs(1, 5.0, 30.0, 0.0),
             obs(2, 12.0, 30.0, 2.0),  # slow, 0.7 m from the parked car
-        ])
+        ]))
         assert 1 in states.parking
         assert states.congestion == frozenset()
 
@@ -260,37 +274,160 @@ class TestStates:
                       congestion=frozenset({1}))
 
     def test_classify_states_sequence(self):
-        frames = [(f, [obs(1, 30, 30, 35.0)]) for f in range(3)]
+        frames = [(f, ft([obs(1, 30, 30, 35.0)])) for f in range(3)]
         clf = StateClassifier(left_border(), SCALE, AnalyticsConfig(), 25.0)
-        out = [clf.step(frame, observations) for frame, observations in frames]
+        out = [clf.step(frame, tracks) for frame, tracks in frames]
         assert [s.frame for s in out] == [0, 1, 2]
         assert all(s.speeding == frozenset({1}) for s in out)
 
 
-class TestObservationValidation:
-    def test_negative_speed(self):
-        with pytest.raises(ValueError):
-            obs(1, 0, 0, -1.0)
+def reference_bumps(maps, rows, states):
+    """One `bump` per event, in row order, as deposits were once made."""
+    position = {r[0]: PixelPoint.bev(r[2], r[3]) for r in rows}
+    for r in rows:
+        if r[1]:
+            bump(maps["pedestrian"], position[r[0]])
+        elif r[0] not in states.parking:
+            bump(maps["vehicle"], position[r[0]])
+    for kind, members in (("speeding", states.speeding),
+                          ("congestion", states.congestion),
+                          ("proximity", states.collision_risk)):
+        for track_id in sorted(members):
+            bump(maps[kind], position[track_id])
 
-    def test_perspective_position(self):
-        with pytest.raises(ValueError):
-            TrackObservation(track_id=1, class_index=CAR,
-                             position=PixelPoint.perspective(0, 0),
-                             speed_mph=0.0)
+
+def reference_average_speed(rows, states):
+    """Mean speed of the non-parked vehicles, as an ordered Python sum."""
+    speeds = [r[4] for r in rows if not r[1] and r[0] not in states.parking]
+    return sum(speeds) / len(speeds) if speeds else None
+
+
+class ReferenceClassifier:
+    """`StateClassifier.step` as per-track and per-pair Python loops."""
+
+    def __init__(self, boundary, scale, cfg, fps):
+        self.scale, self.cfg, self.fps = scale, cfg, fps
+        self.border = (np.unique(boundary.points(), axis=0).astype(float)
+                       if boundary is not None else None)
+        self.still_frames = {}
+
+    def near_border(self, x, y):
+        if self.border is None or len(self.border) == 0:
+            return False
+        d = np.hypot(self.border[:, 0] - x, self.border[:, 1] - y)
+        return self.scale.to_meters(float(d.min())) < self.cfg.parking_border_m
+
+    def step(self, frame, rows):
+        cfg = self.cfg
+        vehicles = [r for r in rows if not r[1]]
+        pedestrians = [r for r in rows if r[1]]
+        parked, seen = set(), set()
+        needed = int(math.ceil(cfg.parking_duration_s * self.fps))
+        for track_id, _, x, y, speed in vehicles:
+            seen.add(track_id)
+            if speed < cfg.parking_speed_mph and self.near_border(x, y):
+                run = self.still_frames.get(track_id, 0) + 1
+                self.still_frames[track_id] = run
+                if run >= needed:
+                    parked.add(track_id)
+            else:
+                self.still_frames.pop(track_id, None)
+        for track_id in list(self.still_frames):
+            if track_id not in seen:
+                del self.still_frames[track_id]
+        speeding = {v[0] for v in vehicles if v[4] > cfg.speed_limit_mph}
+        moving = [v for v in vehicles if v[0] not in parked]
+        at_risk = set()
+        for p in pedestrians:
+            for v in moving:
+                d = math.hypot(v[2] - p[2], v[3] - p[3])
+                if self.scale.to_meters(d) < cfg.proximity_risk_m:
+                    at_risk.add(p[0])
+                    break
+        congested = set()
+        limit_px = self.scale.to_pixels(cfg.congestion_distance_m)
+        for i, v in enumerate(moving):
+            if v[4] >= cfg.congestion_speed_mph:
+                continue
+            for j, other in enumerate(moving):
+                if i != j and math.hypot(other[2] - v[2],
+                                         other[3] - v[3]) < limit_px:
+                    congested.add(v[0])
+                    break
+        return StateSets(frame=frame, parking=frozenset(parked),
+                         speeding=frozenset(speeding),
+                         collision_risk=frozenset(at_risk),
+                         congestion=frozenset(congested))
+
+
+class TestAgainstScalarReference:
+    # thresholds the grid hits exactly: 10 px to the border and for
+    # proximity, 20 px for congestion, and each speed bound itself; other
+    # speeds are uniform, so that a reordered sum changes the mean's bits
+    SPEEDS = (0.0, 0.5, 5.0, 30.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n_tracks=st.integers(0, 30), n_frames=st.integers(1, 12),
+           keep=st.sampled_from([0.5, 0.8, 0.95]),
+           border=st.sampled_from(["left", "none", "empty"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_array_step_equals_pair_loops(self, n_tracks, n_frames, keep,
+                                          border, seed):
+        rng = np.random.default_rng(seed)
+        boundary = {"left": left_border(41), "none": None,
+                    "empty": BoundarySet(chains=())}[border]
+        cfg = AnalyticsConfig(parking_duration_s=3.0)
+        clf = StateClassifier(boundary, SCALE, cfg, 1.0)
+        ref = ReferenceClassifier(boundary, SCALE, cfg, 1.0)
+        maps, ref_maps = make_heatmaps((41, 41)), make_heatmaps((41, 41))
+
+        # each track keeps its place, speed and presence with probability
+        # `keep`, so parked runs start, break and resume
+        def speeds(n):
+            return np.where(rng.random(n) < 0.5, rng.choice(self.SPEEDS, n),
+                            rng.uniform(0.0, 40.0, n))
+
+        pedestrian = rng.random(n_tracks) < 0.3
+        x = 2.0 * rng.integers(0, 11, n_tracks)
+        y = 2.0 * rng.integers(0, 21, n_tracks)
+        speed = speeds(n_tracks)
+        present = rng.random(n_tracks) < 0.9
+        for frame in range(n_frames):
+            change = rng.random(n_tracks) >= keep
+            x[change] = 2.0 * rng.integers(0, 11, change.sum())
+            change = rng.random(n_tracks) >= keep
+            y[change] = 2.0 * rng.integers(0, 21, change.sum())
+            change = rng.random(n_tracks) >= keep
+            speed[change] = speeds(change.sum())
+            change = rng.random(n_tracks) >= keep
+            present[change] = ~present[change]
+            order = rng.permutation(np.flatnonzero(present)).tolist()
+            rows = [obs(i, x[i], y[i], speed[i], pedestrian=pedestrian[i])
+                    for i in order]
+
+            states = clf.step(frame, ft(rows))
+            expected = ref.step(frame, rows)
+            assert states == expected
+            stats = frame_stats(frame, ft(rows), states)
+            avg = reference_average_speed(rows, states)
+            assert repr(stats.avg_speed_mph) == repr(avg)
+            assert stats.vehicle_count + stats.pedestrian_count == len(rows)
+            update_heatmaps(maps, ft(rows), states)
+            reference_bumps(ref_maps, rows, states)
+        for kind, heat in ref_maps.items():
+            assert maps[kind].events == heat.events
+            assert np.array_equal(maps[kind].units(), heat.units()), kind
 
 
 class TestUpdateHeatmaps:
     def test_pedestrian_and_vehicle_routing(self):
         maps = make_heatmaps((40, 40))
-        observations = [
+        rows = [
             obs(1, 10, 10, 20.0),
-            obs(2, 20, 20, 1.0, class_index=7),
-            obs(3, 30, 30, 1.0, class_index=7),
+            obs(2, 20, 20, 1.0, pedestrian=True),
+            obs(3, 30, 30, 1.0, pedestrian=True),
         ]
-        states = StateSets(frame=0, parking=frozenset(),
-                           speeding=frozenset(), collision_risk=frozenset(),
-                           congestion=frozenset())
-        update_heatmaps(maps, observations, states)
+        update_heatmaps(maps, ft(rows), no_states())
         assert maps["pedestrian"].events == 2
         assert maps["vehicle"].events == 1
         assert maps["speeding"].events == 0
@@ -300,19 +437,18 @@ class TestUpdateHeatmaps:
         states = StateSets(frame=0, parking=frozenset({1}),
                            speeding=frozenset(), collision_risk=frozenset(),
                            congestion=frozenset())
-        update_heatmaps(maps, [obs(1, 10, 10, 0.0)], states)
+        update_heatmaps(maps, ft([obs(1, 10, 10, 0.0)]), states)
         assert maps["vehicle"].events == 0
 
     def test_state_sets_routed_to_their_maps(self):
         maps = make_heatmaps((40, 40))
-        observations = [obs(1, 10, 10, 35.0), obs(2, 11, 10, 2.0),
-                        obs(3, 12, 10, 2.0),
-                        obs(4, 13, 10, 1.0, class_index=7)]
+        rows = [obs(1, 10, 10, 35.0), obs(2, 11, 10, 2.0),
+                obs(3, 12, 10, 2.0), obs(4, 13, 10, 1.0, pedestrian=True)]
         states = StateSets(frame=0, parking=frozenset(),
                            speeding=frozenset({1}),
                            collision_risk=frozenset({4}),
                            congestion=frozenset({2, 3}))
-        update_heatmaps(maps, observations, states)
+        update_heatmaps(maps, ft(rows), states)
         assert maps["speeding"].events == 1
         assert maps["congestion"].events == 2
         assert maps["proximity"].events == 1
@@ -330,66 +466,56 @@ class TestUpdateHeatmaps:
                                  size - 0.5, size + 0.5, 1e9]))
 
         n = data.draw(st.integers(1, 12))
-        observations = [
-            obs(i, data.draw(coord(w)), data.draw(coord(h)), 1.0,
-                class_index=data.draw(st.sampled_from([CAR, 7])))
-            for i in range(n)]
+        rows = [obs(i, data.draw(coord(w)), data.draw(coord(h)), 1.0,
+                    pedestrian=data.draw(st.booleans()))
+                for i in range(n)]
         ids = st.frozensets(st.integers(0, n - 1))
         parking = data.draw(ids)
         states = StateSets(frame=0, parking=parking,
                            speeding=data.draw(ids),
                            collision_risk=data.draw(ids),
                            congestion=data.draw(ids) - parking)
-        maps = update_heatmaps(make_heatmaps((h, w)), observations, states)
+        maps = update_heatmaps(make_heatmaps((h, w)), ft(rows), states)
 
         expected = make_heatmaps((h, w))
-        for o in observations:
-            if o.is_pedestrian:
-                bump(expected["pedestrian"], o.position)
-            elif o.track_id not in states.parking:
-                bump(expected["vehicle"], o.position)
-        for kind, members in (("speeding", states.speeding),
-                              ("congestion", states.congestion),
-                              ("proximity", states.collision_risk)):
-            for track_id in sorted(members):
-                bump(expected[kind], observations[track_id].position)
+        reference_bumps(expected, rows, states)
         for kind, heat in expected.items():
             assert maps[kind].events == heat.events
             assert np.array_equal(maps[kind].units(), heat.units()), kind
 
 
 class TestFrameStats:
-    def no_states(self):
-        return StateSets(frame=0, parking=frozenset(), speeding=frozenset(),
-                         collision_risk=frozenset(), congestion=frozenset())
-
     def test_average_of_moving_vehicles(self):
-        observations = [obs(1, 0, 0, 10.0), obs(2, 30, 0, 20.0),
-                        obs(3, 60, 0, 30.0)]
-        assert average_speed(observations, self.no_states()) == 20.0
+        rows = [obs(1, 0, 0, 10.0), obs(2, 30, 0, 20.0), obs(3, 60, 0, 30.0)]
+        assert frame_stats(0, ft(rows), no_states()).avg_speed_mph == 20.0
 
     def test_parked_excluded_from_average(self):
-        observations = [obs(1, 0, 0, 0.0), obs(2, 30, 0, 24.0)]
+        rows = [obs(1, 0, 0, 0.0), obs(2, 30, 0, 24.0)]
         states = StateSets(frame=0, parking=frozenset({1}),
                            speeding=frozenset(), collision_risk=frozenset(),
                            congestion=frozenset())
-        assert average_speed(observations, states) == 24.0
+        assert frame_stats(0, ft(rows), states).avg_speed_mph == 24.0
 
     def test_all_parked_gives_none(self):
         states = StateSets(frame=0, parking=frozenset({1}),
                            speeding=frozenset(), collision_risk=frozenset(),
                            congestion=frozenset())
-        assert average_speed([obs(1, 0, 0, 0.0)], states) is None
+        stats = frame_stats(0, ft([obs(1, 0, 0, 0.0)]), states)
+        assert stats.avg_speed_mph is None
 
     def test_pedestrians_not_in_average(self):
-        observations = [obs(1, 0, 0, 3.0, class_index=7)]
-        assert average_speed(observations, self.no_states()) is None
+        rows = [obs(1, 0, 0, 3.0, pedestrian=True)]
+        assert frame_stats(0, ft(rows), no_states()).avg_speed_mph is None
 
     def test_counts(self):
-        observations = [obs(1, 0, 0, 10.0), obs(2, 9, 0, 2.0, class_index=7)]
-        stats = frame_stats(4, observations, self.no_states())
+        rows = [obs(1, 0, 0, 10.0), obs(2, 9, 0, 2.0, pedestrian=True)]
+        stats = frame_stats(4, ft(rows), no_states())
         assert stats == FrameStats(frame=4, vehicle_count=1,
                                    pedestrian_count=1, avg_speed_mph=10.0)
+
+    def test_empty_frame(self):
+        assert frame_stats(2, ft([]), no_states()) == FrameStats(
+            frame=2, vehicle_count=0, pedestrian_count=0, avg_speed_mph=None)
 
 
 class TestRender:

@@ -364,16 +364,40 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
     ("road_polygon", [[1, "a"], [2, 3], [4, 5]]),
     ("road_polygon", [[1, 2, 3], [2, 3], [4, 5]]),
     ("road_polygon", 7),
+    # numbers are JSON numbers, not bools or strings; counts are ints
+    ("duration", 10.9),
+    ("duration", True),
+    ("n_matches", 2.5),
+    ("image_size", [640.7, 480]),
+    ("actors.0.hidden", [[1.9, 3.2]]),
+    ("fps", "25"),
+    ("noise_sigma_px", True),
 ])
 def test_bad_scenario_field_exits_2(tmp_path, capsys, key, value):
     scene = tmp_path / "scene.json"
     data = scene_dict()
-    data[key] = value
+    *path, last = key.split(".")
+    node = data
+    for step in path:
+        node = node[int(step) if isinstance(node, list) else step]
+    node[last] = value
     scene.write_text(json.dumps(data))
     code = run("simulate", "--spec", str(scene),
                "--out", str(tmp_path / "out"))
     assert code == 2
     assert "InvalidSpec" in _one_error_line(capsys)
+
+
+def test_analyze_track_id_beyond_int64_exits_2(tmp_path, pipeline, capsys):
+    tracks = tmp_path / "tracks.jsonl"
+    row = load_tracks(pipeline["tracks"])[0]
+    row["id"] = 2 ** 70
+    tracks.write_text(json.dumps(row) + "\n")
+    code = run("analyze", "--tracks", str(tracks),
+               "--calibration", str(pipeline["cal"] / "calibration.json"),
+               "--out", str(tmp_path / "an"))
+    assert code == 2
+    assert "SchemaError" in _one_error_line(capsys)
 
 
 def test_malformed_boundary_exits_2(tmp_path, pipeline, capsys):

@@ -311,3 +311,16 @@ def test_calibrate_far_trajectories_exit_2_without_warning(chain, tmp_path):
     assert code == 2
     assert len(stderr.splitlines()) == 1
     assert stderr.startswith("error: InsufficientTrajectories")
+
+
+def test_analyze_far_apart_tracks_print_no_warning(chain, tmp_path):
+    # their distance overflows to inf
+    row = json.loads(chain["tracks"].read_text().splitlines()[0])
+    car = dict(row, id=1, bev=[1e308, 0.0], speed_mph=1.0)
+    walker = dict(row, id=2, bev=[-1e308, 0.0], speed_mph=0.0)
+    car["class"], walker["class"] = "car", "pedestrian"
+    tracks = tmp_path / "tracks.jsonl"
+    tracks.write_text(json.dumps(car) + "\n" + json.dumps(walker) + "\n")
+    paths = dict(chain, tracks=tracks)
+    code, stderr = _run_uncaptured(_argv("analyze", paths, tmp_path / "out"))
+    assert (code, stderr) == (0, "")

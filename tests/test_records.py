@@ -122,6 +122,27 @@ def test_tracks_decreasing_frames_rejected():
         parse_tracks(a + "\n" + b + "\n")
 
 
+@pytest.mark.parametrize("track_id", [2 ** 63, -2 ** 63 - 1, 2 ** 70])
+def test_tracks_id_must_fit_int64(track_id):
+    import json
+    row = json.dumps(track_row(0, track_id, "car", (1, 1, 2, 2), (1, 2)))
+    with pytest.raises(SchemaError, match="line 1: id must be a 64-bit"):
+        parse_tracks(row + "\n")
+    edge = 2 ** 63 - 1 if track_id > 0 else -2 ** 63
+    row = json.dumps(track_row(0, edge, "car", (1, 1, 2, 2), (1, 2)))
+    assert parse_tracks(row + "\n")[0]["id"] == edge
+
+
+def test_tracks_id_once_per_frame():
+    import json
+    a = json.dumps(track_row(4, 7, "car", (1, 1, 2, 2), (1, 2)))
+    b = json.dumps(track_row(4, 7, "bus", (5, 1, 2, 2), (5, 2)))
+    with pytest.raises(SchemaError, match="line 2: id 7 appears twice"):
+        parse_tracks(a + "\n" + b + "\n")
+    c = json.dumps(track_row(5, 7, "car", (1, 1, 2, 2), (1, 2)))
+    assert len(parse_tracks(a + "\n" + c + "\n")) == 2
+
+
 @pytest.mark.parametrize("value", ["NaN", "-Infinity", "1e999"])
 def test_tracks_non_finite_speed_rejected(value):
     import json
