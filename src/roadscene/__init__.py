@@ -1,8 +1,8 @@
 """Traffic-scene geometry, tracking and analytics for fixed roadside cameras."""
 
 from .analytics import (AnalyticsConfig, FrameTracks, HeatMap,
-                        StateClassifier, frame_stats, make_heatmaps, render,
-                        update_heatmaps)
+                        StateClassifier, frame_stats, make_heatmaps,
+                        perspective_sample, render, update_heatmaps)
 from .box3d import DEFAULT_PRIORS, lift_to_3d, make_footprint
 from .calibration import (RansacParams, fit_distortion_es, ransac_homography,
                           ransac_iterations)
@@ -31,6 +31,7 @@ __all__ = [
     "extract_boundary", "fit_distortion_es", "frame_stats", "heading",
     "histogram_match", "invert", "kf_predict", "kf_update", "lift_to_3d",
     "load_config", "make_footprint", "make_heatmaps", "parse_config",
-    "ransac_homography", "ransac_iterations", "read_pnm", "refine_mask",
-    "render", "speed_mph", "srg_segment", "update_heatmaps", "write_pnm",
+    "perspective_sample", "ransac_homography", "ransac_iterations",
+    "read_pnm", "refine_mask", "render", "speed_mph", "srg_segment",
+    "update_heatmaps", "write_pnm",
 ]

@@ -192,20 +192,20 @@ _KERNEL_DY = np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])
 _KERNEL_DX = np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1])
 
 
-def _deposit(heat: HeatMap, xy: np.ndarray) -> None:
-    """`bump` at each BEV position of the (n, 2) array `xy`, with one
-    `np.add.at`; integer adds commute, so the grid equals n bumps."""
-    h, w = heat.shape
+def _kernel_cells(xy: np.ndarray, shape: tuple[int, int]):
+    """The cells and units of `bump` at each BEV position of the (n, 2)
+    array `xy`: (n, 9) row indices, column indices and units.  A kernel
+    cell off the map gets 0 units and an index clipped onto the map."""
+    h, w = shape
     center = np.minimum(np.maximum(np.floor(xy + 0.5), 0), (w - 1, h - 1))
     center = center.astype(np.int64)
     xs = center[:, :1] + _KERNEL_DX
     ys = center[:, 1:] + _KERNEL_DY
     inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
-    weights = _KERNEL.ravel() * inside
+    units = _KERNEL.ravel() * inside
     # clipped kernel sums always divide 144, as in `bump`
-    weights *= (_BUMP_UNITS // weights.sum(axis=1))[:, None]
-    np.add.at(heat._units, (ys[inside], xs[inside]), weights[inside])
-    heat.events += len(xy)
+    units *= (_BUMP_UNITS // units.sum(axis=1))[:, None]
+    return np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1), units
 
 
 class StateClassifier:
@@ -273,16 +273,27 @@ def update_heatmaps(maps: Mapping[str, HeatMap], tracks: FrameTracks,
                     states: StateSets) -> Mapping[str, HeatMap]:
     """Deposit one frame of classified positions into the five maps:
     all pedestrians, non-parked vehicles, and the speeding, congestion
-    and collision-risk sets."""
+    and collision-risk sets.
+
+    Each position's kernel is worked out once per map shape, and each map
+    takes its positions in one `np.add.at`; integer adds commute, so the
+    grids equal one `bump` per position.
+    """
     ids = tracks.ids
     masks = {"pedestrian": tracks.pedestrian,
              "vehicle": ~tracks.pedestrian & ~_members(ids, states.parking),
              "speeding": _members(ids, states.speeding),
              "congestion": _members(ids, states.congestion),
              "proximity": _members(ids, states.collision_risk)}
+    kernels = {}  # map shape -> _kernel_cells of every position
     for kind, mask in masks.items():
         if mask.any():
-            _deposit(maps[kind], tracks.xy[mask])
+            heat = maps[kind]
+            if heat.shape not in kernels:
+                kernels[heat.shape] = _kernel_cells(tracks.xy, heat.shape)
+            ys, xs, units = kernels[heat.shape]
+            np.add.at(heat._units, (ys[mask], xs[mask]), units[mask])
+            heat.events += int(mask.sum())
     return maps
 
 
@@ -317,16 +328,40 @@ def _colorize(norm: np.ndarray) -> np.ndarray:
     return out
 
 
+def perspective_sample(h_inv: Homography, view: tuple[int, int],
+                       shape: tuple[int, int]) -> np.ndarray:
+    """Where each pixel of a camera view samples a BEV map, for `render`.
+
+    `h_inv` is the BEV-to-perspective mapping.  Each pixel of the (height,
+    width) `view` is carried back to BEV by the forward mapping and samples
+    the nearest cell of a map of `shape`.  The result is a `view`-shaped
+    int64 array of flat cell indices; pixels that fall off the map hold
+    the cell count, one past the last cell.
+    """
+    g = invert(h_inv)  # perspective -> bev
+    if g.source != PERSPECTIVE:
+        raise ValueError("h_inv must map bev to perspective")
+    h, w = shape
+    # (x, y) of each output pixel, row by row
+    grid = np.indices(view, dtype=float)[::-1].reshape(2, -1).T
+    # bounds are tested before the cast, which inf would not survive
+    sx, sy = np.floor(apply_many(g, grid) + 0.5).T
+    inside = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
+    index = np.full(len(grid), h * w, dtype=np.int64)
+    index[inside] = (sy[inside].astype(np.int64) * w
+                     + sx[inside].astype(np.int64))
+    return index.reshape(view)
+
+
 def render(heat: HeatMap, base: ImageBuffer | None = None,
-           h_inv: Homography | None = None,
+           sample: np.ndarray | None = None,
            floor: int = 5, alpha: float = 0.6) -> ImageBuffer:
     """Color-coded heat image: min-max normalize, drop faint cells, map
     through the blue-to-red gradient, optionally blend over a base image
     and re-project to the camera view.
 
-    With `h_inv` (the BEV-to-perspective mapping) each output pixel is
-    carried back to BEV by the forward mapping and sampled nearest-
-    neighbor, so the output grid matches `base` (or the map size).
+    With `sample`, from `perspective_sample` for this map's shape, the
+    output is the camera view, and pixels off the map read 0.
     """
     values = heat.h
     vmax = float(values.max())
@@ -338,22 +373,8 @@ def render(heat: HeatMap, base: ImageBuffer | None = None,
     else:
         norm = (values - vmin) / (vmax - vmin) * 255.0
 
-    if h_inv is not None:
-        out_h, out_w = base.pixels.shape[:2] if base is not None \
-            else values.shape
-        g = invert(h_inv)  # perspective -> bev
-        if g.source != PERSPECTIVE:
-            raise ValueError("h_inv must map bev to perspective")
-        # (x, y) of each output pixel, row by row
-        grid = np.indices((out_h, out_w), dtype=float)[::-1].reshape(2, -1).T
-        # bounds are tested before the cast, which inf would not survive
-        sx, sy = np.floor(apply_many(g, grid) + 0.5).T
-        inside = ((sx >= 0) & (sx < values.shape[1])
-                  & (sy >= 0) & (sy < values.shape[0]))
-        sampled = np.zeros(len(grid))
-        sampled[inside] = norm[sy[inside].astype(np.int64),
-                               sx[inside].astype(np.int64)]
-        norm = sampled.reshape(out_h, out_w)
+    if sample is not None:
+        norm = np.append(norm.ravel(), 0.0)[sample]
 
     visible = norm >= floor
     color = _colorize(norm)

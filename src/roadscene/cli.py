@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from pathlib import Path
 
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import records
 from .analytics import (HEAT_KINDS, FrameTracks, StateClassifier,
-                        frame_stats, make_heatmaps, render, update_heatmaps)
+                        frame_stats, make_heatmaps, perspective_sample,
+                        render, update_heatmaps)
 from .box3d import lift_cuboids
 from .calibration import Correspondence, fit_distortion_es, ransac_homography
 from .config import Config, load_config
@@ -31,11 +33,11 @@ from .imaging import (BackgroundAccumulator, accumulate_background,
                       histogram_match, read_pnm, to_gray, write_pnm)
 from .motion import (BevKalmanState, abf, heading, kf_predict, kf_update,
                      speed_mph)
-from .records import (dump_json, load_boundary, load_calibration,
+from .records import (dump_json, dump_rows, load_boundary, load_calibration,
                       load_detections, load_heatmap, load_json, load_stats,
                       load_tracks, merge_stats, save_boundary, save_heatmap,
-                      state_rows, track_row, tracks_by_frame, write_states,
-                      write_stats, write_tracks)
+                      state_rows, track_row, write_states, write_stats,
+                      write_tracks)
 from .roadmodel import extract_boundary, refine_mask, srg_segment
 from .seeding import subsystem_seed
 from .simulate import load_scenario, run_simulate
@@ -193,11 +195,15 @@ def _cmd_track(args) -> int:
     tracker = MomctTracker(**cfg.tracker_kwargs())
     t_w = 1.0 / cfg.fps
     motion: dict[int, dict] = {}
-    rows = []
+    # each frame's rows are encoded as soon as they are complete, so only
+    # their text outlives the frame
+    chunks = []
+    n_rows = 0
     for frame in range(last_frame + 1):
         snaps = tracker.step(by_frame.get(frame, []), frame)
         if not snaps:
             continue
+        rows = []
         refs = np.array([snap.ref for snap in snaps])
         bev_x, bev_y = apply_xy(g, refs[:, 0], refs[:, 1])
         lifted = []  # (row, BEV center, snapshot, heading) per cuboid
@@ -242,9 +248,11 @@ def _cmd_track(args) -> int:
                 beta=cfg.beta)
             for row, cuboid in zip(owners, cuboids.tolist()):
                 row["cuboid"] = cuboid
-    write_tracks(out_path, rows)
-    print(f"track: {len(rows)} track rows, "
-          f"{len({r['id'] for r in rows})} identities")
+        chunks.append(dump_rows(rows))
+        n_rows += len(rows)
+    write_tracks(out_path, chunks)
+    # every track that made a row has a motion entry
+    print(f"track: {n_rows} track rows, {len(motion)} identities")
     return 0
 
 
@@ -292,18 +300,25 @@ def _resolve_bev_shape(args, calib) -> tuple[int, int]:
                       "bev_size in calibration.json")
 
 
-def _frame_tracks(rows: list[dict]) -> FrameTracks:
-    """The rows that have a BEV position, as columns; a missing speed
-    reads 0 and a negative one is clamped to 0."""
+def _frame_tracks(rows: list[dict], frames: range):
+    """Yield, for each frame of `frames`, its rows that have a BEV position
+    as columns; a missing speed reads 0 and a negative one is clamped to
+    0."""
     rows = [row for row in rows if row["bev"] is not None]
     speeds = [row["speed_mph"] for row in rows]
-    return FrameTracks(
+    table = FrameTracks(
         ids=np.array([row["id"] for row in rows], dtype=np.int64),
         pedestrian=np.array([row["class"] == PEDESTRIAN for row in rows],
                             dtype=bool),
         xy=np.array([row["bev"] for row in rows], dtype=float).reshape(-1, 2),
         speed_mph=np.array([0.0 if v is None else max(v, 0.0)
                             for v in speeds], dtype=float))
+    # load_tracks keeps frames non-decreasing, so each frame is one slice
+    row_frames = [row["frame"] for row in rows]
+    for frame in frames:
+        part = slice(bisect_left(row_frames, frame),
+                     bisect_right(row_frames, frame))
+        yield FrameTracks(*(column[part] for column in table))
 
 
 def _cmd_analyze(args) -> int:
@@ -312,21 +327,20 @@ def _cmd_analyze(args) -> int:
     scale = GroundScale(calib.get("iota_m_per_px") or cfg.iota_m_per_px)
     shape = _resolve_bev_shape(args, calib)
     rows = load_tracks(args.tracks)
-    grouped = tracks_by_frame(rows)
     boundary = load_boundary(args.boundary) if args.boundary else None
 
     start = args.from_frame if args.from_frame is not None else 0
     if args.to_frame is not None:
         stop = args.to_frame
     else:
-        stop = max(grouped) if grouped else start - 1
+        stop = rows[-1]["frame"] if rows else start - 1
 
     classifier = StateClassifier(boundary, scale, cfg.analytics, cfg.fps)
     maps = make_heatmaps(shape)
     stats = []
     event_rows = []
-    for frame in range(start, stop + 1):
-        tracks = _frame_tracks(grouped.get(frame, []))
+    frames = range(start, stop + 1)
+    for frame, tracks in zip(frames, _frame_tracks(rows, frames)):
         states = classifier.step(frame, tracks)
         stats.append(frame_stats(frame, tracks, states))
         event_rows.extend(state_rows(states))
@@ -357,6 +371,7 @@ def _cmd_render(args) -> int:
     out = _out_dir(args)
     heat_dir = Path(args.heat_dir)
     written = 0
+    samples = {}  # map shape -> where the camera view samples such a map
     for kind in HEAT_KINDS:
         path = heat_dir / f"heat_{kind}.json"
         if not path.exists():
@@ -372,7 +387,12 @@ def _cmd_render(args) -> int:
         write_pnm(img, out / f"heat_{kind}_bev.ppm")
         written += 1
         if h_inv is not None:
-            img_p = render(heat, base=persp_base, h_inv=h_inv,
+            if heat.shape not in samples:
+                view = (persp_base.pixels.shape[:2] if persp_base is not None
+                        else heat.shape)
+                samples[heat.shape] = perspective_sample(h_inv, view,
+                                                         heat.shape)
+            img_p = render(heat, base=persp_base, sample=samples[heat.shape],
                            floor=cfg.render_floor, alpha=cfg.render_alpha)
             write_pnm(img_p, out / f"heat_{kind}_perspective.ppm")
     print(f"render: wrote {written} map(s)")

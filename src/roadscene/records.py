@@ -82,18 +82,32 @@ def _number_list(value, key: str, n: int, lineno: int) -> tuple:
     return tuple(_number(v, key, lineno) for v in value)
 
 
+def _lines(text: str):
+    """Yield (line number, line) for each non-blank line."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            yield lineno, line
+
+
+def _json_object(line: str, lineno: int) -> dict:
+    try:
+        row = parse_json(line)
+    except ValueError as exc:
+        raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from None
+    if not isinstance(row, dict):
+        raise SchemaError(f"line {lineno}: expected an object")
+    return row
+
+
 def json_rows(text: str):
     """Yield (line number, object) for each non-blank JSON Lines row."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = parse_json(line)
-        except ValueError as exc:
-            raise SchemaError(f"line {lineno}: invalid JSON: {exc}") from None
-        if not isinstance(row, dict):
-            raise SchemaError(f"line {lineno}: expected an object")
-        yield lineno, row
+    for lineno, line in _lines(text):
+        yield lineno, _json_object(line, lineno)
+
+
+def dump_rows(rows) -> str:
+    """Rows as JSON Lines, each spelled by `_dump_row`."""
+    return "".join(_dump_row(row) + "\n" for row in rows)
 
 
 def _frame(row: dict, last: int, lineno: int) -> int:
@@ -113,31 +127,89 @@ def _int64(value) -> bool:
     return type(value) is int and -2 ** 63 <= value < 2 ** 63
 
 
+# The row files as their writers spell them.  `repr` writes a finite float
+# as digits with a point, or as one digit, an optional fraction and an
+# exponent.  The grammar takes two-digit exponents only, so every match is
+# finite, and integers of at most 18 digits, which fit int64.  A line in any
+# other spelling goes to the general decoder, which applies the same checks.
+# The patterns are strings, which `re` compiles and caches on first use.
+_FLOAT = (r"-?(?:(?:0|[1-9][0-9]{0,15})\.[0-9]+"
+          r"|[1-9](?:\.[0-9]+)?e[-+][0-9]{2})")
+_UINT = r"(?:0|[1-9][0-9]{0,17})"
+
+
+def _float_list(n: int) -> str:
+    """Pattern of `n` comma-separated floats."""
+    return ",".join([_FLOAT] * n)
+
+
+def _parse_floats(text: str) -> tuple:
+    return tuple(map(float, text.split(",")))
+
+
 # --- detections -------------------------------------------------------------
+
+# groups: bbox, frame, probs, score
+_DETECTION_LINE = (
+    r'\{"bbox":\[(' + _float_list(4) + r')\],'
+    r'"camera":0,'
+    r'"frame":(' + _UINT + r'),'
+    r'"probs":\[(' + _float_list(len(CLASS_NAMES)) + r')\],'
+    r'"score":(' + _FLOAT + r')'
+    r'(?:,"t":' + _FLOAT + r')?\}')
+
 
 def parse_detections(text: str) -> list[tuple[int, list[Detection]]]:
     """Parse detection JSON Lines into (frame, detections) groups.
 
     Rows must carry non-decreasing frame numbers; extra keys are ignored.
+    Lines that `write_detections` spelled are matched by one regex; any
+    other line goes through the general decoder.
     """
+    own = re.compile(_DETECTION_LINE).fullmatch
     frames: list[tuple[int, list[Detection]]] = []
     last = -1
-    for lineno, row in json_rows(text):
-        frame = _frame(row, last, lineno)
-        bbox = _number_list(_require(row, "bbox", lineno), "bbox", 4, lineno)
-        score = _number(_require(row, "score", lineno), "score", lineno)
-        probs = _number_list(_require(row, "probs", lineno), "probs",
-                             len(CLASS_NAMES), lineno)
-        try:
-            det = Detection(frame=frame, bbox=bbox, objectness=score,
-                            class_probs=probs)
-        except ValueError as exc:
-            raise SchemaError(f"line {lineno}: {exc}") from None
-        if frame != last:
-            frames.append((frame, []))
-            last = frame
+    for lineno, line in _lines(text):
+        det = (_own_detection(own(line), last)
+               or _json_detection(line, lineno, last))
+        if det.frame != last:
+            frames.append((det.frame, []))
+            last = det.frame
         frames[-1][1].append(det)
     return frames
+
+
+def _own_detection(match, last: int) -> Detection | None:
+    """The detection of a matched line, or None; None also when the row
+    is out of frame order or invalid, so that the general path names the
+    fault."""
+    if match is None:
+        return None
+    bbox, frame, probs, score = match.groups()
+    frame = int(frame)
+    if frame < last:
+        return None
+    try:
+        return Detection(frame=frame, bbox=_parse_floats(bbox),
+                         objectness=float(score),
+                         class_probs=_parse_floats(probs))
+    except ValueError:
+        return None
+
+
+def _json_detection(line: str, lineno: int, last: int) -> Detection:
+    """The detection of a row in any JSON spelling, after every check."""
+    row = _json_object(line, lineno)
+    frame = _frame(row, last, lineno)
+    bbox = _number_list(_require(row, "bbox", lineno), "bbox", 4, lineno)
+    score = _number(_require(row, "score", lineno), "score", lineno)
+    probs = _number_list(_require(row, "probs", lineno), "probs",
+                         len(CLASS_NAMES), lineno)
+    try:
+        return Detection(frame=frame, bbox=bbox, objectness=score,
+                         class_probs=probs)
+    except ValueError as exc:
+        raise SchemaError(f"line {lineno}: {exc}") from None
 
 
 def load_detections(path) -> list[tuple[int, list[Detection]]]:
@@ -150,7 +222,7 @@ def write_detections(path, frames, fps: float | None = None) -> None:
     Each row also carries the source camera id, always 0, and, when fps is
     known, the frame timestamp in seconds.
     """
-    lines = []
+    rows = []
     for frame, dets in frames:
         for det in dets:
             row = {
@@ -162,9 +234,8 @@ def write_detections(path, frames, fps: float | None = None) -> None:
             }
             if fps is not None:
                 row["t"] = frame / fps
-            lines.append(_dump_row(row))
-    Path(path).write_text("".join(line + "\n" for line in lines),
-                          encoding="utf-8")
+            rows.append(row)
+    Path(path).write_text(dump_rows(rows), encoding="utf-8")
 
 
 # --- tracks -----------------------------------------------------------------
@@ -185,56 +256,99 @@ def track_row(frame: int, track_id: int, class_name: str, bbox, ref,
     }
 
 
-def write_tracks(path, rows) -> None:
-    Path(path).write_text(
-        "".join(_dump_row(row) + "\n" for row in rows), encoding="utf-8")
+def write_tracks(path, chunks) -> None:
+    """Write track JSON Lines from text chunks that `dump_rows` encoded;
+    `track` hands in one chunk per frame."""
+    Path(path).write_text("".join(chunks), encoding="utf-8")
+
+
+# groups: bev, class, frame, id, speed_mph; the cuboid is checked, not read
+_POINT = r"\[" + _float_list(2) + r"\]"
+_TRACK_LINE = (
+    r'\{"bbox":\[' + _float_list(4) + r'\],'
+    r'"bev":(?:null|\[(' + _float_list(2) + r')\]),'
+    r'"class":"(' + "|".join(map(re.escape, CLASS_NAMES)) + r')",'
+    r'"cuboid":(?:null|\[' + _POINT + "(?:," + _POINT + r"){7}\]),"
+    r'"frame":(' + _UINT + r'),'
+    r'"heading_deg":(?:null|' + _FLOAT + r'),'
+    r'"id":(0|-?[1-9][0-9]{0,17}),'
+    r'"ref":' + _POINT + r','
+    r'"speed_mph":(?:null|(' + _FLOAT + r'))\}')
 
 
 def parse_tracks(text: str) -> list[dict]:
-    """Parse track JSON Lines; returns the row dicts after validation.
+    """Parse track JSON Lines into rows of the fields that `segment` and
+    `analyze` read: frame, id, class, bev (an (x, y) tuple or None) and
+    speed_mph.
 
-    A frame lists each track id at most once.
+    Every field is checked, and a frame lists each track id at most once.
+    Lines that `track` spelled are matched by one regex, which checks the
+    cuboid's syntax without decoding it; any other line goes through the
+    general decoder.
     """
-    out: list[dict] = []
-    last = -1
-    for lineno, row in json_rows(text):
-        frame = _frame(row, last, lineno)
-        if frame != last:
-            last, ids = frame, set()
-        track_id = _require(row, "id", lineno)
-        if not _int64(track_id):
-            raise SchemaError(f"line {lineno}: id must be a 64-bit integer")
-        if track_id in ids:
-            raise SchemaError(f"line {lineno}: id {track_id} appears twice "
-                              f"in frame {frame}")
-        ids.add(track_id)
-        class_name = _require(row, "class", lineno)
-        if class_name not in CLASS_NAMES:
-            raise SchemaError(f"line {lineno}: unknown class {class_name!r}")
-        _number_list(_require(row, "bbox", lineno), "bbox", 4, lineno)
-        _number_list(_require(row, "ref", lineno), "ref", 2, lineno)
-        for key, width in (("bev", 2), ("speed_mph", None),
-                           ("heading_deg", None)):
-            value = _require(row, key, lineno)
-            if value is None:
-                continue
-            if width is None:
-                _number(value, key, lineno)
-            else:
-                _number_list(value, key, width, lineno)
-        out.append(row)
-    return out
+    own = re.compile(_TRACK_LINE).fullmatch
+    rows: list[dict] = []
+    last, ids = -1, set()
+    for lineno, line in _lines(text):
+        row = (_own_track(own(line), last, ids)
+               or _json_track(line, lineno, last, ids))
+        if row["frame"] != last:
+            last, ids = row["frame"], set()
+        ids.add(row["id"])
+        rows.append(row)
+    return rows
+
+
+def _own_track(match, last: int, ids: set) -> dict | None:
+    """The read fields of a matched line, or None; None also when the row
+    is out of frame order or repeats an id of its frame, so that the
+    general path names the fault."""
+    if match is None:
+        return None
+    bev, class_name, frame, track_id, speed = match.groups()
+    frame, track_id = int(frame), int(track_id)
+    if frame < last or (frame == last and track_id in ids):
+        return None
+    return {"frame": frame, "id": track_id, "class": class_name,
+            "bev": None if bev is None else _parse_floats(bev),
+            "speed_mph": None if speed is None else float(speed)}
+
+
+def _json_track(line: str, lineno: int, last: int, ids: set) -> dict:
+    """The read fields of a row in any JSON spelling, after every check."""
+    row = _json_object(line, lineno)
+    frame = _frame(row, last, lineno)
+    track_id = _require(row, "id", lineno)
+    if not _int64(track_id):
+        raise SchemaError(f"line {lineno}: id must be a 64-bit integer")
+    if frame == last and track_id in ids:
+        raise SchemaError(f"line {lineno}: id {track_id} appears twice "
+                          f"in frame {frame}")
+    class_name = _require(row, "class", lineno)
+    if class_name not in CLASS_NAMES:
+        raise SchemaError(f"line {lineno}: unknown class {class_name!r}")
+    _number_list(_require(row, "bbox", lineno), "bbox", 4, lineno)
+    _number_list(_require(row, "ref", lineno), "ref", 2, lineno)
+    bev = _nullable(row, "bev", 2, lineno)
+    speed = _nullable(row, "speed_mph", None, lineno)
+    _nullable(row, "heading_deg", None, lineno)
+    return {"frame": frame, "id": track_id, "class": class_name,
+            "bev": bev, "speed_mph": speed}
+
+
+def _nullable(row: dict, key: str, width: int | None, lineno: int):
+    """Null, or a finite number (`width` None) or `width` of them, as
+    floats."""
+    value = _require(row, key, lineno)
+    if value is None:
+        return None
+    if width is None:
+        return _number(value, key, lineno)
+    return _number_list(value, key, width, lineno)
 
 
 def load_tracks(path) -> list[dict]:
     return parse_tracks(Path(path).read_text(encoding="utf-8"))
-
-
-def tracks_by_frame(rows: list[dict]) -> dict[int, list[dict]]:
-    grouped: dict[int, list[dict]] = {}
-    for row in rows:
-        grouped.setdefault(row["frame"], []).append(row)
-    return grouped
 
 
 # --- calibration ------------------------------------------------------------
@@ -298,8 +412,7 @@ def state_rows(states) -> list[dict]:
 
 
 def write_states(path, all_rows) -> None:
-    Path(path).write_text(
-        "".join(_dump_row(row) + "\n" for row in all_rows), encoding="utf-8")
+    Path(path).write_text(dump_rows(all_rows), encoding="utf-8")
 
 
 # --- frame stats ------------------------------------------------------------

@@ -15,6 +15,7 @@ from roadscene.analytics import (
     bump,
     frame_stats,
     make_heatmaps,
+    perspective_sample,
     render,
     update_heatmaps,
 )
@@ -561,13 +562,15 @@ class TestRender:
     def test_identity_reprojection_matches_plain_render(self):
         heat = self.single_bump_map()
         identity = Homography(np.eye(3), source=BEV, target=PERSPECTIVE)
-        assert render(heat, h_inv=identity) == render(heat)
+        sample = perspective_sample(identity, heat.shape, heat.shape)
+        assert render(heat, sample=sample) == render(heat)
 
     def test_translation_reprojection_shifts_peak(self):
         heat = self.single_bump_map()
         shift = Homography(np.array([[1.0, 0, 6.0], [0, 1.0, 0], [0, 0, 1]]),
                            source=BEV, target=PERSPECTIVE)
-        img = render(heat, h_inv=shift)
+        img = render(heat, sample=perspective_sample(shift, heat.shape,
+                                                     heat.shape))
         assert tuple(img.pixels[10, 16]) == (255, 0, 0)
         assert tuple(img.pixels[10, 10]) == (0, 0, 0)
 
@@ -575,7 +578,8 @@ class TestRender:
         heat = self.single_bump_map()
         base = ImageBuffer(np.zeros((30, 40), dtype=np.uint8))
         identity = Homography(np.eye(3), source=BEV, target=PERSPECTIVE)
-        img = render(heat, base=base, h_inv=identity)
+        img = render(heat, base=base,
+                     sample=perspective_sample(identity, (30, 40), heat.shape))
         assert img.pixels.shape == (30, 40, 3)
 
     def test_gradient_midpoint_is_green(self):

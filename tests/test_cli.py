@@ -8,6 +8,7 @@ import pytest
 from scene_helpers import scene_dict
 
 import roadscene
+from roadscene import cli, records
 from roadscene.cli import main
 from roadscene.records import load_heatmap, load_stats, load_tracks
 
@@ -118,6 +119,52 @@ def test_chain_stats_cover_all_frames(pipeline):
 def test_chain_renders_bev_and_perspective(pipeline):
     assert (pipeline["render"] / "heat_vehicle_bev.ppm").exists()
     assert (pipeline["render"] / "heat_vehicle_perspective.ppm").exists()
+
+
+def test_track_writes_each_frame_as_one_dump_row_join(tmp_path, pipeline,
+                                                     monkeypatch):
+    chunks = []
+    real = cli.write_tracks
+
+    def spy(path, parts):
+        chunks.extend(parts)
+        real(path, parts)
+
+    monkeypatch.setattr(cli, "write_tracks", spy)
+    tracks = tmp_path / "tracks.jsonl"
+    assert run("track", "--detections",
+               str(pipeline["sim"] / "detections.jsonl"), "--calibration",
+               str(pipeline["cal"] / "calibration.json"),
+               "--out", str(tracks)) == 0
+    text = tracks.read_text(encoding="utf-8")
+    rows = [json.loads(line) for line in text.splitlines()]
+    assert text == "".join(records._dump_row(row) + "\n" for row in rows)
+    # one chunk per frame that has rows, in frame order
+    frames = [{json.loads(line)["frame"] for line in chunk.splitlines()}
+              for chunk in chunks]
+    assert all(len(f) == 1 for f in frames)
+    assert [min(f) for f in frames] == sorted({r["frame"] for r in rows})
+
+
+def test_segment_and_analyze_read_any_json_spelling(tmp_path, pipeline):
+    # json.dumps puts spaces after separators, so no line takes the fast path
+    spelled = tmp_path / "tracks.jsonl"
+    spelled.write_text("".join(
+        json.dumps(json.loads(line)) + "\n"
+        for line in pipeline["tracks"].read_text().splitlines()))
+    road, an = tmp_path / "road", tmp_path / "an"
+    assert run("segment", "--tracks", str(spelled),
+               "--satellite", str(pipeline["sim"] / "satellite.pgm"),
+               "--out", str(road)) == 0
+    assert run("analyze", "--tracks", str(spelled),
+               "--calibration", str(pipeline["cal"] / "calibration.json"),
+               "--boundary", str(road / "boundary.json"),
+               "--out", str(an)) == 0
+    for ours, theirs in ((road, pipeline["road"]), (an, pipeline["an"])):
+        names = sorted(p.name for p in theirs.iterdir())
+        assert names == sorted(p.name for p in ours.iterdir())
+        for name in names:
+            assert (ours / name).read_bytes() == (theirs / name).read_bytes()
 
 
 def test_rerun_is_byte_identical(pipeline, tmp_path):
@@ -390,7 +437,8 @@ def test_bad_scenario_field_exits_2(tmp_path, capsys, key, value):
 
 def test_analyze_track_id_beyond_int64_exits_2(tmp_path, pipeline, capsys):
     tracks = tmp_path / "tracks.jsonl"
-    row = load_tracks(pipeline["tracks"])[0]
+    # every field of the row, which load_tracks does not all return
+    row = json.loads(pipeline["tracks"].read_text().splitlines()[0])
     row["id"] = 2 ** 70
     tracks.write_text(json.dumps(row) + "\n")
     code = run("analyze", "--tracks", str(tracks),

@@ -10,14 +10,14 @@ from roadscene import records
 from roadscene.analytics import HEAT_KINDS, FrameStats, HeatMap, bump
 from roadscene.errors import SchemaError
 from roadscene.geometry import BEV, PERSPECTIVE, PixelPoint
-from roadscene.records import (load_boundary, load_calibration,
+from roadscene.records import (dump_rows, load_boundary, load_calibration,
                                load_detections, load_heatmap, load_json,
                                load_stats, load_tracks, merge_stats,
                                parse_detections, parse_tracks, save_boundary,
-                               save_heatmap, track_row, tracks_by_frame,
-                               write_detections, write_stats, write_tracks)
+                               save_heatmap, track_row, write_detections,
+                               write_stats, write_tracks)
 from roadscene.roadmodel import BoundarySet
-from roadscene.tracking import Detection
+from roadscene.tracking import CLASS_NAMES, Detection
 
 N = 11  # class count
 
@@ -97,13 +97,15 @@ def test_tracks_round_trip(tmp_path):
                   speed_mph=12.5, heading_deg=90.0, cuboid=None),
         track_row(1, 1, "car", (11, 20, 4, 6), (11, 23)),
     ]
-    write_tracks(path, rows)
-    back = load_tracks(path)
-    assert len(back) == 2
-    assert back[0]["speed_mph"] == 12.5
-    assert back[1]["bev"] is None
-    grouped = tracks_by_frame(back)
-    assert sorted(grouped) == [0, 1]
+    write_tracks(path, [dump_rows(rows[:1]), dump_rows(rows[1:])])
+    # load_tracks returns only the fields segment and analyze read
+    assert [json.loads(line) for line in path.read_text().splitlines()] \
+        == rows
+    assert load_tracks(path) == [
+        {"frame": 0, "id": 1, "class": "car", "bev": (5.0, 6.0),
+         "speed_mph": 12.5},
+        {"frame": 1, "id": 1, "class": "car", "bev": None,
+         "speed_mph": None}]
 
 
 def test_tracks_unknown_class_names_line():
@@ -175,9 +177,195 @@ def test_tracks_writer_is_deterministic(tmp_path):
     rows = [track_row(0, 1, "bus", (1.5, 2.5, 3.0, 4.0), (1.5, 4.5),
                       speed_mph=3.25)]
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_tracks(p1, rows)
-    write_tracks(p2, rows)
+    write_tracks(p1, [dump_rows(rows)])
+    write_tracks(p2, [dump_rows(rows)])
     assert p1.read_bytes() == p2.read_bytes()
+
+
+# --- the row readers' two paths --------------------------------------------
+
+def _two_digit_exponent(lo, hi):
+    """Floats in [lo, hi] whose repr has at most a two-digit exponent, the
+    spelling the fast path takes; smaller magnitudes become a signed 0."""
+    return st.floats(lo, hi).map(lambda v: v * 0 if abs(v) < 1e-99 else v)
+
+
+_FLOAT = _two_digit_exponent(-9.9e99, 9.9e99)
+_POSITIVE = _two_digit_exponent(1e-99, 9.9e99)
+
+
+def _pairs(n):
+    return st.lists(st.tuples(_FLOAT, _FLOAT).map(list), min_size=n,
+                    max_size=n)
+
+
+@st.composite
+def _track_rows(draw):
+    """Track rows as `track` writes them: frames non-decreasing from 1, ids
+    of at most 18 digits and unique within a frame."""
+    rows = []
+    frame = draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 3))):
+        ids = draw(st.lists(st.integers(-10 ** 18 + 1, 10 ** 18 - 1),
+                            min_size=1, max_size=2, unique=True))
+        for track_id in ids:
+            rows.append(track_row(
+                frame, track_id, draw(st.sampled_from(CLASS_NAMES)),
+                draw(st.tuples(*[_FLOAT] * 4)),
+                draw(st.tuples(_FLOAT, _FLOAT)),
+                bev=draw(st.none() | st.tuples(_FLOAT, _FLOAT)),
+                speed_mph=draw(st.none() | _FLOAT),
+                heading_deg=draw(st.none() | _FLOAT),
+                cuboid=draw(st.none() | _pairs(8))))
+        frame += draw(st.integers(1, 2))
+    return rows
+
+
+@st.composite
+def _detection_rows(draw):
+    """Detection rows as `write_detections` writes them, frames from 1."""
+    frames = []
+    frame = draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(1, 3))):
+        dets = [Detection(
+            frame=frame,
+            bbox=(draw(_FLOAT), draw(_FLOAT), draw(_POSITIVE),
+                  draw(_POSITIVE)),
+            objectness=draw(_two_digit_exponent(0, 1)),
+            class_probs=tuple(draw(st.lists(
+                _two_digit_exponent(0, 0.09), min_size=len(CLASS_NAMES),
+                max_size=len(CLASS_NAMES)))))
+            for _ in range(draw(st.integers(1, 2)))]
+        frames.append((frame, dets))
+        frame += draw(st.integers(0, 2))
+    fps = draw(st.sampled_from([None, 25.0, 30.0]))
+    rows = []
+    for frame, dets in frames:
+        rows += [{"frame": frame, "bbox": list(det.bbox),
+                  "score": det.objectness, "probs": list(det.class_probs),
+                  "camera": 0, **({} if fps is None else {"t": frame / fps})}
+                 for det in dets]
+    return rows
+
+
+def _float_paths(node, path=()):
+    """Paths to the float leaves of a decoded row."""
+    if isinstance(node, float):
+        return [path]
+    items = node.items() if isinstance(node, dict) else enumerate(node) \
+        if isinstance(node, list) else ()
+    return [p for key, value in items for p in _float_paths(value,
+                                                           path + (key,))]
+
+
+def _set(row, path, value):
+    for key in path[:-1]:
+        row = row[key]
+    row[path[-1]] = value
+
+
+_ROW_MUTATIONS = ["none", "space", "key order", "int", "3-digit exponent",
+                  "1e999", "19 digits", "decreasing frame", "blank line",
+                  "crlf"]
+_TRACK_MUTATIONS = _ROW_MUTATIONS + ["unknown class", "repeated id"]
+_DETECTION_MUTATIONS = _ROW_MUTATIONS + ["camera 1", "negative width"]
+
+
+def _mutate(rows, mutation, data):
+    """(text, line number of the one mutated line or None) of the rows
+    spelled as their writer spells them, with `mutation` applied."""
+    lines = dump_rows(rows).splitlines()
+    k = data.draw(st.integers(0, len(lines) - 1))
+    row = json.loads(lines[k])
+    raw = None
+    if mutation == "space":
+        at = data.draw(st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:at] + " " + lines[k][at:]
+    elif mutation == "key order":
+        lines[k] = json.dumps(dict(reversed(row.items())),
+                              separators=(",", ":"))
+    elif mutation in ("int", "3-digit exponent", "1e999"):
+        path = data.draw(st.sampled_from(_float_paths(row)))
+        value = {"int": data.draw(st.integers(-1000, 1000)),
+                 "3-digit exponent": data.draw(st.sampled_from(
+                     [1.5e-150, -2e-300, 3e+200, 1e+100])),
+                 "1e999": "RAW"}[mutation]
+        _set(row, path, value)
+        raw = "1e999" if mutation == "1e999" else None
+    elif mutation == "19 digits" and "id" in row:
+        sign = data.draw(st.sampled_from([1, -1]))
+        row["id"] = sign * data.draw(st.integers(10 ** 18, 2 ** 64))
+    elif mutation == "19 digits":  # on the last line, as frames only grow
+        k = len(lines) - 1
+        row = json.loads(lines[k])
+        row["frame"] = data.draw(st.integers(10 ** 18, 2 ** 64))
+    elif mutation == "unknown class":
+        row["class"] = "hovercraft"
+    elif mutation == "camera 1":
+        row["camera"] = 1
+    elif mutation == "negative width":
+        row["bbox"][2] = -row["bbox"][2] or -1.0
+    elif mutation == "repeated id":
+        lines.insert(k + 1, lines[k])
+        return "\n".join(lines) + "\n", k + 2
+    elif mutation == "decreasing frame":
+        row["frame"] -= 1  # frames start at 1
+        lines.insert(k + 1, records._dump_row(row))
+        return "\n".join(lines) + "\n", k + 2
+    elif mutation == "blank line":
+        lines.insert(k, data.draw(st.sampled_from(["", "  ", "\t"])))
+        return "\n".join(lines) + "\n", None
+    if mutation == "crlf":
+        return "\r\n".join(lines) + "\r\n", None
+    if mutation == "none":
+        return "\n".join(lines) + "\n", None
+    if mutation not in ("space", "key order"):
+        lines[k] = records._dump_row(row)
+        if raw is not None:
+            lines[k] = lines[k].replace('"RAW"', raw)
+    return "\n".join(lines) + "\n", k + 1
+
+
+def _read(parse, general: str, text: str):
+    """(result or error text, line numbers the general path decoded)."""
+    decoded = []
+    real = getattr(records, general)
+
+    def spy(line, lineno, *state):
+        decoded.append(lineno)
+        return real(line, lineno, *state)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(records, general, spy)
+        try:
+            return repr(parse(text)), decoded
+        except SchemaError as exc:
+            return ("error", str(exc)), decoded
+
+
+def _fast_equals_general(parse, own, general, text, mutated):
+    outcome, decoded = _read(parse, general, text)
+    # the fast path takes every line but the mutated one
+    assert decoded == ([] if mutated is None else [mutated])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(records, own, lambda *args: None)
+        assert _read(parse, general, text)[0] == outcome
+
+
+@settings(max_examples=400, deadline=None)
+@given(_track_rows(), st.sampled_from(_TRACK_MUTATIONS), st.data())
+def test_tracks_fast_reader_equals_general_decoder(rows, mutation, data):
+    text, mutated = _mutate(rows, mutation, data)
+    _fast_equals_general(parse_tracks, "_own_track", "_json_track", text,
+                         mutated)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_detection_rows(), st.sampled_from(_DETECTION_MUTATIONS), st.data())
+def test_detections_fast_reader_equals_general_decoder(rows, mutation, data):
+    text, mutated = _mutate(rows, mutation, data)
+    _fast_equals_general(parse_detections, "_own_detection",
+                         "_json_detection", text, mutated)
 
 
 # --- stats ------------------------------------------------------------------
