@@ -19,10 +19,9 @@ import numpy as np
 from .errors import MissingPrior
 from .geometry import (BEV, GroundScale, Homography, PixelPoint, apply,
                        apply_xy)
+from .tracking import PEDESTRIAN
 
 HEIGHT_COEFFICIENT = 0.6  # fraction of detected pixel height kept for roofs
-
-PEDESTRIAN_CLASS = "pedestrian"
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def _footprints_xy(centers: np.ndarray, class_names: Sequence[str],
 def _roof_height(bbox_2d: Sequence[float], class_name: str,
                  beta: float) -> float:
     h_b = float(bbox_2d[3])
-    return h_b if class_name == PEDESTRIAN_CLASS else beta * h_b
+    return h_b if class_name == PEDESTRIAN else beta * h_b
 
 
 def make_footprint(center_bev: PixelPoint, class_name: str,

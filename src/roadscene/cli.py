@@ -75,6 +75,13 @@ def _cmd_simulate(args) -> int:
 
 # --- calibrate --------------------------------------------------------------
 
+def _xy(value) -> tuple[float, float]:
+    """`value` as (x, y) if it is a list of two finite JSON numbers."""
+    if not records.is_number_list(value, 2):
+        raise ValueError("expected [x, y]")
+    return float(value[0]), float(value[1])
+
+
 def _load_matches(path) -> list[Correspondence]:
     data = load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
@@ -82,13 +89,10 @@ def _load_matches(path) -> list[Correspondence]:
     out = []
     for i, pair in enumerate(data["pairs"]):
         try:
-            cam = pair["cam"]
-            sat = pair["sat"]
             out.append(Correspondence(
-                cam=PixelPoint.perspective(float(cam[0]), float(cam[1])),
-                sat=PixelPoint.bev(float(sat[0]), float(sat[1]))))
-        except (TypeError, KeyError, ValueError, IndexError,
-                OverflowError):
+                cam=PixelPoint.perspective(*_xy(pair["cam"])),
+                sat=PixelPoint.bev(*_xy(pair["sat"]))))
+        except (TypeError, KeyError, ValueError):
             raise SchemaError(
                 f"{path}: pairs[{i}] must be "
                 f"{{'cam': [x, y], 'sat': [x, y]}}") from None
@@ -102,11 +106,9 @@ def _load_trajectories(path) -> list[list[PixelPoint]]:
         if "points" not in row:
             raise SchemaError(f"line {lineno}: expected {{'points': [...]}}")
         try:
-            trajectories.append([
-                PixelPoint.perspective(float(p[0]), float(p[1]))
-                for p in row["points"]])
-        except (TypeError, KeyError, ValueError, IndexError,
-                OverflowError):
+            trajectories.append([PixelPoint.perspective(*_xy(p))
+                                 for p in row["points"]])
+        except (TypeError, ValueError):
             raise SchemaError(
                 f"line {lineno}: points must be [x, y] pairs") from None
     return trajectories
@@ -185,22 +187,15 @@ def _cmd_track(args) -> int:
     detections = load_detections(args.detections)
 
     out_path = _out_file(args)
-    if not detections:
-        write_tracks(out_path, [])
-        print("track: no detections, wrote empty tracks")
-        return 0
-
-    by_frame = dict(detections)
-    last_frame = max(by_frame)
     tracker = MomctTracker(**cfg.tracker_kwargs())
     t_w = 1.0 / cfg.fps
-    motion: dict[int, dict] = {}
+    motion = {}  # track id -> (BEV filter, frame last seen, heading)
     # each frame's rows are encoded as soon as they are complete, so only
     # their text outlives the frame
     chunks = []
     n_rows = 0
-    for frame in range(last_frame + 1):
-        snaps = tracker.step(by_frame.get(frame, []), frame)
+    for frame, dets in detections:
+        snaps = tracker.step(dets, frame)
         if not snaps:
             continue
         rows = []
@@ -208,34 +203,22 @@ def _cmd_track(args) -> int:
         bev_x, bev_y = apply_xy(g, refs[:, 0], refs[:, 1])
         lifted = []  # (row, BEV center, snapshot, heading) per cuboid
         for snap, bev in zip(snaps, zip(bev_x.tolist(), bev_y.tolist())):
-            entry = motion.get(snap.track_id)
-            if entry is None:
-                kf = BevKalmanState.initial(*bev)
-                entry = {"kf": kf, "frame": frame, "heading": None,
-                         "last_pos": None}
-                motion[snap.track_id] = entry
+            if snap.track_id not in motion:
+                kf, theta = BevKalmanState.initial(*bev), None
             else:
-                gap = frame - entry["frame"]
-                kf = kf_predict(entry["kf"], gap * t_w)
-                kf = kf_update(kf, bev)
-                entry["kf"] = kf
-                entry["frame"] = frame
-            pos = entry["kf"].position
-            speed = speed_mph(entry["kf"], scale)
-            if entry["last_pos"] is not None:
+                last, seen, theta = motion[snap.track_id]
+                kf = kf_update(kf_predict(last, (frame - seen) * t_w), bev)
                 try:
-                    raw = heading(pos, entry["last_pos"])
-                    entry["heading"] = (raw if entry["heading"] is None
-                                        else abf(entry["heading"], raw))
+                    raw = heading(kf.position, last.position)
+                    theta = raw if theta is None else abf(theta, raw)
                 except DegenerateDisplacement:
                     pass
-            entry["last_pos"] = pos
-
+            motion[snap.track_id] = (kf, frame, theta)
+            pos = kf.position
             row = track_row(frame, snap.track_id, snap.class_name,
                             snap.bbox, snap.ref, bev=(pos.x, pos.y),
-                            speed_mph=speed, heading_deg=entry["heading"])
+                            speed_mph=speed_mph(kf, scale), heading_deg=theta)
             rows.append(row)
-            theta = entry["heading"]
             if theta is None and snap.class_name == PEDESTRIAN:
                 theta = 0.0
             if theta is not None:

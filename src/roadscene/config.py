@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from .analytics import AnalyticsConfig
-from .box3d import DEFAULT_PRIORS, DimensionPrior
+from .box3d import DEFAULT_PRIORS, HEIGHT_COEFFICIENT, DimensionPrior
 from .calibration import RansacParams
 from .errors import ConfigError, InputError
 from .roadmodel import SrgParams
@@ -34,7 +34,7 @@ class Config:
     srg: SrgParams = SrgParams()
     analytics: AnalyticsConfig = AnalyticsConfig()
     # cuboids
-    beta: float = 0.6
+    beta: float = HEIGHT_COEFFICIENT
     # background extraction
     alpha: float = 0.01
     background_frames: int = 70

@@ -75,6 +75,12 @@ def _number(value, key: str, lineno: int) -> float:
     return float(value)
 
 
+def is_number_list(value, n: int) -> bool:
+    """True for a list of `n` JSON numbers that `_finite` accepts."""
+    return (isinstance(value, list) and len(value) == n
+            and all(map(_finite, value)))
+
+
 def _number_list(value, key: str, n: int, lineno: int) -> tuple:
     if not isinstance(value, list) or len(value) != n:
         raise SchemaError(f"line {lineno}: {key} must be a list of "
@@ -370,9 +376,8 @@ def load_calibration(path) -> dict:
         raise SchemaError(f"{path}: calibration must be an object "
                           f"with a 'g' matrix")
     g = data["g"]
-    if not (isinstance(g, list) and len(g) == 3 and all(
-            isinstance(row, list) and len(row) == 3 and all(map(_finite, row))
-            for row in g)):
+    if not (isinstance(g, list) and len(g) == 3
+            and all(is_number_list(row, 3) for row in g)):
         raise SchemaError(f"{path}: g must be three rows of three finite "
                           f"numbers")
     iota = data.get("iota_m_per_px")
@@ -418,6 +423,10 @@ def write_states(path, all_rows) -> None:
 # --- frame stats ------------------------------------------------------------
 
 _STATS_HEADER = "frame,vehicles,pedestrians,avg_speed_mph"
+# a row as `write_stats` spells it: plain decimal integers, and an average
+# that is empty or a float without `_`, spaces or a leading `+`
+_STATS_ROW = (r"(-?[0-9]+),([0-9]+),([0-9]+),"
+              r"((?:-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)?)")
 
 
 def write_stats(path, stats: list[FrameStats]) -> None:
@@ -439,20 +448,19 @@ def load_stats(path) -> list[FrameStats]:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise SchemaError(f"{path}: line {lineno}: expected 4 fields")
+        match = re.fullmatch(_STATS_ROW, line)
         try:
-            avg = None if parts[3] == "" else float(parts[3])
+            if match is None:
+                raise ValueError
+            frame, vehicles, pedestrians = map(int, match.groups()[:3])
+            avg = float(match[4]) if match[4] else None
             if avg is not None and not math.isfinite(avg):
-                raise ValueError(f"avg_speed_mph must be finite, "
-                                 f"got {parts[3]!r}")
-            out.append(FrameStats(frame=int(parts[0]),
-                                  vehicle_count=int(parts[1]),
-                                  pedestrian_count=int(parts[2]),
-                                  avg_speed_mph=avg))
-        except ValueError as exc:
-            raise SchemaError(f"{path}: line {lineno}: {exc}") from None
+                raise ValueError
+        except ValueError:  # also an integer past int()'s digit limit
+            raise SchemaError(f"{path}: line {lineno}: expected integer "
+                              f"frame and counts and an empty or finite "
+                              f"average, got {line!r}") from None
+        out.append(FrameStats(frame, vehicles, pedestrians, avg))
     return out
 
 

@@ -311,8 +311,17 @@ class MomctTracker:
 
     def step(self, detections: Sequence[Detection],
              frame: int | None = None) -> list[TrackSnapshot]:
-        """Advance one frame; returns snapshots of confirmed tracks."""
-        self.frame = self.frame + 1 if frame is None else int(frame)
+        """Advance to `frame` (default: the next one), first stepping each
+        skipped frame as one without detections; returns snapshots of
+        confirmed tracks."""
+        frame = self.frame + 1 if frame is None else int(frame)
+        # once no track is left, an empty step changes nothing
+        while self.tracks and self.frame + 1 < frame:
+            self._advance([], self.frame + 1)
+        return self._advance(detections, frame)
+
+    def _advance(self, detections, frame: int) -> list[TrackSnapshot]:
+        self.frame = frame
         dets = [d for d in detections if d.objectness >= self.objectness_min]
 
         for t in self.tracks:

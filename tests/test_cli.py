@@ -22,6 +22,15 @@ def run(*argv):
     return main(list(argv))
 
 
+def _source_env() -> dict:
+    """The environment for a fresh interpreter that imports this roadscene."""
+    src = str(Path(roadscene.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """One full simulate -> render chain shared by the read-only tests."""
@@ -245,6 +254,44 @@ def test_too_few_matches_exits_2(tmp_path, capsys):
     assert "InsufficientMatches" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pair", [
+    {"cam": "12", "sat": [1.0, 2.0]},
+    {"cam": [1.0, 2.0], "sat": [True, 3]},
+    {"cam": [1.0, "2"], "sat": [1.0, 2.0]},
+    {"cam": [1.0, 2.0, 3.0], "sat": [1.0, 2.0]},
+])
+def test_match_coordinates_must_be_json_numbers(tmp_path, pipeline, capsys,
+                                                pair):
+    data = json.loads((pipeline["sim"] / "matches.json").read_text())
+    data["pairs"][3] = pair
+    matches = tmp_path / "matches.json"
+    matches.write_text(json.dumps(data))
+    code = run("calibrate", "--matches", str(matches),
+               "--out", str(tmp_path / "cal"))
+    assert code == 2
+    assert "SchemaError" in (err := _one_error_line(capsys))
+    assert "pairs[3]" in err
+
+
+@pytest.mark.parametrize("points", [
+    ["12", "34", "56"],
+    [[1.0, 2.0], [True, 3.0], [5.0, 6.0]],
+    [[1.0, 2.0], ["3", 4.0], [5.0, 6.0]],
+])
+def test_trajectory_points_must_be_json_numbers(tmp_path, pipeline, capsys,
+                                                points):
+    good = [[100.0 + 9 * i, 300.0 - 2 * i] for i in range(8)]
+    trajectories = tmp_path / "trajectories.jsonl"
+    trajectories.write_text(json.dumps({"points": good}) + "\n"
+                            + json.dumps({"points": points}) + "\n")
+    code = run("calibrate", "--matches",
+               str(pipeline["sim"] / "matches.json"), "--trajectories",
+               str(trajectories), "--image-size", "640", "480",
+               "--out", str(tmp_path / "cal"))
+    assert code == 2
+    assert "SchemaError: line 2" in _one_error_line(capsys)
+
+
 def test_empty_detections_empty_tracks(tmp_path, pipeline):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -253,6 +300,26 @@ def test_empty_detections_empty_tracks(tmp_path, pipeline):
                "--calibration", str(pipeline["cal"] / "calibration.json"),
                "--out", str(out)) == 0
     assert out.read_text() == ""
+
+
+def test_far_frame_number_adds_nothing_and_finishes(tmp_path, pipeline):
+    lines = (pipeline["sim"] / "detections.jsonl").read_text().splitlines()
+    near = [line for line in lines if json.loads(line)["frame"] <= 4]
+    far = dict(json.loads(near[-1]), frame=10 ** 12)
+    outputs = []
+    for name, rows in (("near", near), ("far", near + [json.dumps(far)])):
+        detections = tmp_path / f"{name}.jsonl"
+        detections.write_text("".join(row + "\n" for row in rows))
+        out = tmp_path / f"{name}_tracks.jsonl"
+        # in a subprocess, so that stepping every frame number up to the
+        # far one fails by the timeout instead of hanging the suite
+        subprocess.run(
+            [sys.executable, "-m", "roadscene.cli", "track", "--detections",
+             str(detections), "--calibration",
+             str(pipeline["cal"] / "calibration.json"), "--out", str(out)],
+            env=_source_env(), check=True, capture_output=True, timeout=60)
+        outputs.append(out.read_bytes())
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 def test_malformed_detections_names_line(tmp_path, pipeline, capsys):
@@ -312,14 +379,10 @@ def test_corrupt_heat_shard_exits_2(tmp_path, capsys):
 def _scipy_modules_after(code: str) -> str:
     """Run `code` in a fresh interpreter and return the sorted list of
     scipy modules it left loaded, as printed."""
-    src = str(Path(roadscene.__file__).parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     probe = (f"import sys; {code}; print(sorted(m for m in sys.modules "
              f"if m.split('.')[0] == 'scipy'))")
-    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", probe], env=_source_env(),
+                          check=True, capture_output=True, text=True,
                           timeout=60).stdout.splitlines()[-1]
 
 

@@ -126,8 +126,9 @@ CASES = [
 _IDS = [f"{c}-{s}" for c, s in CASES]
 
 
-def check_contract(chain, command: str, slot: str, data: bytes) -> None:
-    """Run `command` with `slot` replaced by `data`; assert the contract."""
+def check_contract(chain, command: str, slot: str, data: bytes) -> int:
+    """Run `command` with `slot` replaced by `data`; assert the contract and
+    return the exit code."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         hostile = tmp / "in" / chain[slot].name
@@ -147,6 +148,7 @@ def check_contract(chain, command: str, slot: str, data: bytes) -> None:
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return code
 
 
 # --- mutations --------------------------------------------------------------
@@ -268,6 +270,30 @@ def test_arbitrary_bytes_keep_the_exit_contract(chain, command, slot, data):
 @given(st.data())
 def test_mutated_input_keeps_the_exit_contract(chain, command, slot, data):
     check_contract(chain, command, slot, data.draw(mutated(chain, slot)))
+
+
+def _swap_number(draw, doc) -> str:
+    """`doc` with one coordinate, drawn from its `pairs` or `points`,
+    replaced by its decimal string or by a bool, as JSON."""
+    nodes = [path for path, node in _nodes(doc)
+             if path[:1] in (("pairs",), ("points",))
+             and type(node) in (int, float)]
+    path = nodes[draw(st.integers(0, len(nodes) - 1))]
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = draw(st.sampled_from(
+        [str(parent[path[-1]]), True, False]))
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize("slot", ["matches", "trajectories"])
+@_FUZZ
+@given(st.data())
+def test_coordinate_as_string_or_bool_exits_2(chain, slot, data):
+    doc = json.loads(chain[slot].read_text())
+    text = _swap_number(data.draw, doc) + "\n"
+    assert check_contract(chain, "calibrate", slot, text.encode()) == 2
 
 
 # --- inputs that once printed numpy warnings --------------------------------

@@ -394,6 +394,30 @@ def test_stats_non_finite_rejected(tmp_path, avg):
         load_stats(path)
 
 
+@pytest.mark.parametrize("stats", [
+    [FrameStats(-3, 0, 0, 1e-05), FrameStats(7, 2, 1, 1.5e+16)],
+    [FrameStats(0, 12, 0, 0.0), FrameStats(10 ** 20, 0, 3, None)],
+])
+def test_stats_round_trip_written_spellings(tmp_path, stats):
+    path = tmp_path / "s.csv"
+    write_stats(path, stats)
+    assert load_stats(path) == stats
+
+
+@pytest.mark.parametrize("row", [
+    "1_0,2,3,1.5", "+0,1,0,", " 0,1,0,", "0, 2,3,1.5", "0,+3,1,",
+    "0,-1,0,", "0,1,2_0,", "0,1,0,1_5.0", "0,1,0, 1.5", "0,1,0,+1.5",
+    "0,1,0,1.5 ", "0,1,0,0x10", "0,1,0,1e999", "\u0663,1,0,", "0,1,0",
+    "0,1,0,1.5,", "0.0,1,0,", "0,1," + "1" * 5000 + ",",
+])
+def test_stats_accept_only_the_written_spelling(tmp_path, row):
+    path = tmp_path / "s.csv"
+    path.write_text("frame,vehicles,pedestrians,avg_speed_mph\n"
+                    f"0,1,0,2.5\n{row}\n")
+    with pytest.raises(SchemaError, match="line 3"):
+        load_stats(path)
+
+
 def test_stats_merge_sorts_disjoint_shards():
     a = [FrameStats(0, 1, 0, 5.0), FrameStats(1, 1, 0, 5.0)]
     b = [FrameStats(2, 1, 0, 5.0)]

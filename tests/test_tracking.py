@@ -313,3 +313,44 @@ class TestDetectionValidation:
             Detection(0, (1, 1, 2, 2), 0.5, (0.2,) * N_CLASSES)
         with pytest.raises(ValueError):
             Detection(0, (1, 1, 2, 2), 0.5, (float("nan"),) * N_CLASSES)
+
+
+@st.composite
+def _detection_groups(draw):
+    """(frame, detections) groups at increasing frames, with gaps of up to
+    twice `max_age`, from boxes on a coarse grid that often overlap."""
+    max_age = draw(st.integers(1, 4))
+    groups = []
+    frame = draw(st.integers(0, 3))
+    for _ in range(draw(st.integers(1, 12))):
+        boxes = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2),
+                                        st.sampled_from([CAR, VAN, PED])),
+                              min_size=1, max_size=4))
+        groups.append((frame, [det(frame, 50.0 + 8.0 * i, 50.0 + 8.0 * j,
+                                   cls=cls) for i, j, cls in boxes]))
+        frame += draw(st.integers(1, 2 * max_age + 2))
+    return max_age, draw(st.integers(1, 3)), groups
+
+
+class TestFrameGaps:
+    @settings(max_examples=150, deadline=None)
+    @given(_detection_groups())
+    def test_groups_alone_equal_every_frame_stepped(self, case):
+        max_age, min_hits, groups = case
+        sparse = MomctTracker(max_age=max_age, min_hits=min_hits)
+        dense = MomctTracker(max_age=max_age, min_hits=min_hits)
+        by_frame = dict(groups)
+        for frame in range(groups[-1][0] + 1):
+            snaps = dense.step(by_frame.get(frame, []), frame)
+            if frame in by_frame:
+                assert sparse.step(by_frame[frame], frame) == snaps
+                assert sparse.next_id == dense.next_id
+                assert ([t.id for t in sparse.tracks]
+                        == [t.id for t in dense.tracks])
+
+    def test_far_frame_steps_only_until_no_track_is_left(self):
+        tracker = MomctTracker(max_age=3)
+        tracker.step([det(0, 50, 50)], 0)
+        assert tracker.step([det(10 ** 12, 50, 50)], 10 ** 12) == []
+        assert [t.id for t in tracker.tracks] == [2]
+        assert tracker.frame == 10 ** 12
