@@ -15,22 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 
+from .config import AnalyticsConfig
 from .errors import EmptyHeatMap, MissingCalibration, ShapeMismatch
-from .geometry import (
-    BEV,
-    PERSPECTIVE,
-    GroundScale,
-    Homography,
-    PixelPoint,
-    apply_many,
-    invert,
-)
-from .imaging import ImageBuffer
-from .roadmodel import BoundarySet
+
+if TYPE_CHECKING:  # annotations only: functions import what they run
+    from .geometry import GroundScale, Homography, PixelPoint
+    from .imaging import ImageBuffer
+    from .roadmodel import BoundarySet
 
 # one bump deposits this many integer units (mass 1.0)
 _BUMP_UNITS = 144
@@ -46,26 +41,6 @@ GRADIENT_ANCHORS = (
     (0.75, (255, 255, 0)),
     (1.00, (255, 0, 0)),
 )
-
-
-@dataclass(frozen=True)
-class AnalyticsConfig:
-    speed_limit_mph: float = 30.0
-    parking_speed_mph: float = 0.5
-    parking_border_m: float = 1.0
-    parking_duration_s: float = 60.0
-    proximity_risk_m: float = 1.0
-    congestion_distance_m: float = 2.0
-    congestion_speed_mph: float = 5.0
-
-    def __post_init__(self):
-        for name in ("speed_limit_mph", "parking_border_m",
-                     "parking_duration_s", "proximity_risk_m",
-                     "congestion_distance_m", "congestion_speed_mph"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.parking_speed_mph < 0:
-            raise ValueError("parking_speed_mph must be non-negative")
 
 
 class FrameTracks(NamedTuple):
@@ -172,6 +147,7 @@ def bump(heat: HeatMap, p: PixelPoint) -> HeatMap:
     event adds exactly 1.0 regardless of position; out-of-bounds centers
     are clamped to the nearest cell.
     """
+    from .geometry import BEV
     if p.frame != BEV:
         raise ValueError(f"heat positions must be bev points, got "
                          f"'{p.frame}'")
@@ -338,6 +314,7 @@ def perspective_sample(h_inv: Homography, view: tuple[int, int],
     int64 array of flat cell indices; pixels that fall off the map hold
     the cell count, one past the last cell.
     """
+    from .geometry import PERSPECTIVE, apply_many, invert
     g = invert(h_inv)  # perspective -> bev
     if g.source != PERSPECTIVE:
         raise ValueError("h_inv must map bev to perspective")
@@ -363,6 +340,7 @@ def render(heat: HeatMap, base: ImageBuffer | None = None,
     With `sample`, from `perspective_sample` for this map's shape, the
     output is the camera view, and pixels off the map read 0.
     """
+    from .imaging import ImageBuffer
     values = heat.h
     vmax = float(values.max())
     vmin = float(values.min())

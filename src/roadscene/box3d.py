@@ -16,42 +16,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .config import HEIGHT_COEFFICIENT, PEDESTRIAN, DimensionPrior
 from .errors import MissingPrior
 from .geometry import (BEV, GroundScale, Homography, PixelPoint, apply,
                        apply_xy)
-from .tracking import PEDESTRIAN
-
-HEIGHT_COEFFICIENT = 0.6  # fraction of detected pixel height kept for roofs
-
-
-@dataclass(frozen=True)
-class DimensionPrior:
-    """Real-world footprint of a class, length along travel, in meters."""
-
-    length_m: float
-    width_m: float
-
-    def __post_init__(self):
-        if not (self.length_m > 0 and self.width_m > 0):
-            raise ValueError(f"prior dimensions must be positive, got "
-                             f"{self.length_m}x{self.width_m}")
-
-
-# Only the bus size is a measured reference value (UK double-decker);
-# the rest are operator-tunable defaults.
-DEFAULT_PRIORS: Mapping[str, DimensionPrior] = {
-    "articulated_truck": DimensionPrior(10.0, 2.5),
-    "bicycle": DimensionPrior(2.0, 0.8),
-    "bus": DimensionPrior(5.8, 2.9),
-    "car": DimensionPrior(4.5, 1.8),
-    "motorcycle": DimensionPrior(2.0, 0.8),
-    "motorized_vehicle": DimensionPrior(4.0, 1.8),
-    "non_motorized_vehicle": DimensionPrior(4.0, 1.8),
-    "pedestrian": DimensionPrior(0.6, 0.6),
-    "pickup_truck": DimensionPrior(5.3, 2.0),
-    "single_unit_truck": DimensionPrior(7.0, 2.4),
-    "work_van": DimensionPrior(5.0, 2.0),
-}
 
 
 @dataclass(frozen=True)

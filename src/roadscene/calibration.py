@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .config import RansacParams
 from .errors import (
     DegenerateConfiguration,
     InsufficientMatches,
@@ -56,21 +57,6 @@ class Correspondence:
         if self.cam.frame != PERSPECTIVE or self.sat.frame != BEV:
             raise ValueError("correspondence must pair a perspective point "
                              "with a bev point")
-
-
-@dataclass(frozen=True)
-class RansacParams:
-    tau_z: float = 3.0
-    rho: float = 0.99
-    max_iter: int = 10000
-
-    def __post_init__(self):
-        if self.tau_z <= 0:
-            raise ValueError(f"tau_z must be > 0, got {self.tau_z}")
-        if not 0.0 < self.rho < 1.0:
-            raise InvalidProbability(f"rho must be in (0, 1), got {self.rho}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass

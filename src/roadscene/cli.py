@@ -12,36 +12,36 @@ includes paths that cannot be read, decoded as UTF-8 or written.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from pathlib import Path
 
+# numpy's OpenBLAS starts worker threads as numpy loads, which costs more
+# than a command's tiny products gain; the caller's own setting wins
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
+# Every command loads these; each imports the other stages it runs.  motion
+# is here only while perfbench/tracer.py wraps its Kalman steps as soon as
+# this module is imported (ROADMAP item 6).
 from . import records
 from .analytics import (HEAT_KINDS, FrameTracks, StateClassifier,
                         frame_stats, make_heatmaps, perspective_sample,
                         render, update_heatmaps)
-from .box3d import lift_cuboids
-from .calibration import Correspondence, fit_distortion_es, ransac_homography
-from .config import Config, load_config
+from .config import PEDESTRIAN, Config, load_config
 from .errors import (ConfigError, DegenerateDisplacement, EmptyHeatMap,
                      InputError, ProcessingError, SchemaError)
 from .geometry import GroundScale, PixelPoint, apply, apply_xy, invert
-from .imaging import (BackgroundAccumulator, accumulate_background,
-                      histogram_match, read_pnm, to_gray, write_pnm)
 from .motion import (BevKalmanState, abf, heading, kf_predict, kf_update,
                      speed_mph)
 from .records import (dump_json, dump_rows, load_boundary, load_calibration,
                       load_detections, load_heatmap, load_json, load_stats,
                       load_tracks, merge_stats, save_boundary, save_heatmap,
-                      state_rows, track_row, write_states, write_stats,
-                      write_tracks)
-from .roadmodel import extract_boundary, refine_mask, srg_segment
-from .seeding import subsystem_seed
-from .simulate import load_scenario, run_simulate
-from .tracking import PEDESTRIAN, MomctTracker
+                      track_row, write_states, write_stats, write_tracks)
 
 
 def _config_from(args) -> Config:
@@ -66,6 +66,7 @@ def _out_file(args) -> Path:
 # --- simulate ---------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
+    from .simulate import load_scenario, run_simulate
     cfg = _config_from(args)
     spec = load_scenario(args.spec)
     run_simulate(spec, args.out, cfg.seed, with_frames=args.frames)
@@ -82,7 +83,8 @@ def _xy(value) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
-def _load_matches(path) -> list[Correspondence]:
+def _load_matches(path):
+    from .calibration import Correspondence
     data = load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
         raise SchemaError(f"{path}: matches need a 'pairs' list")
@@ -115,6 +117,10 @@ def _load_trajectories(path) -> list[list[PixelPoint]]:
 
 
 def _cmd_calibrate(args) -> int:
+    from .calibration import fit_distortion_es, ransac_homography
+    from .imaging import (BackgroundAccumulator, accumulate_background,
+                          histogram_match, read_pnm, to_gray, write_pnm)
+    from .seeding import subsystem_seed
     cfg = _config_from(args)
     out = _out_dir(args)
 
@@ -179,6 +185,8 @@ def _cmd_calibrate(args) -> int:
 # --- track ------------------------------------------------------------------
 
 def _cmd_track(args) -> int:
+    from .box3d import lift_cuboids
+    from .tracking import MomctTracker
     cfg = _config_from(args)
     calib = load_calibration(args.calibration)
     g = calib["g"]
@@ -242,6 +250,8 @@ def _cmd_track(args) -> int:
 # --- segment ----------------------------------------------------------------
 
 def _cmd_segment(args) -> int:
+    from .imaging import read_pnm, to_gray, write_pnm
+    from .roadmodel import extract_boundary, refine_mask, srg_segment
     cfg = _config_from(args)
     rows = load_tracks(args.tracks)
     satellite = to_gray(read_pnm(args.satellite))
@@ -321,17 +331,17 @@ def _cmd_analyze(args) -> int:
     classifier = StateClassifier(boundary, scale, cfg.analytics, cfg.fps)
     maps = make_heatmaps(shape)
     stats = []
-    event_rows = []
+    frame_states = []
     frames = range(start, stop + 1)
     for frame, tracks in zip(frames, _frame_tracks(rows, frames)):
         states = classifier.step(frame, tracks)
         stats.append(frame_stats(frame, tracks, states))
-        event_rows.extend(state_rows(states))
+        frame_states.append(states)
         update_heatmaps(maps, tracks, states)
 
     out = _out_dir(args)
     write_stats(out / "stats.csv", stats)
-    write_states(out / "states.jsonl", event_rows)
+    write_states(out / "states.jsonl", frame_states)
     for kind in HEAT_KINDS:
         save_heatmap(out / f"heat_{kind}.json", maps[kind])
     print(f"analyze: frames {start}..{stop}, "
@@ -342,7 +352,11 @@ def _cmd_analyze(args) -> int:
 # --- render -----------------------------------------------------------------
 
 def _cmd_render(args) -> int:
+    from .imaging import read_pnm, to_gray, write_pnm
     cfg = _config_from(args)
+    heat_dir = Path(args.heat_dir)
+    if not heat_dir.is_dir():
+        raise ConfigError(f"--heat-dir {heat_dir} is not a directory")
     base = to_gray(read_pnm(args.satellite)) if args.satellite else None
     persp_base = read_pnm(args.perspective_base) \
         if args.perspective_base else None
@@ -352,7 +366,6 @@ def _cmd_render(args) -> int:
         h_inv = invert(calib["g"])
 
     out = _out_dir(args)
-    heat_dir = Path(args.heat_dir)
     written = 0
     samples = {}  # map shape -> where the camera view samples such a map
     for kind in HEAT_KINDS:

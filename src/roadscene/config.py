@@ -4,19 +4,108 @@ The on-disk format is deliberately flat: one ``key = value`` pair per line,
 ``#`` starts a comment, blank lines are ignored.  Every tunable lives here so
 a run is fully described by one config file plus one seed.  The RANSAC,
 region-growing and analytics keys set fields of the stage parameter types
-held here, whose own checks refuse out-of-range values.
+defined here, whose own checks refuse out-of-range values.  No stage is
+imported here, so reading a config loads none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Mapping
 
-from .analytics import AnalyticsConfig
-from .box3d import DEFAULT_PRIORS, HEIGHT_COEFFICIENT, DimensionPrior
-from .calibration import RansacParams
-from .errors import ConfigError, InputError
-from .roadmodel import SrgParams
-from .tracking import CLASS_NAMES
+from .errors import ConfigError, InputError, InvalidProbability
+
+CLASS_NAMES = (
+    "articulated_truck",
+    "bicycle",
+    "bus",
+    "car",
+    "motorcycle",
+    "motorized_vehicle",
+    "non_motorized_vehicle",
+    "pedestrian",
+    "pickup_truck",
+    "single_unit_truck",
+    "work_van",
+)
+PEDESTRIAN = "pedestrian"
+
+HEIGHT_COEFFICIENT = 0.6  # fraction of detected pixel height kept for roofs
+
+
+@dataclass(frozen=True)
+class DimensionPrior:
+    """Real-world footprint of a class, length along travel, in meters."""
+
+    length_m: float
+    width_m: float
+
+    def __post_init__(self):
+        if not (self.length_m > 0 and self.width_m > 0):
+            raise ValueError(f"prior dimensions must be positive, got "
+                             f"{self.length_m}x{self.width_m}")
+
+
+# Only the bus size is a measured reference value (UK double-decker);
+# the rest are operator-tunable defaults.
+DEFAULT_PRIORS: Mapping[str, DimensionPrior] = {
+    "articulated_truck": DimensionPrior(10.0, 2.5),
+    "bicycle": DimensionPrior(2.0, 0.8),
+    "bus": DimensionPrior(5.8, 2.9),
+    "car": DimensionPrior(4.5, 1.8),
+    "motorcycle": DimensionPrior(2.0, 0.8),
+    "motorized_vehicle": DimensionPrior(4.0, 1.8),
+    "non_motorized_vehicle": DimensionPrior(4.0, 1.8),
+    "pedestrian": DimensionPrior(0.6, 0.6),
+    "pickup_truck": DimensionPrior(5.3, 2.0),
+    "single_unit_truck": DimensionPrior(7.0, 2.4),
+    "work_van": DimensionPrior(5.0, 2.0),
+}
+
+
+@dataclass(frozen=True)
+class RansacParams:
+    tau_z: float = 3.0
+    rho: float = 0.99
+    max_iter: int = 10000
+
+    def __post_init__(self):
+        if self.tau_z <= 0:
+            raise ValueError(f"tau_z must be > 0, got {self.tau_z}")
+        if not 0.0 < self.rho < 1.0:
+            raise InvalidProbability(f"rho must be in (0, 1), got {self.rho}")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+
+
+@dataclass(frozen=True)
+class SrgParams:
+    tau_alpha: float = 12.0
+
+    def __post_init__(self):
+        if not 0 < self.tau_alpha < 256:
+            raise ValueError(f"tau_alpha must be in (0, 256), "
+                             f"got {self.tau_alpha}")
+
+
+@dataclass(frozen=True)
+class AnalyticsConfig:
+    speed_limit_mph: float = 30.0
+    parking_speed_mph: float = 0.5
+    parking_border_m: float = 1.0
+    parking_duration_s: float = 60.0
+    proximity_risk_m: float = 1.0
+    congestion_distance_m: float = 2.0
+    congestion_speed_mph: float = 5.0
+
+    def __post_init__(self):
+        for name in ("speed_limit_mph", "parking_border_m",
+                     "parking_duration_s", "proximity_risk_m",
+                     "congestion_distance_m", "congestion_speed_mph"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        if self.parking_speed_mph < 0:
+            raise ValueError("parking_speed_mph must be non-negative")
 
 
 @dataclass(frozen=True)

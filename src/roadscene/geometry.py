@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -248,24 +247,6 @@ def estimate_dlt_xy(src_xy: np.ndarray, dst_xy: np.ndarray) -> np.ndarray:
     if abs(np.linalg.det(g)) < _EPS:
         raise DegenerateConfiguration("estimated matrix is singular")
     return g
-
-
-def estimate_dlt(pairs: Sequence[tuple[PixelPoint, PixelPoint]]) -> Homography:
-    """Least-squares homography from >= 4 tagged point pairs.
-
-    All first elements must share one frame and all second elements another;
-    the result maps first-frame points to second-frame points.
-    """
-    if len(pairs) < 4:
-        raise InsufficientPairs(f"need at least 4 pairs, got {len(pairs)}")
-    src_frames = {p.frame for p, _ in pairs}
-    dst_frames = {q.frame for _, q in pairs}
-    if len(src_frames) != 1 or len(dst_frames) != 1:
-        raise FrameMismatch("pairs mix points from different frames")
-    src = np.array([[p.x, p.y] for p, _ in pairs])
-    dst = np.array([[q.x, q.y] for _, q in pairs])
-    g = estimate_dlt_xy(src, dst)
-    return Homography(g, source=src_frames.pop(), target=dst_frames.pop())
 
 
 # --- camera model -----------------------------------------------------------

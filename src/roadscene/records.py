@@ -12,13 +12,17 @@ import json
 import math
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .analytics import _BUMP_UNITS, HEAT_KINDS, FrameStats, HeatMap
+from .config import CLASS_NAMES
 from .errors import SchemaError, SingularMatrix
-from .geometry import Homography, invert
-from .tracking import CLASS_NAMES, Detection
+
+if TYPE_CHECKING:  # annotations only: functions import what they run
+    from .geometry import Homography
+    from .tracking import Detection
 
 _SEPARATORS = (",", ":")
 
@@ -172,12 +176,13 @@ def parse_detections(text: str) -> list[tuple[int, list[Detection]]]:
     Lines that `write_detections` spelled are matched by one regex; any
     other line goes through the general decoder.
     """
+    from .tracking import Detection
     own = re.compile(_DETECTION_LINE).fullmatch
     frames: list[tuple[int, list[Detection]]] = []
     last = -1
     for lineno, line in _lines(text):
-        det = (_own_detection(own(line), last)
-               or _json_detection(line, lineno, last))
+        det = (_own_detection(own(line), last, Detection)
+               or _json_detection(line, lineno, last, Detection))
         if det.frame != last:
             frames.append((det.frame, []))
             last = det.frame
@@ -185,10 +190,10 @@ def parse_detections(text: str) -> list[tuple[int, list[Detection]]]:
     return frames
 
 
-def _own_detection(match, last: int) -> Detection | None:
-    """The detection of a matched line, or None; None also when the row
-    is out of frame order or invalid, so that the general path names the
-    fault."""
+def _own_detection(match, last: int, detection: type) -> Detection | None:
+    """The detection of a matched line as `Detection` class `detection`,
+    or None; None also when the row is out of frame order or invalid, so
+    that the general path names the fault."""
     if match is None:
         return None
     bbox, frame, probs, score = match.groups()
@@ -196,15 +201,17 @@ def _own_detection(match, last: int) -> Detection | None:
     if frame < last:
         return None
     try:
-        return Detection(frame=frame, bbox=_parse_floats(bbox),
+        return detection(frame=frame, bbox=_parse_floats(bbox),
                          objectness=float(score),
                          class_probs=_parse_floats(probs))
     except ValueError:
         return None
 
 
-def _json_detection(line: str, lineno: int, last: int) -> Detection:
-    """The detection of a row in any JSON spelling, after every check."""
+def _json_detection(line: str, lineno: int, last: int,
+                    detection: type) -> Detection:
+    """The detection of a row in any JSON spelling as `Detection` class
+    `detection`, after every check."""
     row = _json_object(line, lineno)
     frame = _frame(row, last, lineno)
     bbox = _number_list(_require(row, "bbox", lineno), "bbox", 4, lineno)
@@ -212,7 +219,7 @@ def _json_detection(line: str, lineno: int, last: int) -> Detection:
     probs = _number_list(_require(row, "probs", lineno), "probs",
                          len(CLASS_NAMES), lineno)
     try:
-        return Detection(frame=frame, bbox=bbox, objectness=score,
+        return detection(frame=frame, bbox=bbox, objectness=score,
                          class_probs=probs)
     except ValueError as exc:
         raise SchemaError(f"line {lineno}: {exc}") from None
@@ -390,6 +397,7 @@ def load_calibration(path) -> dict:
             and all(type(v) is int and v > 0 for v in size)):
         raise SchemaError(f"{path}: bev_size must be null or two positive "
                           f"integers, got {size!r}")
+    from .geometry import Homography, invert
     try:
         h = Homography(np.array(g, dtype=np.float64))
         invert(h)
@@ -403,21 +411,16 @@ def load_calibration(path) -> dict:
 
 # --- state events -----------------------------------------------------------
 
-def state_rows(states) -> list[dict]:
-    """Flatten a StateSets into one row per (state, track)."""
-    rows = []
-    for label, ids in (("parking", states.parking),
-                       ("speeding", states.speeding),
-                       ("collision_risk", states.collision_risk),
-                       ("congestion", states.congestion)):
-        for track_id in sorted(ids):
-            rows.append({"frame": states.frame, "state": label,
-                         "id": track_id})
-    return rows
-
-
-def write_states(path, all_rows) -> None:
-    Path(path).write_text(dump_rows(all_rows), encoding="utf-8")
+def write_states(path, frames) -> None:
+    """Write each frame's `StateSets` as one JSON Lines row per (state,
+    track), the state named by its set.  The keys and names are fixed and
+    the values ints, so a template spells each row as `_dump_row` would."""
+    lines = []
+    for sets in frames:
+        for label in ("parking", "speeding", "collision_risk", "congestion"):
+            lines += [f'{{"frame":{sets.frame},"id":{i},"state":"{label}"}}\n'
+                      for i in sorted(getattr(sets, label))]
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 # --- frame stats ------------------------------------------------------------

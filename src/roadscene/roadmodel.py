@@ -15,6 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .config import SrgParams
 from .errors import EmptyMask, NoSeeds
 from .geometry import BEV, PixelPoint
 from .imaging import ImageBuffer, dilate3x3, erode3x3
@@ -22,16 +23,6 @@ from .imaging import ImageBuffer, dilate3x3, erode3x3
 # clockwise ring of 8-neighbor offsets (dx, dy), y pointing down
 _RING = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
 _RING_INDEX = {off: i for i, off in enumerate(_RING)}
-
-
-@dataclass(frozen=True)
-class SrgParams:
-    tau_alpha: float = 12.0
-
-    def __post_init__(self):
-        if not 0 < self.tau_alpha < 256:
-            raise ValueError(f"tau_alpha must be in (0, 256), "
-                             f"got {self.tau_alpha}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .box3d import DEFAULT_PRIORS
+from .config import CLASS_NAMES, DEFAULT_PRIORS
 from .errors import InvalidSpec
 from .geometry import (BEV, PERSPECTIVE, CameraModel, Homography,
                        apply_many, compose_from_camera, invert,
@@ -26,7 +26,7 @@ from .imaging import ImageBuffer, write_pnm
 from .motion import MPH_PER_MPS, wrap_angle
 from .records import dump_json, parse_json, write_detections
 from .seeding import subsystem_rng
-from .tracking import CLASS_NAMES, Detection
+from .tracking import Detection
 
 # Real-world box heights used to synthesize detection boxes (meters).
 NOMINAL_HEIGHT_M = {

@@ -22,23 +22,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import CLASS_NAMES
 from .kalman import Cov, kf_predict_step, kf_update_step
 
-CLASS_NAMES = (
-    "articulated_truck",
-    "bicycle",
-    "bus",
-    "car",
-    "motorcycle",
-    "motorized_vehicle",
-    "non_motorized_vehicle",
-    "pedestrian",
-    "pickup_truck",
-    "single_unit_truck",
-    "work_van",
-)
 N_CLASSES = len(CLASS_NAMES)
-PEDESTRIAN = "pedestrian"
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,12 @@ import time
 import numpy as np
 from scene_helpers import scene_dict
 
-from roadscene.box3d import DEFAULT_PRIORS, lift_to_3d, make_footprint
+from roadscene.box3d import lift_to_3d, make_footprint
 from roadscene.calibration import (Correspondence, es_minimize,
                                    fit_distortion_es, ransac_homography,
                                    ransac_iterations, straightness_objective)
 from roadscene.cli import main
+from roadscene.config import DEFAULT_PRIORS
 from roadscene.geometry import (BEV, PERSPECTIVE, CameraModel, GroundScale,
                                 Homography, PixelPoint, apply, apply_many,
                                 compose_from_camera, estimate_dlt_xy,

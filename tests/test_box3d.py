@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadscene.box3d import (
-    DEFAULT_PRIORS,
-    Cuboid,
-    DimensionPrior,
-    lift_cuboids,
-    lift_to_3d,
-    make_footprint,
-)
+from roadscene.box3d import Cuboid, lift_cuboids, lift_to_3d, make_footprint
+from roadscene.config import DEFAULT_PRIORS, DimensionPrior
 from roadscene.errors import MissingPrior
 from roadscene.geometry import (
     BEV,

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -665,6 +666,24 @@ def test_unreadable_paths_exit_2(tmp_path, pipeline, capsys):
     assert run("merge", str(pipeline["an"] / "stats.csv"),
                "--out", str(afile / "stats.csv")) == 2
     assert "FileExistsError" in _one_error_line(capsys)
+
+
+def test_render_heat_dir_must_be_a_directory(tmp_path, pipeline, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    maps = tmp_path / "maps"
+    for heat_dir in (tmp_path / "nope", afile):
+        assert run("render", "--heat-dir", str(heat_dir),
+                   "--out", str(maps)) == 2
+        assert "--heat-dir" in _one_error_line(capsys)
+        assert not maps.exists()
+    # in a directory, a missing map is a note and the others render
+    (tmp_path / "some").mkdir()
+    shutil.copy(pipeline["an"] / "heat_vehicle.json", tmp_path / "some")
+    assert run("render", "--heat-dir", str(tmp_path / "some"),
+               "--out", str(maps)) == 0
+    assert "pedestrian: no heat map file, skipped" in capsys.readouterr().out
+    assert [p.name for p in maps.iterdir()] == ["heat_vehicle_bev.ppm"]
 
 
 @pytest.mark.parametrize("key, value", [

@@ -3,13 +3,11 @@ import sys
 import pytest
 
 from roadscene import config
-from roadscene.analytics import AnalyticsConfig
-from roadscene.box3d import DimensionPrior
-from roadscene.calibration import RansacParams
-from roadscene.config import Config, load_config, parse_config
+from roadscene.config import (AnalyticsConfig, Config, DimensionPrior,
+                              RansacParams, SrgParams, load_config,
+                              parse_config)
 from roadscene.errors import ConfigError
 from roadscene.imaging import BackgroundAccumulator
-from roadscene.roadmodel import SrgParams
 
 
 def test_defaults():

@@ -23,7 +23,7 @@ from roadscene.geometry import (
     apply_many,
     canonicalize_matrix,
     compose_from_camera,
-    estimate_dlt,
+    estimate_dlt_xy,
     invert,
 )
 
@@ -138,17 +138,13 @@ class TestInvert:
 
 class TestEstimateDlt:
     def test_identity_square(self):
-        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-        pairs = [(PixelPoint.perspective(x, y), PixelPoint.bev(x, y))
-                 for x, y in square]
-        h = estimate_dlt(pairs)
-        assert np.max(np.abs(h.matrix - canonicalize_matrix(np.eye(3)))) < 1e-9
+        square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        g = estimate_dlt_xy(square, square)
+        assert np.max(np.abs(g - canonicalize_matrix(np.eye(3)))) < 1e-9
 
     def test_translation_held_out(self):
-        square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-        pairs = [(PixelPoint.perspective(x, y), PixelPoint.bev(x + 5, y - 3))
-                 for x, y in square]
-        h = estimate_dlt(pairs)
+        square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        h = Homography(estimate_dlt_xy(square, square + (5.0, -3.0)))
         q = apply(h, PixelPoint.perspective(0.5, 0.5))
         assert q.x == pytest.approx(5.5, abs=1e-9)
         assert q.y == pytest.approx(-2.5, abs=1e-9)
@@ -158,33 +154,28 @@ class TestEstimateDlt:
         planted = random_homography(rng)
         src = rng.uniform(0, 640, size=(20, 2))
         dst = apply_many(planted, src)
-        pairs = [(PixelPoint.perspective(*s), PixelPoint.bev(*d))
-                 for s, d in zip(src, dst)]
-        h = estimate_dlt(pairs)
+        h = Homography(estimate_dlt_xy(src, dst))
         reproj = apply_many(h, src)
         rmse = math.sqrt(float(np.mean(np.sum((reproj - dst) ** 2, axis=1))))
         assert rmse < 1e-8
         assert np.max(np.abs(h.matrix - planted.matrix)) < 1e-9
 
     def test_too_few_pairs(self):
-        pairs = [(PixelPoint.perspective(i, i), PixelPoint.bev(i, i))
-                 for i in range(3)]
+        points = np.array([(i, i) for i in range(3)], dtype=float)
         with pytest.raises(InsufficientPairs):
-            estimate_dlt(pairs)
+            estimate_dlt_xy(points, points)
 
     def test_collinear_degenerate(self):
-        pairs = [(PixelPoint.perspective(i, 2 * i), PixelPoint.bev(i, i))
-                 for i in range(6)]
+        src = np.array([(i, 2 * i) for i in range(6)], dtype=float)
+        dst = np.array([(i, i) for i in range(6)], dtype=float)
         with pytest.raises(DegenerateConfiguration):
-            estimate_dlt(pairs)
+            estimate_dlt_xy(src, dst)
 
-    def test_mixed_frames_rejected(self):
-        pairs = [(PixelPoint.perspective(0, 0), PixelPoint.bev(0, 0)),
-                 (PixelPoint.bev(1, 0), PixelPoint.bev(1, 0)),
-                 (PixelPoint.perspective(1, 1), PixelPoint.bev(1, 1)),
-                 (PixelPoint.perspective(0, 1), PixelPoint.bev(0, 1))]
-        with pytest.raises(FrameMismatch):
-            estimate_dlt(pairs)
+    def test_unpaired_points_rejected(self):
+        # bare arrays carry no frame tags; the pairing is what can be wrong
+        src = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (2, 2)], dtype=float)
+        with pytest.raises(InsufficientPairs):
+            estimate_dlt_xy(src, src[:4])
 
 
 def reference_projection(cam):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadscene import records
-from roadscene.analytics import HEAT_KINDS, FrameStats, HeatMap, bump
+from roadscene.analytics import (HEAT_KINDS, FrameStats, HeatMap, StateSets,
+                                 bump)
+from roadscene.config import CLASS_NAMES
 from roadscene.errors import SchemaError
 from roadscene.geometry import BEV, PERSPECTIVE, PixelPoint
 from roadscene.records import (dump_rows, load_boundary, load_calibration,
@@ -15,9 +17,9 @@ from roadscene.records import (dump_rows, load_boundary, load_calibration,
                                load_stats, load_tracks, merge_stats,
                                parse_detections, parse_tracks, save_boundary,
                                save_heatmap, track_row, write_detections,
-                               write_stats, write_tracks)
+                               write_states, write_stats, write_tracks)
 from roadscene.roadmodel import BoundarySet
-from roadscene.tracking import CLASS_NAMES, Detection
+from roadscene.tracking import Detection
 
 N = 11  # class count
 
@@ -366,6 +368,20 @@ def test_detections_fast_reader_equals_general_decoder(rows, mutation, data):
     text, mutated = _mutate(rows, mutation, data)
     _fast_equals_general(parse_detections, "_own_detection",
                          "_json_detection", text, mutated)
+
+
+def test_states_template_spells_rows_as_dump_row(tmp_path):
+    ids = frozenset({0, -2 ** 63, 2 ** 63 - 1})
+    frames = [StateSets(0, ids, ids, ids, frozenset()),
+              StateSets(10 ** 12, frozenset(), ids, ids, ids)]
+    path = tmp_path / "states.jsonl"
+    write_states(path, frames)
+    rows = [{"frame": s.frame, "state": label, "id": i} for s in frames
+            for label in ("parking", "speeding", "collision_risk",
+                          "congestion")
+            for i in sorted(getattr(s, label))]
+    assert len(rows) == 18
+    assert path.read_text() == dump_rows(rows)
 
 
 # --- stats ------------------------------------------------------------------
