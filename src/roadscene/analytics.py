@@ -135,7 +135,11 @@ class HeatMap:
                              f"'{self.kind}'")
         if other.shape != self.shape:
             raise ValueError(f"shape mismatch: {other.shape} vs {self.shape}")
-        self._units += other._units
+        total = self._units + other._units
+        # a sum wrapped past int64 when its sign differs from both terms'
+        if (((self._units ^ total) & (other._units ^ total)) < 0).any():
+            raise ValueError(f"merged '{self.kind}' units overflow int64")
+        self._units = total
         self.events += other.events
         return self
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     NoConsensus,
 )
 from .geometry import (
+    _EPS,
     BEV,
     PERSPECTIVE,
     Homography,
@@ -37,6 +38,8 @@ from .imaging import DistortionParams, undistort_xy
 
 # correspondences drawn per RANSAC hypothesis: the minimum for a homography
 _SAMPLE_SIZE = 4
+# RANSAC hypotheses fitted and scored together, see `ransac_homography`
+_BLOCK = 64
 
 # (1+lambda) evolution strategy, see `es_minimize`
 _ES_LAMBDA = 8
@@ -96,6 +99,10 @@ def ransac_homography(matches: Sequence[Correspondence],
     required iteration count is recomputed from its inlier ratio.  The
     winner is refit on its full inlier set unless the refit would lose
     inliers, in which case the voted model is kept.
+
+    Samples are drawn, fitted and scored in blocks of up to _BLOCK (see
+    `_block_hypotheses`), then walked in draw order with the budget checked
+    before each one, so the result is that of one iteration at a time.
     """
     n = len(matches)
     if n < _SAMPLE_SIZE:
@@ -103,6 +110,7 @@ def ransac_homography(matches: Sequence[Correspondence],
             f"need at least {_SAMPLE_SIZE} matches, got {n}")
     cam_xy = np.array([[m.cam.x, m.cam.y] for m in matches])
     sat_xy = np.array([[m.sat.x, m.sat.y] for m in matches])
+    cam_hom = np.hstack([cam_xy, np.ones((n, 1))])
 
     rng = np.random.default_rng(rng_seed)
     tau2 = params.tau_z ** 2
@@ -119,23 +127,33 @@ def ransac_homography(matches: Sequence[Correspondence],
     history: list[int] = []
     i = 0
     while i < budget:
-        idx = rng.choice(n, size=_SAMPLE_SIZE, replace=False)
-        try:
-            g = estimate_dlt_xy(cam_xy[idx], sat_xy[idx])
-        except DegenerateConfiguration:
-            history.append(0)
+        draws = np.array([rng.choice(n, size=_SAMPLE_SIZE, replace=False)
+                          for _ in range(min(_BLOCK, budget - i))])
+        block = _block_hypotheses(cam_xy, sat_xy, cam_hom, draws, tau2)
+        for k, idx in enumerate(draws):
+            if i >= budget:
+                break
             i += 1
-            continue
-        h = Homography(g, source=PERSPECTIVE, target=BEV)
-        mask = vote(h)
-        votes = int(mask.sum())
-        history.append(votes)
-        if votes > best_votes:
-            best_h, best_mask, best_votes = h, mask, votes
-            eps = best_votes / n
-            budget = min(params.max_iter,
-                         ransac_iterations(params.rho, eps))
-        i += 1
+            if block.degenerate[k]:
+                history.append(0)
+                continue
+            if block.fitted[k]:
+                g, mask, votes = block.g[k], block.masks[k], block.votes[k]
+            else:  # alone, so that it raises or warns where it always did
+                try:
+                    g = estimate_dlt_xy(cam_xy[idx], sat_xy[idx])
+                except DegenerateConfiguration:
+                    history.append(0)
+                    continue
+                mask = vote(Homography(g, source=PERSPECTIVE, target=BEV))
+                votes = int(mask.sum())
+            history.append(votes)
+            if votes > best_votes:
+                best_h = Homography(g, source=PERSPECTIVE, target=BEV)
+                best_mask, best_votes = mask, votes
+                eps = best_votes / n
+                budget = min(params.max_iter,
+                             ransac_iterations(params.rho, eps))
 
     if best_votes < _SAMPLE_SIZE:
         raise NoConsensus(f"best consensus has {best_votes} votes, "
@@ -153,6 +171,130 @@ def ransac_homography(matches: Sequence[Correspondence],
 
     return RansacResult(h=best_h, inlier_mask=best_mask, votes=best_votes,
                         iterations_run=i, vote_history=history)
+
+
+class _Block(NamedTuple):
+    """A block of RANSAC samples, fitted and scored: per sample the matrix
+    `estimate_dlt_xy` gives, the inlier mask and vote count of its
+    `Homography`, whether those stand, and whether the fit is degenerate
+    instead.  A sample that is neither is replayed alone."""
+
+    g: np.ndarray
+    masks: np.ndarray
+    votes: list[int]
+    fitted: np.ndarray
+    degenerate: np.ndarray
+
+
+def _block_hypotheses(cam_xy: np.ndarray, sat_xy: np.ndarray,
+                      cam_hom: np.ndarray, draws: np.ndarray,
+                      tau2: float) -> _Block:
+    """Fit and score a (b, 4) block of sampled match indices at once.
+
+    Every step is the one-at-a-time step on a stack (one SVD, one
+    projection), bit for bit.  A sample is fitted, or degenerate, only
+    where its one-at-a-time steps would return that without raising or
+    warning otherwise.  If any floating-point error or LinAlgError comes up
+    in the block, no sample is either, so the caller replays them alone and
+    the errors come in their order.
+    """
+    errors = []
+    modes = {kind: "ignore" if mode == "ignore" else "call"
+             for kind, mode in np.geterr().items()}
+    try:
+        with np.errstate(call=lambda *err: errors.append(err), **modes):
+            g, fitted, degenerate = _dlt_stack(cam_xy[draws], sat_xy[draws])
+            # `Homography` canonicalizes the fitted matrix a second time
+            h, canonical = _canonical_stack(g)
+            fitted &= canonical & ~(np.abs(np.linalg.det(h)) < _EPS)
+            h[~fitted] = np.eye(3)  # not scored here; keeps them finite
+            # `apply_many` for every slice, one coordinate at a time
+            hom = np.matmul(cam_hom, h.transpose(0, 2, 1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                u = hom[..., 0] / hom[..., 2]
+                v = hom[..., 1] / hom[..., 2]
+            u[~np.isfinite(u)] = np.inf
+            v[~np.isfinite(v)] = np.inf
+            masks = (u - sat_xy[:, 0]) ** 2 + (v - sat_xy[:, 1]) ** 2 < tau2
+    except np.linalg.LinAlgError:
+        errors.append(None)
+    if errors:
+        none = np.zeros(len(draws), dtype=bool)
+        return _Block(None, None, None, none, none)
+    return _Block(g, masks, masks.sum(axis=1).tolist(), fitted, degenerate)
+
+
+def _similarity_stack(xy: np.ndarray):
+    """`geometry._normalizing_similarity` over a (b, n, 2) stack; returns
+    the similarities and which stacks have points apart."""
+    centroid = xy.mean(axis=1)
+    d = xy - centroid[:, None, :]
+    mean_dist = np.mean(np.sqrt(np.add.reduce(d * d, axis=2)), axis=1)
+    apart = mean_dist >= _EPS
+    s = np.divide(math.sqrt(2.0), mean_dist,
+                  out=np.ones_like(mean_dist), where=apart)
+    t = np.zeros((len(xy), 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = s
+    t[:, 0, 2] = -s * centroid[:, 0]
+    t[:, 1, 2] = -s * centroid[:, 1]
+    t[:, 2, 2] = 1.0
+    return t, apart
+
+
+def _dlt_stack(src_xy: np.ndarray, dst_xy: np.ndarray):
+    """`estimate_dlt_xy` over (b, n, 2) stacks: one stacked SVD solves all
+    b fits.  Returns the canonical matrices, which fits it returns, and
+    which it refuses as a DegenerateConfiguration."""
+    b, n = src_xy.shape[:2]
+    t_src, src_apart = _similarity_stack(src_xy)
+    t_dst, dst_apart = _similarity_stack(dst_xy)
+    ones = np.ones((b, n, 1))
+    sn = np.concatenate([src_xy, ones], axis=2) @ t_src.transpose(0, 2, 1)
+    dn = np.concatenate([dst_xy, ones], axis=2) @ t_dst.transpose(0, 2, 1)
+
+    a = np.zeros((b, 2 * n, 9))
+    x, y = sn[..., 0], sn[..., 1]
+    u, v = dn[..., 0], dn[..., 1]
+    a[:, 0::2, 0] = x
+    a[:, 0::2, 1] = y
+    a[:, 0::2, 2] = 1.0
+    a[:, 0::2, 6] = -u * x
+    a[:, 0::2, 7] = -u * y
+    a[:, 0::2, 8] = -u
+    a[:, 1::2, 3] = x
+    a[:, 1::2, 4] = y
+    a[:, 1::2, 5] = 1.0
+    a[:, 1::2, 6] = -v * x
+    a[:, 1::2, 7] = -v * y
+    a[:, 1::2, 8] = -v
+
+    _, s, vt = np.linalg.svd(a)
+    ranked = src_apart & dst_apart & ~(s[:, 7] <= _EPS
+                                       * np.maximum(1.0, s[:, 0]))
+    g_norm = vt[:, -1].reshape(b, 3, 3)
+    g = np.linalg.inv(t_dst) @ g_norm @ t_src
+    g, canonical = _canonical_stack(g)
+    singular = np.abs(np.linalg.det(g)) < _EPS
+    # the checks in `estimate_dlt_xy`'s order; a matrix that does not
+    # canonicalize raises SingularMatrix, which is neither outcome
+    degenerate = ~ranked | (canonical & singular)
+    return g, ranked & canonical & ~singular, degenerate
+
+
+def _canonical_stack(g: np.ndarray):
+    """`canonicalize_matrix` over a (b, 3, 3) stack; returns the stack and
+    which matrices it accepts."""
+    flat = g.reshape(-1, 1, 9)
+    # a 1x9 @ 9x1 product is the dot product `np.linalg.norm` takes
+    norm = np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
+    canonical = (np.isfinite(g).all(axis=(1, 2)) & (norm >= _EPS)
+                 & np.isfinite(norm))
+    g = g / np.where(canonical, norm, 1.0)[:, None, None]
+    pivot = g[:, 2, 2].copy()
+    for k in np.flatnonzero(canonical & ~(np.abs(pivot) > _EPS)):
+        row = g[k].ravel()
+        pivot[k] = row[np.flatnonzero(np.abs(row) > _EPS)[0]]
+    return np.where((pivot < 0)[:, None, None], -g, g), canonical
 
 
 # --- trajectory straightness ------------------------------------------------

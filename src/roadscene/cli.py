@@ -315,6 +315,11 @@ def _frame_tracks(rows: list[dict], frames: range):
 
 
 def _cmd_analyze(args) -> int:
+    for flag, frame in (("--from-frame", args.from_frame),
+                        ("--to-frame", args.to_frame)):
+        if frame is not None and frame < 0:
+            # no detections or tracks file holds a negative frame
+            raise ConfigError(f"{flag} must be >= 0, got {frame}")
     cfg = _config_from(args)
     calib = load_calibration(args.calibration)
     scale = GroundScale(calib.get("iota_m_per_px") or cfg.iota_m_per_px)

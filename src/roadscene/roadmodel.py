@@ -85,34 +85,40 @@ def srg_segment(image: ImageBuffer, seeds: Sequence[PixelPoint],
                 params: SrgParams = SrgParams()) -> RoadMask:
     """Grow road regions from seed pixels by intensity similarity.
 
-    A wavefront implementation: every grown pixel becomes a new seed, and a
-    neighbor joins when |intensity difference| < tau_alpha against the pixel
-    that reached it.  Equivalent to flood fill over the similarity graph,
-    so the result does not depend on seed order.
+    A frontier walk (Adams & Bischof's seeded region growing): the frontier
+    holds the flat indices of the pixels that joined last, and each wave
+    tests only their 8 neighbors.  A neighbor joins when |intensity
+    difference| < tau_alpha against the pixel that reached it, and is
+    marked visited as it joins, so it enters the frontier once.  Bounds are
+    checked per axis, so no step wraps across a row end.  The work follows
+    the size of the grown region, not waves x image.  Equivalent to flood
+    fill over the similarity graph, so the result does not depend on seed
+    order.
     """
     if image.channels != 1:
         raise ValueError("segmentation expects a 1-channel image")
-    intensity = image.pixels.astype(np.int16)
-    h, w = intensity.shape
-    visited = np.zeros((h, w), dtype=bool)
+    h, w = image.pixels.shape
+    intensity = image.pixels.astype(np.int16).ravel()
+    visited = np.zeros(h * w, dtype=bool)
     for x, y in _seed_cells(image, seeds):
-        visited[y, x] = True
-    frontier = visited.copy()
-    while frontier.any():
-        grown = np.zeros_like(visited)
+        visited[y * w + x] = True
+    frontier = np.flatnonzero(visited)
+    while frontier.size:
+        fy, fx = np.divmod(frontier, w)
+        # which frontier pixels may step by -1, 0 or +1 along each axis
+        along_x = {-1: fx > 0, 0: True, 1: fx < w - 1}
+        along_y = {-1: fy > 0, 0: True, 1: fy < h - 1}
+        grown = []
         for dx, dy in _RING:
-            ty0, ty1 = max(dy, 0), h + min(dy, 0)
-            tx0, tx1 = max(dx, 0), w + min(dx, 0)
-            sy0, sy1 = max(-dy, 0), h + min(-dy, 0)
-            sx0, sx1 = max(-dx, 0), w + min(-dx, 0)
-            reachable = frontier[sy0:sy1, sx0:sx1] & (
-                np.abs(intensity[ty0:ty1, tx0:tx1]
-                       - intensity[sy0:sy1, sx0:sx1]) < params.tau_alpha)
-            grown[ty0:ty1, tx0:tx1] |= reachable
-        grown &= ~visited
-        visited |= grown
-        frontier = grown
-    return RoadMask(visited)
+            src = frontier[along_x[dx] & along_y[dy]]
+            dst = src + (dy * w + dx)
+            joins = ~visited[dst] & (
+                np.abs(intensity[dst] - intensity[src]) < params.tau_alpha)
+            dst = dst[joins]
+            visited[dst] = True
+            grown.append(dst)
+        frontier = np.concatenate(grown)
+    return RoadMask(visited.reshape(h, w))
 
 
 def refine_mask(mask: RoadMask) -> RoadMask:

@@ -139,6 +139,22 @@ class TestMerge:
         with pytest.raises(ValueError):
             HeatMap((8, 8), "vehicle").merge(HeatMap((9, 8), "vehicle"))
 
+    @pytest.mark.parametrize("a, b", [
+        (2 ** 63 - 1, 1), (144 * 2 ** 55, 144 * 2 ** 55),
+        (-2 ** 63, -1), (-(2 ** 62) - 1, -(2 ** 62))])
+    def test_overflow_refused_and_map_kept(self, a, b):
+        first = HeatMap.from_units(np.array([[a, 5]]), 0, "vehicle")
+        second = HeatMap.from_units(np.array([[b, 7]]), 0, "vehicle")
+        with pytest.raises(ValueError, match="overflow"):
+            first.merge(second)
+        assert first.units().tolist() == [[a, 5]]
+
+    def test_sums_at_the_int64_edges_merge(self):
+        first = HeatMap.from_units(np.array([[2 ** 63 - 2, -2 ** 63 + 1]]),
+                                   0, "vehicle")
+        first.merge(HeatMap.from_units(np.array([[1, -1]]), 0, "vehicle"))
+        assert first.units().tolist() == [[2 ** 63 - 1, -2 ** 63]]
+
 
 class TestParking:
     def make(self, fps=1.0, **kwargs):

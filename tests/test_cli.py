@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scene_helpers import scene_dict
 
 import roadscene
 from roadscene import cli, records
+from roadscene.analytics import HeatMap
 from roadscene.cli import main
 from roadscene.records import load_heatmap, load_stats, load_tracks
 
@@ -240,6 +242,18 @@ def test_sharded_analyze_merges_to_single_pass(pipeline, tmp_path):
         (pipeline["an"] / "stats.csv").read_bytes()
 
 
+@pytest.mark.parametrize("bounds", [("-3", "2"), ("0", "-1"), ("-5", "-2")])
+def test_analyze_refuses_negative_frame_bounds(pipeline, tmp_path, capsys,
+                                               bounds):
+    out = tmp_path / "an"
+    assert run("analyze", "--tracks", str(pipeline["tracks"]),
+               "--calibration", str(pipeline["cal"] / "calibration.json"),
+               "--out", str(out), "--from-frame", bounds[0],
+               "--to-frame", bounds[1]) == 2
+    assert "must be >= 0" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 # --- error paths ------------------------------------------------------------
 
 def test_too_few_matches_exits_2(tmp_path, capsys):
@@ -374,6 +388,19 @@ def test_corrupt_heat_shard_exits_2(tmp_path, capsys):
     code = run("merge", str(shard), str(shard), "--out", str(out))
     assert code == 2
     assert "units" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_merge_refuses_units_past_int64(tmp_path, capsys):
+    # each shard is valid: 144 units per event, every cell fits int64
+    shard = tmp_path / "heat_vehicle.json"
+    heat = HeatMap.from_units(np.array([[144 * 2 ** 55, 0]]), 2 ** 55,
+                              "vehicle")
+    records.save_heatmap(shard, heat)
+    assert load_heatmap(shard).events == 2 ** 55
+    out = tmp_path / "merged.json"
+    assert run("merge", str(shard), str(shard), "--out", str(out)) == 2
+    assert "overflow" in _one_error_line(capsys)
     assert not out.exists()
 
 

@@ -2,6 +2,8 @@ import collections
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadscene.errors import EmptyMask, NoSeeds
 from roadscene.geometry import PixelPoint
@@ -107,6 +109,49 @@ class TestSrgSegment:
         mask = srg_segment(gray(arr), seeds, SrgParams(tau_alpha=12))
         expected = flood_oracle(arr, cells, 12)
         assert np.array_equal(mask.pixels, expected)
+
+    @pytest.mark.parametrize("column", [0, 6])
+    def test_growth_does_not_wrap_across_row_ends(self, column):
+        # dark first and last columns, bright between: from one dark column
+        # the other is reachable only by a step that wraps a row end
+        arr = np.full((5, 7), 200, dtype=np.uint8)
+        arr[:, [0, 6]] = 0
+        for y in (0, 2, 4):
+            mask = srg_segment(gray(arr), [PixelPoint.bev(column, y)])
+            expected = np.zeros((5, 7), dtype=bool)
+            expected[:, column] = True
+            assert np.array_equal(mask.pixels, expected)
+
+    @pytest.mark.parametrize("shape", [(9, 1), (1, 9), (1, 1)])
+    def test_one_pixel_wide_or_tall_images(self, shape):
+        arr = np.array([10, 15, 20, 60, 65, 70, 72, 200, 190][:max(shape)],
+                       dtype=np.uint8).reshape(shape)
+        for i in range(arr.size):
+            y, x = divmod(i, shape[1])
+            mask = srg_segment(gray(arr), [PixelPoint.bev(x, y)],
+                               SrgParams(tau_alpha=8))
+            assert np.array_equal(mask.pixels,
+                                  flood_oracle(arr, [(x, y)], 8))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_frontier_walk_matches_oracle_on_small_images(self, data):
+        # the same BFS as criterion 7's oracle, on any shape down to 1x1
+        h = data.draw(st.integers(1, 9))
+        w = data.draw(st.integers(1, 9))
+        # few levels, so regions form and touch both the edges and each other
+        levels = data.draw(st.lists(st.integers(0, 255), min_size=1,
+                                    max_size=4))
+        arr = np.array(data.draw(st.lists(st.sampled_from(levels),
+                                          min_size=h * w, max_size=h * w)),
+                       dtype=np.uint8).reshape(h, w)
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)),
+            min_size=1, max_size=5))
+        tau = data.draw(st.integers(1, 255))
+        mask = srg_segment(gray(arr), [PixelPoint.bev(x, y) for x, y in cells],
+                           SrgParams(tau_alpha=tau))
+        assert np.array_equal(mask.pixels, flood_oracle(arr, cells, tau))
 
     def test_no_seeds_raises(self):
         with pytest.raises(NoSeeds):
