@@ -31,6 +31,8 @@ from .geometry import (
     PERSPECTIVE,
     Homography,
     PixelPoint,
+    _canonical_stack,
+    _dlt_stack,
     apply_many,
     estimate_dlt_xy,
 )
@@ -205,8 +207,8 @@ def _block_hypotheses(cam_xy: np.ndarray, sat_xy: np.ndarray,
         with np.errstate(call=lambda *err: errors.append(err), **modes):
             g, fitted, degenerate = _dlt_stack(cam_xy[draws], sat_xy[draws])
             # `Homography` canonicalizes the fitted matrix a second time
-            h, canonical = _canonical_stack(g)
-            fitted &= canonical & ~(np.abs(np.linalg.det(h)) < _EPS)
+            h, _ = _canonical_stack(g)
+            fitted &= ~(np.abs(np.linalg.det(h)) < _EPS)
             h[~fitted] = np.eye(3)  # not scored here; keeps them finite
             # `apply_many` for every slice, one coordinate at a time
             hom = np.matmul(cam_hom, h.transpose(0, 2, 1))
@@ -222,79 +224,6 @@ def _block_hypotheses(cam_xy: np.ndarray, sat_xy: np.ndarray,
         none = np.zeros(len(draws), dtype=bool)
         return _Block(None, None, None, none, none)
     return _Block(g, masks, masks.sum(axis=1).tolist(), fitted, degenerate)
-
-
-def _similarity_stack(xy: np.ndarray):
-    """`geometry._normalizing_similarity` over a (b, n, 2) stack; returns
-    the similarities and which stacks have points apart."""
-    centroid = xy.mean(axis=1)
-    d = xy - centroid[:, None, :]
-    mean_dist = np.mean(np.sqrt(np.add.reduce(d * d, axis=2)), axis=1)
-    apart = mean_dist >= _EPS
-    s = np.divide(math.sqrt(2.0), mean_dist,
-                  out=np.ones_like(mean_dist), where=apart)
-    t = np.zeros((len(xy), 3, 3))
-    t[:, 0, 0] = t[:, 1, 1] = s
-    t[:, 0, 2] = -s * centroid[:, 0]
-    t[:, 1, 2] = -s * centroid[:, 1]
-    t[:, 2, 2] = 1.0
-    return t, apart
-
-
-def _dlt_stack(src_xy: np.ndarray, dst_xy: np.ndarray):
-    """`estimate_dlt_xy` over (b, n, 2) stacks: one stacked SVD solves all
-    b fits.  Returns the canonical matrices, which fits it returns, and
-    which it refuses as a DegenerateConfiguration."""
-    b, n = src_xy.shape[:2]
-    t_src, src_apart = _similarity_stack(src_xy)
-    t_dst, dst_apart = _similarity_stack(dst_xy)
-    ones = np.ones((b, n, 1))
-    sn = np.concatenate([src_xy, ones], axis=2) @ t_src.transpose(0, 2, 1)
-    dn = np.concatenate([dst_xy, ones], axis=2) @ t_dst.transpose(0, 2, 1)
-
-    a = np.zeros((b, 2 * n, 9))
-    x, y = sn[..., 0], sn[..., 1]
-    u, v = dn[..., 0], dn[..., 1]
-    a[:, 0::2, 0] = x
-    a[:, 0::2, 1] = y
-    a[:, 0::2, 2] = 1.0
-    a[:, 0::2, 6] = -u * x
-    a[:, 0::2, 7] = -u * y
-    a[:, 0::2, 8] = -u
-    a[:, 1::2, 3] = x
-    a[:, 1::2, 4] = y
-    a[:, 1::2, 5] = 1.0
-    a[:, 1::2, 6] = -v * x
-    a[:, 1::2, 7] = -v * y
-    a[:, 1::2, 8] = -v
-
-    _, s, vt = np.linalg.svd(a)
-    ranked = src_apart & dst_apart & ~(s[:, 7] <= _EPS
-                                       * np.maximum(1.0, s[:, 0]))
-    g_norm = vt[:, -1].reshape(b, 3, 3)
-    g = np.linalg.inv(t_dst) @ g_norm @ t_src
-    g, canonical = _canonical_stack(g)
-    singular = np.abs(np.linalg.det(g)) < _EPS
-    # the checks in `estimate_dlt_xy`'s order; a matrix that does not
-    # canonicalize raises SingularMatrix, which is neither outcome
-    degenerate = ~ranked | (canonical & singular)
-    return g, ranked & canonical & ~singular, degenerate
-
-
-def _canonical_stack(g: np.ndarray):
-    """`canonicalize_matrix` over a (b, 3, 3) stack; returns the stack and
-    which matrices it accepts."""
-    flat = g.reshape(-1, 1, 9)
-    # a 1x9 @ 9x1 product is the dot product `np.linalg.norm` takes
-    norm = np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
-    canonical = (np.isfinite(g).all(axis=(1, 2)) & (norm >= _EPS)
-                 & np.isfinite(norm))
-    g = g / np.where(canonical, norm, 1.0)[:, None, None]
-    pivot = g[:, 2, 2].copy()
-    for k in np.flatnonzero(canonical & ~(np.abs(pivot) > _EPS)):
-        row = g[k].ravel()
-        pivot[k] = row[np.flatnonzero(np.abs(row) > _EPS)[0]]
-    return np.where((pivot < 0)[:, None, None], -g, g), canonical
 
 
 # --- trajectory straightness ------------------------------------------------

@@ -83,6 +83,11 @@ def _xy(value) -> tuple[float, float]:
     return float(value[0]), float(value[1])
 
 
+# below it, the difference of any two match coordinates squares to a
+# finite float
+_MATCH_BOUND = 2.0 ** 510
+
+
 def _load_matches(path):
     from .calibration import Correspondence
     data = load_json(path)
@@ -91,13 +96,16 @@ def _load_matches(path):
     out = []
     for i, pair in enumerate(data["pairs"]):
         try:
-            out.append(Correspondence(
-                cam=PixelPoint.perspective(*_xy(pair["cam"])),
-                sat=PixelPoint.bev(*_xy(pair["sat"]))))
+            cam, sat = _xy(pair["cam"]), _xy(pair["sat"])
         except (TypeError, KeyError, ValueError):
             raise SchemaError(
                 f"{path}: pairs[{i}] must be "
                 f"{{'cam': [x, y], 'sat': [x, y]}}") from None
+        if max(map(abs, cam + sat)) >= _MATCH_BOUND:
+            raise SchemaError(f"{path}: pairs[{i}] coordinates must be "
+                              f"below 2**510 in magnitude")
+        out.append(Correspondence(cam=PixelPoint.perspective(*cam),
+                                  sat=PixelPoint.bev(*sat)))
     return out
 
 
@@ -320,6 +328,10 @@ def _cmd_analyze(args) -> int:
         if frame is not None and frame < 0:
             # no detections or tracks file holds a negative frame
             raise ConfigError(f"{flag} must be >= 0, got {frame}")
+    if None not in (args.from_frame, args.to_frame) \
+            and args.to_frame < args.from_frame:
+        raise ConfigError(f"--to-frame must be >= --from-frame "
+                          f"({args.from_frame}), got {args.to_frame}")
     cfg = _config_from(args)
     calib = load_calibration(args.calibration)
     scale = GroundScale(calib.get("iota_m_per_px") or cfg.iota_m_per_px)

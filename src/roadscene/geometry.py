@@ -76,21 +76,11 @@ def canonicalize_matrix(g: np.ndarray) -> np.ndarray:
         raise SingularMatrix(f"expected a 3x3 matrix, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise SingularMatrix("matrix has non-finite entries")
-    with np.errstate(over="ignore"):  # an inf norm is refused below
-        norm = float(np.linalg.norm(g))
+    (g,), (norm,) = _canonical_stack(g[None])
     if norm < _EPS:
         raise SingularMatrix("matrix is numerically zero")
     if not math.isfinite(norm):
         raise SingularMatrix("matrix norm overflows")
-    g = g / norm
-    if abs(g[2, 2]) > _EPS:
-        pivot = g[2, 2]
-    else:
-        flat = g.ravel()
-        nz = np.flatnonzero(np.abs(flat) > _EPS)
-        pivot = flat[nz[0]]
-    if pivot < 0:
-        g = -g
     return g
 
 
@@ -185,19 +175,7 @@ def invert(h: Homography) -> Homography:
     return Homography(inv, source=h.target, target=h.source)
 
 
-def _normalizing_similarity(xy: np.ndarray) -> np.ndarray:
-    """Similarity moving the centroid to the origin, mean radius to sqrt(2)."""
-    centroid = xy.mean(axis=0)
-    mean_dist = float(np.mean(np.linalg.norm(xy - centroid, axis=1)))
-    if mean_dist < _EPS:
-        raise DegenerateConfiguration("all points coincide")
-    s = math.sqrt(2.0) / mean_dist
-    return np.array([
-        [s, 0.0, -s * centroid[0]],
-        [0.0, s, -s * centroid[1]],
-        [0.0, 0.0, 1.0],
-    ])
-
+# --- direct linear transform ------------------------------------------------
 
 def estimate_dlt_xy(src_xy: np.ndarray, dst_xy: np.ndarray) -> np.ndarray:
     """Direct linear transform on coordinate arrays; returns a canonical 3x3.
@@ -205,48 +183,96 @@ def estimate_dlt_xy(src_xy: np.ndarray, dst_xy: np.ndarray) -> np.ndarray:
     Both inputs are (n, 2) with n >= 4.  Points are normalized (centroid to
     origin, mean distance sqrt(2)) before building the 2n x 9 design matrix,
     then the solution is the right singular vector of the smallest singular
-    value, denormalized and canonicalized.
+    value, denormalized and canonicalized.  This is `_dlt_stack` on a
+    stack of one.
 
-    Raises DegenerateConfiguration when the design matrix has rank < 8,
-    which is what collinear or repeated samples produce.
+    Raises DegenerateConfiguration when the points of either side coincide,
+    when the design matrix has rank < 8, which is what collinear or
+    repeated samples produce, or when the estimated matrix is singular;
+    SingularMatrix when it does not scale to norm 1.
     """
     src_xy = np.asarray(src_xy, dtype=np.float64)
     dst_xy = np.asarray(dst_xy, dtype=np.float64)
     n = src_xy.shape[0]
     if n < 4 or dst_xy.shape[0] != n:
         raise InsufficientPairs(f"need at least 4 pairs, got {n}")
-
-    t_src = _normalizing_similarity(src_xy)
-    t_dst = _normalizing_similarity(dst_xy)
-    sn = (np.hstack([src_xy, np.ones((n, 1))]) @ t_src.T)
-    dn = (np.hstack([dst_xy, np.ones((n, 1))]) @ t_dst.T)
-
-    a = np.zeros((2 * n, 9))
-    x, y = sn[:, 0], sn[:, 1]
-    u, v = dn[:, 0], dn[:, 1]
-    a[0::2, 0] = x
-    a[0::2, 1] = y
-    a[0::2, 2] = 1.0
-    a[0::2, 6] = -u * x
-    a[0::2, 7] = -u * y
-    a[0::2, 8] = -u
-    a[1::2, 3] = x
-    a[1::2, 4] = y
-    a[1::2, 5] = 1.0
-    a[1::2, 6] = -v * x
-    a[1::2, 7] = -v * y
-    a[1::2, 8] = -v
-
-    _, s, vt = np.linalg.svd(a)
-    if s[7] <= _EPS * max(1.0, s[0]):
+    (g,), (fitted,), (degenerate,) = _dlt_stack(src_xy[None], dst_xy[None])
+    if degenerate:
         raise DegenerateConfiguration(
-            "design matrix rank below 8; sample points are degenerate")
-    g_norm = vt[-1].reshape(3, 3)
-    g = np.linalg.inv(t_dst) @ g_norm @ t_src
-    g = canonicalize_matrix(g)
-    if abs(np.linalg.det(g)) < _EPS:
-        raise DegenerateConfiguration("estimated matrix is singular")
+            "sample points coincide, are collinear or give a singular matrix")
+    if not fitted:
+        raise SingularMatrix("estimated matrix does not scale to norm 1")
     return g
+
+
+def _dlt_stack(src_xy: np.ndarray, dst_xy: np.ndarray):
+    """The direct linear transform over (b, n, 2) stacks: one stacked SVD
+    solves all b fits.  Returns the canonical matrices, which fits stand,
+    and which are degenerate; a fit that is neither does not scale to
+    norm 1."""
+    b, n = src_xy.shape[:2]
+    t_src, src_apart = _similarity_stack(src_xy)
+    t_dst, dst_apart = _similarity_stack(dst_xy)
+    ones = np.ones((b, n, 1))
+    sn = np.concatenate([src_xy, ones], axis=2) @ t_src.transpose(0, 2, 1)
+    dn = np.concatenate([dst_xy, ones], axis=2) @ t_dst.transpose(0, 2, 1)
+
+    # per pair the rows (p, 0, -u p) and (0, p, -v p), where p = (x, y, 1)
+    # and (u, v, 1) are its normalized source and target points
+    a = np.zeros((b, n, 2, 9))
+    a[:, :, 0, 0:3] = a[:, :, 1, 3:6] = sn
+    a[:, :, 0, 6:9] = -dn[..., 0:1] * sn
+    a[:, :, 1, 6:9] = -dn[..., 1:2] * sn
+    a = a.reshape(b, 2 * n, 9)
+
+    # only a 8 x 9 design matrix needs the full VT to reach the null vector
+    _, s, vt = np.linalg.svd(a, full_matrices=2 * n < 9)
+    ranked = src_apart & dst_apart & ~(s[:, 7] <= _EPS
+                                       * np.maximum(1.0, s[:, 0]))
+    g_norm = vt[:, -1].reshape(b, 3, 3)
+    g = np.linalg.inv(t_dst) @ g_norm @ t_src
+    g, norm = _canonical_stack(g)
+    canonical = np.isfinite(norm) & (norm >= _EPS)
+    singular = np.abs(np.linalg.det(g)) < _EPS
+    # a rank below 8 is refused first, a matrix that does not canonicalize
+    # next, and a singular one last
+    degenerate = ~ranked | (canonical & singular)
+    return g, ranked & canonical & ~singular, degenerate
+
+
+def _similarity_stack(xy: np.ndarray):
+    """Per stack of a (b, n, 2) array, the similarity moving the centroid
+    to the origin and the mean radius to sqrt(2); returns them and which
+    stacks have points apart (the others get scale 1)."""
+    centroid = xy.mean(axis=1)
+    d = xy - centroid[:, None, :]
+    mean_dist = np.mean(np.sqrt(np.add.reduce(d * d, axis=2)), axis=1)
+    apart = mean_dist >= _EPS
+    s = np.divide(math.sqrt(2.0), mean_dist,
+                  out=np.ones_like(mean_dist), where=apart)
+    t = np.zeros((len(xy), 3, 3))
+    t[:, 0, 0] = t[:, 1, 1] = s
+    t[:, 0, 2] = -s * centroid[:, 0]
+    t[:, 1, 2] = -s * centroid[:, 1]
+    t[:, 2, 2] = 1.0
+    return t, apart
+
+
+def _canonical_stack(g: np.ndarray):
+    """`canonicalize_matrix` over a (b, 3, 3) stack; returns the stack and
+    the Frobenius norms.  A matrix whose norm is not finite or below _EPS
+    comes back as it was."""
+    flat = g.reshape(-1, 1, 9)
+    # the Frobenius norm as a 1x9 @ 9x1 dot product; an inf norm is refused
+    with np.errstate(over="ignore"):
+        norm = np.sqrt(np.matmul(flat, flat.transpose(0, 2, 1))[:, 0, 0])
+    canonical = np.isfinite(norm) & (norm >= _EPS)
+    g = g / np.where(canonical, norm, 1.0)[:, None, None]
+    pivot = g[:, 2, 2].copy()
+    for k in np.flatnonzero(canonical & ~(np.abs(pivot) > _EPS)):
+        row = g[k].ravel()
+        pivot[k] = row[np.flatnonzero(np.abs(row) > _EPS)[0]]
+    return np.where((pivot < 0)[:, None, None], -g, g), norm
 
 
 # --- camera model -----------------------------------------------------------

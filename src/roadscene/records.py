@@ -62,7 +62,7 @@ def _require(row: dict, key: str, lineno: int):
     return row[key]
 
 
-def _finite(value) -> bool:
+def is_number(value) -> bool:
     """True for a JSON number, not a bool, that is finite as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
@@ -73,16 +73,16 @@ def _finite(value) -> bool:
 
 
 def _number(value, key: str, lineno: int) -> float:
-    if not _finite(value):
+    if not is_number(value):
         raise SchemaError(f"line {lineno}: {key} must be a finite number, "
                           f"got {value!r}")
     return float(value)
 
 
 def is_number_list(value, n: int) -> bool:
-    """True for a list of `n` JSON numbers that `_finite` accepts."""
+    """True for a list of `n` JSON numbers that `is_number` accepts."""
     return (isinstance(value, list) and len(value) == n
-            and all(map(_finite, value)))
+            and all(map(is_number, value)))
 
 
 def _number_list(value, key: str, n: int, lineno: int) -> tuple:
@@ -388,7 +388,7 @@ def load_calibration(path) -> dict:
         raise SchemaError(f"{path}: g must be three rows of three finite "
                           f"numbers")
     iota = data.get("iota_m_per_px")
-    if iota is not None and not (_finite(iota) and iota > 0):
+    if iota is not None and not (is_number(iota) and iota > 0):
         raise SchemaError(f"{path}: iota_m_per_px must be null or a finite "
                           f"number > 0, got {iota!r}")
     size = data.get("bev_size")

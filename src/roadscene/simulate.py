@@ -24,7 +24,7 @@ from .geometry import (BEV, PERSPECTIVE, CameraModel, Homography,
                        projection_matrix)
 from .imaging import ImageBuffer, write_pnm
 from .motion import MPH_PER_MPS, wrap_angle
-from .records import dump_json, parse_json, write_detections
+from .records import dump_json, is_number, parse_json, write_detections
 from .seeding import subsystem_rng
 from .tracking import Detection
 
@@ -106,13 +106,8 @@ class ScenarioSpec:
 
 def _finite(value, label: str, cast=float):
     """A finite JSON number, not a bool, as `cast`; int takes only ints."""
-    if not isinstance(value, bool) and isinstance(
-            value, int if cast is int else (int, float)):
-        try:
-            if math.isfinite(value):
-                return cast(value)
-        except OverflowError:  # an int beyond float range
-            pass
+    if is_number(value) and (cast is not int or type(value) is int):
+        return cast(value)
     raise InvalidSpec(f"{label}: bad value {value!r}")
 
 

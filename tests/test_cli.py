@@ -1,8 +1,10 @@
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,7 +244,12 @@ def test_sharded_analyze_merges_to_single_pass(pipeline, tmp_path):
         (pipeline["an"] / "stats.csv").read_bytes()
 
 
-@pytest.mark.parametrize("bounds", [("-3", "2"), ("0", "-1"), ("-5", "-2")])
+@pytest.mark.parametrize("bounds", [
+    ("-3", "2", "--from-frame must be >= 0"),
+    ("0", "-1", "--to-frame must be >= 0"),
+    ("-5", "-2", "--from-frame must be >= 0"),
+    ("50", "10", "--to-frame must be >= --from-frame (50)"),  # inverted
+])
 def test_analyze_refuses_negative_frame_bounds(pipeline, tmp_path, capsys,
                                                bounds):
     out = tmp_path / "an"
@@ -250,7 +257,7 @@ def test_analyze_refuses_negative_frame_bounds(pipeline, tmp_path, capsys,
                "--calibration", str(pipeline["cal"] / "calibration.json"),
                "--out", str(out), "--from-frame", bounds[0],
                "--to-frame", bounds[1]) == 2
-    assert "must be >= 0" in _one_error_line(capsys)
+    assert "ConfigError: " + bounds[2] in _one_error_line(capsys)
     assert not out.exists()
 
 
@@ -286,6 +293,39 @@ def test_match_coordinates_must_be_json_numbers(tmp_path, pipeline, capsys,
     assert code == 2
     assert "SchemaError" in (err := _one_error_line(capsys))
     assert "pairs[3]" in err
+
+
+def test_match_coordinate_near_float_range_exits_2(tmp_path):
+    # unchecked, the DLT's point normalization overflows on these and
+    # numpy's warning came before the error line
+    xs = [1.7e308, -1.7e308, 1.0, 2.0, 3.0]
+    matches = tmp_path / "matches.json"
+    matches.write_text(json.dumps({"pairs": [
+        {"cam": [x, 3.0 * i * i], "sat": [1.0 * i, 2.0 * i]}
+        for i, x in enumerate(xs)]}))
+    done = subprocess.run(
+        [sys.executable, "-m", "roadscene.cli", "calibrate", "--matches",
+         str(matches), "--out", str(tmp_path / "cal")],
+        env=_source_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: SchemaError: ")
+    assert done.stderr.count("\n") == 1 and "pairs[0]" in done.stderr
+
+
+@pytest.mark.parametrize("side, axis, sign", itertools.product(
+    ["cam", "sat"], [0, 1], [1.0, -1.0]))
+def test_match_coordinates_just_inside_the_bound_calibrate_quietly(
+        tmp_path, pipeline, capsys, side, axis, sign):
+    data = json.loads((pipeline["sim"] / "matches.json").read_text())
+    for k, shrink in ((5, 1.0), (40, 0.5)):
+        data["pairs"][k][side][axis] = sign * shrink * 0.99 * 2.0 ** 510
+    matches = tmp_path / "matches.json"
+    matches.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run("calibrate", "--matches", str(matches),
+                   "--out", str(tmp_path / "cal")) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("points", [

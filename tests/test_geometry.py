@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from roadscene import geometry as geo
 from roadscene.errors import (
@@ -10,6 +12,7 @@ from roadscene.errors import (
     FrameMismatch,
     InsufficientPairs,
     InvalidCamera,
+    SingularMatrix,
 )
 from roadscene.geometry import (
     BEV,
@@ -176,6 +179,151 @@ class TestEstimateDlt:
         src = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (2, 2)], dtype=float)
         with pytest.raises(InsufficientPairs):
             estimate_dlt_xy(src, src[:4])
+
+
+# --- the scalar DLT that estimate_dlt_xy replaced, kept as its oracle ------
+
+def oracle_canonicalize(g):
+    g = np.asarray(g, dtype=np.float64)
+    if g.shape != (3, 3):
+        raise SingularMatrix(f"expected a 3x3 matrix, got shape {g.shape}")
+    if not np.all(np.isfinite(g)):
+        raise SingularMatrix("matrix has non-finite entries")
+    with np.errstate(over="ignore"):  # an inf norm is refused below
+        norm = float(np.linalg.norm(g))
+    if norm < 1e-12:
+        raise SingularMatrix("matrix is numerically zero")
+    if not math.isfinite(norm):
+        raise SingularMatrix("matrix norm overflows")
+    g = g / norm
+    if abs(g[2, 2]) > 1e-12:
+        pivot = g[2, 2]
+    else:
+        flat = g.ravel()
+        nz = np.flatnonzero(np.abs(flat) > 1e-12)
+        pivot = flat[nz[0]]
+    if pivot < 0:
+        g = -g
+    return g
+
+
+def oracle_similarity(xy):
+    centroid = xy.mean(axis=0)
+    mean_dist = float(np.mean(np.linalg.norm(xy - centroid, axis=1)))
+    if mean_dist < 1e-12:
+        raise DegenerateConfiguration("all points coincide")
+    s = math.sqrt(2.0) / mean_dist
+    return np.array([
+        [s, 0.0, -s * centroid[0]],
+        [0.0, s, -s * centroid[1]],
+        [0.0, 0.0, 1.0],
+    ])
+
+
+def oracle_dlt(src_xy, dst_xy):
+    src_xy = np.asarray(src_xy, dtype=np.float64)
+    dst_xy = np.asarray(dst_xy, dtype=np.float64)
+    n = src_xy.shape[0]
+    if n < 4 or dst_xy.shape[0] != n:
+        raise InsufficientPairs(f"need at least 4 pairs, got {n}")
+
+    t_src = oracle_similarity(src_xy)
+    t_dst = oracle_similarity(dst_xy)
+    sn = (np.hstack([src_xy, np.ones((n, 1))]) @ t_src.T)
+    dn = (np.hstack([dst_xy, np.ones((n, 1))]) @ t_dst.T)
+
+    a = np.zeros((2 * n, 9))
+    x, y = sn[:, 0], sn[:, 1]
+    u, v = dn[:, 0], dn[:, 1]
+    a[0::2, 0] = x
+    a[0::2, 1] = y
+    a[0::2, 2] = 1.0
+    a[0::2, 6] = -u * x
+    a[0::2, 7] = -u * y
+    a[0::2, 8] = -u
+    a[1::2, 3] = x
+    a[1::2, 4] = y
+    a[1::2, 5] = 1.0
+    a[1::2, 6] = -v * x
+    a[1::2, 7] = -v * y
+    a[1::2, 8] = -v
+
+    _, s, vt = np.linalg.svd(a)
+    if s[7] <= 1e-12 * max(1.0, s[0]):
+        raise DegenerateConfiguration(
+            "design matrix rank below 8; sample points are degenerate")
+    g_norm = vt[-1].reshape(3, 3)
+    g = np.linalg.inv(t_dst) @ g_norm @ t_src
+    g = oracle_canonicalize(g)
+    if abs(np.linalg.det(g)) < 1e-12:
+        raise DegenerateConfiguration("estimated matrix is singular")
+    return g
+
+
+def point_set(rng, n, kind):
+    """n image-like points: uniform, half on one line, all on one line,
+    a few repeated sites, or one site n times."""
+    xy = rng.uniform(0, (640, 480), size=(n, 2))
+    if kind == "half-collinear":
+        t = rng.uniform(0, 1, size=n // 2)
+        xy[: n // 2] = np.outer(t, (600, 400)) + (20, 40)
+    elif kind == "collinear":
+        xy[:, 1] = 0.5 * xy[:, 0] + 7
+    elif kind == "repeated":
+        xy = np.round(xy[rng.integers(0, 3, size=n)])
+    elif kind == "coincident":
+        xy[:] = xy[0]
+    return xy
+
+
+def dlt_outcome(fit, src, dst):
+    """The matrix as bytes, or the type of the refusal."""
+    try:
+        return fit(src, dst).tobytes()
+    except (DegenerateConfiguration, SingularMatrix) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       # 2n < 9 only at n = 4, where the SVD must return the full VT
+       n=st.one_of(st.integers(4, 6), st.integers(4, 700)),
+       kind=st.sampled_from(["random", "half-collinear", "collinear",
+                             "repeated", "coincident"]),
+       degenerate_side=st.sampled_from(["src", "dst"]),
+       scale=st.sampled_from([1.0, 1e-3, 1e3]))
+@example(seed=0, n=4, kind="random", degenerate_side="src", scale=1.0)
+@example(seed=0, n=5, kind="random", degenerate_side="src", scale=1.0)
+def test_dlt_equals_scalar_oracle(seed, n, kind, degenerate_side, scale):
+    rng = np.random.default_rng(seed)
+    planted = random_homography(rng)
+    points = point_set(rng, n, kind)
+    mapped = apply_many(planted, points)
+    mapped += rng.normal(0, 0.5, size=mapped.shape)
+    src, dst = ((points, mapped) if degenerate_side == "src"
+                else (mapped, points))
+    src, dst = scale * src, scale * dst
+    assert dlt_outcome(estimate_dlt_xy, src, dst) == \
+        dlt_outcome(oracle_dlt, src, dst)
+
+
+@pytest.mark.parametrize("g", [
+    np.eye(3),
+    -np.eye(3),
+    [[-2.0, 0, 0], [0, 1, 0], [1, 0, 0]],
+    [[0, 0, 0], [0, -3.0, 1], [0, 2, 1e-13]],
+    np.zeros((3, 3)),
+    [[1e300, 1e300, 1e300]] * 3,
+    [[np.nan, 0, 0], [0, 1, 0], [0, 0, 1]],
+    np.eye(2),
+])
+def test_canonicalize_equals_scalar_oracle(g):
+    def outcome(canonicalize):
+        try:
+            return canonicalize(g).tobytes()
+        except SingularMatrix as exc:
+            return str(exc)
+    assert outcome(canonicalize_matrix) == outcome(oracle_canonicalize)
 
 
 def reference_projection(cam):
