@@ -26,13 +26,13 @@ from .errors import (
     NoConsensus,
 )
 from .geometry import (
-    _EPS,
     BEV,
     PERSPECTIVE,
     Homography,
     PixelPoint,
     _canonical_stack,
     _dlt_stack,
+    _singular_stack,
     apply_many,
     estimate_dlt_xy,
 )
@@ -208,7 +208,7 @@ def _block_hypotheses(cam_xy: np.ndarray, sat_xy: np.ndarray,
             g, fitted, degenerate = _dlt_stack(cam_xy[draws], sat_xy[draws])
             # `Homography` canonicalizes the fitted matrix a second time
             h, _ = _canonical_stack(g)
-            fitted &= ~(np.abs(np.linalg.det(h)) < _EPS)
+            fitted &= ~_singular_stack(h)
             h[~fitted] = np.eye(3)  # not scored here; keeps them finite
             # `apply_many` for every slice, one coordinate at a time
             hom = np.matmul(cam_hom, h.transpose(0, 2, 1))

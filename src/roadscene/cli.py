@@ -47,8 +47,18 @@ from .records import (dump_json, dump_rows, load_boundary, load_calibration,
 def _config_from(args) -> Config:
     cfg = load_config(args.config) if args.config else Config()
     if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
+        try:
+            cfg = replace(cfg, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     return cfg
+
+
+def _check_size(flag: str, size) -> None:
+    """Refuse a W H size flag unless both are positive."""
+    if size is not None and min(size) < 1:
+        raise ConfigError(f"{flag} must be two positive integers, got "
+                          f"{size[0]} {size[1]}")
 
 
 def _out_dir(args) -> Path:
@@ -129,6 +139,12 @@ def _cmd_calibrate(args) -> int:
     from .imaging import (BackgroundAccumulator, accumulate_background,
                           histogram_match, read_pnm, to_gray, write_pnm)
     from .seeding import subsystem_seed
+    if args.trajectories and not args.image_size:
+        raise ConfigError("--trajectories needs --image-size W H")
+    if args.image_size and not args.trajectories:
+        raise ConfigError("--image-size needs --trajectories")
+    _check_size("--image-size", args.image_size)
+    _check_size("--bev-size", args.bev_size)
     cfg = _config_from(args)
     out = _out_dir(args)
 
@@ -141,8 +157,6 @@ def _cmd_calibrate(args) -> int:
 
     distortion = None
     if args.trajectories:
-        if not args.image_size:
-            raise ConfigError("--trajectories needs --image-size W H")
         trajs = _load_trajectories(args.trajectories)
         dist = fit_distortion_es(trajs, tuple(args.image_size),
                                  seed=subsystem_seed(cfg.seed, "distortion"))
@@ -203,7 +217,9 @@ def _cmd_track(args) -> int:
     detections = load_detections(args.detections)
 
     out_path = _out_file(args)
-    tracker = MomctTracker(**cfg.tracker_kwargs())
+    tracker = MomctTracker(iou_min=cfg.iou_min, max_age=cfg.max_age,
+                           min_hits=cfg.min_hits,
+                           objectness_min=cfg.objectness_min)
     t_w = 1.0 / cfg.fps
     motion = {}  # track id -> (BEV filter, frame last seen, heading)
     # each frame's rows are encoded as soon as they are complete, so only
@@ -332,6 +348,7 @@ def _cmd_analyze(args) -> int:
             and args.to_frame < args.from_frame:
         raise ConfigError(f"--to-frame must be >= --from-frame "
                           f"({args.from_frame}), got {args.to_frame}")
+    _check_size("--bev-size", args.bev_size)
     cfg = _config_from(args)
     calib = load_calibration(args.calibration)
     scale = GroundScale(calib.get("iota_m_per_px") or cfg.iota_m_per_px)
@@ -370,6 +387,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_render(args) -> int:
     from .imaging import read_pnm, to_gray, write_pnm
+    if args.perspective_base and not args.calibration:
+        raise ConfigError("--perspective-base needs --calibration")
     cfg = _config_from(args)
     heat_dir = Path(args.heat_dir)
     if not heat_dir.is_dir():
@@ -442,14 +461,12 @@ def _cmd_merge(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
-def _add_common(sub, config=True, seed=True, out=True):
-    if config:
-        sub.add_argument("--config", help="flat key=value config file")
+def _add_common(sub, seed=True):
+    sub.add_argument("--config", help="flat key=value config file")
     if seed:
         sub.add_argument("--seed", type=int, default=None,
                          help="run seed (overrides config)")
-    if out:
-        sub.add_argument("--out", required=True, help="output path")
+    sub.add_argument("--out", required=True, help="output path")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,15 +2,17 @@
 
 The on-disk format is deliberately flat: one ``key = value`` pair per line,
 ``#`` starts a comment, blank lines are ignored.  Every tunable lives here so
-a run is fully described by one config file plus one seed.  The RANSAC,
-region-growing and analytics keys set fields of the stage parameter types
-defined here, whose own checks refuse out-of-range values.  No stage is
-imported here, so reading a config loads none.
+a run is fully described by one config file plus one seed.  Each key sets
+a field of `Config` or of one of the stage parameter types it holds, and
+the type that holds the field refuses out-of-range values, for a config
+built in code as for one read from a file.  No stage is imported here, so
+reading a config loads none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
 from .errors import ConfigError, InputError, InvalidProbability
@@ -133,107 +135,76 @@ class Config:
     priors: dict[str, DimensionPrior] = field(
         default_factory=lambda: dict(DEFAULT_PRIORS))
 
-    def tracker_kwargs(self) -> dict:
-        return {"iou_min": self.iou_min, "max_age": self.max_age,
-                "min_hits": self.min_hits,
-                "objectness_min": self.objectness_min}
+    def __post_init__(self):
+        for names, ok, rule in _RANGES:
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ValueError(f"{name} must be {rule}, got {value}")
 
 
-def _parse_float(raw: str) -> float:
+# Config's scalar fields -> the test each value passes, and how it reads
+_RANGES = (
+    (("fps", "iota_m_per_px", "beta"), lambda v: v > 0, "positive"),
+    (("iou_min", "objectness_min", "render_alpha"), lambda v: 0 <= v <= 1,
+     "in [0, 1]"),
+    (("max_age", "min_hits", "background_frames"), lambda v: v >= 1, ">= 1"),
+    (("seed", "render_floor"), lambda v: v >= 0, ">= 0"),
+    (("alpha",), lambda v: 0 < v < 1, "in (0, 1)"),
+)
+
+# key in the file -> the Config attribute or "section.field" it sets
+_KEYS = {
+    "fps": "fps",
+    "iota_m_per_px": "iota_m_per_px",
+    "speed_limit_mph": "analytics.speed_limit_mph",
+    "seed": "seed",
+    "tracker.iou_min": "iou_min",
+    "tracker.max_age": "max_age",
+    "tracker.min_hits": "min_hits",
+    "tracker.objectness_min": "objectness_min",
+    "ransac.tau": "ransac.tau_z",
+    "ransac.rho": "ransac.rho",
+    "ransac.max_iter": "ransac.max_iter",
+    "srg.tau_alpha": "srg.tau_alpha",
+    "analytics.parking_speed_mph": "analytics.parking_speed_mph",
+    "analytics.parking_border_m": "analytics.parking_border_m",
+    "analytics.parking_duration_s": "analytics.parking_duration_s",
+    "analytics.proximity_risk_m": "analytics.proximity_risk_m",
+    "analytics.congestion_distance_m": "analytics.congestion_distance_m",
+    "analytics.congestion_speed_mph": "analytics.congestion_speed_mph",
+    "box.beta": "beta",
+    "background.alpha": "alpha",
+    "background.frames": "background_frames",
+    "render.floor": "render_floor",
+    "render.alpha": "render_alpha",
+}
+
+
+def _finite(raw: str) -> float:
     value = float(raw)
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
-
-
-def _positive_float(raw: str) -> float:
-    value = _parse_float(raw)
-    if value <= 0:
-        raise ValueError("must be positive")
-    return value
-
-
-def _unit_open(raw: str) -> float:
-    value = _parse_float(raw)
-    if not 0.0 < value < 1.0:
-        raise ValueError("must be in (0, 1)")
-    return value
-
-
-def _unit_closed(raw: str) -> float:
-    value = _parse_float(raw)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError("must be in [0, 1]")
-    return value
-
-
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
-
-
-def _positive_int(raw: str) -> int:
-    value = _parse_int(raw)
-    if value < 1:
-        raise ValueError("must be >= 1")
-    return value
-
-
-def _nonneg_int(raw: str) -> int:
-    value = _parse_int(raw)
-    if value < 0:
-        raise ValueError("must be >= 0")
-    return value
-
-
-# key in the file -> (Config attribute or "section.field", parser).  The
-# parsers of "section.field" targets only convert; the section's type checks
-# the range when the value is set.
-_KEYS = {
-    "fps": ("fps", _positive_float),
-    "iota_m_per_px": ("iota_m_per_px", _positive_float),
-    "speed_limit_mph": ("analytics.speed_limit_mph", _parse_float),
-    "seed": ("seed", _nonneg_int),
-    "tracker.iou_min": ("iou_min", _unit_closed),
-    "tracker.max_age": ("max_age", _positive_int),
-    "tracker.min_hits": ("min_hits", _positive_int),
-    "tracker.objectness_min": ("objectness_min", _unit_closed),
-    "ransac.tau": ("ransac.tau_z", _parse_float),
-    "ransac.rho": ("ransac.rho", _parse_float),
-    "ransac.max_iter": ("ransac.max_iter", _parse_int),
-    "srg.tau_alpha": ("srg.tau_alpha", _parse_float),
-    "analytics.parking_speed_mph": ("analytics.parking_speed_mph",
-                                    _parse_float),
-    "analytics.parking_border_m": ("analytics.parking_border_m",
-                                   _parse_float),
-    "analytics.parking_duration_s": ("analytics.parking_duration_s",
-                                     _parse_float),
-    "analytics.proximity_risk_m": ("analytics.proximity_risk_m",
-                                   _parse_float),
-    "analytics.congestion_distance_m": ("analytics.congestion_distance_m",
-                                        _parse_float),
-    "analytics.congestion_speed_mph": ("analytics.congestion_speed_mph",
-                                       _parse_float),
-    "box.beta": ("beta", _positive_float),
-    "background.alpha": ("alpha", _unit_open),
-    "background.frames": ("background_frames", _positive_int),
-    "render.floor": ("render_floor", _nonneg_int),
-    "render.alpha": ("render_alpha", _unit_closed),
-}
 
 
 def _parse_prior(raw: str) -> DimensionPrior:
     parts = raw.split()
     if len(parts) != 2:
         raise ValueError("expected two values: length_m width_m")
-    return DimensionPrior(_positive_float(parts[0]), _positive_float(parts[1]))
+    return DimensionPrior(*map(_finite, parts))
 
 
-def _set(cfg: Config, target: str, value) -> Config:
+def _set(cfg: Config, target: str, raw: str) -> Config:
+    """`cfg` with `target` set to `raw`, read as a base-10 int for an int
+    field and as a finite float otherwise; the type that holds the field
+    checks its range."""
     section, _, attr = target.rpartition(".")
-    if not section:
-        return replace(cfg, **{attr: value})
-    return replace(cfg, **{section: replace(getattr(cfg, section),
-                                            **{attr: value})})
+    holder = getattr(cfg, section) if section else cfg
+    kind = next(f.type for f in fields(holder) if f.name == attr)
+    holder = replace(holder, **{attr: int(raw, 10) if kind == "int"
+                                else _finite(raw)})
+    return replace(cfg, **{section: holder}) if section else holder
 
 
 def parse_config(text: str) -> Config:
@@ -266,9 +237,8 @@ def parse_config(text: str) -> Config:
             continue
         if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        target, parser = _KEYS[key]
         try:
-            cfg = _set(cfg, target, parser(raw))
+            cfg = _set(cfg, _KEYS[key], raw)
         except (ValueError, InputError) as exc:
             detail = str(exc) or f"bad value {raw!r}"
             raise ConfigError(f"line {lineno}: {key}: {detail}") from None

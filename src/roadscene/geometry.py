@@ -40,7 +40,8 @@ BEV = "bev"
 WORLD = "world"
 
 # Below this size an element is treated as exactly zero when canonicalizing
-# and when testing denominators / determinants.
+# and when testing denominators; relative to the largest singular value,
+# a smallest one at or below it makes a matrix singular.
 _EPS = 1e-12
 
 
@@ -99,7 +100,7 @@ class Homography:
 
     def __post_init__(self):
         g = canonicalize_matrix(self.matrix)
-        if abs(np.linalg.det(g)) < _EPS:
+        if _singular_stack(g[None])[0]:
             raise SingularMatrix("homography matrix is singular")
         g.setflags(write=False)
         object.__setattr__(self, "matrix", g)
@@ -233,7 +234,7 @@ def _dlt_stack(src_xy: np.ndarray, dst_xy: np.ndarray):
     g = np.linalg.inv(t_dst) @ g_norm @ t_src
     g, norm = _canonical_stack(g)
     canonical = np.isfinite(norm) & (norm >= _EPS)
-    singular = np.abs(np.linalg.det(g)) < _EPS
+    singular = _singular_stack(g)
     # a rank below 8 is refused first, a matrix that does not canonicalize
     # next, and a singular one last
     degenerate = ~ranked | (canonical & singular)
@@ -273,6 +274,17 @@ def _canonical_stack(g: np.ndarray):
         row = g[k].ravel()
         pivot[k] = row[np.flatnonzero(np.abs(row) > _EPS)[0]]
     return np.where((pivot < 0)[:, None, None], -g, g), norm
+
+
+def _singular_stack(g: np.ndarray) -> np.ndarray:
+    """Which matrices of a (b, 3, 3) stack are singular at working
+    precision: their smallest singular value is at most _EPS times their
+    largest, or they hold a non-finite entry.  The rule is scale-free, so a
+    matrix and every nonzero multiple of it agree."""
+    finite = np.isfinite(g).all(axis=(1, 2))
+    s = np.linalg.svd(np.where(finite[:, None, None], g, 0.0),
+                      compute_uv=False)
+    return s[:, 2] <= _EPS * s[:, 0]
 
 
 # --- camera model -----------------------------------------------------------

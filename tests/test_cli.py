@@ -775,10 +775,10 @@ def test_bad_calibration_field_exits_2(tmp_path, pipeline, capsys, key,
 
 
 @pytest.mark.parametrize("g", [
-    [[1, 2, 3], [2, 4, 6], [0, 0, 1]],    # singular
-    [[1, 0, 0], [0, 1e-7, 0], [0, 0, 1]],  # its inverse is numerically singular
-    [[1e300, 1e300, 1e300]] * 3,           # the norm overflows
-], ids=["singular", "singular-inverse", "norm-overflow"])
+    [[1, 2, 3], [2, 4, 6], [0, 0, 1]],     # singular
+    [[1, 0, 0], [0, 1e-13, 0], [0, 0, 1]],  # condition number 1e13
+    [[1e300, 1e300, 1e300]] * 3,            # the norm overflows
+], ids=["singular", "ill-conditioned", "norm-overflow"])
 @pytest.mark.parametrize("command", ["track", "render"])
 def test_non_invertible_calibration_exits_2(tmp_path, pipeline, capsys, g,
                                             command):

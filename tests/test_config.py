@@ -6,7 +6,7 @@ from roadscene import config
 from roadscene.config import (AnalyticsConfig, Config, DimensionPrior,
                               RansacParams, SrgParams, load_config,
                               parse_config)
-from roadscene.errors import ConfigError
+from roadscene.errors import ConfigError, InputError
 from roadscene.imaging import BackgroundAccumulator
 
 
@@ -80,7 +80,7 @@ def test_builders_produce_validated_params():
     assert cfg.srg == SrgParams(tau_alpha=20.0)
     assert cfg.analytics == AnalyticsConfig(speed_limit_mph=40.0,
                                             parking_duration_s=30.0)
-    assert cfg.tracker_kwargs()["min_hits"] == 3
+    assert cfg.min_hits == 3
 
 
 def test_load_config_missing_file(tmp_path):
@@ -100,52 +100,73 @@ _TINY = repr(5e-324)
 _HUGE = repr(sys.float_info.max)
 _BIG_INT = str(10 ** 30)
 
-# parser name -> the lowest and the highest value it accepts
-_PARSER_ENDS = {
-    "_positive_float": (_TINY, _HUGE),
-    "_unit_open": (_TINY, repr(1.0 - 2 ** -53)),
-    "_unit_closed": ("0", "1"),
-    "_positive_int": ("1", _BIG_INT),
-    "_nonneg_int": ("0", _BIG_INT),
-}
-
-_POSITIVE = ((_TINY, _HUGE), ("0", "-1"))
-# key of a stage-type field -> (values just inside its bounds, values just
-# outside), as the stage type's own check draws them
-_STAGE_BOUNDS = {
-    "ransac.tau": _POSITIVE,
-    "ransac.rho": ((_TINY, repr(1.0 - 2 ** -53)), ("0", "1")),
-    "ransac.max_iter": (("1", _BIG_INT), ("0",)),
-    "srg.tau_alpha": ((_TINY, repr(256.0 - 2 ** -45)), ("0", "256")),
+# (the lowest and the highest accepted value, values just outside them)
+_POSITIVE = ((_TINY, _HUGE), ("0", "-" + _TINY))
+_UNIT_OPEN = ((_TINY, repr(1.0 - 2 ** -53)), ("0", "1"))
+_UNIT_CLOSED = (("0", "1"), ("-" + _TINY, repr(1.0 + 2 ** -52)))
+_AT_LEAST_1 = (("1", _BIG_INT), ("0",))
+_AT_LEAST_0 = (("0", _BIG_INT), ("-1",))
+# every key -> its bounds, as the type holding its field draws them
+_BOUNDS = {
+    "fps": _POSITIVE,
+    "iota_m_per_px": _POSITIVE,
     "speed_limit_mph": _POSITIVE,
+    "seed": _AT_LEAST_0,
+    "tracker.iou_min": _UNIT_CLOSED,
+    "tracker.max_age": _AT_LEAST_1,
+    "tracker.min_hits": _AT_LEAST_1,
+    "tracker.objectness_min": _UNIT_CLOSED,
+    "ransac.tau": _POSITIVE,
+    "ransac.rho": _UNIT_OPEN,
+    "ransac.max_iter": _AT_LEAST_1,
+    "srg.tau_alpha": ((_TINY, repr(256.0 - 2 ** -45)), ("0", "256")),
     "analytics.parking_speed_mph": (("0", _HUGE), ("-" + _TINY,)),
     "analytics.parking_border_m": _POSITIVE,
     "analytics.parking_duration_s": _POSITIVE,
     "analytics.proximity_risk_m": _POSITIVE,
     "analytics.congestion_distance_m": _POSITIVE,
     "analytics.congestion_speed_mph": _POSITIVE,
+    "box.beta": _POSITIVE,
+    "background.alpha": _UNIT_OPEN,
+    "background.frames": _AT_LEAST_1,
+    "render.floor": _AT_LEAST_0,
+    "render.alpha": _UNIT_CLOSED,
 }
+
+
+def _holder(key):
+    """The type holding the field `key` sets, the field's name and its
+    default value."""
+    section, _, name = config._KEYS[key].rpartition(".")
+    holder = getattr(Config(), section) if section else Config()
+    return type(holder), name, getattr(holder, name)
 
 
 @pytest.mark.parametrize("key", sorted(config._KEYS))
 def test_every_accepted_value_builds(key):
-    target, parser = config._KEYS[key]
-    inside, outside = (_STAGE_BOUNDS[key] if "." in target
-                       else (_PARSER_ENDS[parser.__name__], ()))
+    inside, outside = _BOUNDS[key]
     for raw in inside:
         cfg = parse_config(f"{key} = {raw}\n")
         BackgroundAccumulator(cfg.alpha)
-    for raw in outside:
+    # an int field takes only base-10 integers, a float field only finite
+    # numbers
+    _, _, default = _holder(key)
+    unreadable = ("1.5", "0x10") if type(default) is int else ("inf", "nan")
+    for raw in outside + unreadable:
         with pytest.raises(ConfigError, match=f"line 1: {key}: "):
             parse_config(f"{key} = {raw}\n")
 
 
-def test_stage_keys_are_range_checked_by_their_type_only():
-    stage_keys = {k for k, (target, _) in config._KEYS.items()
-                  if "." in target}
-    assert stage_keys == set(_STAGE_BOUNDS)
-    assert {config._KEYS[k][1] for k in stage_keys} == {
-        config._parse_float, config._parse_int}
+def test_every_key_is_range_checked_by_its_type_only():
+    assert set(_BOUNDS) == set(config._KEYS)
+    for key, (_, outside) in _BOUNDS.items():
+        holder, name, default = _holder(key)
+        for raw in outside:
+            with pytest.raises((ValueError, InputError)) as built:
+                holder(**{name: type(default)(raw)})
+            with pytest.raises(ConfigError) as parsed:
+                parse_config(f"{key} = {raw}\n")
+            assert str(parsed.value) == f"line 1: {key}: {built.value}"
 
 
 def test_tau_alpha_range():

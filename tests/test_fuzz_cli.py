@@ -296,6 +296,53 @@ def test_coordinate_as_string_or_bool_exits_2(chain, slot, data):
     assert check_contract(chain, "calibrate", slot, text.encode()) == 2
 
 
+# --- flags refused before anything is read or written ----------------------
+
+def _without(argv: list, flag: str, values: int) -> list:
+    """`argv` with `flag` and the `values` arguments after it dropped."""
+    at = argv.index(flag)
+    return argv[:at] + argv[at + 1 + values:]
+
+
+# (command, how its valid command line is changed): each change sets a flag
+# out of range, or one without the flag it needs
+FLAG_CASES = [
+    *(pytest.param(command, lambda argv: argv + ["--seed", "-1"],
+                   id=f"{command}-seed--1")
+      for command in ("simulate", "calibrate", "track", "segment", "analyze",
+                      "render")),
+    *(pytest.param(command, lambda argv, size=size: argv + ["--bev-size",
+                                                            *size],
+                   id=f"{command}-bev-size-{'_'.join(size)}")
+      for command in ("calibrate", "analyze")
+      for size in (("0", "5"), ("-4", "0"))),
+    pytest.param("calibrate", lambda argv: argv + ["--image-size", "0", "1"],
+                 id="calibrate-image-size-0_1"),
+    pytest.param("render", lambda argv: _without(argv, "--calibration", 1),
+                 id="render-perspective-base-without-calibration"),
+    pytest.param("calibrate", lambda argv: _without(argv, "--trajectories", 1),
+                 id="calibrate-image-size-without-trajectories"),
+    pytest.param("calibrate", lambda argv: _without(argv, "--image-size", 2),
+                 id="calibrate-trajectories-without-image-size"),
+]
+
+
+@pytest.mark.parametrize("command, change", FLAG_CASES)
+def test_refused_flag_exits_2_with_one_config_error(chain, tmp_path,
+                                                    command, change):
+    out = tmp_path / "out"
+    argv = change([str(a) for a in _argv(command, chain, out)])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ConfigError: "), \
+        lines
+    assert not out.exists()
+
+
 # --- inputs that once printed numpy warnings --------------------------------
 
 def _run_uncaptured(argv: list) -> tuple[int, str]:

@@ -139,6 +139,42 @@ class TestInvert:
         assert worst < 1e-9
 
 
+class TestSingularity:
+    """A matrix is singular when its smallest singular value is at most
+    1e-12 times its largest, whatever its scale."""
+
+    @pytest.mark.parametrize("shift", [1e4, 1e5])
+    def test_far_translation_is_a_homography(self, shift):
+        g = np.eye(3)
+        g[0, 2] = shift
+        h = Homography(g)
+        q = apply(h, PixelPoint.perspective(3.0, 4.0))
+        assert (q.x, q.y) == pytest.approx((3.0 + shift, 4.0), abs=1e-9)
+        back = apply(invert(h), q)
+        assert (back.x, back.y) == pytest.approx((3.0, 4.0), abs=1e-9)
+
+    @pytest.mark.parametrize("shift", [1e4, 2e4, 1e5])
+    def test_dlt_fits_a_square_shifted_far(self, shift):
+        square = np.array([(0.0, 0.0), (100.0, 0.0), (100.0, 100.0),
+                           (0.0, 100.0)])
+        h = Homography(estimate_dlt_xy(square, square + shift))
+        q = apply(h, PixelPoint.perspective(50.0, 50.0))
+        assert (q.x, q.y) == pytest.approx((50.0 + shift, 50.0 + shift),
+                                           abs=1e-6)
+
+    def test_anisotropic_scale_is_a_homography(self):
+        Homography(np.diag([1.0, 1e-7, 1.0]))  # condition number 1e7
+
+    @pytest.mark.parametrize("g", [
+        [[1, 2, 3], [2, 4, 6], [0, 0, 1]],         # rank 2
+        [[1e6, 2e6, 3e6], [2e6, 4e6, 6e6], [0, 0, 1e6]],  # rank 2, scaled
+        [[1, 0, 0], [0, 1e-13, 0], [0, 0, 1]],     # condition number 1e13
+    ])
+    def test_numerically_singular_is_refused(self, g):
+        with pytest.raises(SingularMatrix, match="singular"):
+            Homography(np.array(g, dtype=float))
+
+
 class TestEstimateDlt:
     def test_identity_square(self):
         square = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
@@ -255,7 +291,8 @@ def oracle_dlt(src_xy, dst_xy):
     g_norm = vt[-1].reshape(3, 3)
     g = np.linalg.inv(t_dst) @ g_norm @ t_src
     g = oracle_canonicalize(g)
-    if abs(np.linalg.det(g)) < 1e-12:
+    s = np.linalg.svd(g, compute_uv=False)
+    if s[2] <= 1e-12 * s[0]:
         raise DegenerateConfiguration("estimated matrix is singular")
     return g
 
