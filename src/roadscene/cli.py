@@ -145,6 +145,9 @@ def _cmd_calibrate(args) -> int:
         raise ConfigError("--image-size needs --trajectories")
     _check_size("--image-size", args.image_size)
     _check_size("--bev-size", args.bev_size)
+    if args.bev_size and args.satellite:
+        raise ConfigError("--bev-size cannot go with --satellite, whose size "
+                          "is the aerial window")
     cfg = _config_from(args)
     out = _out_dir(args)
 
@@ -461,7 +464,7 @@ def _cmd_merge(args) -> int:
 
 # --- parser -----------------------------------------------------------------
 
-def _add_common(sub, seed=True):
+def _add_common(sub, seed=False):
     sub.add_argument("--config", help="flat key=value config file")
     if seed:
         sub.add_argument("--seed", type=int, default=None,
@@ -469,8 +472,16 @@ def _add_common(sub, seed=True):
     sub.add_argument("--out", required=True, help="output path")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises an argument error as a ConfigError instead of printing the
+    usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="roadscene",
         description="Traffic-scene geometry and analytics over a "
                     "calibrated aerial view.")
@@ -480,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="scenario JSON")
     p.add_argument("--frames", action="store_true",
                    help="also write per-frame PGM images")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=_cmd_simulate)
 
     p = subs.add_parser("calibrate", help="estimate the aerial homography")
@@ -495,8 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "extraction")
     p.add_argument("--satellite", help="aerial reference image (PGM/PPM)")
     p.add_argument("--bev-size", type=int, nargs=2, metavar=("W", "H"),
-                   help="aerial window size if no satellite image")
-    _add_common(p)
+                   help="aerial window size (without --satellite)")
+    _add_common(p, seed=True)
     p.set_defaults(func=_cmd_calibrate)
 
     p = subs.add_parser("track", help="run the tracker over detections")
@@ -535,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("merge", help="merge sharded heat maps or stats")
     p.add_argument("inputs", nargs="+", help="shard files (.json or .csv)")
-    _add_common(p, seed=False)
+    _add_common(p)
     p.set_defaults(func=_cmd_merge)
 
     return parser
@@ -547,8 +558,8 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (InputError, OSError, UnicodeDecodeError) as exc:
         return _fail(exc, 2)

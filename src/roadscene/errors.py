@@ -123,3 +123,7 @@ class SchemaError(InputError):
 
 class ConfigError(InputError):
     """Configuration file does not parse; message carries the line number."""
+
+
+class NonFiniteOutput(ProcessingError):
+    """A value to be written is NaN or infinite, which no reader takes."""

@@ -3,7 +3,7 @@
 Detections and tracks travel as JSON Lines, calibration and heat maps as
 JSON, per-frame stats as CSV.  All writers are deterministic: keys are
 sorted, separators fixed, floats serialized by repr.  Readers fail fast,
-name the offending line and refuse non-finite numbers.
+name the offending line and refuse non-finite numbers, as writers do.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .analytics import _BUMP_UNITS, HEAT_KINDS, FrameStats, HeatMap
 from .config import CLASS_NAMES
-from .errors import SchemaError, SingularMatrix
+from .errors import NonFiniteOutput, SchemaError, SingularMatrix
 
 if TYPE_CHECKING:  # annotations only: functions import what they run
     from .geometry import Homography
@@ -28,7 +28,8 @@ _SEPARATORS = (",", ":")
 
 
 def _dump_row(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=_SEPARATORS)
+    return json.dumps(obj, sort_keys=True, separators=_SEPARATORS,
+                      allow_nan=False)
 
 
 def dump_json(obj, path) -> None:
@@ -117,7 +118,11 @@ def json_rows(text: str):
 
 def dump_rows(rows) -> str:
     """Rows as JSON Lines, each spelled by `_dump_row`."""
-    return "".join(_dump_row(row) + "\n" for row in rows)
+    try:
+        return "".join(_dump_row(row) + "\n" for row in rows)
+    except ValueError:  # allow_nan=False: no reader takes NaN or infinity
+        raise NonFiniteOutput("a row to write holds NaN or an infinity") \
+            from None
 
 
 def _frame(row: dict, last: int, lineno: int) -> int:
@@ -435,6 +440,8 @@ _STATS_ROW = (r"(-?[0-9]+),([0-9]+),([0-9]+),"
 def write_stats(path, stats: list[FrameStats]) -> None:
     lines = [_STATS_HEADER]
     for s in stats:
+        if not math.isfinite(s.avg_speed_mph or 0.0):  # load_stats refuses
+            raise NonFiniteOutput(f"frame {s.frame}: average speed not finite")
         avg = "" if s.avg_speed_mph is None else repr(float(s.avg_speed_mph))
         lines.append(f"{s.frame},{s.vehicle_count},{s.pedestrian_count},{avg}")
     Path(path).write_text("".join(line + "\n" for line in lines),
@@ -509,10 +516,11 @@ def save_heatmap(path, heat: HeatMap) -> None:
                           encoding="utf-8")
 
 
-# Numbers of at most 20 digits: int64 needs 19, and int() refuses over 4300.
-# The patterns are strings, which `re` compiles and caches on first use
-# rather than at import.
-_HEAT_HEAD = (rb'\{"events":(\d{1,20}),"kind":"([a-z]+)",'
+# Sides and cells of at most 20 digits: int64 needs 19.  A merged map's
+# events can pass int64, but not h * w * 2**63 / 144 < 10**57.  The patterns
+# are strings, which `re` compiles and caches on first use rather than at
+# import.
+_HEAT_HEAD = (rb'\{"events":(\d{1,57}),"kind":"([a-z]+)",'
               rb'"shape":\[(\d{1,20}),(\d{1,20})\],"units":\[')
 _CELL = rb"\d{1,20}"
 
@@ -554,55 +562,16 @@ def _parse_own_heatmap(data: bytes):
     return kind, events, units
 
 
-def _heat_units(path, rows) -> np.ndarray:
-    """Integer grid from the JSON `units` rows; bools and floats refused."""
-    if not isinstance(rows, list) or not all(isinstance(r, list)
-                                             for r in rows):
-        raise SchemaError(f"{path}: units must be a list of rows")
-    types = set()
-    for row in rows:
-        types.update(map(type, row))
-    if not types <= {int}:
-        raise SchemaError(f"{path}: units must be integers")
-    try:
-        return np.array(rows, dtype=np.int64)
-    except (ValueError, OverflowError) as exc:
-        raise SchemaError(f"{path}: units: {exc}") from None
-
-
-def _parse_json_heatmap(path):
-    """(kind, events, units) of any JSON spelling of a heat map."""
-    data = load_json(path)
-    for key in ("kind", "shape", "events", "units"):
-        if not isinstance(data, dict) or key not in data:
-            raise SchemaError(f"{path}: heat map needs key {key!r}")
-    if data["kind"] not in HEAT_KINDS:
-        raise SchemaError(f"{path}: unknown heat kind {data['kind']!r}")
-    units = _heat_units(path, data["units"])
-    shape = data["shape"]
-    if not (isinstance(shape, list) and len(shape) == 2
-            and all(type(v) is int and v > 0 for v in shape)):
-        raise SchemaError(f"{path}: shape must be two positive integers, "
-                          f"got {shape!r}")
-    if units.shape != tuple(shape):
-        raise SchemaError(f"{path}: units shape {units.shape} does not "
-                          f"match declared {shape}")
-    events = data["events"]
-    if isinstance(events, bool) or not isinstance(events, int) or events < 0:
-        raise SchemaError(f"{path}: events must be a non-negative integer")
-    return data["kind"], events, units
-
-
 def load_heatmap(path) -> HeatMap:
-    """Read a heat map, checking units >= 0 and sum(units) == 144 x events.
-
-    The writer's own bytes are parsed directly; any other JSON spelling
-    goes through the general decoder.
-    """
-    kind, events, units = (_parse_own_heatmap(Path(path).read_bytes())
-                           or _parse_json_heatmap(path))
-    if units.min() < 0:
-        raise SchemaError(f"{path}: units must be non-negative")
+    """Read a heat map that `save_heatmap` wrote, checking that its units
+    sum to 144 x events.  Any other spelling is refused."""
+    parsed = _parse_own_heatmap(Path(path).read_bytes())
+    if parsed is None:
+        raise SchemaError(f"{path}: not a heat map as save_heatmap writes "
+                          f"it: one line, sorted keys, no spaces, a known "
+                          f"kind, and units that fill the shape with int64 "
+                          f"integers >= 0")
+    kind, events, units = parsed
     # summed as Python ints, so a corrupt file cannot wrap int64
     total = sum(units[units > 0].tolist())
     if total != _BUMP_UNITS * events:

@@ -26,6 +26,7 @@ from .config import CLASS_NAMES
 from .kalman import Cov, kf_predict_step, kf_update_step
 
 N_CLASSES = len(CLASS_NAMES)
+_BBOX_MAX = 1e100
 
 
 @dataclass(frozen=True)
@@ -39,10 +40,14 @@ class Detection:
 
     def __post_init__(self):
         x, y, w, h = self.bbox
-        if not all(math.isfinite(v) for v in self.bbox):
-            raise ValueError("bbox must be finite")
-        if w <= 0 or h <= 0:
-            raise ValueError(f"bbox size must be positive, got {w}x{h}")
+        # the bounds keep the tracker's area w * h, aspect w / h and their
+        # product finite
+        if not all(abs(v) < _BBOX_MAX for v in self.bbox):
+            raise ValueError(f"bbox numbers must be finite and below "
+                             f"{_BBOX_MAX:g} in magnitude")
+        if min(w, h) < 1 / _BBOX_MAX:
+            raise ValueError(f"bbox sides must be at least "
+                             f"{1 / _BBOX_MAX:g}, got {w}x{h}")
         if not 0.0 <= self.objectness <= 1.0:
             raise ValueError(f"objectness must be in [0, 1], "
                              f"got {self.objectness}")
@@ -269,6 +274,8 @@ class Track:
         s = max(self.blocks[_AREA][0][0], 1e-6)
         r = max(self.blocks[_ASPECT][0][0], 1e-6)
         w = math.sqrt(s * r)
+        if w == math.inf:  # s and r come from boxes of very different shape
+            w = math.sqrt(s) * math.sqrt(r)
         h = s / w
         return (x, y - h / 2.0, w, h)
 

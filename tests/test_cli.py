@@ -427,7 +427,8 @@ def test_corrupt_heat_shard_exits_2(tmp_path, capsys):
     out = tmp_path / "merged.json"
     code = run("merge", str(shard), str(shard), "--out", str(out))
     assert code == 2
-    assert "units" in _one_error_line(capsys)
+    assert "heat_vehicle.json: not a heat map as save_heatmap writes it" \
+        in _one_error_line(capsys)
     assert not out.exists()
 
 

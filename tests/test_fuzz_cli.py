@@ -296,6 +296,35 @@ def test_coordinate_as_string_or_bool_exits_2(chain, slot, data):
     assert check_contract(chain, "calibrate", slot, text.encode()) == 2
 
 
+# the heat map in spellings other than `save_heatmap`'s
+_RESPELLED = {
+    "spaces": json.dumps,
+    "indent": lambda doc: json.dumps(doc, sort_keys=True, indent=1),
+    "key-order": lambda doc: json.dumps(dict(reversed(doc.items())),
+                                        separators=(",", ":")),
+}
+
+
+@pytest.mark.parametrize("spelling", _RESPELLED)
+@pytest.mark.parametrize("command", ["merge-heat", "render"])
+def test_respelled_heat_map_exits_2_with_one_line(chain, tmp_path, command,
+                                                  spelling):
+    heat = tmp_path / "in" / "heat_vehicle.json"
+    heat.parent.mkdir()
+    heat.write_text(_RESPELLED[spelling](json.loads(chain["heat"].read_text()))
+                    + "\n")
+    argv = _argv(command, dict(chain, heat=heat), tmp_path / "out")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in argv])
+    assert code == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        f"error: SchemaError: {heat}: not a heat map as save_heatmap "
+        f"writes it: "), lines
+
+
 # --- flags refused before anything is read or written ----------------------
 
 def _without(argv: list, flag: str, values: int) -> list:
@@ -305,12 +334,24 @@ def _without(argv: list, flag: str, values: int) -> list:
 
 
 # (command, how its valid command line is changed): each change sets a flag
-# out of range, or one without the flag it needs
+# out of range, one without the flag it needs or with one it cannot go with,
+# or one the command does not take, or leaves out a required flag
 FLAG_CASES = [
     *(pytest.param(command, lambda argv: argv + ["--seed", "-1"],
                    id=f"{command}-seed--1")
-      for command in ("simulate", "calibrate", "track", "segment", "analyze",
-                      "render")),
+      for command in ("simulate", "calibrate")),
+    # these draw no random numbers, so they take no --seed
+    *(pytest.param(command, lambda argv: argv + ["--seed", "-1"],
+                   id=f"{command}-unknown-flag-seed")
+      for command in ("track", "segment", "analyze", "render")),
+    pytest.param("track", lambda argv: argv + ["--bogus", "1"],
+                 id="track-unknown-flag-bogus"),
+    pytest.param("segment", lambda argv: _without(argv, "--satellite", 1),
+                 id="segment-without-required-satellite"),
+    pytest.param("analyze", lambda argv: argv + ["--from-frame", "x"],
+                 id="analyze-from-frame-not-an-integer"),
+    pytest.param("calibrate", lambda argv: argv + ["--bev-size", "7", "9"],
+                 id="calibrate-bev-size-with-satellite"),
     *(pytest.param(command, lambda argv, size=size: argv + ["--bev-size",
                                                             *size],
                    id=f"{command}-bev-size-{'_'.join(size)}")
@@ -386,6 +427,24 @@ def test_calibrate_far_trajectories_exit_2_without_warning(chain, tmp_path):
     assert stderr.startswith("error: InsufficientTrajectories")
 
 
+# the tracker's area times aspect, its area, or its aspect overflowed
+@pytest.mark.parametrize("box", [[50, 50, 1e155, 2], [50, 50, 3e154, 3e154],
+                                 [50, 50, 1e9, 1e-300]],
+                         ids=["area-times-aspect", "area", "aspect"])
+def test_track_extreme_box_exits_2_without_warning(chain, tmp_path, box):
+    row = json.loads(chain["detections"].read_text().splitlines()[0])
+    detections = tmp_path / "detections.jsonl"
+    detections.write_text("".join(
+        json.dumps(dict(row, frame=frame, bbox=box)) + "\n"
+        for frame in range(6)))
+    paths = dict(chain, detections=detections)
+    code, stderr = _run_uncaptured(_argv("track", paths, tmp_path / "out"))
+    assert code == 2
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("error: SchemaError: line 1: bbox ")
+    assert not (tmp_path / "out" / "tracks.jsonl").exists()
+
+
 def test_analyze_far_apart_tracks_print_no_warning(chain, tmp_path):
     # their distance overflows to inf
     row = json.loads(chain["tracks"].read_text().splitlines()[0])
@@ -397,3 +456,36 @@ def test_analyze_far_apart_tracks_print_no_warning(chain, tmp_path):
     paths = dict(chain, tracks=tracks)
     code, stderr = _run_uncaptured(_argv("analyze", paths, tmp_path / "out"))
     assert (code, stderr) == (0, "")
+
+
+# --- outputs that no reader would take ---------------------------------------
+
+def test_track_refuses_an_infinite_speed(chain, tmp_path):
+    # finite, so load_calibration takes it; any motion is then too fast
+    calib = json.loads(chain["calibration"].read_text())
+    calib["iota_m_per_px"] = 1.7e308
+    (tmp_path / "calibration.json").write_text(json.dumps(calib))
+    paths = dict(chain, calibration=tmp_path / "calibration.json")
+    code, stderr = _run_uncaptured(_argv("track", paths, tmp_path / "out"))
+    assert code == 1
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith("error: NonFiniteOutput: ")
+    assert not (tmp_path / "out" / "tracks.jsonl").exists()
+
+
+def test_analyze_refuses_an_infinite_average_speed(chain, tmp_path):
+    # each speed is finite, their sum is not
+    row = json.loads(chain["tracks"].read_text().splitlines()[0])
+    cars = [dict(row, id=i, bev=[10.0 * i, 10.0], speed_mph=1.5e308)
+            for i in (1, 2)]
+    for car in cars:
+        car["class"] = "car"
+    tracks = tmp_path / "tracks.jsonl"
+    tracks.write_text("".join(json.dumps(car) + "\n" for car in cars))
+    paths = dict(chain, tracks=tracks)
+    out = tmp_path / "out"
+    code, stderr = _run_uncaptured(_argv("analyze", paths, out))
+    assert code == 1
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith(f"error: NonFiniteOutput: frame {row['frame']}: ")
+    assert not any(p.is_file() for p in out.rglob("*"))

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roadscene import records
@@ -397,7 +397,7 @@ def test_stats_round_trip(tmp_path):
 def test_stats_header_checked(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("a,b\n")
-    with pytest.raises(SchemaError, match="header"):
+    with pytest.raises(SchemaError, match=r"s\.csv: line 1: expected header "):
         load_stats(path)
 
 
@@ -464,15 +464,21 @@ def test_heatmap_round_trip(tmp_path):
     assert np.array_equal(back.units(), heat.units())
 
 
+# `load_heatmap`'s refusal of any bytes that `save_heatmap` would not write
+_NOT_WRITTEN = r"h\.json: not a heat map as save_heatmap writes it: "
+
+
 def test_heatmap_shape_mismatch_rejected(tmp_path):
     path = tmp_path / "h.json"
-    path.write_text('{"kind": "vehicle", "shape": [2, 2], "events": 0, '
-                    '"units": [[0, 0, 0], [0, 0, 0]]}')
-    with pytest.raises(SchemaError, match="shape"):
+    path.write_text('{"events":0,"kind":"vehicle","shape":[2,2],'
+                    '"units":[[0,0,0],[0,0,0]]}\n')
+    with pytest.raises(SchemaError, match=_NOT_WRITTEN):
         load_heatmap(path)
 
 
-@pytest.mark.parametrize("events, units, match", [
+# `fault` names what is wrong; only a mass that does not match the events
+# gets past the writer's spelling to its own message
+@pytest.mark.parametrize("events, units, fault", [
     (0, "[[-5, 1.7]]", "integers"),
     (1, "[[144.0, 0]]", "integers"),
     (1, "[[true, 143]]", "integers"),
@@ -482,29 +488,32 @@ def test_heatmap_shape_mismatch_rejected(tmp_path):
     (0, "[[0], [0, 0]]", "units"),
     (0, "[[0, 0]], \"shape\": 2", "shape"),
 ])
-def test_heatmap_invariants_checked(tmp_path, events, units, match):
+def test_heatmap_invariants_checked(tmp_path, events, units, fault):
     path = tmp_path / "h.json"
-    path.write_text('{"kind": "vehicle", "shape": [1, 2], '
-                    '"events": %d, "units": %s}' % (events, units))
+    path.write_text('{"events":%d,"kind":"vehicle","shape":[1,2],'
+                    '"units":%s}\n' % (events, units.replace(" ", "")))
+    match = r"h\.json: units sum to " if fault == "sum" else _NOT_WRITTEN
     with pytest.raises(SchemaError, match=match):
         load_heatmap(path)
 
 
 def test_heatmap_unknown_kind_rejected(tmp_path):
     path = tmp_path / "h.json"
-    path.write_text('{"kind": "rain", "shape": [1, 1], "events": 0, '
-                    '"units": [[0]]}')
-    with pytest.raises(SchemaError, match="kind"):
+    path.write_text('{"events":0,"kind":"rain","shape":[1,1],"units":[[0]]}\n')
+    with pytest.raises(SchemaError, match=_NOT_WRITTEN):
         load_heatmap(path)
 
 
-@pytest.mark.parametrize("separator", [",", ", "])  # fast and general path
+@pytest.mark.parametrize("separator", [",", ", "])
 def test_heatmap_sum_does_not_wrap_int64(tmp_path, separator):
-    # four cells of 2**62 sum to 2**64, which int64 would wrap to 0
+    # four cells of 2**62 sum to 2**64, which int64 would wrap to 0; with
+    # spaces the file is refused before anything is summed
     path = tmp_path / "h.json"
     path.write_text('{"events":0,"kind":"vehicle","shape":[1,4],'
                     '"units":[[%s]]}\n' % separator.join([str(2 ** 62)] * 4))
-    with pytest.raises(SchemaError, match="sum"):
+    match = (r"h\.json: units sum to 18446744073709551616, not 144 x 0 "
+             r"events" if separator == "," else _NOT_WRITTEN)
+    with pytest.raises(SchemaError, match=match):
         load_heatmap(path)
 
 
@@ -512,9 +521,9 @@ def test_heatmap_sum_does_not_wrap_int64(tmp_path, separator):
                                    "[1.0, 2]"])
 def test_heatmap_shape_must_be_two_positive_ints(tmp_path, shape):
     path = tmp_path / "h.json"
-    path.write_text('{"kind": "vehicle", "shape": %s, "events": 0, '
-                    '"units": [[0, 0]]}' % shape)
-    with pytest.raises(SchemaError, match="shape"):
+    path.write_text('{"events":0,"kind":"vehicle","shape":%s,'
+                    '"units":[[0,0]]}\n' % shape.replace(" ", ""))
+    with pytest.raises(SchemaError, match=_NOT_WRITTEN):
         load_heatmap(path)
 
 
@@ -553,56 +562,75 @@ def test_heatmap_writer_bytes_equal_json_dumps(tmp_path_factory, heat):
     assert path.read_text(encoding="utf-8") == _json_spelling(heat)
 
 
-def _load_outcome(path):
-    try:
-        heat = load_heatmap(path)
-    except SchemaError as exc:
-        return "error", str(exc)
-    return heat.kind, heat.events, heat.units().tolist()
+def _with_mass(heat: HeatMap) -> HeatMap:
+    """`heat` with one cell raised so that the units sum to 144 x events."""
+    units = heat.units()
+    units[0, 0] += -sum(units.ravel().tolist()) % 144
+    return HeatMap.from_units(units, sum(units.ravel().tolist()) // 144,
+                              heat.kind)
 
 
-_MUTATIONS = ["none", "space", "true", "1.0", "-1", "short row",
-              "extra key", "above 2**63"]
+def _full_map() -> HeatMap:
+    """A 600 x 800 map of cells near 2**63: over 10**22 events."""
+    return _with_mass(HeatMap.from_units(
+        np.full((600, 800), 2 ** 63 - 144), 0, "vehicle"))
 
 
-@settings(max_examples=400, deadline=None)
-@given(_heat_maps(st.tuples(st.integers(1, 6), st.integers(1, 6))),
-       st.sampled_from(_MUTATIONS), st.data())
-def test_heatmap_fast_reader_equals_general_decoder(
-        tmp_path_factory, heat, mutation, data):
-    # mass-consistent most of the time, so both paths get past the checks
-    rows = heat.units().tolist()
-    rows[0][0] += -sum(map(sum, rows)) % 144
-    events = sum(map(sum, rows)) // 144 + data.draw(
-        st.sampled_from([0, 0, 0, 1]))
-    heat = HeatMap.from_units(np.array(rows), events, heat.kind)
-    i = data.draw(st.integers(0, len(rows) - 1))
-    j = data.draw(st.integers(0, len(rows[0]) - 1))
-    raw = {"true": "true", "1.0": "1.0", "-1": "-1"}.get(mutation)
-    if raw is not None:
-        rows[i][j] = "RAW"
+def _respell(text: str, mutation: str, pick: int) -> str:
+    """`text`, a map that `save_heatmap` wrote, in another spelling; `pick`
+    chooses where."""
+    if mutation == "space":
+        at = pick % len(text)
+        return text[:at] + " " + text[at:]
+    doc = json.loads(text)
+    if mutation == "key order":
+        return json.dumps(dict(reversed(doc.items())),
+                          separators=(",", ":")) + "\n"
+    if mutation == "indent":
+        return json.dumps(doc, sort_keys=True, indent=pick % 3) + "\n"
+    rows = doc["units"]
+    i, j = pick % len(rows), pick // len(rows) % len(rows[0])
+    if mutation == "extra key":
+        doc["extra"] = 1
     elif mutation == "short row":
         del rows[i][-1]
     elif mutation == "above 2**63":
-        rows[i][j] = 2 ** 63 + data.draw(st.integers(0, 2 ** 64))
-    extra = {"extra": 1} if mutation == "extra key" else {}
-    text = _json_spelling(heat, units=rows, **extra)
-    if raw is not None:
-        text = text.replace('"RAW"', raw)
-    if mutation == "space":
-        at = data.draw(st.integers(0, len(text) - 1))
-        text = text[:at] + " " + text[at:]
-    path = tmp_path_factory.mktemp("heat") / "h.json"
-    path.write_text(text, encoding="utf-8")
+        rows[i][j] = 2 ** 63 + pick
+    else:  # a token the writer never spells in a cell
+        rows[i][j] = "RAW"
+    spelled = json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+    return spelled.replace('"RAW"', mutation)
 
+
+_RESPELLINGS = ["space", "key order", "indent", "extra key", "short row",
+                "above 2**63", "true", "1.0", "-1"]
+
+
+@settings(max_examples=60, deadline=None)
+@example(heat=_full_map(), mutation="space", pick=2 ** 40 + 7)
+@given(heat=_heat_maps(_WRITER_SHAPES).map(_with_mass),
+       mutation=st.sampled_from(_RESPELLINGS),
+       pick=st.integers(0, 2 ** 64))
+def test_heatmap_reader_takes_exactly_the_writer_bytes(
+        tmp_path_factory, heat, mutation, pick):
+    """Every map `save_heatmap` writes loads back, 1 x 1 to 600 x 800 and
+    past 10**20 events; every other spelling is refused, warning-free."""
+    path = tmp_path_factory.mktemp("heat") / "h.json"
+    save_heatmap(path, heat)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fast = records._parse_own_heatmap(text.encode())
-        outcome = _load_outcome(path)
-    assert (fast is not None) == (mutation == "none")
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(records, "_parse_own_heatmap", lambda data: None)
-        assert outcome == _load_outcome(path)
+        back = load_heatmap(path)
+        assert (back.kind, back.events) == (heat.kind, heat.events)
+        assert np.array_equal(back.units(), heat.units())
+        # one event more breaks only the mass
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace(f'"events":{heat.events},',
+                                     f'"events":{heat.events + 1},', 1))
+        with pytest.raises(SchemaError, match=r"h\.json: units sum to "):
+            load_heatmap(path)
+        path.write_text(_respell(text, mutation, pick), encoding="utf-8")
+        with pytest.raises(SchemaError, match=_NOT_WRITTEN):
+            load_heatmap(path)
 
 
 # --- boundary ---------------------------------------------------------------
@@ -622,5 +650,6 @@ def test_boundary_round_trip(tmp_path):
 def test_boundary_chains_checked(tmp_path, chains):
     path = tmp_path / "boundary.json"
     path.write_text(json.dumps({"chains": chains}))
-    with pytest.raises(SchemaError, match="chains"):
+    with pytest.raises(SchemaError,
+                       match=r"boundary\.json: chains must be lists of "):
         load_boundary(path)

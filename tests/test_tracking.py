@@ -1,4 +1,6 @@
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +308,19 @@ class TestDetectionValidation:
         with pytest.raises(ValueError):
             det(0, 10, 10, objectness=1.5)
 
+    @pytest.mark.parametrize("bbox", [
+        (1e100, 0.0, 2.0, 2.0), (0.0, -1e100, 2.0, 2.0),
+        (0.0, 0.0, 1e100, 2.0), (0.0, 0.0, 2.0, 9e-101),
+        (0.0, 0.0, float("nan"), 2.0), (float("inf"), 0.0, 2.0, 2.0)])
+    def test_rejects_boxes_out_of_bounds(self, bbox):
+        with pytest.raises(ValueError, match="bbox "):
+            Detection(0, bbox, 0.9, probs_for(CAR))
+
+    def test_accepts_boxes_just_inside_bounds(self):
+        for bbox in [(9.9e99, -9.9e99, 9.9e99, 1e-100),
+                     (-9.9e99, 9.9e99, 1e-100, 9.9e99)]:
+            assert Detection(0, bbox, 0.9, probs_for(CAR)).bbox == bbox
+
     def test_rejects_bad_probs(self):
         with pytest.raises(ValueError):
             Detection(0, (1, 1, 2, 2), 0.5, (0.5,) * 4)
@@ -354,3 +369,15 @@ class TestFrameGaps:
         assert tracker.step([det(10 ** 12, 50, 50)], 10 ** 12) == []
         assert [t.id for t in tracker.tracks] == [2]
         assert tracker.frame == 10 ** 12
+
+
+def test_boxes_of_opposite_shapes_keep_finite_predictions():
+    # iou_min 0 matches a box 1e100 wide and tall with one 2e-100 tall, so
+    # a track's area comes from one and its aspect from the other
+    tracker = MomctTracker(iou_min=0.0, min_hits=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for frame in range(8):
+            h = 9e99 if frame % 2 == 0 else 2e-100
+            (snap,) = tracker.step([det(frame, 0.0, 0.0, w=9e99, h=h)], frame)
+            assert all(map(math.isfinite, snap.bbox)), snap.bbox
