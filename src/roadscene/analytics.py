@@ -53,27 +53,22 @@ class FrameTracks(NamedTuple):
     speed_mph: np.ndarray
 
 
-def _members(ids: np.ndarray, chosen) -> np.ndarray:
-    """Mask of the `ids` that are in the set `chosen`."""
-    if not chosen:
-        return np.zeros(len(ids), dtype=bool)
-    return np.array([i in chosen for i in ids.tolist()], dtype=bool)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSets:
-    """Track-id sets for one frame; parked vehicles never count as
-    congested (they are excluded from all moving-vehicle analytics)."""
+    """One frame's states as bool masks over the rows of its `FrameTracks`,
+    whose ids are `ids`; parked vehicles never count as congested (they
+    are excluded from all moving-vehicle analytics)."""
 
     frame: int
-    parking: frozenset[int]
-    speeding: frozenset[int]
-    collision_risk: frozenset[int]
-    congestion: frozenset[int]
+    ids: np.ndarray
+    parking: np.ndarray
+    speeding: np.ndarray
+    collision_risk: np.ndarray
+    congestion: np.ndarray
 
     def __post_init__(self):
-        if self.parking & self.congestion:
-            raise ValueError("parking and congestion sets must be disjoint")
+        if (self.parking & self.congestion).any():
+            raise ValueError("parking and congestion masks must be disjoint")
 
 
 @dataclass(frozen=True)
@@ -227,9 +222,10 @@ class StateClassifier:
         needed = int(math.ceil(cfg.parking_duration_s * self.fps))
         self._still_frames = {i: self._still_frames.get(i, 0) + 1
                               for i in ids[still].tolist()}
-        parked = {i for i, run in self._still_frames.items() if run >= needed}
+        parked = still.copy()  # runs are in the order of ids[still]
+        parked[still] = np.array(list(self._still_frames.values())) >= needed
 
-        moving = vehicle & ~_members(ids, parked)
+        moving = vehicle & ~parked
         # distances from every track to every moving vehicle, itself excluded
         cols = np.flatnonzero(moving)
         d = np.hypot(tracks.xy[:, :1] - tracks.xy[cols, 0],
@@ -242,11 +238,9 @@ class StateClassifier:
                      & (d < limit_px).any(axis=1))
 
         return StateSets(
-            frame=frame, parking=frozenset(parked),
-            speeding=frozenset(
-                ids[vehicle & (speed > cfg.speed_limit_mph)].tolist()),
-            collision_risk=frozenset(ids[at_risk].tolist()),
-            congestion=frozenset(ids[congested].tolist()))
+            frame=frame, ids=ids, parking=parked,
+            speeding=vehicle & (speed > cfg.speed_limit_mph),
+            collision_risk=at_risk, congestion=congested)
 
 
 def update_heatmaps(maps: Mapping[str, HeatMap], tracks: FrameTracks,
@@ -259,12 +253,11 @@ def update_heatmaps(maps: Mapping[str, HeatMap], tracks: FrameTracks,
     takes its positions in one `np.add.at`; integer adds commute, so the
     grids equal one `bump` per position.
     """
-    ids = tracks.ids
     masks = {"pedestrian": tracks.pedestrian,
-             "vehicle": ~tracks.pedestrian & ~_members(ids, states.parking),
-             "speeding": _members(ids, states.speeding),
-             "congestion": _members(ids, states.congestion),
-             "proximity": _members(ids, states.collision_risk)}
+             "vehicle": ~tracks.pedestrian & ~states.parking,
+             "speeding": states.speeding,
+             "congestion": states.congestion,
+             "proximity": states.collision_risk}
     kernels = {}  # map shape -> _kernel_cells of every position
     for kind, mask in masks.items():
         if mask.any():
@@ -285,7 +278,7 @@ def frame_stats(frame: int, tracks: FrameTracks,
                 states: StateSets) -> FrameStats:
     """Counts per class, and the mean speed of the non-parked vehicles
     (None when there are none)."""
-    vehicle = ~tracks.pedestrian & ~_members(tracks.ids, states.parking)
+    vehicle = ~tracks.pedestrian & ~states.parking
     # an ordered Python sum, whose bits stats.csv records
     speeds = tracks.speed_mph[vehicle].tolist()
     pedestrians = int(tracks.pedestrian.sum())

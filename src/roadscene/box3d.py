@@ -44,9 +44,6 @@ class Cuboid:
     def roof(self) -> tuple[PixelPoint, ...]:
         return self.corners[4:]
 
-    def as_lists(self) -> list[list[float]]:
-        return [[c.x, c.y] for c in self.corners]
-
 
 # signs of (half length, half width) per corner: front-left, then
 # counter-clockwise

@@ -285,7 +285,7 @@ def _cmd_segment(args) -> int:
     seen = set()
     seeds = []
     for row in rows:
-        if row["class"] == PEDESTRIAN or row["bev"] is None:
+        if row["class"] == PEDESTRIAN:
             continue
         x, y = row["bev"]
         cell = (int(x + 0.5) if x >= 0 else -1,
@@ -321,18 +321,15 @@ def _resolve_bev_shape(args, calib) -> tuple[int, int]:
 
 
 def _frame_tracks(rows: list[dict], frames: range):
-    """Yield, for each frame of `frames`, its rows that have a BEV position
-    as columns; a missing speed reads 0 and a negative one is clamped to
-    0."""
-    rows = [row for row in rows if row["bev"] is not None]
-    speeds = [row["speed_mph"] for row in rows]
+    """Yield, for each frame of `frames`, its rows as columns; a negative
+    speed is clamped to 0."""
     table = FrameTracks(
         ids=np.array([row["id"] for row in rows], dtype=np.int64),
         pedestrian=np.array([row["class"] == PEDESTRIAN for row in rows],
                             dtype=bool),
         xy=np.array([row["bev"] for row in rows], dtype=float).reshape(-1, 2),
-        speed_mph=np.array([0.0 if v is None else max(v, 0.0)
-                            for v in speeds], dtype=float))
+        speed_mph=np.array([max(row["speed_mph"], 0.0) for row in rows],
+                           dtype=float))
     # load_tracks keeps frames non-decreasing, so each frame is one slice
     row_frames = [row["frame"] for row in rows]
     for frame in frames:

@@ -1,9 +1,8 @@
 """Image containers and the pre-calibration enhancement chain.
 
 Covers running-average background extraction, histogram matching against a
-reference exposure, the polynomial radial distortion model, binary 3x3
-morphology, and bit-exact binary PGM/PPM I/O.  Images are 8-bit, 1 or 3
-channels, row-major.
+reference exposure, the polynomial radial distortion model and bit-exact
+binary PGM/PPM I/O.  Images are 8-bit, 1 or 3 channels, row-major.
 """
 
 from __future__ import annotations
@@ -227,27 +226,6 @@ def undistort_xy(xy: np.ndarray, params: DistortionParams,
     nz = rd > 0
     ratio[nz] = ru[nz] / rd[nz]
     return (xs, ys) + norm * ratio[:, None] * scale
-
-
-# --- morphology -------------------------------------------------------------
-
-def _window_reduce(mask: ImageBuffer, reduce_fn) -> ImageBuffer:
-    if mask.channels != 1:
-        raise ShapeMismatch("morphology expects a 1-channel mask")
-    padded = np.zeros((mask.height + 2, mask.width + 2), dtype=np.uint8)
-    padded[1:-1, 1:-1] = mask.pixels
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
-    return ImageBuffer(reduce_fn(windows, axis=(2, 3)))
-
-
-def dilate3x3(mask: ImageBuffer) -> ImageBuffer:
-    """8-neighborhood maximum; out-of-bounds pixels count as 0."""
-    return _window_reduce(mask, np.max)
-
-
-def erode3x3(mask: ImageBuffer) -> ImageBuffer:
-    """8-neighborhood minimum; out-of-bounds pixels count as 0."""
-    return _window_reduce(mask, np.min)
 
 
 # --- PNM I/O ----------------------------------------------------------------

@@ -259,16 +259,15 @@ def write_detections(path, frames, fps: float | None = None) -> None:
 # --- tracks -----------------------------------------------------------------
 
 def track_row(frame: int, track_id: int, class_name: str, bbox, ref,
-              bev=None, speed_mph=None, heading_deg=None,
-              cuboid=None) -> dict:
+              bev, speed_mph, heading_deg=None, cuboid=None) -> dict:
     return {
         "frame": frame,
         "id": track_id,
         "class": class_name,
         "bbox": [float(v) for v in bbox],
         "ref": [float(v) for v in ref],
-        "bev": None if bev is None else [float(v) for v in bev],
-        "speed_mph": None if speed_mph is None else float(speed_mph),
+        "bev": [float(v) for v in bev],
+        "speed_mph": float(speed_mph),
         "heading_deg": None if heading_deg is None else float(heading_deg),
         "cuboid": cuboid,
     }
@@ -284,20 +283,19 @@ def write_tracks(path, chunks) -> None:
 _POINT = r"\[" + _float_list(2) + r"\]"
 _TRACK_LINE = (
     r'\{"bbox":\[' + _float_list(4) + r'\],'
-    r'"bev":(?:null|\[(' + _float_list(2) + r')\]),'
+    r'"bev":\[(' + _float_list(2) + r')\],'
     r'"class":"(' + "|".join(map(re.escape, CLASS_NAMES)) + r')",'
     r'"cuboid":(?:null|\[' + _POINT + "(?:," + _POINT + r"){7}\]),"
     r'"frame":(' + _UINT + r'),'
     r'"heading_deg":(?:null|' + _FLOAT + r'),'
     r'"id":(0|-?[1-9][0-9]{0,17}),'
     r'"ref":' + _POINT + r','
-    r'"speed_mph":(?:null|(' + _FLOAT + r'))\}')
+    r'"speed_mph":(' + _FLOAT + r')\}')
 
 
 def parse_tracks(text: str) -> list[dict]:
     """Parse track JSON Lines into rows of the fields that `segment` and
-    `analyze` read: frame, id, class, bev (an (x, y) tuple or None) and
-    speed_mph.
+    `analyze` read: frame, id, class, bev (an (x, y) tuple) and speed_mph.
 
     Every field is checked, and a frame lists each track id at most once.
     Lines that `track` spelled are matched by one regex, which checks the
@@ -328,8 +326,7 @@ def _own_track(match, last: int, ids: set) -> dict | None:
     if frame < last or (frame == last and track_id in ids):
         return None
     return {"frame": frame, "id": track_id, "class": class_name,
-            "bev": None if bev is None else _parse_floats(bev),
-            "speed_mph": None if speed is None else float(speed)}
+            "bev": _parse_floats(bev), "speed_mph": float(speed)}
 
 
 def _json_track(line: str, lineno: int, last: int, ids: set) -> dict:
@@ -347,22 +344,13 @@ def _json_track(line: str, lineno: int, last: int, ids: set) -> dict:
         raise SchemaError(f"line {lineno}: unknown class {class_name!r}")
     _number_list(_require(row, "bbox", lineno), "bbox", 4, lineno)
     _number_list(_require(row, "ref", lineno), "ref", 2, lineno)
-    bev = _nullable(row, "bev", 2, lineno)
-    speed = _nullable(row, "speed_mph", None, lineno)
-    _nullable(row, "heading_deg", None, lineno)
+    bev = _number_list(_require(row, "bev", lineno), "bev", 2, lineno)
+    speed = _number(_require(row, "speed_mph", lineno), "speed_mph", lineno)
+    heading = _require(row, "heading_deg", lineno)
+    if heading is not None:
+        _number(heading, "heading_deg", lineno)
     return {"frame": frame, "id": track_id, "class": class_name,
             "bev": bev, "speed_mph": speed}
-
-
-def _nullable(row: dict, key: str, width: int | None, lineno: int):
-    """Null, or a finite number (`width` None) or `width` of them, as
-    floats."""
-    value = _require(row, key, lineno)
-    if value is None:
-        return None
-    if width is None:
-        return _number(value, key, lineno)
-    return _number_list(value, key, width, lineno)
 
 
 def load_tracks(path) -> list[dict]:
@@ -418,13 +406,13 @@ def load_calibration(path) -> dict:
 
 def write_states(path, frames) -> None:
     """Write each frame's `StateSets` as one JSON Lines row per (state,
-    track), the state named by its set.  The keys and names are fixed and
-    the values ints, so a template spells each row as `_dump_row` would."""
+    track), in id order.  The keys and names are fixed and the values ints,
+    so a template spells each row as `_dump_row` would."""
     lines = []
     for sets in frames:
         for label in ("parking", "speeding", "collision_risk", "congestion"):
             lines += [f'{{"frame":{sets.frame},"id":{i},"state":"{label}"}}\n'
-                      for i in sorted(getattr(sets, label))]
+                      for i in sorted(sets.ids[getattr(sets, label)].tolist())]
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
@@ -516,13 +504,11 @@ def save_heatmap(path, heat: HeatMap) -> None:
                           encoding="utf-8")
 
 
-# Sides and cells of at most 20 digits: int64 needs 19.  A merged map's
-# events can pass int64, but not h * w * 2**63 / 144 < 10**57.  The patterns
-# are strings, which `re` compiles and caches on first use rather than at
-# import.
+# Sides of at most 20 digits: int64 needs 19.  A merged map's events can
+# pass int64, but not h * w * 2**63 / 144 < 10**57.  The pattern is a
+# string, which `re` compiles and caches on first use rather than at import.
 _HEAT_HEAD = (rb'\{"events":(\d{1,57}),"kind":"([a-z]+)",'
               rb'"shape":\[(\d{1,20}),(\d{1,20})\],"units":\[')
-_CELL = rb"\d{1,20}"
 
 
 def _parse_own_heatmap(data: bytes):
@@ -547,12 +533,20 @@ def _parse_own_heatmap(data: bytes):
     digit = (b >= ord("0")) & (b <= ord("9"))
     lead = np.flatnonzero(digit & (b != ord("0")))
     starts = lead[~digit[lead - 1]]  # lead - 1 wraps only in bad input
-    cell = re.compile(_CELL)
-    values = [int(cell.match(body, s)[0]) for s in starts.tolist()]
+    # the 20 bytes from each start, NUL from the first non-digit on, are the
+    # cell's digits; 20 digits overflow int64, so a longer cell does too
+    text = np.lib.stride_tricks.sliding_window_view(
+        np.r_[b, np.zeros(20, dtype=np.uint8)], 20)[starts]
+    text[~np.logical_and.accumulate((text >= ord("0")) & (text <= ord("9")),
+                                    axis=1)] = 0
+    try:
+        values = text.view("S20").ravel().astype(np.int64)
+    except OverflowError:
+        return None
     # a cell's flat index is the number of commas before it
     cells = np.add.reduceat(b == ord(","), np.r_[0, starts],
                             dtype=np.int64)[:-1].cumsum()
-    if values and (max(values) >= 2 ** 63 or cells[-1] >= h * w):
+    if len(cells) and cells[-1] >= h * w:
         return None
     units = np.zeros(h * w, dtype=np.int64)
     units[cells] = values

@@ -18,7 +18,7 @@ import numpy as np
 from .config import SrgParams
 from .errors import EmptyMask, NoSeeds
 from .geometry import BEV, PixelPoint
-from .imaging import ImageBuffer, dilate3x3, erode3x3
+from .imaging import ImageBuffer
 
 # clockwise ring of 8-neighbor offsets (dx, dy), y pointing down
 _RING = ((0, -1), (1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1))
@@ -42,10 +42,6 @@ class RoadMask:
 
     def to_image(self) -> ImageBuffer:
         return ImageBuffer(np.where(self.pixels, 255, 0).astype(np.uint8))
-
-    @staticmethod
-    def from_image(img: ImageBuffer) -> "RoadMask":
-        return RoadMask(img.pixels > 127)
 
     def __eq__(self, other):
         return (isinstance(other, RoadMask)
@@ -121,17 +117,24 @@ def srg_segment(image: ImageBuffer, seeds: Sequence[PixelPoint],
     return RoadMask(visited.reshape(h, w))
 
 
-def refine_mask(mask: RoadMask) -> RoadMask:
-    """Morphological closing: fill sub-kernel holes and gaps."""
-    return RoadMask.from_image(erode3x3(dilate3x3(mask.to_image())))
-
-
-def _boundary_pixels(road: np.ndarray) -> np.ndarray:
+def _windows3x3(road: np.ndarray) -> np.ndarray:
+    """The 3x3 neighborhood of each pixel, (h, w, 3, 3); off-image pixels
+    read False."""
     h, w = road.shape
     padded = np.zeros((h + 2, w + 2), dtype=bool)
     padded[1:-1, 1:-1] = road
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
-    return road & ~windows.all(axis=(2, 3))
+    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
+
+
+def refine_mask(mask: RoadMask) -> RoadMask:
+    """Morphological closing: fill sub-kernel holes and gaps.  Dilation is
+    any pixel of the 3x3 window, erosion all of them."""
+    dilated = _windows3x3(mask.pixels).any(axis=(2, 3))
+    return RoadMask(_windows3x3(dilated).all(axis=(2, 3)))
+
+
+def _boundary_pixels(road: np.ndarray) -> np.ndarray:
+    return road & ~_windows3x3(road).all(axis=(2, 3))
 
 
 def _next_contour_step(road: np.ndarray, cur: tuple[int, int],

@@ -41,9 +41,20 @@ def ft(rows) -> FrameTracks:
         speed_mph=np.array([r[4] for r in rows], dtype=float))
 
 
-def no_states(frame=0):
-    return StateSets(frame=frame, parking=frozenset(), speeding=frozenset(),
-                     collision_risk=frozenset(), congestion=frozenset())
+LABELS = ("parking", "speeding", "collision_risk", "congestion")
+
+
+def states_of(rows, frame=0, **chosen) -> StateSets:
+    """States over the rows of `obs`: each label's mask marks the ids in
+    `chosen[label]`, none when the label is not given."""
+    ids = ft(rows).ids
+    return StateSets(frame, ids, **{
+        label: np.isin(ids, list(chosen.get(label, ()))) for label in LABELS})
+
+
+def members(states, label) -> set:
+    """The ids whose rows the `label` mask of `states` marks."""
+    return set(states.ids[getattr(states, label)].tolist())
 
 
 def left_border(height=60):
@@ -166,36 +177,36 @@ class TestParking:
         states = None
         for frame in range(61):
             states = clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
-        assert 1 in states.parking
+        assert 1 in members(states, "parking")
 
     def test_not_parked_before_one_minute(self):
         clf = self.make()
         for frame in range(59):
             states = clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
-        assert 1 not in states.parking
+        assert 1 not in members(states, "parking")
 
     def test_far_from_border_never_parks(self):
         clf = self.make()
         for frame in range(120):
             states = clf.step(frame, ft([obs(1, 30.0, 30.0, 0.0)]))
-        assert states.parking == frozenset()
+        assert members(states, "parking") == set()
 
     def test_moving_near_border_never_parks(self):
         clf = self.make()
         for frame in range(120):
             states = clf.step(frame, ft([obs(1, 5.0, 30.0, 2.0)]))
-        assert states.parking == frozenset()
+        assert members(states, "parking") == set()
 
     def test_membership_drops_on_first_fast_frame(self):
         clf = self.make()
         for frame in range(80):
             states = clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
-        assert 1 in states.parking
+        assert 1 in members(states, "parking")
         states = clf.step(80, ft([obs(1, 5.0, 30.0, 1.0)]))
-        assert 1 not in states.parking
+        assert 1 not in members(states, "parking")
         # the consecutive run restarts from scratch
         states = clf.step(81, ft([obs(1, 5.0, 30.0, 0.0)]))
-        assert 1 not in states.parking
+        assert 1 not in members(states, "parking")
 
     def test_gap_in_observations_resets_run(self):
         clf = self.make()
@@ -204,7 +215,7 @@ class TestParking:
         clf.step(50, ft([]))  # track missed for one frame
         for frame in range(51, 101):
             states = clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
-        assert 1 not in states.parking
+        assert 1 not in members(states, "parking")
 
     def test_missing_scale(self):
         with pytest.raises(MissingCalibration):
@@ -219,29 +230,29 @@ class TestStates:
 
     def test_speeding_above_limit(self):
         states = self.step_once([obs(1, 30, 30, 35.0), obs(2, 40, 30, 25.0)])
-        assert states.speeding == frozenset({1})
+        assert members(states, "speeding") == {1}
 
     def test_speeding_is_strict(self):
         states = self.step_once([obs(1, 30, 30, 30.0)])
-        assert states.speeding == frozenset()
+        assert members(states, "speeding") == set()
 
     def test_pedestrian_never_speeding(self):
         states = self.step_once([obs(1, 30, 30, 40.0, pedestrian=True)])
-        assert states.speeding == frozenset()
+        assert members(states, "speeding") == set()
 
     def test_pedestrian_near_moving_vehicle_at_risk(self):
         states = self.step_once([
             obs(1, 30.0, 30.0, 10.0),
             obs(2, 34.0, 30.0, 3.0, pedestrian=True),  # 0.4 m away
         ])
-        assert states.collision_risk == frozenset({2})
+        assert members(states, "collision_risk") == {2}
 
     def test_pedestrian_far_from_vehicles_safe(self):
         states = self.step_once([
             obs(1, 30.0, 30.0, 10.0),
             obs(2, 55.0, 30.0, 3.0, pedestrian=True),  # 2.5 m away
         ])
-        assert states.collision_risk == frozenset()
+        assert members(states, "collision_risk") == set()
 
     def test_pedestrian_near_parked_vehicle_not_at_risk(self):
         clf = StateClassifier(left_border(), SCALE, AnalyticsConfig(), 1.0)
@@ -251,26 +262,26 @@ class TestStates:
             obs(1, 5.0, 30.0, 0.0),
             obs(2, 9.0, 30.0, 3.0, pedestrian=True),  # 0.4 m from parked car
         ]))
-        assert 1 in states.parking
-        assert states.collision_risk == frozenset()
+        assert 1 in members(states, "parking")
+        assert members(states, "collision_risk") == set()
 
     def test_congestion_slow_and_close(self):
         states = self.step_once([
             obs(1, 30.0, 30.0, 3.0),
             obs(2, 45.0, 30.0, 4.0),  # 1.5 m apart
         ])
-        assert states.congestion == frozenset({1, 2})
+        assert members(states, "congestion") == {1, 2}
 
     def test_congestion_needs_low_speed(self):
         states = self.step_once([
             obs(1, 30.0, 30.0, 6.0),
             obs(2, 45.0, 30.0, 4.0),
         ])
-        assert states.congestion == frozenset({2})
+        assert members(states, "congestion") == {2}
 
     def test_lone_vehicle_not_congested(self):
         states = self.step_once([obs(1, 30.0, 30.0, 1.0)])
-        assert states.congestion == frozenset()
+        assert members(states, "congestion") == set()
 
     def test_parked_vehicle_excluded_from_congestion(self):
         clf = StateClassifier(left_border(), SCALE, AnalyticsConfig(), 1.0)
@@ -280,42 +291,41 @@ class TestStates:
             obs(1, 5.0, 30.0, 0.0),
             obs(2, 12.0, 30.0, 2.0),  # slow, 0.7 m from the parked car
         ]))
-        assert 1 in states.parking
-        assert states.congestion == frozenset()
+        assert 1 in members(states, "parking")
+        assert members(states, "congestion") == set()
 
     def test_disjointness_enforced(self):
         with pytest.raises(ValueError):
-            StateSets(frame=0, parking=frozenset({1}),
-                      speeding=frozenset(),
-                      collision_risk=frozenset(),
-                      congestion=frozenset({1}))
+            states_of([obs(1, 0, 0, 0.0)], parking={1}, congestion={1})
 
     def test_classify_states_sequence(self):
         frames = [(f, ft([obs(1, 30, 30, 35.0)])) for f in range(3)]
         clf = StateClassifier(left_border(), SCALE, AnalyticsConfig(), 25.0)
         out = [clf.step(frame, tracks) for frame, tracks in frames]
         assert [s.frame for s in out] == [0, 1, 2]
-        assert all(s.speeding == frozenset({1}) for s in out)
+        assert all(members(s, "speeding") == {1} for s in out)
 
 
 def reference_bumps(maps, rows, states):
     """One `bump` per event, in row order, as deposits were once made."""
     position = {r[0]: PixelPoint.bev(r[2], r[3]) for r in rows}
+    parked = members(states, "parking")
     for r in rows:
         if r[1]:
             bump(maps["pedestrian"], position[r[0]])
-        elif r[0] not in states.parking:
+        elif r[0] not in parked:
             bump(maps["vehicle"], position[r[0]])
-    for kind, members in (("speeding", states.speeding),
-                          ("congestion", states.congestion),
-                          ("proximity", states.collision_risk)):
-        for track_id in sorted(members):
+    for kind, label in (("speeding", "speeding"),
+                        ("congestion", "congestion"),
+                        ("proximity", "collision_risk")):
+        for track_id in sorted(members(states, label)):
             bump(maps[kind], position[track_id])
 
 
 def reference_average_speed(rows, states):
     """Mean speed of the non-parked vehicles, as an ordered Python sum."""
-    speeds = [r[4] for r in rows if not r[1] and r[0] not in states.parking]
+    parked = members(states, "parking")
+    speeds = [r[4] for r in rows if not r[1] and r[0] not in parked]
     return sum(speeds) / len(speeds) if speeds else None
 
 
@@ -371,10 +381,8 @@ class ReferenceClassifier:
                                          other[3] - v[3]) < limit_px:
                     congested.add(v[0])
                     break
-        return StateSets(frame=frame, parking=frozenset(parked),
-                         speeding=frozenset(speeding),
-                         collision_risk=frozenset(at_risk),
-                         congestion=frozenset(congested))
+        return {"parking": parked, "speeding": speeding,
+                "collision_risk": at_risk, "congestion": congested}
 
 
 class TestAgainstScalarReference:
@@ -424,7 +432,10 @@ class TestAgainstScalarReference:
 
             states = clf.step(frame, ft(rows))
             expected = ref.step(frame, rows)
-            assert states == expected
+            assert states.frame == frame
+            assert np.array_equal(states.ids, ft(rows).ids)
+            assert {label: members(states, label)
+                    for label in LABELS} == expected
             stats = frame_stats(frame, ft(rows), states)
             avg = reference_average_speed(rows, states)
             assert repr(stats.avg_speed_mph) == repr(avg)
@@ -444,27 +455,23 @@ class TestUpdateHeatmaps:
             obs(2, 20, 20, 1.0, pedestrian=True),
             obs(3, 30, 30, 1.0, pedestrian=True),
         ]
-        update_heatmaps(maps, ft(rows), no_states())
+        update_heatmaps(maps, ft(rows), states_of(rows))
         assert maps["pedestrian"].events == 2
         assert maps["vehicle"].events == 1
         assert maps["speeding"].events == 0
 
     def test_parked_vehicles_leave_no_mark(self):
         maps = make_heatmaps((40, 40))
-        states = StateSets(frame=0, parking=frozenset({1}),
-                           speeding=frozenset(), collision_risk=frozenset(),
-                           congestion=frozenset())
-        update_heatmaps(maps, ft([obs(1, 10, 10, 0.0)]), states)
+        rows = [obs(1, 10, 10, 0.0)]
+        update_heatmaps(maps, ft(rows), states_of(rows, parking={1}))
         assert maps["vehicle"].events == 0
 
     def test_state_sets_routed_to_their_maps(self):
         maps = make_heatmaps((40, 40))
         rows = [obs(1, 10, 10, 35.0), obs(2, 11, 10, 2.0),
                 obs(3, 12, 10, 2.0), obs(4, 13, 10, 1.0, pedestrian=True)]
-        states = StateSets(frame=0, parking=frozenset(),
-                           speeding=frozenset({1}),
-                           collision_risk=frozenset({4}),
-                           congestion=frozenset({2, 3}))
+        states = states_of(rows, speeding={1}, collision_risk={4},
+                           congestion={2, 3})
         update_heatmaps(maps, ft(rows), states)
         assert maps["speeding"].events == 1
         assert maps["congestion"].events == 2
@@ -488,8 +495,7 @@ class TestUpdateHeatmaps:
                 for i in range(n)]
         ids = st.frozensets(st.integers(0, n - 1))
         parking = data.draw(ids)
-        states = StateSets(frame=0, parking=parking,
-                           speeding=data.draw(ids),
+        states = states_of(rows, parking=parking, speeding=data.draw(ids),
                            collision_risk=data.draw(ids),
                            congestion=data.draw(ids) - parking)
         maps = update_heatmaps(make_heatmaps((h, w)), ft(rows), states)
@@ -504,34 +510,30 @@ class TestUpdateHeatmaps:
 class TestFrameStats:
     def test_average_of_moving_vehicles(self):
         rows = [obs(1, 0, 0, 10.0), obs(2, 30, 0, 20.0), obs(3, 60, 0, 30.0)]
-        assert frame_stats(0, ft(rows), no_states()).avg_speed_mph == 20.0
+        assert frame_stats(0, ft(rows), states_of(rows)).avg_speed_mph == 20.0
 
     def test_parked_excluded_from_average(self):
         rows = [obs(1, 0, 0, 0.0), obs(2, 30, 0, 24.0)]
-        states = StateSets(frame=0, parking=frozenset({1}),
-                           speeding=frozenset(), collision_risk=frozenset(),
-                           congestion=frozenset())
+        states = states_of(rows, parking={1})
         assert frame_stats(0, ft(rows), states).avg_speed_mph == 24.0
 
     def test_all_parked_gives_none(self):
-        states = StateSets(frame=0, parking=frozenset({1}),
-                           speeding=frozenset(), collision_risk=frozenset(),
-                           congestion=frozenset())
-        stats = frame_stats(0, ft([obs(1, 0, 0, 0.0)]), states)
+        rows = [obs(1, 0, 0, 0.0)]
+        stats = frame_stats(0, ft(rows), states_of(rows, parking={1}))
         assert stats.avg_speed_mph is None
 
     def test_pedestrians_not_in_average(self):
         rows = [obs(1, 0, 0, 3.0, pedestrian=True)]
-        assert frame_stats(0, ft(rows), no_states()).avg_speed_mph is None
+        assert frame_stats(0, ft(rows), states_of(rows)).avg_speed_mph is None
 
     def test_counts(self):
         rows = [obs(1, 0, 0, 10.0), obs(2, 9, 0, 2.0, pedestrian=True)]
-        stats = frame_stats(4, ft(rows), no_states())
+        stats = frame_stats(4, ft(rows), states_of(rows))
         assert stats == FrameStats(frame=4, vehicle_count=1,
                                    pedestrian_count=1, avg_speed_mph=10.0)
 
     def test_empty_frame(self):
-        assert frame_stats(2, ft([]), no_states()) == FrameStats(
+        assert frame_stats(2, ft([]), states_of([])) == FrameStats(
             frame=2, vehicle_count=0, pedestrian_count=0, avg_speed_mph=None)
 
 

@@ -190,14 +190,6 @@ class TestCuboid:
         with pytest.raises(ValueError):
             Cuboid(corners=floor + roof)
 
-    def test_as_lists_order(self):
-        floor = tuple(PixelPoint.perspective(i, 10.0) for i in range(4))
-        roof = tuple(PixelPoint.perspective(i, 4.0) for i in range(4))
-        cuboid = Cuboid(corners=floor + roof)
-        assert cuboid.as_lists()[0] == [0.0, 10.0]
-        assert cuboid.as_lists()[4] == [0.0, 4.0]
-        assert len(cuboid.as_lists()) == 8
-
 
 def reference_cuboid(cx, cy, class_name, heading_deg, bbox, h_inv, scale,
                      beta):
@@ -247,9 +239,10 @@ class TestLiftCuboids:
         want = [reference_cuboid(x, y, name, theta, bbox, h_inv, scale, beta)
                 for (x, y, name, theta, _), bbox in zip(objects, bboxes)]
         assert got.tobytes() == np.array(want).tobytes()
-        scalar = [lift_to_3d(make_footprint(PixelPoint.bev(x, y), name,
-                                            theta, DEFAULT_PRIORS, scale),
-                             h_inv, bbox, name, beta=beta).as_lists()
+        scalar = [[[c.x, c.y] for c in lift_to_3d(
+                      make_footprint(PixelPoint.bev(x, y), name, theta,
+                                     DEFAULT_PRIORS, scale),
+                      h_inv, bbox, name, beta=beta).corners]
                   for (x, y, name, theta, _), bbox in zip(objects, bboxes)]
         assert got.tobytes() == np.array(scalar).tobytes()
 

@@ -420,6 +420,30 @@ def test_nan_track_speed_exits_2(tmp_path, pipeline, capsys):
     assert "SchemaError" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("key, message", [
+    ("bev", "bev must be a list of 2 numbers"),
+    ("speed_mph", "speed_mph must be a finite number, got None")])
+@pytest.mark.parametrize("spelling", [records._dump_row, json.dumps])
+@pytest.mark.parametrize("command", ["segment", "analyze"])
+def test_null_bev_or_speed_exits_2(tmp_path, pipeline, capsys, key, message,
+                                   spelling, command):
+    # the writer's spelling tries the fast path first; json.dumps' spaces
+    # send the line straight to the general decoder
+    rows = pipeline["tracks"].read_text().splitlines()
+    row = json.loads(rows[1])
+    row[key] = None
+    rows[1] = spelling(row)
+    bad = tmp_path / "tracks.jsonl"
+    bad.write_text("\n".join(rows) + "\n")
+    inputs = {"segment": ("--satellite", pipeline["sim"] / "satellite.pgm"),
+              "analyze": ("--calibration",
+                          pipeline["cal"] / "calibration.json")}
+    code = run(command, "--tracks", str(bad), *map(str, inputs[command]),
+               "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert f"SchemaError: line 2: {message}" in _one_error_line(capsys)
+
+
 def test_corrupt_heat_shard_exits_2(tmp_path, capsys):
     shard = tmp_path / "heat_vehicle.json"
     shard.write_text('{"events": 0, "kind": "vehicle", "shape": [1, 2], '

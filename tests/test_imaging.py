@@ -15,9 +15,7 @@ from roadscene.imaging import (
     DistortionParams,
     ImageBuffer,
     accumulate_background,
-    dilate3x3,
     distort_point,
-    erode3x3,
     histogram_match,
     read_pnm,
     to_gray,
@@ -189,36 +187,6 @@ class TestDistortion:
     def test_center_must_be_inside(self):
         with pytest.raises(ValueError):
             DistortionParams(k=(0, 0), center=(400, 100), image_size=(320, 240))
-
-
-class TestMorphology:
-    def test_all_zero(self):
-        mask = gray(np.zeros((5, 5)))
-        assert np.all(dilate3x3(mask).pixels == 0)
-        assert np.all(erode3x3(mask).pixels == 0)
-
-    def test_single_pixel_dilate(self):
-        arr = np.zeros((5, 5), dtype=np.uint8)
-        arr[2, 2] = 255
-        out = dilate3x3(gray(arr)).pixels
-        expected = np.zeros((5, 5), dtype=np.uint8)
-        expected[1:4, 1:4] = 255
-        assert np.array_equal(out, expected)
-
-    def test_closing_fills_hole(self):
-        arr = np.full((7, 7), 255, dtype=np.uint8)
-        arr[3, 3] = 0
-        arr[0, :] = arr[-1, :] = arr[:, 0] = arr[:, -1] = 0
-        closed = erode3x3(dilate3x3(gray(arr)))
-        assert closed.pixels[3, 3] == 255
-
-    def test_closing_keeps_interior_pixels(self):
-        rng = np.random.default_rng(41)
-        arr = np.zeros((20, 20), dtype=np.uint8)
-        arr[5:15, 5:15] = (rng.random((10, 10)) < 0.7) * 255
-        closed = erode3x3(dilate3x3(gray(arr)))
-        inside = arr[2:-2, 2:-2] == 255
-        assert np.all(closed.pixels[2:-2, 2:-2][inside] == 255)
 
 
 class TestPnm:

@@ -3,8 +3,9 @@
 A module-level function, class or constant that no other source code
 references and that `roadscene.__all__` does not export is reachable only
 from its own unit tests: neither the CLI nor the documented library API can
-get to it. Such names are deleted, or listed in ALLOWED with the reason they
-stay.
+get to it. The same holds for a method or property of a package class whose
+name no other source code reads. Such names are deleted, or listed in
+ALLOWED with the reason they stay.
 """
 
 import ast
@@ -24,6 +25,8 @@ ALLOWED = {
     ("analytics", "bump"): "scalar reference that the batched deposits of "
                            "`update_heatmaps` must equal cell for cell "
                            "(tests/test_analytics.py)",
+    ("cli", "_Parser.error"): "argparse calls it on a bad argument, so that "
+                              "the error is a ConfigError",
 }
 
 
@@ -43,6 +46,17 @@ def _definitions(tree: ast.Module) -> dict[str, ast.AST]:
                         defs[sub.id] = node
     return {name: node for name, node in defs.items()
             if not (name.startswith("__") and name.endswith("__"))}
+
+
+def _class_members(tree: ast.Module) -> dict[str, ast.AST]:
+    """Each method and property of the module's top-level classes, as
+    "Class.name", with its definition; dunder methods are left out, as
+    Python calls them."""
+    return {f"{cls.name}.{node.name}": node
+            for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
 
 
 def _references(tree: ast.AST) -> list[str]:
@@ -74,6 +88,11 @@ def unreached(src: Path = SRC) -> set[tuple[str, str]]:
             # naming itself in annotations) do not make a name reachable
             own = _references(node).count(name)
             if used.get(name, 0) - own == 0 and name not in exported:
+                found.add((module, name))
+        # a member is read by its bare name, as an attribute of anything
+        for name, node in _class_members(tree).items():
+            attr = name.partition(".")[2]
+            if used.get(attr, 0) - _references(node).count(attr) == 0:
                 found.add((module, name))
     return found
 

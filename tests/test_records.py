@@ -97,7 +97,8 @@ def test_tracks_round_trip(tmp_path):
     rows = [
         track_row(0, 1, "car", (10, 20, 4, 6), (10, 23), bev=(5.0, 6.0),
                   speed_mph=12.5, heading_deg=90.0, cuboid=None),
-        track_row(1, 1, "car", (11, 20, 4, 6), (11, 23)),
+        track_row(1, 1, "car", (11, 20, 4, 6), (11, 23), bev=(5.5, 6.0),
+                  speed_mph=0.0),
     ]
     write_tracks(path, [dump_rows(rows[:1]), dump_rows(rows[1:])])
     # load_tracks returns only the fields segment and analyze read
@@ -106,12 +107,12 @@ def test_tracks_round_trip(tmp_path):
     assert load_tracks(path) == [
         {"frame": 0, "id": 1, "class": "car", "bev": (5.0, 6.0),
          "speed_mph": 12.5},
-        {"frame": 1, "id": 1, "class": "car", "bev": None,
-         "speed_mph": None}]
+        {"frame": 1, "id": 1, "class": "car", "bev": (5.5, 6.0),
+         "speed_mph": 0.0}]
 
 
 def test_tracks_unknown_class_names_line():
-    row = track_row(0, 1, "car", (1, 1, 2, 2), (1, 2))
+    row = track_row(0, 1, "car", (1, 1, 2, 2), (1, 2), (1, 2), 0.0)
     row["class"] = "hovercraft"
     import json
     with pytest.raises(SchemaError, match="line 1.*hovercraft"):
@@ -120,8 +121,10 @@ def test_tracks_unknown_class_names_line():
 
 def test_tracks_decreasing_frames_rejected():
     import json
-    a = json.dumps(track_row(3, 1, "car", (1, 1, 2, 2), (1, 2)))
-    b = json.dumps(track_row(2, 1, "car", (1, 1, 2, 2), (1, 2)))
+    a = json.dumps(track_row(3, 1, "car", (1, 1, 2, 2), (1, 2),
+                             (1, 2), 0.0))
+    b = json.dumps(track_row(2, 1, "car", (1, 1, 2, 2), (1, 2),
+                             (1, 2), 0.0))
     with pytest.raises(SchemaError, match="line 2"):
         parse_tracks(a + "\n" + b + "\n")
 
@@ -129,21 +132,26 @@ def test_tracks_decreasing_frames_rejected():
 @pytest.mark.parametrize("track_id", [2 ** 63, -2 ** 63 - 1, 2 ** 70])
 def test_tracks_id_must_fit_int64(track_id):
     import json
-    row = json.dumps(track_row(0, track_id, "car", (1, 1, 2, 2), (1, 2)))
+    row = json.dumps(track_row(0, track_id, "car", (1, 1, 2, 2), (1, 2),
+                               (1, 2), 0.0))
     with pytest.raises(SchemaError, match="line 1: id must be a 64-bit"):
         parse_tracks(row + "\n")
     edge = 2 ** 63 - 1 if track_id > 0 else -2 ** 63
-    row = json.dumps(track_row(0, edge, "car", (1, 1, 2, 2), (1, 2)))
+    row = json.dumps(track_row(0, edge, "car", (1, 1, 2, 2), (1, 2),
+                               (1, 2), 0.0))
     assert parse_tracks(row + "\n")[0]["id"] == edge
 
 
 def test_tracks_id_once_per_frame():
     import json
-    a = json.dumps(track_row(4, 7, "car", (1, 1, 2, 2), (1, 2)))
-    b = json.dumps(track_row(4, 7, "bus", (5, 1, 2, 2), (5, 2)))
+    a = json.dumps(track_row(4, 7, "car", (1, 1, 2, 2), (1, 2),
+                             (1, 2), 0.0))
+    b = json.dumps(track_row(4, 7, "bus", (5, 1, 2, 2), (5, 2),
+                             (5, 2), 0.0))
     with pytest.raises(SchemaError, match="line 2: id 7 appears twice"):
         parse_tracks(a + "\n" + b + "\n")
-    c = json.dumps(track_row(5, 7, "car", (1, 1, 2, 2), (1, 2)))
+    c = json.dumps(track_row(5, 7, "car", (1, 1, 2, 2), (1, 2),
+                             (1, 2), 0.0))
     assert len(parse_tracks(a + "\n" + c + "\n")) == 2
 
 
@@ -177,7 +185,7 @@ def test_calibration_g_must_be_invertible(tmp_path, g):
 
 def test_tracks_writer_is_deterministic(tmp_path):
     rows = [track_row(0, 1, "bus", (1.5, 2.5, 3.0, 4.0), (1.5, 4.5),
-                      speed_mph=3.25)]
+                      bev=(1.5, 4.5), speed_mph=3.25)]
     p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     write_tracks(p1, [dump_rows(rows)])
     write_tracks(p2, [dump_rows(rows)])
@@ -215,8 +223,8 @@ def _track_rows(draw):
                 frame, track_id, draw(st.sampled_from(CLASS_NAMES)),
                 draw(st.tuples(*[_FLOAT] * 4)),
                 draw(st.tuples(_FLOAT, _FLOAT)),
-                bev=draw(st.none() | st.tuples(_FLOAT, _FLOAT)),
-                speed_mph=draw(st.none() | _FLOAT),
+                bev=draw(st.tuples(_FLOAT, _FLOAT)),
+                speed_mph=draw(_FLOAT),
                 heading_deg=draw(st.none() | _FLOAT),
                 cuboid=draw(st.none() | _pairs(8))))
         frame += draw(st.integers(1, 2))
@@ -269,7 +277,8 @@ def _set(row, path, value):
 _ROW_MUTATIONS = ["none", "space", "key order", "int", "3-digit exponent",
                   "1e999", "19 digits", "decreasing frame", "blank line",
                   "crlf"]
-_TRACK_MUTATIONS = _ROW_MUTATIONS + ["unknown class", "repeated id"]
+_TRACK_MUTATIONS = _ROW_MUTATIONS + ["unknown class", "repeated id",
+                                      "null bev", "null speed"]
 _DETECTION_MUTATIONS = _ROW_MUTATIONS + ["camera 1", "negative width"]
 
 
@@ -303,6 +312,8 @@ def _mutate(rows, mutation, data):
         row["frame"] = data.draw(st.integers(10 ** 18, 2 ** 64))
     elif mutation == "unknown class":
         row["class"] = "hovercraft"
+    elif mutation in ("null bev", "null speed"):
+        row[{"null bev": "bev", "null speed": "speed_mph"}[mutation]] = None
     elif mutation == "camera 1":
         row["camera"] = 1
     elif mutation == "negative width":
@@ -371,15 +382,16 @@ def test_detections_fast_reader_equals_general_decoder(rows, mutation, data):
 
 
 def test_states_template_spells_rows_as_dump_row(tmp_path):
-    ids = frozenset({0, -2 ** 63, 2 ** 63 - 1})
-    frames = [StateSets(0, ids, ids, ids, frozenset()),
-              StateSets(10 ** 12, frozenset(), ids, ids, ids)]
+    ids = np.array([2 ** 63 - 1, 0, -2 ** 63])
+    every, none = np.ones(3, dtype=bool), np.zeros(3, dtype=bool)
+    frames = [StateSets(0, ids, every, every, every, none),
+              StateSets(10 ** 12, ids, none, every, every, every)]
     path = tmp_path / "states.jsonl"
     write_states(path, frames)
     rows = [{"frame": s.frame, "state": label, "id": i} for s in frames
             for label in ("parking", "speeding", "collision_risk",
                           "congestion")
-            for i in sorted(getattr(s, label))]
+            for i in sorted(s.ids[getattr(s, label)].tolist())]
     assert len(rows) == 18
     assert path.read_text() == dump_rows(rows)
 

@@ -2,7 +2,7 @@ import collections
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roadscene.errors import EmptyMask, NoSeeds
@@ -172,6 +172,31 @@ class TestSrgSegment:
             SrgParams(tau_alpha=256)
 
 
+def _uint8_closing(road: np.ndarray) -> np.ndarray:
+    """The closing `refine_mask` once computed: the mask as a 0/255 image,
+    a 3x3 grey-level maximum and then minimum with off-image pixels 0,
+    thresholded at 127."""
+    img = np.where(road, 255, 0).astype(np.uint8)
+    for reduce_fn in (np.max, np.min):
+        padded = np.zeros((img.shape[0] + 2, img.shape[1] + 2),
+                          dtype=np.uint8)
+        padded[1:-1, 1:-1] = img
+        windows = np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
+        img = reduce_fn(windows, axis=(2, 3))
+    return img > 127
+
+
+@st.composite
+def _masks(draw):
+    """Masks of 1 to 12 rows and columns: random, empty or full."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    fill = draw(st.sampled_from(["random", "empty", "full"]))
+    if fill != "random":
+        return np.full((h, w), fill == "full")
+    cells = draw(st.lists(st.booleans(), min_size=h * w, max_size=h * w))
+    return np.array(cells, dtype=bool).reshape(h, w)
+
+
 class TestRefineMask:
     def test_solid_block_unchanged(self):
         road = np.zeros((12, 12), dtype=bool)
@@ -197,6 +222,42 @@ class TestRefineMask:
         road = rng.random((40, 40)) > 0.4
         once = refine_mask(RoadMask(road))
         assert refine_mask(once) == once
+
+    def test_all_false(self):
+        empty = RoadMask(np.zeros((5, 5), dtype=bool))
+        assert refine_mask(empty) == empty
+
+    def test_single_pixel_kept(self):
+        # dilation grows it to its 3x3 block, erosion shrinks it back
+        road = np.zeros((5, 5), dtype=bool)
+        road[2, 2] = True
+        assert refine_mask(RoadMask(road)) == RoadMask(road)
+
+    def test_closing_fills_hole(self):
+        road = np.ones((7, 7), dtype=bool)
+        road[3, 3] = False
+        road[0, :] = road[-1, :] = road[:, 0] = road[:, -1] = False
+        assert refine_mask(RoadMask(road)).pixels[3, 3]
+
+    def test_closing_keeps_interior_pixels(self):
+        rng = np.random.default_rng(41)
+        road = np.zeros((20, 20), dtype=bool)
+        road[5:15, 5:15] = rng.random((10, 10)) < 0.7
+        closed = refine_mask(RoadMask(road)).pixels
+        inside = road[2:-2, 2:-2]
+        assert np.all(closed[2:-2, 2:-2][inside])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_masks())
+    @example(np.ones((1, 7), dtype=bool))
+    @example(np.ones((7, 1), dtype=bool))
+    @example(np.array([[True, False, True, True, False]]))
+    @example(np.array([[True], [False], [True], [True]]))
+    @example(np.zeros((6, 5), dtype=bool))
+    @example(np.ones((6, 5), dtype=bool))
+    def test_equals_uint8_closing(self, road):
+        assert np.array_equal(refine_mask(RoadMask(road)).pixels,
+                              _uint8_closing(road))
 
 
 def block_mask(h, w, y0, y1, x0, x1):
