@@ -18,7 +18,7 @@ _EXPORTS = {
               "RansacParams SrgParams load_config parse_config",
     "errors": "InputError ProcessingError RoadSceneError",
     "geometry": "CameraModel GroundScale Homography PixelPoint apply "
-                "apply_many compose_from_camera invert",
+                "apply_many compose_from_camera estimate_dlt_xy invert",
     "imaging": "BackgroundAccumulator DistortionParams ImageBuffer "
                "histogram_match read_pnm write_pnm",
     "motion": "BevKalmanState abf heading kf_predict kf_update speed_mph",

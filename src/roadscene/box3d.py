@@ -36,14 +36,6 @@ class Cuboid:
             if roof_c.y > floor_c.y:
                 raise ValueError("roof corners must not lie below the floor")
 
-    @property
-    def floor(self) -> tuple[PixelPoint, ...]:
-        return self.corners[:4]
-
-    @property
-    def roof(self) -> tuple[PixelPoint, ...]:
-        return self.corners[4:]
-
 
 # signs of (half length, half width) per corner: front-left, then
 # counter-clockwise

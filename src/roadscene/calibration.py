@@ -19,22 +19,23 @@ import numpy as np
 
 from .config import RansacParams
 from .errors import (
-    DegenerateConfiguration,
     InsufficientMatches,
     InsufficientTrajectories,
     InvalidProbability,
     NoConsensus,
+    SingularMatrix,
 )
 from .geometry import (
     BEV,
     PERSPECTIVE,
+    _SINGULAR,
+    _UNSCALED,
     Homography,
     PixelPoint,
     _canonical_stack,
     _dlt_stack,
+    _project,
     _singular_stack,
-    apply_many,
-    estimate_dlt_xy,
 )
 from .imaging import DistortionParams, undistort_xy
 
@@ -105,6 +106,7 @@ def ransac_homography(matches: Sequence[Correspondence],
     Samples are drawn, fitted and scored in blocks of up to _BLOCK (see
     `_block_hypotheses`), then walked in draw order with the budget checked
     before each one, so the result is that of one iteration at a time.
+    The refit is a block of one sample: the whole inlier set.
     """
     n = len(matches)
     if n < _SAMPLE_SIZE:
@@ -112,15 +114,9 @@ def ransac_homography(matches: Sequence[Correspondence],
             f"need at least {_SAMPLE_SIZE} matches, got {n}")
     cam_xy = np.array([[m.cam.x, m.cam.y] for m in matches])
     sat_xy = np.array([[m.sat.x, m.sat.y] for m in matches])
-    cam_hom = np.hstack([cam_xy, np.ones((n, 1))])
 
     rng = np.random.default_rng(rng_seed)
     tau2 = params.tau_z ** 2
-
-    def vote(h: Homography) -> np.ndarray:
-        proj = apply_many(h, cam_xy)
-        err2 = np.sum((proj - sat_xy) ** 2, axis=1)
-        return err2 < tau2
 
     best_h = None
     best_mask = None
@@ -131,28 +127,16 @@ def ransac_homography(matches: Sequence[Correspondence],
     while i < budget:
         draws = np.array([rng.choice(n, size=_SAMPLE_SIZE, replace=False)
                           for _ in range(min(_BLOCK, budget - i))])
-        block = _block_hypotheses(cam_xy, sat_xy, cam_hom, draws, tau2)
-        for k, idx in enumerate(draws):
+        block = _block_hypotheses(cam_xy, sat_xy, draws, tau2)
+        for k in range(len(draws)):
             if i >= budget:
                 break
             i += 1
-            if block.degenerate[k]:
-                history.append(0)
-                continue
-            if block.fitted[k]:
-                g, mask, votes = block.g[k], block.masks[k], block.votes[k]
-            else:  # alone, so that it raises or warns where it always did
-                try:
-                    g = estimate_dlt_xy(cam_xy[idx], sat_xy[idx])
-                except DegenerateConfiguration:
-                    history.append(0)
-                    continue
-                mask = vote(Homography(g, source=PERSPECTIVE, target=BEV))
-                votes = int(mask.sum())
+            votes = block.votes_of(k)
             history.append(votes)
             if votes > best_votes:
-                best_h = Homography(g, source=PERSPECTIVE, target=BEV)
-                best_mask, best_votes = mask, votes
+                best_h = Homography(block.g[k], source=PERSPECTIVE, target=BEV)
+                best_mask, best_votes = block.masks[k], votes
                 eps = best_votes / n
                 budget = min(params.max_iter,
                              ransac_iterations(params.rho, eps))
@@ -161,15 +145,12 @@ def ransac_homography(matches: Sequence[Correspondence],
         raise NoConsensus(f"best consensus has {best_votes} votes, "
                           f"need at least {_SAMPLE_SIZE}")
 
-    try:
-        g = estimate_dlt_xy(cam_xy[best_mask], sat_xy[best_mask])
-        refit = Homography(g, source=PERSPECTIVE, target=BEV)
-        refit_mask = vote(refit)
-        refit_votes = int(refit_mask.sum())
-    except DegenerateConfiguration:
-        refit_votes = -1
-    if refit_votes >= best_votes:
-        best_h, best_mask, best_votes = refit, refit_mask, refit_votes
+    # a degenerate refit has 0 votes, fewer than the winner's
+    refit = _block_hypotheses(cam_xy, sat_xy,
+                              np.flatnonzero(best_mask)[None], tau2)
+    if refit.votes_of(0) >= best_votes:
+        best_h = Homography(refit.g[0], source=PERSPECTIVE, target=BEV)
+        best_mask, best_votes = refit.masks[0], refit.votes[0]
 
     return RansacResult(h=best_h, inlier_mask=best_mask, votes=best_votes,
                         iterations_run=i, vote_history=history)
@@ -178,52 +159,46 @@ def ransac_homography(matches: Sequence[Correspondence],
 class _Block(NamedTuple):
     """A block of RANSAC samples, fitted and scored: per sample the matrix
     `estimate_dlt_xy` gives, the inlier mask and vote count of its
-    `Homography`, whether those stand, and whether the fit is degenerate
-    instead.  A sample that is neither is replayed alone."""
+    `Homography`, whether those stand, whether the fit is degenerate
+    instead, and whether `Homography` refuses the matrix as singular."""
 
     g: np.ndarray
     masks: np.ndarray
     votes: list[int]
     fitted: np.ndarray
     degenerate: np.ndarray
+    singular: np.ndarray
+
+    def votes_of(self, k: int) -> int:
+        """Sample k's votes, 0 if its fit is degenerate.  A sample that is
+        neither raises what fitting it alone raises: `estimate_dlt_xy`
+        refuses its fit, or `Homography` its matrix."""
+        if self.degenerate[k]:
+            return 0
+        if not self.fitted[k]:
+            raise SingularMatrix(_SINGULAR if self.singular[k] else _UNSCALED)
+        return self.votes[k]
 
 
 def _block_hypotheses(cam_xy: np.ndarray, sat_xy: np.ndarray,
-                      cam_hom: np.ndarray, draws: np.ndarray,
-                      tau2: float) -> _Block:
-    """Fit and score a (b, 4) block of sampled match indices at once.
+                      draws: np.ndarray, tau2: float) -> _Block:
+    """Fit and score a (b, m) block of sampled match indices at once.
 
     Every step is the one-at-a-time step on a stack (one SVD, one
-    projection), bit for bit.  A sample is fitted, or degenerate, only
-    where its one-at-a-time steps would return that without raising or
-    warning otherwise.  If any floating-point error or LinAlgError comes up
-    in the block, no sample is either, so the caller replays them alone and
-    the errors come in their order.
+    projection), bit for bit, and none warns or raises.  A point whose
+    squared error overflows is an outlier.
     """
-    errors = []
-    modes = {kind: "ignore" if mode == "ignore" else "call"
-             for kind, mode in np.geterr().items()}
-    try:
-        with np.errstate(call=lambda *err: errors.append(err), **modes):
-            g, fitted, degenerate = _dlt_stack(cam_xy[draws], sat_xy[draws])
-            # `Homography` canonicalizes the fitted matrix a second time
-            h, _ = _canonical_stack(g)
-            fitted &= ~_singular_stack(h)
-            h[~fitted] = np.eye(3)  # not scored here; keeps them finite
-            # `apply_many` for every slice, one coordinate at a time
-            hom = np.matmul(cam_hom, h.transpose(0, 2, 1))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = hom[..., 0] / hom[..., 2]
-                v = hom[..., 1] / hom[..., 2]
-            u[~np.isfinite(u)] = np.inf
-            v[~np.isfinite(v)] = np.inf
-            masks = (u - sat_xy[:, 0]) ** 2 + (v - sat_xy[:, 1]) ** 2 < tau2
-    except np.linalg.LinAlgError:
-        errors.append(None)
-    if errors:
-        none = np.zeros(len(draws), dtype=bool)
-        return _Block(None, None, None, none, none)
-    return _Block(g, masks, masks.sum(axis=1).tolist(), fitted, degenerate)
+    g, fitted, degenerate = _dlt_stack(cam_xy[draws], sat_xy[draws])
+    # `Homography` canonicalizes each fitted matrix a second time; the
+    # others are not scored and project through the identity
+    h, _ = _canonical_stack(np.where(fitted[:, None, None], g, np.eye(3)))
+    singular = _singular_stack(h)
+    fitted &= ~singular
+    u, v = _project(cam_xy, h)
+    with np.errstate(over="ignore"):
+        masks = (u - sat_xy[:, 0]) ** 2 + (v - sat_xy[:, 1]) ** 2 < tau2
+    return _Block(g, masks, masks.sum(axis=1).tolist(), fitted, degenerate,
+                  singular)
 
 
 # --- trajectory straightness ------------------------------------------------

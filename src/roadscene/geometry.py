@@ -44,6 +44,11 @@ WORLD = "world"
 # a smallest one at or below it makes a matrix singular.
 _EPS = 1e-12
 
+# why `Homography` refuses a singular matrix, and `estimate_dlt_xy` a fit
+# that does not scale to norm 1
+_SINGULAR = "homography matrix is singular"
+_UNSCALED = "estimated matrix does not scale to norm 1"
+
 
 @dataclass(frozen=True)
 class PixelPoint:
@@ -101,7 +106,7 @@ class Homography:
     def __post_init__(self):
         g = canonicalize_matrix(self.matrix)
         if _singular_stack(g[None])[0]:
-            raise SingularMatrix("homography matrix is singular")
+            raise SingularMatrix(_SINGULAR)
         g.setflags(write=False)
         object.__setattr__(self, "matrix", g)
 
@@ -154,17 +159,26 @@ def _raise_first(bad, x, y) -> None:
 def apply_many(h: Homography, xy: np.ndarray) -> np.ndarray:
     """Vectorized `apply` for an (n, 2) coordinate array, without frame tags.
 
-    Rows whose homogeneous denominator vanishes come back as +/-inf rather
+    Rows whose homogeneous denominator vanishes come back as +inf rather
     than raising, so bulk consumers (consensus voting, inverse warping) can
     mask them out with a bounds or distance check.
     """
-    xy = np.asarray(xy, dtype=np.float64)
-    ones = np.ones((xy.shape[0], 1))
-    hom = np.hstack([xy, ones]) @ h.matrix.T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = hom[:, :2] / hom[:, 2:3]
-    out[~np.isfinite(out)] = np.inf
-    return out
+    u, v = _project(np.asarray(xy, dtype=np.float64), h.matrix)
+    return np.stack([u, v], axis=1)
+
+
+def _project(xy: np.ndarray, g: np.ndarray):
+    """(n, 2) points through a 3x3 matrix or a (b, 3, 3) stack, as
+    `xy1 @ g^T`: returns u and v, each (n,) or (b, n).  A coordinate that
+    is not finite comes back as +inf, and no floating-point error is
+    reported."""
+    with np.errstate(all="ignore"):
+        hom = np.hstack([xy, np.ones((len(xy), 1))]) @ np.swapaxes(g, -1, -2)
+        u = hom[..., 0] / hom[..., 2]
+        v = hom[..., 1] / hom[..., 2]
+    u[~np.isfinite(u)] = np.inf
+    v[~np.isfinite(v)] = np.inf
+    return u, v
 
 
 def invert(h: Homography) -> Homography:
@@ -172,7 +186,7 @@ def invert(h: Homography) -> Homography:
     try:
         inv = np.linalg.inv(h.matrix)
     except np.linalg.LinAlgError:
-        raise SingularMatrix("homography matrix is singular") from None
+        raise SingularMatrix(_SINGULAR) from None
     return Homography(inv, source=h.target, target=h.source)
 
 
@@ -187,10 +201,11 @@ def estimate_dlt_xy(src_xy: np.ndarray, dst_xy: np.ndarray) -> np.ndarray:
     value, denormalized and canonicalized.  This is `_dlt_stack` on a
     stack of one.
 
-    Raises DegenerateConfiguration when the points of either side coincide,
-    when the design matrix has rank < 8, which is what collinear or
-    repeated samples produce, or when the estimated matrix is singular;
-    SingularMatrix when it does not scale to norm 1.
+    Raises DegenerateConfiguration when the points of either side coincide
+    or lie too far apart to normalize, when the design matrix overflows or
+    has rank < 8, which is what collinear or repeated samples produce, or
+    when the estimated matrix is singular; SingularMatrix when it does not
+    scale to norm 1.  Neither warns.
     """
     src_xy = np.asarray(src_xy, dtype=np.float64)
     dst_xy = np.asarray(dst_xy, dtype=np.float64)
@@ -202,18 +217,20 @@ def estimate_dlt_xy(src_xy: np.ndarray, dst_xy: np.ndarray) -> np.ndarray:
         raise DegenerateConfiguration(
             "sample points coincide, are collinear or give a singular matrix")
     if not fitted:
-        raise SingularMatrix("estimated matrix does not scale to norm 1")
+        raise SingularMatrix(_UNSCALED)
     return g
 
 
+@np.errstate(all="ignore")
 def _dlt_stack(src_xy: np.ndarray, dst_xy: np.ndarray):
     """The direct linear transform over (b, n, 2) stacks: one stacked SVD
     solves all b fits.  Returns the canonical matrices, which fits stand,
     and which are degenerate; a fit that is neither does not scale to
-    norm 1."""
+    norm 1.  On finite input nothing warns or raises: a fit whose
+    normalization or design matrix overflows is degenerate."""
     b, n = src_xy.shape[:2]
-    t_src, src_apart = _similarity_stack(src_xy)
-    t_dst, dst_apart = _similarity_stack(dst_xy)
+    t_src, src_scaled = _similarity_stack(src_xy)
+    t_dst, dst_scaled = _similarity_stack(dst_xy)
     ones = np.ones((b, n, 1))
     sn = np.concatenate([src_xy, ones], axis=2) @ t_src.transpose(0, 2, 1)
     dn = np.concatenate([dst_xy, ones], axis=2) @ t_dst.transpose(0, 2, 1)
@@ -225,11 +242,16 @@ def _dlt_stack(src_xy: np.ndarray, dst_xy: np.ndarray):
     a[:, :, 0, 6:9] = -dn[..., 0:1] * sn
     a[:, :, 1, 6:9] = -dn[..., 1:2] * sn
     a = a.reshape(b, 2 * n, 9)
+    # a fit whose points coincide or whose numbers overflow is solved on
+    # zeros, which the rank test refuses: the SVD and the inverse below
+    # then never raise
+    solvable = src_scaled & dst_scaled & np.isfinite(a).all(axis=(1, 2))
+    a[~solvable] = 0.0
+    t_src[~solvable] = t_dst[~solvable] = np.eye(3)
 
     # only a 8 x 9 design matrix needs the full VT to reach the null vector
     _, s, vt = np.linalg.svd(a, full_matrices=2 * n < 9)
-    ranked = src_apart & dst_apart & ~(s[:, 7] <= _EPS
-                                       * np.maximum(1.0, s[:, 0]))
+    ranked = solvable & ~(s[:, 7] <= _EPS * np.maximum(1.0, s[:, 0]))
     g_norm = vt[:, -1].reshape(b, 3, 3)
     g = np.linalg.inv(t_dst) @ g_norm @ t_src
     g, norm = _canonical_stack(g)
@@ -244,19 +266,20 @@ def _dlt_stack(src_xy: np.ndarray, dst_xy: np.ndarray):
 def _similarity_stack(xy: np.ndarray):
     """Per stack of a (b, n, 2) array, the similarity moving the centroid
     to the origin and the mean radius to sqrt(2); returns them and which
-    stacks have points apart (the others get scale 1)."""
+    stacks scale: points apart, at a finite mean radius (the others get
+    scale 1)."""
     centroid = xy.mean(axis=1)
     d = xy - centroid[:, None, :]
     mean_dist = np.mean(np.sqrt(np.add.reduce(d * d, axis=2)), axis=1)
-    apart = mean_dist >= _EPS
+    scaled = (mean_dist >= _EPS) & np.isfinite(mean_dist)
     s = np.divide(math.sqrt(2.0), mean_dist,
-                  out=np.ones_like(mean_dist), where=apart)
+                  out=np.ones_like(mean_dist), where=scaled)
     t = np.zeros((len(xy), 3, 3))
     t[:, 0, 0] = t[:, 1, 1] = s
     t[:, 0, 2] = -s * centroid[:, 0]
     t[:, 1, 2] = -s * centroid[:, 1]
     t[:, 2, 2] = 1.0
-    return t, apart
+    return t, scaled
 
 
 def _canonical_stack(g: np.ndarray):

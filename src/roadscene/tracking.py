@@ -66,27 +66,13 @@ def reference_point(bbox: Sequence[float]) -> tuple[float, float]:
     return (x_b, y_b + h_b / 2.0)
 
 
-def iou(a: Sequence[float], b: Sequence[float]) -> float:
-    """Intersection over union of two axis-aligned center/size boxes."""
-    ax0, ax1 = a[0] - a[2] / 2.0, a[0] + a[2] / 2.0
-    ay0, ay1 = a[1] - a[3] / 2.0, a[1] + a[3] / 2.0
-    bx0, bx1 = b[0] - b[2] / 2.0, b[0] + b[2] / 2.0
-    by0, by1 = b[1] - b[3] / 2.0, b[1] + b[3] / 2.0
-    iw = min(ax1, bx1) - max(ax0, bx0)
-    ih = min(ay1, by1) - max(ay0, by0)
-    if iw <= 0 or ih <= 0:
-        return 0.0
-    inter = iw * ih
-    union = a[2] * a[3] + b[2] * b[3] - inter
-    return inter / union
-
-
 def iou_matrix(tracks: Sequence[Sequence[float]],
                detections: Sequence[Sequence[float]]) -> np.ndarray:
-    """`iou` of every track box with every detection box, as one array.
+    """Intersection over union of every track box with every detection
+    box, all axis-aligned center/size boxes, as one array.
 
-    The arithmetic is `iou`'s, step for step, so each entry equals the
-    scalar result bit for bit.
+    Each entry equals the scalar reference in tests/test_tracking.py bit
+    for bit.
     """
     # a[k] is a (tracks, 1) column, b[k] a (1, detections) row
     a = np.asarray(tracks, dtype=np.float64).reshape(-1, 4).T[:, :, None]

@@ -335,13 +335,14 @@ def test_criterion_11_boxes():
     footprint = make_footprint(PixelPoint.bev(150.0, 100.0), "bus", 30.0,
                                DEFAULT_PRIORS, scale)
     cube = lift_to_3d(footprint, h_inv, (200.0, 150.0, 80.0, 50.0), "bus")
-    edges = {round(cube.floor[i].y - cube.roof[i].y, 12) for i in range(4)}
+    edges = {round(floor_c.y - roof_c.y, 12)
+             for floor_c, roof_c in zip(cube.corners[:4], cube.corners[4:])}
     vertical_ok = len(edges) == 1 and edges.pop() > 0
 
     g = invert(h_inv)
     floor_err = max(
         math.hypot(apply(g, pc).x - fc.x, apply(g, pc).y - fc.y)
-        for pc, fc in zip(cube.floor, footprint))
+        for pc, fc in zip(cube.corners[:4], footprint))
 
     bus = DEFAULT_PRIORS["bus"]
     prior_ok = (bus.length_m, bus.width_m) == (5.8, 2.9)

@@ -106,7 +106,7 @@ class TestLiftTo3d:
                                  {"car": DimensionPrior(4.0, 2.0)}, SCALE)
         cuboid = lift_to_3d(corners, identity_back_projection(),
                             (0, 0, 30, 50), "car")
-        for floor_c, roof_c in zip(cuboid.floor, cuboid.roof):
+        for floor_c, roof_c in zip(cuboid.corners[:4], cuboid.corners[4:]):
             assert floor_c.y - roof_c.y == pytest.approx(30.0)  # 0.6 * 50
             assert roof_c.x == floor_c.x
 
@@ -116,7 +116,8 @@ class TestLiftTo3d:
         cuboid = lift_to_3d(corners, identity_back_projection(),
                             (0, 0, 20, 80), "pedestrian")
         lengths = {floor_c.y - roof_c.y
-                   for floor_c, roof_c in zip(cuboid.floor, cuboid.roof)}
+                   for floor_c, roof_c in zip(cuboid.corners[:4],
+                                              cuboid.corners[4:])}
         assert lengths == {80.0}
 
     def test_vertical_edges_all_equal(self):
@@ -129,7 +130,8 @@ class TestLiftTo3d:
                                  DEFAULT_PRIORS, SCALE)
         cuboid = lift_to_3d(corners, h_inv, (0, 0, 44, 71), "bus")
         lengths = [floor_c.y - roof_c.y
-                   for floor_c, roof_c in zip(cuboid.floor, cuboid.roof)]
+                   for floor_c, roof_c in zip(cuboid.corners[:4],
+                                              cuboid.corners[4:])]
         assert all(length == pytest.approx(0.6 * 71) for length in lengths)
 
     def test_floor_round_trips_to_footprint(self):
@@ -142,7 +144,7 @@ class TestLiftTo3d:
                                  DEFAULT_PRIORS, SCALE)
         cuboid = lift_to_3d(corners, h_inv, (0, 0, 30, 40), "work_van")
         g = invert(h_inv)
-        for floor_c, original in zip(cuboid.floor, corners):
+        for floor_c, original in zip(cuboid.corners[:4], corners):
             back = apply(g, floor_c)
             assert back.x == pytest.approx(original.x, abs=1e-6)
             assert back.y == pytest.approx(original.y, abs=1e-6)
@@ -158,8 +160,8 @@ class TestLiftTo3d:
         center = PixelPoint.bev(18.0, 52.0)
         corners = make_footprint(center, "car", 200.0, DEFAULT_PRIORS, SCALE)
         cuboid = lift_to_3d(corners, h_inv, (0, 0, 20, 30), "car")
-        fx = sum(c.x for c in cuboid.floor) / 4
-        fy = sum(c.y for c in cuboid.floor) / 4
+        fx = sum(c.x for c in cuboid.corners[:4]) / 4
+        fy = sum(c.y for c in cuboid.corners[:4]) / 4
         g = invert(h_inv)
         back = apply(g, PixelPoint.perspective(fx, fy))
         assert back.x == pytest.approx(center.x, abs=1e-6)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -215,6 +216,19 @@ class TestEstimateDlt:
         src = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (2, 2)], dtype=float)
         with pytest.raises(InsufficientPairs):
             estimate_dlt_xy(src, src[:4])
+
+    @settings(max_examples=50, deadline=None)
+    @given(dst=st.lists(st.tuples(st.floats(-1e300, 1e300),
+                                  st.floats(-1e300, 1e300)),
+                        min_size=4, max_size=4))
+    @example(dst=[(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_overflowing_points_are_degenerate_without_warning(self, dst):
+        # the far point's squared distance from the centroid overflows
+        src = [[0, 0], [1, 0], [0, 1], [1e300, 1e300]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateConfiguration):
+                estimate_dlt_xy(src, dst)
 
 
 # --- the scalar DLT that estimate_dlt_xy replaced, kept as its oracle ------

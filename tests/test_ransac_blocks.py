@@ -3,7 +3,7 @@
 `ransac_homography` draws, fits and scores its hypotheses in blocks; the
 loop below is the reference it must equal exactly: the same homography bit
 for bit, the same inlier mask, votes, iteration count and vote history,
-and the same exception or warnings where the input provokes them.
+and the same exception where the input provokes one.  Neither warns.
 """
 
 import itertools
@@ -42,7 +42,8 @@ def one_at_a_time(matches, params=RansacParams(), rng_seed=0):
 
     def vote(h):
         proj = apply_many(h, cam_xy)
-        err2 = np.sum((proj - sat_xy) ** 2, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing error is an outlier
+            err2 = np.sum((proj - sat_xy) ** 2, axis=1)
         return err2 < tau2
 
     best_h = best_mask = None
@@ -175,18 +176,40 @@ def huge_match_set(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_floating_point_errors_come_in_the_same_order(seed):
+    # none come: a fit that overflows is degenerate and a point whose error
+    # overflows an outlier, so numpy's warnings raised as exceptions end
+    # neither call
     matches = huge_match_set(seed)
     params = RansacParams(max_iter=150)
-    # numpy's warnings raised as exceptions: the first one ends both calls
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        blocked = outcome(ransac_homography, matches, params, seed)
+        assert blocked == outcome(one_at_a_time, matches, params, seed)
+    assert isinstance(blocked[0], bytes), blocked
+
+
+def far_match_set(seed):
+    """Half the satellite points sit together far out: a sample of four of
+    them fits a matrix that overflows its norm, a sample mixing them with
+    the others overflows its normalization."""
+    rng = np.random.default_rng(seed)
+    matches = match_set(rng, 40, 0.2, "plain")
+    for k in rng.choice(40, size=20, replace=False):
+        m = matches[k]
+        matches[k] = Correspondence(m.cam, PixelPoint.bev(
+            1e160 + m.sat.x * 1e150, 1e160 + m.sat.y * 1e150))
+    return matches
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("max_iter", [10, 150])
+def test_unscaled_fit_raises_at_its_turn(seed, max_iter):
+    # the walk raises the SingularMatrix of the first such sample within
+    # the budget, as fitting it alone does; none comes within 10 samples
+    # for some seeds, which end in a result or in NoConsensus
+    matches = far_match_set(seed)
+    params = RansacParams(max_iter=max_iter)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert outcome(ransac_homography, matches, params, seed) == \
             outcome(one_at_a_time, matches, params, seed)
-    # every warning, in order, and then the same result
-    seen = []
-    for fit in (ransac_homography, one_at_a_time):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            result = outcome(fit, matches, params, seed)
-        seen.append((result, [(w.category, str(w.message)) for w in caught]))
-    assert seen[0] == seen[1]

@@ -4,8 +4,9 @@ A module-level function, class or constant that no other source code
 references and that `roadscene.__all__` does not export is reachable only
 from its own unit tests: neither the CLI nor the documented library API can
 get to it. The same holds for a method or property of a package class whose
-name no other source code reads. Such names are deleted, or listed in
-ALLOWED with the reason they stay.
+name no other source code reads as an attribute of anything but an imported
+module (`np.floor` does not read `Cuboid.floor`). Such names are deleted,
+or listed in ALLOWED with the reason they stay.
 """
 
 import ast
@@ -17,8 +18,6 @@ SRC = Path(roadscene.__file__).resolve().parent
 
 # (module, name) -> why it stays although only tests reach it
 ALLOWED = {
-    ("tracking", "iou"): "scalar reference that `iou_matrix` must equal bit "
-                         "for bit (tests/test_tracking.py)",
     ("imaging", "distort_point"): "lens-model oracle: the acceptance tests "
                                   "distort synthetic trajectories with it, "
                                   "and a simulated lens would apply it",
@@ -72,14 +71,36 @@ def _references(tree: ast.AST) -> list[str]:
     return out
 
 
+def _modules(tree: ast.Module) -> set[str]:
+    """Names a module binds to modules: `import x [as y]` and
+    `from . import x`."""
+    return {alias.asname or alias.name.partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module is None
+            for alias in node.names}
+
+
+def _attribute_reads(tree: ast.AST, modules: set[str]) -> list[str]:
+    """Attributes a subtree reads off anything but one of `modules`."""
+    return [node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and not (isinstance(node.value, ast.Name)
+                     and node.value.id in modules)]
+
+
 def unreached(src: Path = SRC) -> set[tuple[str, str]]:
     """(module, name) pairs that only their own definition refers to."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(src.glob("*.py"))}
+    modules = {module: _modules(tree) for module, tree in trees.items()}
     used: dict[str, int] = {}
-    for tree in trees.values():
+    read: dict[str, int] = {}
+    for module, tree in trees.items():
         for name in _references(tree):
             used[name] = used.get(name, 0) + 1
+        for attr in _attribute_reads(tree, modules[module]):
+            read[attr] = read.get(attr, 0) + 1
     exported = set(roadscene.__all__)
     found = set()
     for module, tree in trees.items():
@@ -89,10 +110,11 @@ def unreached(src: Path = SRC) -> set[tuple[str, str]]:
             own = _references(node).count(name)
             if used.get(name, 0) - own == 0 and name not in exported:
                 found.add((module, name))
-        # a member is read by its bare name, as an attribute of anything
+        # a member is read as an attribute of anything but a module
         for name, node in _class_members(tree).items():
             attr = name.partition(".")[2]
-            if used.get(attr, 0) - _references(node).count(attr) == 0:
+            own = _attribute_reads(node, modules[module]).count(attr)
+            if read.get(attr, 0) - own == 0:
                 found.add((module, name))
     return found
 

@@ -15,7 +15,6 @@ from roadscene.tracking import (
     MomctTracker,
     _min_cost_assignment,
     associate,
-    iou,
     iou_matrix,
     reference_point,
 )
@@ -47,6 +46,22 @@ class TestReferencePoint:
         base = reference_point((10, 20, 6, 8))
         shifted = reference_point((13, 18, 6, 8))
         assert shifted == (base[0] + 3, base[1] - 2)
+
+
+def iou(a, b):
+    """Intersection over union of two axis-aligned center/size boxes: the
+    scalar reference `iou_matrix` must equal bit for bit."""
+    ax0, ax1 = a[0] - a[2] / 2.0, a[0] + a[2] / 2.0
+    ay0, ay1 = a[1] - a[3] / 2.0, a[1] + a[3] / 2.0
+    bx0, bx1 = b[0] - b[2] / 2.0, b[0] + b[2] / 2.0
+    by0, by1 = b[1] - b[3] / 2.0, b[1] + b[3] / 2.0
+    iw = min(ax1, bx1) - max(ax0, bx0)
+    ih = min(ay1, by1) - max(ay0, by0)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = a[2] * a[3] + b[2] * b[3] - inter
+    return inter / union
 
 
 class TestIou:
