@@ -19,7 +19,7 @@ import numpy as np
 from .config import HEIGHT_COEFFICIENT, PEDESTRIAN, DimensionPrior
 from .errors import MissingPrior
 from .geometry import (BEV, GroundScale, Homography, PixelPoint, apply,
-                       apply_xy)
+                       apply_many)
 
 
 @dataclass(frozen=True)
@@ -119,13 +119,14 @@ def lift_cuboids(centers_bev: Sequence[Sequence[float]],
     Takes one BEV (x, y) center, class, heading and 2D box per object and
     returns (n, 8, 2) perspective corners in `Cuboid` order.  The
     arithmetic is the scalar functions', step for step, so every corner
-    equals theirs bit for bit.
+    equals theirs bit for bit; a corner whose image is not finite is +inf
+    here, where `lift_to_3d` raises DegeneratePoint.
     """
     centers = np.asarray(centers_bev, dtype=np.float64).reshape(-1, 2)
     ground = _footprints_xy(centers, class_names, headings_deg, priors, scale)
-    u, v = apply_xy(h_inv, ground[..., 0], ground[..., 1])
+    floor = apply_many(h_inv, ground.reshape(-1, 2)).reshape(ground.shape)
     h_3d = np.array([_roof_height(b, name, beta)
                      for b, name in zip(bboxes, class_names)])
-    floor = np.stack([u, v], axis=-1)
-    roof = np.stack([u, v - h_3d[:, None]], axis=-1)
+    roof = floor.copy()
+    roof[..., 1] -= h_3d[:, None]
     return np.concatenate([floor, roof], axis=1)

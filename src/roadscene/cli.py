@@ -33,9 +33,9 @@ from .analytics import (HEAT_KINDS, FrameTracks, StateClassifier,
                         frame_stats, make_heatmaps, perspective_sample,
                         render, update_heatmaps)
 from .config import PEDESTRIAN, Config, load_config
-from .errors import (ConfigError, DegenerateDisplacement, EmptyHeatMap,
-                     InputError, ProcessingError, SchemaError)
-from .geometry import GroundScale, PixelPoint, apply, apply_xy, invert
+from .errors import (ConfigError, DegenerateDisplacement, DegeneratePoint,
+                     EmptyHeatMap, InputError, ProcessingError, SchemaError)
+from .geometry import GroundScale, PixelPoint, apply_many, invert
 from .motion import (BevKalmanState, abf, heading, kf_predict, kf_update,
                      speed_mph)
 from .records import (dump_json, dump_rows, load_boundary, load_calibration,
@@ -182,13 +182,12 @@ def _cmd_calibrate(args) -> int:
     matches = _load_matches(args.matches)
     result = ransac_homography(matches, cfg.ransac,
                                rng_seed=subsystem_seed(cfg.seed, "ransac"))
-    residuals = []
-    for m, keep in zip(matches, result.inlier_mask):
-        if keep:
-            mapped = apply(result.h, m.cam)
-            residuals.append((mapped.x - m.sat.x) ** 2
-                             + (mapped.y - m.sat.y) ** 2)
-    rmse = (sum(residuals) / len(residuals)) ** 0.5 if residuals else None
+    # at least 4: ransac_homography refuses a smaller consensus
+    inliers = [m for m, keep in zip(matches, result.inlier_mask) if keep]
+    d = (apply_many(result.h, [[m.cam.x, m.cam.y] for m in inliers])
+         - [[m.sat.x, m.sat.y] for m in inliers])
+    # numpy's pairwise summation over the inliers in match order
+    rmse = float(np.mean(d[:, 0] ** 2 + d[:, 1] ** 2)) ** 0.5
 
     dump_json({
         "g": records.homography_to_json(result.h),
@@ -202,8 +201,7 @@ def _cmd_calibrate(args) -> int:
         "distortion": distortion,
     }, out / "calibration.json")
     print(f"calibrate: {result.votes}/{len(matches)} inliers, "
-          f"rmse {rmse:.4f} px" if rmse is not None else
-          f"calibrate: {result.votes}/{len(matches)} inliers")
+          f"rmse {rmse:.4f} px")
     return 0
 
 
@@ -235,9 +233,12 @@ def _cmd_track(args) -> int:
             continue
         rows = []
         refs = np.array([snap.ref for snap in snaps])
-        bev_x, bev_y = apply_xy(g, refs[:, 0], refs[:, 1])
+        bevs = apply_many(g, refs)
+        if np.isinf(bevs).any():  # the Kalman filters take finite points
+            x, y = refs[np.isinf(bevs[:, 0])][0]
+            raise DegeneratePoint(f"point ({x}, {y}) maps to infinity")
         lifted = []  # (row, BEV center, snapshot, heading) per cuboid
-        for snap, bev in zip(snaps, zip(bev_x.tolist(), bev_y.tolist())):
+        for snap, bev in zip(snaps, bevs.tolist()):
             if snap.track_id not in motion:
                 kf, theta = BevKalmanState.initial(*bev), None
             else:

@@ -13,6 +13,11 @@ A `Homography` carries its source and target frame tags and refuses to be
 applied to a point from the wrong frame, which catches most unit mix-ups
 at the call site instead of three modules later.
 
+Every point map runs `_project`'s elementwise arithmetic, so `apply_many`
+gives each row exactly what `apply` gives that point.  A point whose image
+is not finite (a zero denominator, or an overflow) is +inf in
+`apply_many` and raises DegeneratePoint in `apply`.
+
 Homography matrices are canonical: Frobenius norm 1 and the last element
 non-negative (if that element vanishes, the first non-zero entry in
 row-major order is made positive).  Canonical form makes equality checks
@@ -39,9 +44,9 @@ PERSPECTIVE = "perspective"
 BEV = "bev"
 WORLD = "world"
 
-# Below this size an element is treated as exactly zero when canonicalizing
-# and when testing denominators; relative to the largest singular value,
-# a smallest one at or below it makes a matrix singular.
+# Below this size an element is treated as exactly zero when canonicalizing;
+# relative to the largest singular value, a smallest one at or below it
+# makes a matrix singular.
 _EPS = 1e-12
 
 # why `Homography` refuses a singular matrix, and `estimate_dlt_xy` a fit
@@ -118,66 +123,52 @@ class Homography:
 def apply(h: Homography, p: PixelPoint) -> PixelPoint:
     """Map one point through a homography, checking frame tags.
 
-    Raises DegeneratePoint when the point projects to infinity, i.e. the
-    homogeneous denominator falls below 1e-12 in magnitude or the image
-    overflows.
+    Raises DegeneratePoint when the point's image is not finite: its
+    homogeneous denominator is 0 or the image overflows.
     """
     if p.frame != h.source:
         raise FrameMismatch(
             f"point is in frame '{p.frame}' but homography maps from "
             f"'{h.source}'")
-    u, v = apply_xy(h, p.x, p.y)
-    return PixelPoint(u, v, h.target)
-
-
-def apply_xy(h: Homography, x, y):
-    """`apply` without frame tags on x and y coordinate arrays of one
-    shape, or on two scalars; returns (u, v) likewise.
-
-    The points are taken to lie in `h.source`.  `apply` itself evaluates
-    this expression, so array and scalar results agree bit for bit.
-    Raises DegeneratePoint for the first point whose homogeneous
-    denominator falls below 1e-12 in magnitude or whose image overflows.
-    """
-    g = h.matrix
-    den = g[2, 0] * x + g[2, 1] * y + g[2, 2]
-    _raise_first(np.abs(den) < _EPS, x, y)
-    u = (g[0, 0] * x + g[0, 1] * y + g[0, 2]) / den
-    v = (g[1, 0] * x + g[1, 1] * y + g[1, 2]) / den
-    _raise_first(~(np.isfinite(u) & np.isfinite(v)), x, y)
-    return u, v
-
-
-def _raise_first(bad, x, y) -> None:
-    hits = np.flatnonzero(bad)
-    if hits.size:
-        k = hits[0]
-        raise DegeneratePoint(f"point ({np.ravel(x)[k]}, {np.ravel(y)[k]}) "
-                              f"maps to infinity")
+    (u,), (v,) = _project(np.array([[p.x, p.y]]), h.matrix)
+    if u == np.inf:
+        raise DegeneratePoint(f"point ({p.x}, {p.y}) maps to infinity")
+    return PixelPoint(float(u), float(v), h.target)
 
 
 def apply_many(h: Homography, xy: np.ndarray) -> np.ndarray:
-    """Vectorized `apply` for an (n, 2) coordinate array, without frame tags.
+    """`apply` for an (n, 2) coordinate array, without frame tags.
 
-    Rows whose homogeneous denominator vanishes come back as +inf rather
-    than raising, so bulk consumers (consensus voting, inverse warping) can
-    mask them out with a bounds or distance check.
+    Each row equals `apply` of that point bit for bit, however many rows
+    share the call.  A row whose image is not finite comes back as +inf
+    rather than raising, so bulk consumers (consensus voting, inverse
+    warping) can mask it out with a bounds or distance check.
     """
     u, v = _project(np.asarray(xy, dtype=np.float64), h.matrix)
     return np.stack([u, v], axis=1)
 
 
 def _project(xy: np.ndarray, g: np.ndarray):
-    """(n, 2) points through a 3x3 matrix or a (b, 3, 3) stack, as
-    `xy1 @ g^T`: returns u and v, each (n,) or (b, n).  A coordinate that
-    is not finite comes back as +inf, and no floating-point error is
-    reported."""
+    """(n, 2) points through a 3x3 matrix or a (b, 3, 3) stack: returns u
+    and v, each (n,) or (b, n).
+
+    The arithmetic is elementwise, `(g00 x + g01 y + g02) / den` with
+    `den = g20 x + g21 y + g22`, so a point's image does not depend on the
+    other points or matrices in the call; a matrix product would round
+    differently with the number of rows.  A point whose image is not
+    finite maps to (+inf, +inf), and no floating-point error is reported.
+    """
+    x, y = xy[:, 0], xy[:, 1]
+    # each entry, of each matrix of a stack, with a trailing axis that
+    # broadcasts it over the points
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = np.moveaxis(
+        g[..., None], (-3, -2), (0, 1))
     with np.errstate(all="ignore"):
-        hom = np.hstack([xy, np.ones((len(xy), 1))]) @ np.swapaxes(g, -1, -2)
-        u = hom[..., 0] / hom[..., 2]
-        v = hom[..., 1] / hom[..., 2]
-    u[~np.isfinite(u)] = np.inf
-    v[~np.isfinite(v)] = np.inf
+        den = g20 * x + g21 * y + g22
+        u = (g00 * x + g01 * y + g02) / den
+        v = (g10 * x + g11 * y + g12) / den
+    bad = ~(np.isfinite(u) & np.isfinite(v))
+    u[bad] = v[bad] = np.inf
     return u, v
 
 

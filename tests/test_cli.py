@@ -389,6 +389,23 @@ def test_malformed_detections_names_line(tmp_path, pipeline, capsys):
     assert "SchemaError" in err and "line 2" in err
 
 
+def test_reference_point_mapping_to_infinity_exits_1(tmp_path, capsys):
+    # the last row of g is (1, 0, 1), so a reference point at x = -1 has a
+    # homogeneous denominator of exactly 0
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps({"g": [[1, 0, 0], [0, 1, 0], [1, 0, 1]]}))
+    det = {"bbox": [-1, 10, 4, 4], "score": 0.9, "probs": [1.0] + [0.0] * 10}
+    detections = tmp_path / "detections.jsonl"
+    detections.write_text("".join(json.dumps(dict(det, frame=f)) + "\n"
+                                  for f in range(5)))
+    out = tmp_path / "tracks.jsonl"
+    assert run("track", "--detections", str(detections),
+               "--calibration", str(cal), "--out", str(out)) == 1
+    assert _one_error_line(capsys) == (
+        "error: DegeneratePoint: point (-1.0, 12.0) maps to infinity\n")
+    assert not out.exists()
+
+
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

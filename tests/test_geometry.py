@@ -75,15 +75,38 @@ class TestApply:
         with pytest.raises(DegeneratePoint):
             apply(h, PixelPoint.perspective(-1.0, 0.0))
 
-    def test_apply_many_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        h = random_homography(rng)
-        pts = rng.uniform(0, 100, size=(40, 2))
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 64),
+           horizon=st.booleans())
+    def test_apply_many_matches_scalar(self, seed, n, horizon):
+        # each row is `apply` of its point bit for bit, whatever the number
+        # of rows; with `horizon`, the last row is (c, 0, c), so the
+        # denominator g20 x + g21 y + g22 is exactly 0 wherever x = -1
+        rng = np.random.default_rng(seed)
+        g = np.eye(3) + 0.5 * rng.standard_normal((3, 3))
+        pts = rng.uniform(-100, 100, size=(n, 2))
+        if horizon:
+            g[2] = np.array([1.0, 0.0, 1.0]) * rng.uniform(0.5, 2.0)
+            pts[rng.random(n) < 0.5, 0] = -1.0
+        h = Homography(g)
         batch = apply_many(h, pts)
-        for i, (x, y) in enumerate(pts):
-            q = apply(h, PixelPoint.perspective(x, y))
-            assert batch[i, 0] == pytest.approx(q.x, abs=1e-9)
-            assert batch[i, 1] == pytest.approx(q.y, abs=1e-9)
+        for (x, y), row in zip(pts, batch):
+            p = PixelPoint.perspective(x, y)
+            if horizon and x == -1.0:
+                assert row.tolist() == [math.inf, math.inf]
+                with pytest.raises(DegeneratePoint):
+                    apply(h, p)
+            else:
+                q = apply(h, p)
+                assert row.tobytes() == np.array([q.x, q.y]).tobytes()
+        # each matrix of a stack maps as it does alone
+        stack = np.concatenate([h.matrix[None],
+                                rng.standard_normal((3, 3, 3))])
+        u, v = geo._project(pts, stack)
+        for k, g_k in enumerate(stack):
+            u_k, v_k = geo._project(pts, g_k)
+            assert u[k].tobytes() == u_k.tobytes()
+            assert v[k].tobytes() == v_k.tobytes()
 
 
 class TestCanonicalization:
