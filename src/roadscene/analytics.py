@@ -245,13 +245,15 @@ class StateClassifier:
 
 def update_heatmaps(maps: Mapping[str, HeatMap], tracks: FrameTracks,
                     states: StateSets) -> Mapping[str, HeatMap]:
-    """Deposit one frame of classified positions into the five maps:
-    all pedestrians, non-parked vehicles, and the speeding, congestion
-    and collision-risk sets.
+    """Deposit classified positions into the five maps: all pedestrians,
+    non-parked vehicles, and the speeding, congestion and collision-risk
+    sets.  `tracks` may hold the rows of one frame or of many, with
+    `states`' masks over those same rows.
 
     Each position's kernel is worked out once per map shape, and each map
     takes its positions in one `np.add.at`; integer adds commute, so the
-    grids equal one `bump` per position.
+    grids equal one `bump` per position, however the frames are grouped
+    into calls.
     """
     masks = {"pedestrian": tracks.pedestrian,
              "vehicle": ~tracks.pedestrian & ~states.parking,

@@ -29,19 +29,21 @@ import numpy as np
 # is here only while perfbench/tracer.py wraps its Kalman steps as soon as
 # this module is imported (ROADMAP item 6).
 from . import records
-from .analytics import (HEAT_KINDS, FrameTracks, StateClassifier,
+from .analytics import (HEAT_KINDS, FrameTracks, StateClassifier, StateSets,
                         frame_stats, make_heatmaps, perspective_sample,
                         render, update_heatmaps)
 from .config import PEDESTRIAN, Config, load_config
 from .errors import (ConfigError, DegenerateDisplacement, DegeneratePoint,
-                     EmptyHeatMap, InputError, ProcessingError, SchemaError)
+                     EmptyHeatMap, InputError, NonFiniteOutput,
+                     ProcessingError, SchemaError)
 from .geometry import GroundScale, PixelPoint, apply_many, invert
 from .motion import (BevKalmanState, abf, heading, kf_predict, kf_update,
                      speed_mph)
-from .records import (dump_json, dump_rows, load_boundary, load_calibration,
-                      load_detections, load_heatmap, load_json, load_stats,
-                      load_tracks, merge_stats, save_boundary, save_heatmap,
-                      track_row, write_states, write_stats, write_tracks)
+from .records import (dump_json, dump_track_rows, load_boundary,
+                      load_calibration, load_detections, load_heatmap,
+                      load_json, load_stats, load_tracks, merge_stats,
+                      save_boundary, save_heatmap, write_states, write_stats,
+                      write_tracks)
 
 
 def _config_from(args) -> Config:
@@ -207,13 +209,17 @@ def _cmd_calibrate(args) -> int:
 
 # --- track ------------------------------------------------------------------
 
+# about how many rows `track` maps, filters, lifts and spells at a time.  A
+# block holds whole frames; the map and the lift are elementwise and the
+# filters run row by row in file order, so a row comes out the same in a
+# block of any size.
+_BLOCK_ROWS = 4096
+
+
 def _cmd_track(args) -> int:
-    from .box3d import lift_cuboids
     from .tracking import MomctTracker
     cfg = _config_from(args)
     calib = load_calibration(args.calibration)
-    g = calib["g"]
-    g_inv = invert(g)
     scale = GroundScale(calib.get("iota_m_per_px") or cfg.iota_m_per_px)
     detections = load_detections(args.detections)
 
@@ -221,58 +227,85 @@ def _cmd_track(args) -> int:
     tracker = MomctTracker(iou_min=cfg.iou_min, max_age=cfg.max_age,
                            min_hits=cfg.min_hits,
                            objectness_min=cfg.objectness_min)
-    t_w = 1.0 / cfg.fps
-    motion = {}  # track id -> (BEV filter, frame last seen, heading)
-    # each frame's rows are encoded as soon as they are complete, so only
-    # their text outlives the frame
+    motion = {}  # live track id -> (BEV filter, frame last seen, heading)
+    identities = n_rows = 0
+    # only the rows' text outlives their block
     chunks = []
-    n_rows = 0
-    for frame, dets in detections:
-        snaps = tracker.step(dets, frame)
-        if not snaps:
-            continue
-        rows = []
-        refs = np.array([snap.ref for snap in snaps])
-        bevs = apply_many(g, refs)
-        if np.isinf(bevs).any():  # the Kalman filters take finite points
-            x, y = refs[np.isinf(bevs[:, 0])][0]
-            raise DegeneratePoint(f"point ({x}, {y}) maps to infinity")
-        lifted = []  # (row, BEV center, snapshot, heading) per cuboid
-        for snap, bev in zip(snaps, bevs.tolist()):
-            if snap.track_id not in motion:
-                kf, theta = BevKalmanState.initial(*bev), None
-            else:
-                last, seen, theta = motion[snap.track_id]
-                kf = kf_update(kf_predict(last, (frame - seen) * t_w), bev)
-                try:
-                    raw = heading(kf.position, last.position)
-                    theta = raw if theta is None else abf(theta, raw)
-                except DegenerateDisplacement:
-                    pass
-            motion[snap.track_id] = (kf, frame, theta)
-            pos = kf.position
-            row = track_row(frame, snap.track_id, snap.class_name,
-                            snap.bbox, snap.ref, bev=(pos.x, pos.y),
-                            speed_mph=speed_mph(kf, scale), heading_deg=theta)
-            rows.append(row)
-            if theta is None and snap.class_name == PEDESTRIAN:
-                theta = 0.0
-            if theta is not None:
-                lifted.append((row, (pos.x, pos.y), snap, theta))
-        if lifted:
-            owners, centers, lifted_snaps, headings = zip(*lifted)
-            cuboids = lift_cuboids(
-                centers, [s.class_name for s in lifted_snaps], headings,
-                [s.bbox for s in lifted_snaps], g_inv, cfg.priors, scale,
-                beta=cfg.beta)
-            for row, cuboid in zip(owners, cuboids.tolist()):
-                row["cuboid"] = cuboid
-        chunks.append(dump_rows(rows))
-        n_rows += len(rows)
+    for block in _frame_blocks(tracker, detections):
+        known = len(motion)
+        chunks.append(_track_rows(block, motion, calib["g"], scale, cfg))
+        identities += len(motion) - known
+        n_rows += len(block)
+        # ids are never reused, so a track the tracker has dropped has no
+        # rows to come
+        for track_id in motion.keys() - {t.id for t in tracker.tracks}:
+            del motion[track_id]
     write_tracks(out_path, chunks)
-    # every track that made a row has a motion entry
-    print(f"track: {n_rows} track rows, {len(motion)} identities")
+    print(f"track: {n_rows} track rows, {identities} identities")
     return 0
+
+
+def _frame_blocks(tracker, detections):
+    """Step `tracker` through the (frame, detections) groups and yield its
+    confirmed snapshots as (frame, snapshot) rows, in blocks of whole
+    frames of at least `_BLOCK_ROWS` rows but the last; at each yield the
+    tracker stands at the block's last frame."""
+    block = []
+    for frame, dets in detections:
+        block += [(frame, snap) for snap in tracker.step(dets, frame)]
+        if len(block) >= _BLOCK_ROWS:
+            yield block
+            block = []
+    if block:
+        yield block
+
+
+def _track_rows(block, motion, g, scale, cfg) -> str:
+    """The text of a block's track rows.  Each row's reference point is
+    mapped to BEV and folded into its track's filter in `motion`, and
+    cuboids are lifted for the rows with a heading."""
+    from .box3d import lift_cuboids
+    refs = np.array([snap.ref for _, snap in block])
+    bevs = apply_many(g, refs)
+    if np.isinf(bevs).any():  # the Kalman filters take finite points
+        x, y = refs[np.isinf(bevs[:, 0])][0]
+        raise DegeneratePoint(f"point ({x}, {y}) maps to infinity")
+    t_w = 1.0 / cfg.fps
+    rows = []  # `dump_track_rows` rows
+    lifted = []  # (row, heading) of the rows that get a cuboid
+    for (frame, snap), bev in zip(block, bevs.tolist()):
+        if snap.track_id not in motion:
+            kf, theta = BevKalmanState.initial(*bev), None
+        else:
+            last, seen, theta = motion[snap.track_id]
+            try:
+                kf = kf_update(kf_predict(last, (frame - seen) * t_w), bev)
+            except ValueError:  # the state left the float range
+                raise NonFiniteOutput(
+                    f"frame {frame}: the BEV filter of track "
+                    f"{snap.track_id} overflows") from None
+            try:
+                raw = heading(kf.position, last.position)
+                theta = raw if theta is None else abf(theta, raw)
+            except DegenerateDisplacement:
+                pass
+        motion[snap.track_id] = (kf, frame, theta)
+        row = [frame, snap.track_id, snap.class_name, snap.bbox, snap.ref,
+               kf.x[:2], speed_mph(kf, scale), theta, None]
+        rows.append(row)
+        if theta is None and snap.class_name == PEDESTRIAN:
+            theta = 0.0
+        if theta is not None:
+            lifted.append((row, theta))
+    if lifted:
+        owners, headings = zip(*lifted)
+        cuboids = lift_cuboids(
+            [row[5] for row in owners], [row[2] for row in owners], headings,
+            [row[3] for row in owners], invert(g), cfg.priors, scale,
+            beta=cfg.beta)
+        for row, cuboid in zip(owners, cuboids.tolist()):
+            row[8] = cuboid
+    return dump_track_rows(rows)
 
 
 # --- segment ----------------------------------------------------------------
@@ -339,6 +372,17 @@ def _frame_tracks(rows: list[dict], frames: range):
         yield FrameTracks(*(column[part] for column in table))
 
 
+def _joined(frame_tracks: list[FrameTracks], frame_states: list[StateSets]
+            ) -> tuple[FrameTracks, StateSets]:
+    """Several frames' tracks as one `FrameTracks`, and their states as one
+    `StateSets` over its rows, dated to the last frame."""
+    masks = ("ids", "parking", "speeding", "collision_risk", "congestion")
+    return (FrameTracks(*map(np.concatenate, zip(*frame_tracks))),
+            StateSets(frame_states[-1].frame, *(
+                np.concatenate([getattr(s, mask) for s in frame_states])
+                for mask in masks)))
+
+
 def _cmd_analyze(args) -> int:
     for flag, frame in (("--from-frame", args.from_frame),
                         ("--to-frame", args.to_frame)):
@@ -366,13 +410,18 @@ def _cmd_analyze(args) -> int:
     classifier = StateClassifier(boundary, scale, cfg.analytics, cfg.fps)
     maps = make_heatmaps(shape)
     stats = []
+    frame_tracks = []
     frame_states = []
     frames = range(start, stop + 1)
     for frame, tracks in zip(frames, _frame_tracks(rows, frames)):
         states = classifier.step(frame, tracks)
         stats.append(frame_stats(frame, tracks, states))
+        frame_tracks.append(tracks)
         frame_states.append(states)
-        update_heatmaps(maps, tracks, states)
+    if frame_states:
+        # deposits are integer adds, which commute, so one call over all
+        # the range's rows fills the maps as one call per frame would
+        update_heatmaps(maps, *_joined(frame_tracks, frame_states))
 
     out = _out_dir(args)
     write_stats(out / "stats.csv", stats)

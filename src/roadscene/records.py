@@ -22,7 +22,7 @@ from .errors import NonFiniteOutput, SchemaError, SingularMatrix
 
 if TYPE_CHECKING:  # annotations only: functions import what they run
     from .geometry import Homography
-    from .tracking import Detection
+    from .tracking import Detection, DetectionGroup
 
 _SEPARATORS = (",", ":")
 
@@ -174,49 +174,60 @@ _DETECTION_LINE = (
     r'(?:,"t":' + _FLOAT + r')?\}')
 
 
-def parse_detections(text: str) -> list[tuple[int, list[Detection]]]:
-    """Parse detection JSON Lines into (frame, detections) groups.
+def parse_detections(text: str) -> list[tuple[int, DetectionGroup]]:
+    """Parse detection JSON Lines into one (frame, `DetectionGroup`) pair
+    per frame that has detections, in frame order.
 
     Rows must carry non-decreasing frame numbers; extra keys are ignored.
-    Lines that `write_detections` spelled are matched by one regex; any
-    other line goes through the general decoder.
+    Lines that `write_detections` spelled are matched by one regex, and
+    their numbers are converted and checked all at once.  Any other line,
+    and any that fails a check, goes through the general decoder, which
+    names the fault.
     """
-    from .tracking import Detection
-    own = re.compile(_DETECTION_LINE).fullmatch
-    frames: list[tuple[int, list[Detection]]] = []
+    from .tracking import DetectionGroup
+    numbered = list(_lines(text))
+    frames, values, own = _own_detections([line for _, line in numbered])
+    starts = []  # the first row of each frame
     last = -1
-    for lineno, line in _lines(text):
-        det = (_own_detection(own(line), last, Detection)
-               or _json_detection(line, lineno, last, Detection))
-        if det.frame != last:
-            frames.append((det.frame, []))
-            last = det.frame
-        frames[-1][1].append(det)
-    return frames
+    for i, (lineno, line) in enumerate(numbered):
+        if not own[i] or frames[i] < last:
+            det = _json_detection(line, lineno, last)
+            frames[i] = det.frame
+            values[i] = (*det.bbox, det.objectness, *det.class_probs)
+        if frames[i] != last:
+            starts.append(i)
+            last = frames[i]
+    best = values[:, 5:].argmax(axis=1)  # the first of equal maxima
+    return [(frames[a], DetectionGroup(values[a:b, :4], values[a:b, 4],
+                                       best[a:b]))
+            for a, b in zip(starts, starts[1:] + [len(numbered)])]
 
 
-def _own_detection(match, last: int, detection: type) -> Detection | None:
-    """The detection of a matched line as `Detection` class `detection`,
-    or None; None also when the row is out of frame order or invalid, so
-    that the general path names the fault."""
-    if match is None:
-        return None
-    bbox, frame, probs, score = match.groups()
-    frame = int(frame)
-    if frame < last:
-        return None
-    try:
-        return detection(frame=frame, bbox=_parse_floats(bbox),
-                         objectness=float(score),
-                         class_probs=_parse_floats(probs))
-    except ValueError:
-        return None
+# what stands in for the numbers of a line the regex does not match
+_NO_MATCH = ",".join(["0"] * (5 + len(CLASS_NAMES)))
 
 
-def _json_detection(line: str, lineno: int, last: int,
-                    detection: type) -> Detection:
-    """The detection of a row in any JSON spelling as `Detection` class
-    `detection`, after every check."""
+def _own_detections(lines: list[str]) -> tuple[list, np.ndarray, list]:
+    """(frames, values, own) of detection lines: when `own[i]`, line i is
+    spelled as `write_detections` spells it and `Detection` accepts it, and
+    its frame is `frames[i]` and its bbox, score and probs `values[i]`."""
+    from .tracking import Detection
+    matches = list(map(re.compile(_DETECTION_LINE).fullmatch, lines))
+    frames = [int(m[2]) if m else -1 for m in matches]
+    # numpy reads each number with Python's own correctly rounded parser,
+    # so it gets `float`'s bits
+    numbers = ",".join([f"{m[1]},{m[4]},{m[3]}" if m else _NO_MATCH
+                        for m in matches])
+    values = np.fromstring(numbers, sep=",").reshape(len(lines),
+                                                     5 + len(CLASS_NAMES))
+    valid = Detection.valid_rows(values[:, :4], values[:, 4], values[:, 5:])
+    own = valid & np.array([m is not None for m in matches], dtype=bool)
+    return frames, values, own.tolist()
+
+
+def _json_detection(line: str, lineno: int, last: int) -> Detection:
+    """The detection of a row in any JSON spelling, after every check."""
+    from .tracking import Detection
     row = _json_object(line, lineno)
     frame = _frame(row, last, lineno)
     bbox = _number_list(_require(row, "bbox", lineno), "bbox", 4, lineno)
@@ -224,13 +235,13 @@ def _json_detection(line: str, lineno: int, last: int,
     probs = _number_list(_require(row, "probs", lineno), "probs",
                          len(CLASS_NAMES), lineno)
     try:
-        return detection(frame=frame, bbox=bbox, objectness=score,
+        return Detection(frame=frame, bbox=bbox, objectness=score,
                          class_probs=probs)
     except ValueError as exc:
         raise SchemaError(f"line {lineno}: {exc}") from None
 
 
-def load_detections(path) -> list[tuple[int, list[Detection]]]:
+def load_detections(path) -> list[tuple[int, DetectionGroup]]:
     return parse_detections(Path(path).read_text(encoding="utf-8"))
 
 
@@ -258,24 +269,39 @@ def write_detections(path, frames, fps: float | None = None) -> None:
 
 # --- tracks -----------------------------------------------------------------
 
-def track_row(frame: int, track_id: int, class_name: str, bbox, ref,
-              bev, speed_mph, heading_deg=None, cuboid=None) -> dict:
-    return {
-        "frame": frame,
-        "id": track_id,
-        "class": class_name,
-        "bbox": [float(v) for v in bbox],
-        "ref": [float(v) for v in ref],
-        "bev": [float(v) for v in bev],
-        "speed_mph": float(speed_mph),
-        "heading_deg": None if heading_deg is None else float(heading_deg),
-        "cuboid": cuboid,
-    }
+def dump_track_rows(rows) -> str:
+    """Track rows as JSON Lines, spelled as `_dump_row` spells them: sorted
+    keys, no spaces and `repr` floats, by one template per row.
+
+    Each row is (frame, id, class, bbox, ref, bev, speed_mph, heading_deg,
+    cuboid): two ints, a class name, 4, 2 and 2 floats, a float, a float or
+    None, and 8 [x, y] pairs or None.  Every float must be a Python float.
+    Raises NonFiniteOutput when one of them is NaN or an infinity.
+    """
+    lines = []
+    for frame, track_id, name, bbox, ref, bev, speed, heading, cuboid \
+            in rows:
+        corners = "null" if cuboid is None else \
+            "[" + ",".join([f"[{x!r},{y!r}]" for x, y in cuboid]) + "]"
+        lines.append(
+            f'{{"bbox":[{bbox[0]!r},{bbox[1]!r},{bbox[2]!r},{bbox[3]!r}],'
+            f'"bev":[{bev[0]!r},{bev[1]!r}],"class":"{name}",'
+            f'"cuboid":{corners},"frame":{frame},"heading_deg":'
+            f'{"null" if heading is None else repr(heading)},'
+            f'"id":{track_id},"ref":[{ref[0]!r},{ref[1]!r}],'
+            f'"speed_mph":{speed!r}}}\n')
+    text = "".join(lines)
+    # `repr` spells a finite float with digits, ".", "e", "+" and "-", and
+    # no key or class name holds "inf" or "nan"
+    if "inf" in text or "nan" in text:  # no reader takes them
+        raise NonFiniteOutput("a track row to write holds NaN or an "
+                              "infinity")
+    return text
 
 
 def write_tracks(path, chunks) -> None:
-    """Write track JSON Lines from text chunks that `dump_rows` encoded;
-    `track` hands in one chunk per frame."""
+    """Write track JSON Lines from text chunks that `dump_track_rows`
+    encoded; `track` hands in one chunk per block of whole frames."""
     Path(path).write_text("".join(chunks), encoding="utf-8")
 
 

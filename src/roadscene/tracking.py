@@ -27,6 +27,7 @@ from .kalman import Cov, kf_predict_step, kf_update_step
 
 N_CLASSES = len(CLASS_NAMES)
 _BBOX_MAX = 1e100
+_PROBS_SUM_MAX = 1.0 + 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,8 +57,62 @@ class Detection:
                              f"got {len(self.class_probs)}")
         if any(not 0 <= p <= 1 for p in self.class_probs):
             raise ValueError("class probabilities must be in [0, 1]")
-        if sum(self.class_probs) > 1.0 + 1e-6:
+        if sum(self.class_probs) > _PROBS_SUM_MAX:
             raise ValueError("class probabilities sum above 1")
+
+    @property
+    def class_index(self) -> int:
+        """Index of the most probable class; the first of equal ones."""
+        return self.class_probs.index(max(self.class_probs))
+
+    @staticmethod
+    def valid_rows(bbox: np.ndarray, objectness: np.ndarray,
+                   class_probs: np.ndarray) -> np.ndarray:
+        """Which rows of (n, 4) boxes, n objectness scores and (n,
+        N_CLASSES) class probabilities `Detection` surely accepts, by the
+        checks of `__post_init__`.
+
+        The probabilities are added left to right, as `sum` adds them up
+        to Python 3.11; later versions compensate, so a row whose sum lies
+        within 1e-12 of the bound is left out, for the constructor to
+        decide.
+        """
+        w, h = bbox[:, 2], bbox[:, 3]
+        total = class_probs.cumsum(axis=1)[:, -1]
+        return ((np.abs(bbox) < _BBOX_MAX).all(axis=1)
+                & (np.minimum(w, h) >= 1 / _BBOX_MAX)
+                & (0.0 <= objectness) & (objectness <= 1.0)
+                & ((0.0 <= class_probs) & (class_probs <= 1.0)).all(axis=1)
+                & (total <= _PROBS_SUM_MAX - 1e-12))
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionGroup:
+    """One frame's detections as columns: (n, 4) center/size boxes, n
+    objectness scores and n best-class indices, each row as `Detection`
+    checks it; `len` is n.  `records.load_detections` returns these."""
+
+    bbox: np.ndarray
+    objectness: np.ndarray
+    class_index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.objectness)
+
+    @staticmethod
+    def of(detections: Sequence[Detection]) -> "DetectionGroup":
+        return DetectionGroup(
+            np.array([d.bbox for d in detections],
+                     dtype=np.float64).reshape(-1, 4),
+            np.array([d.objectness for d in detections], dtype=np.float64),
+            np.array([d.class_index for d in detections], dtype=np.intp))
+
+
+class _Observed(NamedTuple):
+    """What a track folds in of one detection."""
+
+    bbox: Sequence[float]
+    class_index: int
 
 
 def reference_point(bbox: Sequence[float]) -> tuple[float, float]:
@@ -96,16 +151,40 @@ def associate(tracks: Sequence[Sequence[float]],
     Returns (matches, unmatched_track_indices, unmatched_detection_indices);
     assigned pairs below iou_min are rejected back to unmatched.
     """
-    if not tracks or not detections:
+    if len(tracks) == 0 or len(detections) == 0:
         return [], list(range(len(tracks))), list(range(len(detections)))
     scores = iou_matrix(tracks, detections)
-    rows, cols = _min_cost_assignment((-scores).tolist())
+    rows, cols = (_unique_best_assignment(scores)
+                  or _min_cost_assignment((-scores).tolist()))
     matches = [(i, j) for i, j in zip(rows, cols) if scores[i, j] >= iou_min]
     matched_t = {i for i, _ in matches}
     matched_d = {j for _, j in matches}
     unmatched_t = [i for i in range(len(tracks)) if i not in matched_t]
     unmatched_d = [j for j in range(len(detections)) if j not in matched_d]
     return matches, unmatched_t, unmatched_d
+
+
+def _unique_best_assignment(scores: np.ndarray
+                            ) -> tuple[list[int], list[int]] | None:
+    """`_min_cost_assignment(-scores)` when no two rows share a best
+    column, the first of a row's equal best scores, taking rows along the
+    shorter side; else None.
+
+    Row by row, the loop's first Dijkstra step then ends at the row's best
+    column: among equal lowest costs it takes the first free column, and
+    the best column is still free.  The step leaves v at 0 and every other
+    row's u untouched, so the next row sees its raw costs too.
+    """
+    transpose = scores.shape[1] < scores.shape[0]
+    if transpose:
+        scores = scores.T
+    best = scores.argmax(axis=1)
+    if np.bincount(best).max() > 1:
+        return None
+    if transpose:
+        order = np.argsort(best)
+        return best[order].tolist(), order.tolist()
+    return list(range(len(best))), best.tolist()
 
 
 def _min_cost_assignment(cost: list[list[float]]
@@ -206,12 +285,11 @@ _BLOCKS = (
 _XY, _AREA, _ASPECT, _CATEGORY = range(len(_BLOCKS))
 
 
-def _observation(det: Detection) -> tuple[Sequence[float], ...]:
+def _observation(det: Detection | _Observed) -> tuple[Sequence[float], ...]:
     """Per-block observation: reference point, area, aspect, class one-hot."""
     _, _, w_b, h_b = det.bbox
-    probs = det.class_probs
     one_hot = [0.0] * N_CLASSES
-    one_hot[probs.index(max(probs))] = 1.0
+    one_hot[det.class_index] = 1.0
     return reference_point(det.bbox), (w_b * h_b,), (w_b / h_b,), one_hot
 
 
@@ -230,10 +308,11 @@ class Track:
     """Mutable tracker-internal record; snapshots are handed out instead.
 
     `blocks` holds one (state, covariance) pair per `_BLOCKS` entry, in
-    the layout of `kalman`.
+    the layout of `kalman`.  A detection is a `Detection` or anything else
+    with its `bbox` and `class_index`.
     """
 
-    def __init__(self, track_id: int, det: Detection):
+    def __init__(self, track_id: int, det: Detection | _Observed):
         self.id = track_id
         # observed values, then zero rates
         self.blocks = [([*z] + [0.0] * (len(z) * (len(m.p0) - 1)), m.p0)
@@ -249,7 +328,7 @@ class Track:
                        for (state, p), m in zip(self.blocks, _BLOCKS)]
         self.time_since_update += 1
 
-    def update(self, det: Detection):
+    def update(self, det: Detection | _Observed):
         self.blocks = [kf_update_step(state, p, z, m.r) for (state, p), z, m
                        in zip(self.blocks, _observation(det), _BLOCKS)]
         self.hits += 1
@@ -276,6 +355,9 @@ class Track:
             class_name=CLASS_NAMES[self.class_index()], ref=(x, y))
 
 
+_NO_DETECTIONS = DetectionGroup.of([])
+
+
 class MomctTracker:
     """Frame-by-frame multi-category tracker; single writer per stream."""
 
@@ -289,27 +371,33 @@ class MomctTracker:
         self.next_id = 1
         self.frame = -1
 
-    def step(self, detections: Sequence[Detection],
+    def step(self, detections: DetectionGroup | Sequence[Detection],
              frame: int | None = None) -> list[TrackSnapshot]:
         """Advance to `frame` (default: the next one), first stepping each
         skipped frame as one without detections; returns snapshots of
-        confirmed tracks."""
+        confirmed tracks.  `detections` is a `DetectionGroup` or a list of
+        `Detection`s."""
+        if not isinstance(detections, DetectionGroup):
+            detections = DetectionGroup.of(detections)
         frame = self.frame + 1 if frame is None else int(frame)
         # once no track is left, an empty step changes nothing
         while self.tracks and self.frame + 1 < frame:
-            self._advance([], self.frame + 1)
+            self._advance(_NO_DETECTIONS, self.frame + 1)
         return self._advance(detections, frame)
 
-    def _advance(self, detections, frame: int) -> list[TrackSnapshot]:
+    def _advance(self, detections: DetectionGroup,
+                 frame: int) -> list[TrackSnapshot]:
         self.frame = frame
-        dets = [d for d in detections if d.objectness >= self.objectness_min]
+        kept = detections.objectness >= self.objectness_min
+        boxes = detections.bbox[kept]
 
         for t in self.tracks:
             t.predict()
 
         matches, _, unmatched_d = associate(
-            [t.predicted_bbox() for t in self.tracks],
-            [d.bbox for d in dets], self.iou_min)
+            [t.predicted_bbox() for t in self.tracks], boxes, self.iou_min)
+        dets = list(map(_Observed, boxes.tolist(),
+                        detections.class_index[kept].tolist()))
         for ti, di in matches:
             self.tracks[ti].update(dets[di])
         for di in unmatched_d:

@@ -135,8 +135,11 @@ def test_chain_renders_bev_and_perspective(pipeline):
     assert (pipeline["render"] / "heat_vehicle_perspective.ppm").exists()
 
 
-def test_track_writes_each_frame_as_one_dump_row_join(tmp_path, pipeline,
-                                                     monkeypatch):
+@pytest.mark.parametrize("block_rows", [None, 1, 3])
+def test_track_writes_blocks_of_whole_frames_as_dump_row_join(
+        tmp_path, pipeline, monkeypatch, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
     chunks = []
     real = cli.write_tracks
 
@@ -151,13 +154,19 @@ def test_track_writes_each_frame_as_one_dump_row_join(tmp_path, pipeline,
                str(pipeline["cal"] / "calibration.json"),
                "--out", str(tracks)) == 0
     text = tracks.read_text(encoding="utf-8")
+    # any block size writes the default run's bytes
+    assert text == pipeline["tracks"].read_text(encoding="utf-8")
     rows = [json.loads(line) for line in text.splitlines()]
     assert text == "".join(records._dump_row(row) + "\n" for row in rows)
-    # one chunk per frame that has rows, in frame order
-    frames = [{json.loads(line)["frame"] for line in chunk.splitlines()}
+    # chunks come in frame order, and each ends on a frame boundary
+    frames = [[json.loads(line)["frame"] for line in chunk.splitlines()]
               for chunk in chunks]
-    assert all(len(f) == 1 for f in frames)
-    assert [min(f) for f in frames] == sorted({r["frame"] for r in rows})
+    assert all(f == sorted(f) for f in frames)
+    assert all(a[-1] < b[0] for a, b in zip(frames, frames[1:]))
+    if block_rows is not None:
+        # a block closes with the frame that brings it to block_rows rows
+        for f in frames[:-1]:
+            assert len(f) - f.count(f[-1]) < block_rows <= len(f)
 
 
 def test_segment_and_analyze_read_any_json_spelling(tmp_path, pipeline):
@@ -403,6 +412,27 @@ def test_reference_point_mapping_to_infinity_exits_1(tmp_path, capsys):
                "--calibration", str(cal), "--out", str(out)) == 1
     assert _one_error_line(capsys) == (
         "error: DegeneratePoint: point (-1.0, 12.0) maps to infinity\n")
+    assert not out.exists()
+
+
+def test_bev_filter_overflow_exits_1(tmp_path, capsys):
+    # g maps (x, y) to (1/x, y/x), so a box whose reference point sways
+    # between x = +-2e-307 jumps by 1e307 BEV px a frame, and the filter's
+    # velocity overflows
+    cal = tmp_path / "calibration.json"
+    cal.write_text(json.dumps({"g": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+                               "iota_m_per_px": 0.05,
+                               "bev_size": [100, 100]}))
+    det = {"score": 0.9, "probs": [0.9] + [0.0] * 10}
+    detections = tmp_path / "detections.jsonl"
+    detections.write_text("".join(
+        json.dumps(dict(det, frame=f,
+                        bbox=[2e-307 * (-1) ** f, 10.0, 1.0, 1.0])) + "\n"
+        for f in range(24)))
+    out = tmp_path / "tracks.jsonl"
+    assert run("track", "--detections", str(detections),
+               "--calibration", str(cal), "--out", str(out)) == 1
+    assert _one_error_line(capsys).startswith("error: NonFiniteOutput: ")
     assert not out.exists()
 
 

@@ -1,4 +1,7 @@
+import copy
+import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -10,14 +13,15 @@ from roadscene import records
 from roadscene.analytics import (HEAT_KINDS, FrameStats, HeatMap, StateSets,
                                  bump)
 from roadscene.config import CLASS_NAMES
-from roadscene.errors import SchemaError
+from roadscene.errors import NonFiniteOutput, SchemaError
 from roadscene.geometry import BEV, PERSPECTIVE, PixelPoint
-from roadscene.records import (dump_rows, load_boundary, load_calibration,
-                               load_detections, load_heatmap, load_json,
-                               load_stats, load_tracks, merge_stats,
-                               parse_detections, parse_tracks, save_boundary,
-                               save_heatmap, track_row, write_detections,
-                               write_states, write_stats, write_tracks)
+from roadscene.records import (dump_rows, dump_track_rows, load_boundary,
+                               load_calibration, load_detections,
+                               load_heatmap, load_json, load_stats,
+                               load_tracks, merge_stats, parse_detections,
+                               parse_tracks, save_boundary, save_heatmap,
+                               write_detections, write_states, write_stats,
+                               write_tracks)
 from roadscene.roadmodel import BoundarySet
 from roadscene.tracking import Detection
 
@@ -40,8 +44,10 @@ def test_detections_round_trip(tmp_path):
     back = load_detections(path)
     assert [f for f, _ in back] == [0, 1]
     assert len(back[0][1]) == 2
-    assert back[0][1][1].bbox[0] == 30.0
-    assert back[1][1][0].objectness == 0.8
+    assert back[0][1].bbox.tolist() == [[10.0, 10.0, 4.0, 6.0],
+                                        [30.0, 10.0, 4.0, 6.0]]
+    assert back[1][1].objectness.tolist() == [0.8]
+    assert back[1][1].class_index.tolist() == [3]
 
 
 def test_detections_empty_file(tmp_path):
@@ -91,6 +97,23 @@ def test_detections_extra_keys_ignored():
 
 
 # --- tracks -----------------------------------------------------------------
+
+def track_row(frame: int, track_id: int, class_name: str, bbox, ref,
+              bev, speed_mph, heading_deg=None, cuboid=None) -> dict:
+    """A track row as a dict: the oracle whose `_dump_row` spelling
+    `dump_track_rows` must give."""
+    return {
+        "frame": frame,
+        "id": track_id,
+        "class": class_name,
+        "bbox": [float(v) for v in bbox],
+        "ref": [float(v) for v in ref],
+        "bev": [float(v) for v in bev],
+        "speed_mph": float(speed_mph),
+        "heading_deg": None if heading_deg is None else float(heading_deg),
+        "cuboid": cuboid,
+    }
+
 
 def test_tracks_round_trip(tmp_path):
     path = tmp_path / "t.jsonl"
@@ -192,6 +215,46 @@ def test_tracks_writer_is_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _edge_track_rows() -> list[list]:
+    """`dump_track_rows` rows, one per class, of extreme ints and floats,
+    with null headings and null cuboids among them."""
+    floats = itertools.cycle([-0.0, 5e-324, 1e16, 1.7976931348623157e308,
+                              -5e-324, -1e16, -1.7976931348623157e308, 0.1])
+
+    def take(n):
+        return [next(floats) for _ in range(n)]
+
+    return [[10 ** 18 if k % 2 else 0, (-1) ** k * (2 ** 63 - 1), name,
+             take(4), take(2), take(2), next(floats),
+             None if k % 2 else next(floats),
+             None if k % 3 == 0 else [take(2) for _ in range(8)]]
+            for k, name in enumerate(CLASS_NAMES)]
+
+
+def test_track_template_spells_rows_as_dump_row():
+    rows = _edge_track_rows()
+    assert {row[7] is None for row in rows} == {True, False}
+    assert {row[8] is None for row in rows} == {True, False}
+    assert dump_track_rows(rows) == dump_rows([track_row(*row)
+                                               for row in rows])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_track_template_refuses_non_finite_floats(tmp_path, bad):
+    row = next(r for r in _edge_track_rows() if None not in r[7:])
+    # every float: bbox, ref, bev, speed, heading, then the cuboid's
+    paths = ([(field, i) for field, n in ((3, 4), (4, 2), (5, 2))
+              for i in range(n)] + [(6,), (7,)]
+             + [(8, corner, axis) for corner in range(8) for axis in (0, 1)])
+    out = tmp_path / "tracks.jsonl"
+    for path in paths:
+        broken = copy.deepcopy(row)
+        _set(broken, path, bad)
+        with pytest.raises(NonFiniteOutput):
+            write_tracks(out, [dump_track_rows([broken])])
+        assert not out.exists()
+
+
 # --- the row readers' two paths --------------------------------------------
 
 def _two_digit_exponent(lo, hi):
@@ -279,7 +342,8 @@ _ROW_MUTATIONS = ["none", "space", "key order", "int", "3-digit exponent",
                   "crlf"]
 _TRACK_MUTATIONS = _ROW_MUTATIONS + ["unknown class", "repeated id",
                                       "null bev", "null speed"]
-_DETECTION_MUTATIONS = _ROW_MUTATIONS + ["camera 1", "negative width"]
+_DETECTION_MUTATIONS = _ROW_MUTATIONS + ["camera 1", "negative width",
+                                          "score above 1", "probs sum 1.1"]
 
 
 def _mutate(rows, mutation, data):
@@ -318,6 +382,10 @@ def _mutate(rows, mutation, data):
         row["camera"] = 1
     elif mutation == "negative width":
         row["bbox"][2] = -row["bbox"][2] or -1.0
+    elif mutation == "score above 1":
+        row["score"] = 1.5
+    elif mutation == "probs sum 1.1":
+        row["probs"] = [0.1] * len(row["probs"])
     elif mutation == "repeated id":
         lines.insert(k + 1, lines[k])
         return "\n".join(lines) + "\n", k + 2
@@ -339,6 +407,18 @@ def _mutate(rows, mutation, data):
     return "\n".join(lines) + "\n", k + 1
 
 
+def _plain(result) -> str:
+    """A parse result as text, each (frame, `DetectionGroup`) pair with
+    its columns as lists."""
+    def plain(item):
+        if isinstance(item, tuple):
+            frame, group = item
+            return (frame, group.bbox.tolist(), group.objectness.tolist(),
+                    group.class_index.tolist())
+        return item
+    return repr([plain(item) for item in result])
+
+
 def _read(parse, general: str, text: str):
     """(result or error text, line numbers the general path decoded)."""
     decoded = []
@@ -351,17 +431,19 @@ def _read(parse, general: str, text: str):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(records, general, spy)
         try:
-            return repr(parse(text)), decoded
+            return _plain(parse(text)), decoded
         except SchemaError as exc:
             return ("error", str(exc)), decoded
 
 
-def _fast_equals_general(parse, own, general, text, mutated):
+def _fast_equals_general(parse, own, refuse_all, general, text, mutated):
+    """`refuse_all(real)` stands in for the fast path `own`, refusing
+    every line."""
     outcome, decoded = _read(parse, general, text)
     # the fast path takes every line but the mutated one
     assert decoded == ([] if mutated is None else [mutated])
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(records, own, lambda *args: None)
+        m.setattr(records, own, refuse_all(getattr(records, own)))
         assert _read(parse, general, text)[0] == outcome
 
 
@@ -369,15 +451,22 @@ def _fast_equals_general(parse, own, general, text, mutated):
 @given(_track_rows(), st.sampled_from(_TRACK_MUTATIONS), st.data())
 def test_tracks_fast_reader_equals_general_decoder(rows, mutation, data):
     text, mutated = _mutate(rows, mutation, data)
-    _fast_equals_general(parse_tracks, "_own_track", "_json_track", text,
-                         mutated)
+    _fast_equals_general(parse_tracks, "_own_track",
+                         lambda real: lambda *args: None, "_json_track",
+                         text, mutated)
 
 
 @settings(max_examples=400, deadline=None)
 @given(_detection_rows(), st.sampled_from(_DETECTION_MUTATIONS), st.data())
 def test_detections_fast_reader_equals_general_decoder(rows, mutation, data):
     text, mutated = _mutate(rows, mutation, data)
-    _fast_equals_general(parse_detections, "_own_detection",
+    def refuse_all(real):
+        def own(lines):
+            frames, values, _ = real(lines)
+            return frames, values, [False] * len(lines)
+        return own
+
+    _fast_equals_general(parse_detections, "_own_detections", refuse_all,
                          "_json_detection", text, mutated)
 
 

@@ -12,8 +12,10 @@ from roadscene.tracking import (
     CLASS_NAMES,
     N_CLASSES,
     Detection,
+    DetectionGroup,
     MomctTracker,
     _min_cost_assignment,
+    _unique_best_assignment,
     associate,
     iou_matrix,
     reference_point,
@@ -185,12 +187,51 @@ def _cost_matrices(draw):
     return [flat[r * n_cols:(r + 1) * n_cols] for r in range(n_rows)]
 
 
+@st.composite
+def _unique_best_scores(draw):
+    """Score matrices, wide or tall, in which no two rows of the shorter
+    side share a best column: one injective assignment scores 2 and all
+    else lies in [0, 1]."""
+    short, long = sorted((draw(st.integers(1, 8)), draw(st.integers(1, 8))))
+    flat = draw(st.lists(st.floats(0.0, 1.0), min_size=short * long,
+                         max_size=short * long))
+    scores = np.array(flat).reshape(short, long)
+    cols = draw(st.permutations(range(long)))[:short]
+    scores[np.arange(short), cols] = 2.0
+    return scores.T if draw(st.booleans()) else scores
+
+
 class TestMinCostAssignment:
     @settings(max_examples=1000, deadline=None)
     @given(_cost_matrices())
     def test_equals_scipy(self, cost):
         rows, cols = linear_sum_assignment(np.array(cost, dtype=np.float64))
         assert _min_cost_assignment(cost) == (rows.tolist(), cols.tolist())
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_cost_matrices())
+    def test_unique_best_exit_equals_the_loop(self, cost):
+        # random, tied, all-zero, tall and wide: where the exit applies, it
+        # gives the loop's assignment
+        scores = -np.array(cost, dtype=np.float64)
+        exit_ = _unique_best_assignment(scores)
+        if exit_ is not None:
+            assert exit_ == _min_cost_assignment((-scores).tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(_unique_best_scores())
+    def test_unique_best_exit_applies(self, scores):
+        exit_ = _unique_best_assignment(scores)
+        assert exit_ is not None
+        assert exit_ == _min_cost_assignment((-scores).tolist())
+
+    def test_unique_best_exit_declines_shared_columns(self):
+        assert _unique_best_assignment(np.zeros((2, 3))) is None
+        assert _unique_best_assignment(
+            np.array([[0.9, 0.1], [0.8, 0.2]])) is None
+        # a tie goes to the first best column, as in the loop
+        assert _unique_best_assignment(
+            np.array([[0.0, 1.0], [0.5, 0.5]])) == ([0, 1], [1, 0])
 
 
 class TestMomctTracker:
@@ -343,6 +384,45 @@ class TestDetectionValidation:
             Detection(0, (1, 1, 2, 2), 0.5, (0.2,) * N_CLASSES)
         with pytest.raises(ValueError):
             Detection(0, (1, 1, 2, 2), 0.5, (float("nan"),) * N_CLASSES)
+
+
+# class probabilities whose sum lands on either side of the 1 + 1e-6 bound,
+# and now and then within rounding of it
+_probs = st.one_of(
+    st.lists(st.floats(-0.01, 0.2), min_size=N_CLASSES, max_size=N_CLASSES),
+    st.tuples(st.floats(0.0, 1.0), st.floats(-2e-6, 2e-6)).map(
+        lambda t: [t[0], 1.0 - t[0] + t[1]] + [0.0] * (N_CLASSES - 2)))
+_edge = st.sampled_from([0.0, -0.0, 1e-100, 9e-101, 9.9e99, 1e100, -1e100])
+
+
+class TestDetectionRows:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(_edge, st.floats(-50.0, 50.0)), min_size=4,
+                    max_size=4),
+           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.1, 1.1)),
+           _probs)
+    def test_valid_rows_accepts_what_detection_accepts(self, bbox, score,
+                                                       probs):
+        try:
+            Detection(0, tuple(bbox), score, tuple(probs))
+            accepted = True
+        except ValueError:
+            accepted = False
+        (valid,) = Detection.valid_rows(np.array([bbox]), np.array([score]),
+                                        np.array([probs]))
+        # only a sum within rounding of the bound is left to the
+        # constructor
+        near = abs(sum(probs) - (1.0 + 1e-6)) < 1e-12
+        assert valid == accepted or (accepted and near)
+
+    def test_group_of_detections_holds_their_columns(self):
+        dets = [det(0, 10.0, 20.0, cls=VAN), det(0, 30.0, 40.0, w=5.0,
+                                                  objectness=0.5)]
+        group = DetectionGroup.of(dets)
+        assert len(group) == 2 and len(DetectionGroup.of([])) == 0
+        assert group.bbox.tolist() == [list(d.bbox) for d in dets]
+        assert group.objectness.tolist() == [0.9, 0.5]
+        assert group.class_index.tolist() == [VAN, CAR]
 
 
 @st.composite
