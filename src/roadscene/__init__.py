@@ -23,7 +23,7 @@ _EXPORTS = {
                "histogram_match read_pnm write_pnm",
     "motion": "BevKalmanState abf heading kf_predict kf_update speed_mph",
     "roadmodel": "extract_boundary refine_mask srg_segment",
-    "tracking": "Detection MomctTracker",
+    "tracking": "DetectionGroup MomctTracker",
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names.split()}

@@ -316,20 +316,15 @@ def _cmd_segment(args) -> int:
     cfg = _config_from(args)
     rows = load_tracks(args.tracks)
     satellite = to_gray(read_pnm(args.satellite))
-    seen = set()
-    seeds = []
-    for row in rows:
-        if row["class"] == PEDESTRIAN:
-            continue
-        x, y = row["bev"]
-        cell = (int(x + 0.5) if x >= 0 else -1,
-                int(y + 0.5) if y >= 0 else -1)
-        if not (0 <= cell[0] < satellite.width
-                and 0 <= cell[1] < satellite.height):
-            continue
-        if cell not in seen:
-            seen.add(cell)
-            seeds.append(PixelPoint.bev(float(cell[0]), float(cell[1])))
+    # each vehicle row's cell, rounded as `srg_segment` rounds a seed;
+    # region growing does not depend on seed order
+    cells = np.floor(np.array([row["bev"] for row in rows
+                               if row["class"] != PEDESTRIAN]
+                              ).reshape(-1, 2) + 0.5)
+    inside = ((cells >= 0)
+              & (cells < (satellite.width, satellite.height))).all(axis=1)
+    seeds = [PixelPoint.bev(x, y)
+             for x, y in np.unique(cells[inside], axis=0).tolist()]
     mask = srg_segment(satellite, seeds, cfg.srg)
     refined = refine_mask(mask)
     boundary = extract_boundary(refined)

@@ -22,7 +22,7 @@ from .errors import NonFiniteOutput, SchemaError, SingularMatrix
 
 if TYPE_CHECKING:  # annotations only: functions import what they run
     from .geometry import Homography
-    from .tracking import Detection, DetectionGroup
+    from .tracking import DetectionGroup
 
 _SEPARATORS = (",", ":")
 
@@ -191,15 +191,12 @@ def parse_detections(text: str) -> list[tuple[int, DetectionGroup]]:
     last = -1
     for i, (lineno, line) in enumerate(numbered):
         if not own[i] or frames[i] < last:
-            det = _json_detection(line, lineno, last)
-            frames[i] = det.frame
-            values[i] = (*det.bbox, det.objectness, *det.class_probs)
+            frames[i], values[i] = _json_detection(line, lineno, last)
         if frames[i] != last:
             starts.append(i)
             last = frames[i]
-    best = values[:, 5:].argmax(axis=1)  # the first of equal maxima
     return [(frames[a], DetectionGroup(values[a:b, :4], values[a:b, 4],
-                                       best[a:b]))
+                                       values[a:b, 5:]))
             for a, b in zip(starts, starts[1:] + [len(numbered)])]
 
 
@@ -209,9 +206,10 @@ _NO_MATCH = ",".join(["0"] * (5 + len(CLASS_NAMES)))
 
 def _own_detections(lines: list[str]) -> tuple[list, np.ndarray, list]:
     """(frames, values, own) of detection lines: when `own[i]`, line i is
-    spelled as `write_detections` spells it and `Detection` accepts it, and
-    its frame is `frames[i]` and its bbox, score and probs `values[i]`."""
-    from .tracking import Detection
+    spelled as `write_detections` spells it and `DetectionGroup` accepts
+    it, and its frame is `frames[i]` and its bbox, score and probs
+    `values[i]`."""
+    from .tracking import _faults
     matches = list(map(re.compile(_DETECTION_LINE).fullmatch, lines))
     frames = [int(m[2]) if m else -1 for m in matches]
     # numpy reads each number with Python's own correctly rounded parser,
@@ -220,14 +218,15 @@ def _own_detections(lines: list[str]) -> tuple[list, np.ndarray, list]:
                         for m in matches])
     values = np.fromstring(numbers, sep=",").reshape(len(lines),
                                                      5 + len(CLASS_NAMES))
-    valid = Detection.valid_rows(values[:, :4], values[:, 4], values[:, 5:])
+    valid = ~_faults(values[:, :4], values[:, 4], values[:, 5:]).any(axis=0)
     own = valid & np.array([m is not None for m in matches], dtype=bool)
     return frames, values, own.tolist()
 
 
-def _json_detection(line: str, lineno: int, last: int) -> Detection:
-    """The detection of a row in any JSON spelling, after every check."""
-    from .tracking import Detection
+def _json_detection(line: str, lineno: int, last: int) -> tuple[int, list]:
+    """The frame and the bbox, score and probs of a row in any JSON
+    spelling, after every check."""
+    from .tracking import DetectionGroup
     row = _json_object(line, lineno)
     frame = _frame(row, last, lineno)
     bbox = _number_list(_require(row, "bbox", lineno), "bbox", 4, lineno)
@@ -235,10 +234,10 @@ def _json_detection(line: str, lineno: int, last: int) -> Detection:
     probs = _number_list(_require(row, "probs", lineno), "probs",
                          len(CLASS_NAMES), lineno)
     try:
-        return Detection(frame=frame, bbox=bbox, objectness=score,
-                         class_probs=probs)
+        DetectionGroup([bbox], [score], [probs])
     except ValueError as exc:
         raise SchemaError(f"line {lineno}: {exc}") from None
+    return frame, [*bbox, score, *probs]
 
 
 def load_detections(path) -> list[tuple[int, DetectionGroup]]:
@@ -246,21 +245,18 @@ def load_detections(path) -> list[tuple[int, DetectionGroup]]:
 
 
 def write_detections(path, frames, fps: float | None = None) -> None:
-    """Write (frame, [Detection]) groups as JSON Lines.
+    """Write (frame, `DetectionGroup`) pairs as JSON Lines.
 
     Each row also carries the source camera id, always 0, and, when fps is
     known, the frame timestamp in seconds.
     """
     rows = []
-    for frame, dets in frames:
-        for det in dets:
-            row = {
-                "frame": frame,
-                "bbox": list(det.bbox),
-                "score": det.objectness,
-                "probs": list(det.class_probs),
-                "camera": 0,
-            }
+    for frame, group in frames:
+        for bbox, score, probs in zip(group.bbox.tolist(),
+                                      group.objectness.tolist(),
+                                      group.class_probs.tolist()):
+            row = {"frame": frame, "bbox": bbox, "score": score,
+                   "probs": probs, "camera": 0}
             if fps is not None:
                 row["t"] = frame / fps
             rows.append(row)

@@ -26,7 +26,7 @@ from .imaging import ImageBuffer, write_pnm
 from .motion import MPH_PER_MPS, wrap_angle
 from .records import dump_json, is_number, parse_json, write_detections
 from .seeding import subsystem_rng
-from .tracking import Detection
+from .tracking import DetectionGroup
 
 # Real-world box heights used to synthesize detection boxes (meters).
 NOMINAL_HEIGHT_M = {
@@ -307,8 +307,9 @@ def _probs_for(class_name: str) -> list[float]:
 def generate_detections(spec: ScenarioSpec, seed: int):
     """Per-frame detections plus the realized visibility table.
 
-    Returns (frames, visible) where frames is [(frame, [Detection])] and
-    visible[actor][frame] says whether that actor emitted a detection.
+    Returns (frames, visible) where frames is [(frame, DetectionGroup)],
+    one pair per frame, and visible[actor][frame] says whether that actor
+    emitted a detection.
     """
     p = projection_matrix(spec.camera)
     noise_rng = subsystem_rng(seed, "noise")
@@ -318,7 +319,7 @@ def generate_detections(spec: ScenarioSpec, seed: int):
     frames = []
     for frame in range(spec.duration):
         t = frame / spec.fps
-        dets = []
+        boxes, probs = [], []
         for i, actor in enumerate(spec.actors):
             if actor.hidden_at(frame):
                 continue
@@ -332,11 +333,12 @@ def generate_detections(spec: ScenarioSpec, seed: int):
             if actor.flicker > 0 and flick_rng.random() < actor.flicker:
                 others = [c for c in CLASS_NAMES if c != actor.class_name]
                 reported = others[int(flick_rng.integers(len(others)))]
-            dets.append(Detection(frame=frame, bbox=(cx, cy, w, h),
-                                  objectness=_TRUE_PROB,
-                                  class_probs=tuple(_probs_for(reported))))
+            boxes.append((cx, cy, w, h))
+            probs.append(_probs_for(reported))
             visible[i][frame] = True
-        frames.append((frame, dets))
+        frames.append((frame, DetectionGroup(
+            np.reshape(boxes, (-1, 4)), np.full(len(boxes), _TRUE_PROB),
+            np.reshape(probs, (-1, len(CLASS_NAMES))))))
     return frames, visible
 
 

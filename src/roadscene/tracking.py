@@ -30,89 +30,80 @@ _BBOX_MAX = 1e100
 _PROBS_SUM_MAX = 1.0 + 1e-6
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One detector output box: center/size bbox, objectness, class scores."""
+# The detection rule: each check a row must pass, in order, and what a row
+# that fails it is told.  The bounds keep the tracker's area w * h, aspect
+# w / h and their product finite.
+_CHECKS = (
+    f"bbox numbers must be finite and below {_BBOX_MAX:g} in magnitude",
+    f"bbox sides must be at least {1 / _BBOX_MAX:g}, got {{w}}x{{h}}",
+    "objectness must be in [0, 1], got {score}",
+    "class probabilities must be in [0, 1]",
+    "class probabilities sum above 1",
+)
 
-    frame: int
-    bbox: tuple[float, float, float, float]
-    objectness: float
-    class_probs: tuple[float, ...]
 
-    def __post_init__(self):
-        x, y, w, h = self.bbox
-        # the bounds keep the tracker's area w * h, aspect w / h and their
-        # product finite
-        if not all(abs(v) < _BBOX_MAX for v in self.bbox):
-            raise ValueError(f"bbox numbers must be finite and below "
-                             f"{_BBOX_MAX:g} in magnitude")
-        if min(w, h) < 1 / _BBOX_MAX:
-            raise ValueError(f"bbox sides must be at least "
-                             f"{1 / _BBOX_MAX:g}, got {w}x{h}")
-        if not 0.0 <= self.objectness <= 1.0:
-            raise ValueError(f"objectness must be in [0, 1], "
-                             f"got {self.objectness}")
-        if len(self.class_probs) != N_CLASSES:
-            raise ValueError(f"expected {N_CLASSES} class probabilities, "
-                             f"got {len(self.class_probs)}")
-        if any(not 0 <= p <= 1 for p in self.class_probs):
-            raise ValueError("class probabilities must be in [0, 1]")
-        if sum(self.class_probs) > _PROBS_SUM_MAX:
-            raise ValueError("class probabilities sum above 1")
+def _faults(bbox: np.ndarray, objectness: np.ndarray,
+            class_probs: np.ndarray) -> np.ndarray:
+    """(len(_CHECKS), n) bool: which checks each row fails.
 
-    @property
-    def class_index(self) -> int:
-        """Index of the most probable class; the first of equal ones."""
-        return self.class_probs.index(max(self.class_probs))
-
-    @staticmethod
-    def valid_rows(bbox: np.ndarray, objectness: np.ndarray,
-                   class_probs: np.ndarray) -> np.ndarray:
-        """Which rows of (n, 4) boxes, n objectness scores and (n,
-        N_CLASSES) class probabilities `Detection` surely accepts, by the
-        checks of `__post_init__`.
-
-        The probabilities are added left to right, as `sum` adds them up
-        to Python 3.11; later versions compensate, so a row whose sum lies
-        within 1e-12 of the bound is left out, for the constructor to
-        decide.
-        """
-        w, h = bbox[:, 2], bbox[:, 3]
-        total = class_probs.cumsum(axis=1)[:, -1]
-        return ((np.abs(bbox) < _BBOX_MAX).all(axis=1)
-                & (np.minimum(w, h) >= 1 / _BBOX_MAX)
-                & (0.0 <= objectness) & (objectness <= 1.0)
-                & ((0.0 <= class_probs) & (class_probs <= 1.0)).all(axis=1)
-                & (total <= _PROBS_SUM_MAX - 1e-12))
+    The probabilities are added left to right, so a row is judged alike on
+    every Python version; they are clipped first, which changes no sum of
+    probabilities in range and keeps inf - inf out of the others.
+    """
+    w, h = bbox[:, 2], bbox[:, 3]
+    return np.stack([
+        ~(np.abs(bbox) < _BBOX_MAX).all(axis=1),
+        ~(np.minimum(w, h) >= 1 / _BBOX_MAX),
+        ~((0.0 <= objectness) & (objectness <= 1.0)),
+        ~((0.0 <= class_probs) & (class_probs <= 1.0)).all(axis=1),
+        class_probs.clip(0.0, 1.0).cumsum(axis=1)[:, -1] > _PROBS_SUM_MAX])
 
 
 @dataclass(frozen=True, eq=False)
 class DetectionGroup:
-    """One frame's detections as columns: (n, 4) center/size boxes, n
-    objectness scores and n best-class indices, each row as `Detection`
-    checks it; `len` is n.  `records.load_detections` returns these."""
+    """One frame's detections as float64 columns: (n, 4) center/size boxes,
+    n objectness scores and (n, N_CLASSES) class probabilities; `len` is n.
+
+    A group checks its rows as it is built and raises ValueError naming the
+    first check that the first refused row fails.
+    """
 
     bbox: np.ndarray
     objectness: np.ndarray
-    class_index: np.ndarray
+    class_probs: np.ndarray
+
+    def __post_init__(self):
+        columns = [np.asarray(c, dtype=np.float64) for c in
+                   (self.bbox, self.objectness, self.class_probs)]
+        bbox, objectness, class_probs = columns
+        n = len(objectness) if objectness.ndim == 1 else -1
+        if (bbox.shape != (n, 4) or class_probs.ndim != 2
+                or len(class_probs) != n):
+            raise ValueError(f"expected (n, 4) boxes, n scores and (n, "
+                             f"{N_CLASSES}) class probabilities, got shapes "
+                             f"{bbox.shape}, {objectness.shape} and "
+                             f"{class_probs.shape}")
+        if class_probs.shape[1] != N_CLASSES:
+            raise ValueError(f"expected {N_CLASSES} class probabilities, "
+                             f"got {class_probs.shape[1]}")
+        faults = _faults(bbox, objectness, class_probs)
+        refused = faults.any(axis=0)
+        if refused.any():
+            i = int(refused.argmax())
+            w, h = bbox[i, 2:].tolist()
+            raise ValueError(_CHECKS[int(faults[:, i].argmax())].format(
+                w=w, h=h, score=objectness[i].item()))
+        for name, column in zip(("bbox", "objectness", "class_probs"),
+                                columns):
+            object.__setattr__(self, name, column)
 
     def __len__(self) -> int:
         return len(self.objectness)
 
-    @staticmethod
-    def of(detections: Sequence[Detection]) -> "DetectionGroup":
-        return DetectionGroup(
-            np.array([d.bbox for d in detections],
-                     dtype=np.float64).reshape(-1, 4),
-            np.array([d.objectness for d in detections], dtype=np.float64),
-            np.array([d.class_index for d in detections], dtype=np.intp))
-
-
-class _Observed(NamedTuple):
-    """What a track folds in of one detection."""
-
-    bbox: Sequence[float]
-    class_index: int
+    @property
+    def class_index(self) -> np.ndarray:
+        """Each row's most probable class; the first of equal ones."""
+        return self.class_probs.argmax(axis=1)
 
 
 def reference_point(bbox: Sequence[float]) -> tuple[float, float]:
@@ -285,12 +276,13 @@ _BLOCKS = (
 _XY, _AREA, _ASPECT, _CATEGORY = range(len(_BLOCKS))
 
 
-def _observation(det: Detection | _Observed) -> tuple[Sequence[float], ...]:
+def _observation(bbox: Sequence[float],
+                 class_index: int) -> tuple[Sequence[float], ...]:
     """Per-block observation: reference point, area, aspect, class one-hot."""
-    _, _, w_b, h_b = det.bbox
+    _, _, w_b, h_b = bbox
     one_hot = [0.0] * N_CLASSES
-    one_hot[det.class_index] = 1.0
-    return reference_point(det.bbox), (w_b * h_b,), (w_b / h_b,), one_hot
+    one_hot[class_index] = 1.0
+    return reference_point(bbox), (w_b * h_b,), (w_b / h_b,), one_hot
 
 
 @dataclass(frozen=True)
@@ -308,15 +300,17 @@ class Track:
     """Mutable tracker-internal record; snapshots are handed out instead.
 
     `blocks` holds one (state, covariance) pair per `_BLOCKS` entry, in
-    the layout of `kalman`.  A detection is a `Detection` or anything else
-    with its `bbox` and `class_index`.
+    the layout of `kalman`.  A detection is one row of a `DetectionGroup`:
+    its box and its most probable class.
     """
 
-    def __init__(self, track_id: int, det: Detection | _Observed):
+    def __init__(self, track_id: int, bbox: Sequence[float],
+                 class_index: int):
         self.id = track_id
         # observed values, then zero rates
         self.blocks = [([*z] + [0.0] * (len(z) * (len(m.p0) - 1)), m.p0)
-                       for z, m in zip(_observation(det), _BLOCKS)]
+                       for z, m in zip(_observation(bbox, class_index),
+                                       _BLOCKS)]
         self.hits = 1
         self.time_since_update = 0
 
@@ -328,9 +322,10 @@ class Track:
                        for (state, p), m in zip(self.blocks, _BLOCKS)]
         self.time_since_update += 1
 
-    def update(self, det: Detection | _Observed):
+    def update(self, bbox: Sequence[float], class_index: int):
         self.blocks = [kf_update_step(state, p, z, m.r) for (state, p), z, m
-                       in zip(self.blocks, _observation(det), _BLOCKS)]
+                       in zip(self.blocks, _observation(bbox, class_index),
+                              _BLOCKS)]
         self.hits += 1
         self.time_since_update = 0
 
@@ -355,7 +350,8 @@ class Track:
             class_name=CLASS_NAMES[self.class_index()], ref=(x, y))
 
 
-_NO_DETECTIONS = DetectionGroup.of([])
+_NO_DETECTIONS = DetectionGroup(np.zeros((0, 4)), np.zeros(0),
+                                np.zeros((0, N_CLASSES)))
 
 
 class MomctTracker:
@@ -371,15 +367,16 @@ class MomctTracker:
         self.next_id = 1
         self.frame = -1
 
-    def step(self, detections: DetectionGroup | Sequence[Detection],
+    def step(self, detections: DetectionGroup,
              frame: int | None = None) -> list[TrackSnapshot]:
         """Advance to `frame` (default: the next one), first stepping each
         skipped frame as one without detections; returns snapshots of
-        confirmed tracks.  `detections` is a `DetectionGroup` or a list of
-        `Detection`s."""
-        if not isinstance(detections, DetectionGroup):
-            detections = DetectionGroup.of(detections)
+        confirmed tracks.  A frame at or before the last one raises
+        ValueError and changes nothing."""
         frame = self.frame + 1 if frame is None else int(frame)
+        if frame <= self.frame:
+            raise ValueError(f"frame {frame} is not after frame "
+                             f"{self.frame}, the tracker's last")
         # once no track is left, an empty step changes nothing
         while self.tracks and self.frame + 1 < frame:
             self._advance(_NO_DETECTIONS, self.frame + 1)
@@ -396,12 +393,12 @@ class MomctTracker:
 
         matches, _, unmatched_d = associate(
             [t.predicted_bbox() for t in self.tracks], boxes, self.iou_min)
-        dets = list(map(_Observed, boxes.tolist(),
-                        detections.class_index[kept].tolist()))
+        boxes = boxes.tolist()
+        classes = detections.class_index[kept].tolist()
         for ti, di in matches:
-            self.tracks[ti].update(dets[di])
+            self.tracks[ti].update(boxes[di], classes[di])
         for di in unmatched_d:
-            self.tracks.append(Track(self.next_id, dets[di]))
+            self.tracks.append(Track(self.next_id, boxes[di], classes[di]))
             self.next_id += 1
 
         self.tracks = [t for t in self.tracks

@@ -31,7 +31,6 @@ from roadscene.records import load_heatmap, load_tracks
 from roadscene.roadmodel import SrgParams, srg_segment
 from roadscene.simulate import (generate_matches, parse_scenario,
                                 run_simulate, truth_homography)
-from roadscene.tracking import Detection
 
 
 def report(num: int, ok: bool, detail: str):

@@ -190,6 +190,29 @@ def test_segment_and_analyze_read_any_json_spelling(tmp_path, pipeline):
             assert (ours / name).read_bytes() == (theirs / name).read_bytes()
 
 
+@pytest.mark.parametrize("bev, seeded", [
+    ((-0.3, 5.0), True), ((5.0, -0.5), True), ((19.49, 19.49), True),
+    ((-0.6, 5.0), False), ((5.0, 19.5), False)])
+def test_segment_rounds_a_row_to_its_cell_as_region_growing_does(
+        tmp_path, bev, seeded):
+    # a value in [-0.5, 0) lies in cell 0, as `srg_segment` rounds a seed
+    from roadscene.imaging import ImageBuffer, read_pnm, write_pnm
+    write_pnm(ImageBuffer(np.full((20, 20), 128, dtype=np.uint8)),
+              tmp_path / "sat.pgm")
+    tracks = tmp_path / "tracks.jsonl"
+    tracks.write_text(records.dump_rows([{
+        "frame": 0, "id": 1, "class": "car", "bbox": [1.0, 1.0, 2.0, 2.0],
+        "ref": [1.0, 2.0], "bev": list(bev), "speed_mph": 0.0,
+        "heading_deg": None, "cuboid": None}]))
+    code = run("segment", "--tracks", str(tracks), "--satellite",
+               str(tmp_path / "sat.pgm"), "--out", str(tmp_path / "road"))
+    assert code == (0 if seeded else 2)
+    if seeded:  # a uniform satellite grows from any seed to the whole
+        # image; the closing leaves off the border
+        mask = read_pnm(tmp_path / "road" / "road_mask.pgm").pixels
+        assert mask[1:-1, 1:-1].all()
+
+
 def test_rerun_is_byte_identical(pipeline, tmp_path):
     sim2 = tmp_path / "sim2"
     assert run("simulate", "--spec", str(pipeline["scene"]),

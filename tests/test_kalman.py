@@ -12,7 +12,7 @@ import pytest
 from roadscene.kalman import kf_predict_step, kf_update_step
 from roadscene.motion import (MEASUREMENT_VARIANCE, PROCESS_SPECTRAL_DENSITY,
                               BevKalmanState, kf_predict, kf_update)
-from roadscene.tracking import N_CLASSES, Detection, Track, reference_point
+from roadscene.tracking import N_CLASSES, Track, reference_point
 
 RTOL = 1e-9
 
@@ -50,8 +50,8 @@ TRACK_P0 = np.diag([10.0, 10.0, 10.0, 10.0, 1e4, 1e4, 1e4]
 
 
 class DenseTrack:
-    def __init__(self, det):
-        z = measurement(det)
+    def __init__(self, bbox, class_index):
+        z = measurement(bbox, class_index)
         self.x = np.zeros(DIM_X)
         self.x[:4] = z[:4]
         self.x[7:] = z[4:]
@@ -62,16 +62,17 @@ class DenseTrack:
             self.x[6] = 0.0
         self.x, self.p = dense_predict(self.x, self.p, TRACK_F, TRACK_Q)
 
-    def update(self, det):
-        self.x, self.p = dense_update(self.x, self.p, measurement(det),
+    def update(self, bbox, class_index):
+        self.x, self.p = dense_update(self.x, self.p,
+                                      measurement(bbox, class_index),
                                       TRACK_H, TRACK_R)
 
 
-def measurement(det):
-    _, _, w, h = det.bbox
+def measurement(bbox, class_index):
+    _, _, w, h = bbox
     c = np.zeros(N_CLASSES)
-    c[int(np.argmax(det.class_probs))] = 1.0
-    return np.concatenate([[*reference_point(det.bbox), w * h, w / h], c])
+    c[class_index] = 1.0
+    return np.concatenate([[*reference_point(bbox), w * h, w / h], c])
 
 
 def block_track_dense(track):
@@ -86,10 +87,11 @@ def block_track_dense(track):
     return x, p
 
 
-def random_detection(rng, frame, center, size):
+def random_detection(rng, center, size):
+    """A box and the most probable of random class probabilities."""
     probs = rng.dirichlet(np.ones(N_CLASSES)) * 0.99
-    return Detection(frame, (center[0], center[1], size[0], size[1]), 0.9,
-                     tuple(float(v) for v in probs))
+    return ((center[0], center[1], size[0], size[1]),
+            int(np.argmax(probs)))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -98,8 +100,8 @@ def test_track_filter_matches_dense(seed):
     center = rng.uniform(50, 500, 2)
     velocity = rng.normal(0, 3, 2)
     size = rng.uniform(10, 60, 2)
-    det = random_detection(rng, 0, center, size)
-    track, dense = Track(1, det), DenseTrack(det)
+    det = random_detection(rng, center, size)
+    track, dense = Track(1, *det), DenseTrack(*det)
     for frame in range(1, 150):
         track.predict()
         dense.predict()
@@ -107,10 +109,9 @@ def test_track_filter_matches_dense(seed):
         # shrinking boxes drive s + vs below zero, exercising the vs clamp
         size = np.maximum(size * rng.uniform(0.7, 1.2, 2), 0.5)
         if rng.uniform() < 0.75:  # otherwise a gap: predict only
-            det = random_detection(rng, frame, center + rng.normal(0, 1, 2),
-                                   size)
-            track.update(det)
-            dense.update(det)
+            det = random_detection(rng, center + rng.normal(0, 1, 2), size)
+            track.update(*det)
+            dense.update(*det)
         x, p = block_track_dense(track)
         assert_close(x, dense.x)
         assert_close(p, dense.p)

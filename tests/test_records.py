@@ -1,7 +1,9 @@
 import copy
+import functools
 import itertools
 import json
 import math
+import operator
 import warnings
 
 import numpy as np
@@ -23,23 +25,24 @@ from roadscene.records import (dump_rows, dump_track_rows, load_boundary,
                                write_detections, write_states, write_stats,
                                write_tracks)
 from roadscene.roadmodel import BoundarySet
-from roadscene.tracking import Detection
+from roadscene.tracking import DetectionGroup
 
 N = 11  # class count
 
 
-def det(frame=0, cx=10.0, cy=10.0):
+def dets(*cxs, cy=10.0):
+    """A `DetectionGroup` of 4x6 car boxes centered at (cx, cy)."""
     probs = [0.0] * N
     probs[3] = 0.9
-    return Detection(frame=frame, bbox=(cx, cy, 4.0, 6.0), objectness=0.8,
-                     class_probs=tuple(probs))
+    return DetectionGroup([(cx, cy, 4.0, 6.0) for cx in cxs],
+                          [0.8] * len(cxs), [probs] * len(cxs))
 
 
 # --- detections -------------------------------------------------------------
 
 def test_detections_round_trip(tmp_path):
     path = tmp_path / "d.jsonl"
-    frames = [(0, [det(0), det(0, cx=30.0)]), (1, [det(1)])]
+    frames = [(0, dets(10.0, 30.0)), (1, dets(10.0))]
     write_detections(path, frames, fps=25.0)
     back = load_detections(path)
     assert [f for f, _ in back] == [0, 1]
@@ -54,6 +57,49 @@ def test_detections_empty_file(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("")
     assert load_detections(path) == []
+
+
+# Left to right, the first row's probabilities add to exactly the bound,
+# 1.000001, and the second's to the next float above it; their exact sums
+# (`math.fsum`) lie on the other side of it.
+_AT_BOUND = [0.22455136109258644, 0.11705794518247559, 0.3049360109465729,
+             0.3534556827783651] + [0.0] * (N - 4)
+_ABOVE_BOUND = [0.07671058565783391, 0.028812699540706848,
+                0.06486019523796338, 0.17637024577131696,
+                0.06024613432574723, 0.07694863265403924,
+                0.09262285767445946, 0.09325947569671675,
+                0.0909824669747734, 0.20453006655174952, 0.03465763991469331]
+_BOUND = 1.0 + 1e-6
+
+
+def _left_to_right(probs) -> float:
+    return functools.reduce(operator.add, probs)
+
+
+@pytest.mark.parametrize("probs, accepted", [(_AT_BOUND, True),
+                                             (_ABOVE_BOUND, False)])
+def test_detection_rule_adds_probabilities_left_to_right(probs, accepted):
+    assert (_left_to_right(probs) <= _BOUND) == accepted
+    assert (math.fsum(probs) <= _BOUND) != accepted
+    row = {"frame": 0, "bbox": [1.0, 1.0, 2.0, 2.0], "score": 0.5,
+           "probs": probs, "camera": 0}
+    # the bulk path takes the row as written, and only if it is accepted
+    assert records._own_detections([records._dump_row(row)])[2] \
+        == [accepted]
+    answers = []
+    for judge, refusal in [
+            # the general decoder, on the row spelled with spaces
+            (lambda: records._json_detection(json.dumps(row), 1, -1),
+             SchemaError),
+            (lambda: DetectionGroup([row["bbox"]], [0.5], [probs]),
+             ValueError)]:
+        try:
+            judge()
+            answers.append(True)
+        except refusal as exc:
+            assert str(exc).endswith("class probabilities sum above 1")
+            answers.append(False)
+    assert answers == [accepted, accepted]
 
 
 def test_detections_bad_json_names_line():
@@ -294,30 +340,34 @@ def _track_rows(draw):
     return rows
 
 
+# class probabilities whose sum, added left to right, lies near the bound
+_NEAR_BOUND = st.one_of(
+    st.sampled_from([_AT_BOUND, _ABOVE_BOUND]),
+    st.tuples(st.floats(0.001, 0.999), st.floats(-2e-6, 2e-6)).map(
+        lambda t: [t[0], 1.0 - t[0] + t[1]] + [0.0] * (N - 2)))
+
+
 @st.composite
 def _detection_rows(draw):
-    """Detection rows as `write_detections` writes them, frames from 1."""
-    frames = []
-    frame = draw(st.integers(1, 3))
-    for _ in range(draw(st.integers(1, 3))):
-        dets = [Detection(
-            frame=frame,
-            bbox=(draw(_FLOAT), draw(_FLOAT), draw(_POSITIVE),
-                  draw(_POSITIVE)),
-            objectness=draw(_two_digit_exponent(0, 1)),
-            class_probs=tuple(draw(st.lists(
-                _two_digit_exponent(0, 0.09), min_size=len(CLASS_NAMES),
-                max_size=len(CLASS_NAMES)))))
-            for _ in range(draw(st.integers(1, 2)))]
-        frames.append((frame, dets))
-        frame += draw(st.integers(0, 2))
-    fps = draw(st.sampled_from([None, 25.0, 30.0]))
+    """Detection rows as `write_detections` writes them, frames from 1,
+    each accepted; some sum their probabilities to near the bound."""
     rows = []
-    for frame, dets in frames:
-        rows += [{"frame": frame, "bbox": list(det.bbox),
-                  "score": det.objectness, "probs": list(det.class_probs),
-                  "camera": 0, **({} if fps is None else {"t": frame / fps})}
-                 for det in dets]
+    frame = draw(st.integers(1, 3))
+    fps = draw(st.sampled_from([None, 25.0, 30.0]))
+    for _ in range(draw(st.integers(1, 3))):
+        for _ in range(draw(st.integers(1, 2))):
+            rows.append({
+                "frame": frame,
+                "bbox": [draw(_FLOAT), draw(_FLOAT), draw(_POSITIVE),
+                         draw(_POSITIVE)],
+                "score": draw(_two_digit_exponent(0, 1)),
+                "probs": draw(st.one_of(
+                    st.lists(_two_digit_exponent(0, 0.09), min_size=N,
+                             max_size=N),
+                    _NEAR_BOUND.filter(
+                        lambda p: _left_to_right(p) <= _BOUND))),
+                "camera": 0, **({} if fps is None else {"t": frame / fps})})
+        frame += draw(st.integers(0, 2))
     return rows
 
 
@@ -343,7 +393,8 @@ _ROW_MUTATIONS = ["none", "space", "key order", "int", "3-digit exponent",
 _TRACK_MUTATIONS = _ROW_MUTATIONS + ["unknown class", "repeated id",
                                       "null bev", "null speed"]
 _DETECTION_MUTATIONS = _ROW_MUTATIONS + ["camera 1", "negative width",
-                                          "score above 1", "probs sum 1.1"]
+                                          "score above 1", "probs sum 1.1",
+                                          "probs just above the bound"]
 
 
 def _mutate(rows, mutation, data):
@@ -386,6 +437,9 @@ def _mutate(rows, mutation, data):
         row["score"] = 1.5
     elif mutation == "probs sum 1.1":
         row["probs"] = [0.1] * len(row["probs"])
+    elif mutation == "probs just above the bound":
+        row["probs"] = data.draw(_NEAR_BOUND.filter(
+            lambda p: _left_to_right(p) > _BOUND))
     elif mutation == "repeated id":
         lines.insert(k + 1, lines[k])
         return "\n".join(lines) + "\n", k + 2

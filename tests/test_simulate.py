@@ -111,7 +111,7 @@ def test_static_car_zero_noise_identical_bbox():
     spec = parse(duration=50,
                  actors=[{"class": "car", "path": [[0.0, [0.0, 15.0]]]}])
     frames, visible = generate_detections(spec, seed=1)
-    boxes = {tuple(dets[0].bbox) for _, dets in frames}
+    boxes = {tuple(dets.bbox[0].tolist()) for _, dets in frames}
     assert len(boxes) == 1
     assert all(visible[0])
 
@@ -120,8 +120,8 @@ def test_noise_perturbs_center_not_size():
     spec = parse(duration=20, noise=1.0,
                  actors=[{"class": "car", "path": [[0.0, [0.0, 15.0]]]}])
     frames, _ = generate_detections(spec, seed=1)
-    sizes = {tuple(dets[0].bbox[2:]) for _, dets in frames}
-    centers = {tuple(dets[0].bbox[:2]) for _, dets in frames}
+    sizes = {tuple(dets.bbox[0, 2:].tolist()) for _, dets in frames}
+    centers = {tuple(dets.bbox[0, :2].tolist()) for _, dets in frames}
     assert len(sizes) == 1
     assert len(centers) > 1
 
@@ -152,7 +152,7 @@ def test_flicker_changes_reported_class():
     frames, _ = generate_detections(spec, seed=5)
     car_idx = 3  # alphabetical position of "car"
     flipped = sum(1 for _, dets in frames
-                  if dets[0].class_probs[car_idx] < 0.5)
+                  if dets.class_probs[0, car_idx] < 0.5)
     assert 0 < flipped < 200
 
 
@@ -161,9 +161,9 @@ def test_pedestrian_box_is_smaller_than_bus():
         {"class": "pedestrian", "path": [[0.0, [0.0, 15.0]]]},
         {"class": "bus", "path": [[0.0, [3.0, 15.0]]]}])
     frames, _ = generate_detections(spec, seed=0)
-    ped, bus = frames[0][1]
-    assert ped.bbox[2] < bus.bbox[2]
-    assert ped.bbox[3] < bus.bbox[3]
+    ped, bus = frames[0][1].bbox
+    assert ped[2] < bus[2]
+    assert ped[3] < bus[3]
 
 
 # --- truth ------------------------------------------------------------------

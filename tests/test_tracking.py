@@ -1,5 +1,9 @@
+import copy
+import functools
 import itertools
 import math
+import operator
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +15,6 @@ from scipy.optimize import linear_sum_assignment
 from roadscene.tracking import (
     CLASS_NAMES,
     N_CLASSES,
-    Detection,
     DetectionGroup,
     MomctTracker,
     _min_cost_assignment,
@@ -32,9 +35,16 @@ def probs_for(index, p=0.9):
     return tuple(probs)
 
 
-def det(frame, x, y, w=30.0, h=20.0, cls=CAR, objectness=0.9):
-    return Detection(frame=frame, bbox=(x, y, w, h), objectness=objectness,
-                     class_probs=probs_for(cls))
+def det(x, y, w=30.0, h=20.0, cls=CAR, objectness=0.9):
+    """One detection: (bbox, objectness, class probabilities)."""
+    return (x, y, w, h), objectness, probs_for(cls)
+
+
+def group(dets):
+    """The `DetectionGroup` of one frame's detections."""
+    return DetectionGroup(np.reshape([d[0] for d in dets], (-1, 4)),
+                          [d[1] for d in dets],
+                          np.reshape([d[2] for d in dets], (-1, N_CLASSES)))
 
 
 class TestReferencePoint:
@@ -237,7 +247,7 @@ class TestMinCostAssignment:
 class TestMomctTracker:
     def test_genesis(self):
         tracker = MomctTracker()
-        reported = tracker.step([det(0, 50, 50)])
+        reported = tracker.step(group([det(50, 50)]))
         assert len(tracker.tracks) == 1
         assert tracker.tracks[0].id == 1
         # not confirmed yet with min_hits = 3
@@ -248,8 +258,8 @@ class TestMomctTracker:
         centers = [(50.0, 50.0), (150.0, 50.0), (100.0, 150.0)]
         reported = []
         for frame in range(6):
-            dets = [det(frame, x, y) for x, y in centers]
-            reported = tracker.step(dets, frame)
+            dets = [det(x, y) for x, y in centers]
+            reported = tracker.step(group(dets), frame)
         assert len(tracker.tracks) == 3
         assert len(reported) == 3
         got = sorted(snap.ref for snap in reported)
@@ -267,7 +277,7 @@ class TestMomctTracker:
         total_reports = 0
         for frame in range(100):
             cls = VAN if frame in flicker_frames else CAR
-            reported = tracker.step([det(frame, 60, 40, cls=cls)], frame)
+            reported = tracker.step(group([det(60, 40, cls=cls)]), frame)
             if frame >= 5:
                 for snap in reported:
                     total_reports += 1
@@ -278,8 +288,8 @@ class TestMomctTracker:
     def test_single_flicker_never_flips_settled_class(self):
         tracker = MomctTracker()
         for frame in range(6):
-            tracker.step([det(frame, 60, 40, cls=CAR)], frame)
-        reported = tracker.step([det(6, 60, 40, cls=VAN)], 6)
+            tracker.step(group([det(60, 40, cls=CAR)]), frame)
+        reported = tracker.step(group([det(60, 40, cls=VAN)]), 6)
         assert reported[0].class_name == "car"
 
     def test_crossing_objects_keep_ids(self):
@@ -291,8 +301,8 @@ class TestMomctTracker:
             # so their boxes never overlap
             a_pos = (40.0 + frame * 8.0, 200.0)
             b_pos = (200.0, -120.0 + frame * 8.0)
-            dets = [det(frame, *a_pos), det(frame, *b_pos)]
-            for snap in tracker.step(dets, frame):
+            dets = [det(*a_pos), det(*b_pos)]
+            for snap in tracker.step(group(dets), frame):
                 da = np.hypot(snap.bbox[0] - a_pos[0], snap.bbox[1] - a_pos[1])
                 db = np.hypot(snap.bbox[0] - b_pos[0], snap.bbox[1] - b_pos[1])
                 (ids_for_a if da < db else ids_for_b).add(snap.track_id)
@@ -308,41 +318,41 @@ class TestMomctTracker:
             if 10 <= frame < 18:
                 dets = []
             else:
-                dets = [det(frame, 100.0 + 2.0 * frame, 80.0)]
-            for snap in tracker.step(dets, frame):
+                dets = [det(100.0 + 2.0 * frame, 80.0)]
+            for snap in tracker.step(group(dets), frame):
                 seen_ids.add(snap.track_id)
         assert seen_ids == {1}
         assert len(tracker.tracks) == 1
 
     def test_track_dies_past_max_age(self):
         tracker = MomctTracker(max_age=3)
-        tracker.step([det(0, 50, 50)], 0)
+        tracker.step(group([det(50, 50)]), 0)
         for frame in range(1, 6):
-            tracker.step([], frame)
+            tracker.step(group([]), frame)
         assert tracker.tracks == []
 
     def test_ids_never_reused(self):
         tracker = MomctTracker(max_age=1, min_hits=1)
-        tracker.step([det(0, 50, 50)], 0)
-        tracker.step([], 1)
-        tracker.step([], 2)
+        tracker.step(group([det(50, 50)]), 0)
+        tracker.step(group([]), 1)
+        tracker.step(group([]), 2)
         assert tracker.tracks == []
-        reported = tracker.step([det(3, 50, 50)], 3)
+        reported = tracker.step(group([det(50, 50)]), 3)
         assert reported[0].track_id == 2
 
     def test_trajectory_frames_increase(self):
         tracker = MomctTracker()
         frames = []
         for frame in range(12):
-            dets = [] if frame in (4, 7) else [det(frame, 50.0 + frame, 50.0)]
-            frames += [s.frame for s in tracker.step(dets, frame)
+            dets = [] if frame in (4, 7) else [det(50.0 + frame, 50.0)]
+            frames += [s.frame for s in tracker.step(group(dets), frame)
                        if s.track_id == 1]
         # confirmed from the third hit on, never reported on a missed frame
         assert frames == [2, 3, 5, 6, 8, 9, 10, 11]
 
     def test_objectness_gate(self):
         tracker = MomctTracker(objectness_min=0.25)
-        tracker.step([det(0, 50, 50, objectness=0.1)], 0)
+        tracker.step(group([det(50, 50, objectness=0.1)]), 0)
         assert tracker.tracks == []
 
     def test_category_components_bounded(self):
@@ -350,19 +360,39 @@ class TestMomctTracker:
         rng = np.random.default_rng(112)
         for frame in range(60):
             cls = int(rng.integers(0, N_CLASSES))
-            tracker.step([det(frame, 60, 40, cls=cls)], frame)
+            tracker.step(group([det(60, 40, cls=cls)]), frame)
         category, _ = tracker.tracks[0].blocks[-1]
         cat = np.array(category)
         assert np.all(cat >= -0.5)
         assert np.all(cat <= 1.5)
 
+    def test_frame_at_or_before_the_last_raises(self):
+        tracker = MomctTracker()
+        for frame in range(5):
+            tracker.step(group([det(100.0 + 2.0 * frame, 80.0)]), frame)
+
+        def state():
+            return copy.deepcopy((tracker.frame, tracker.next_id, [
+                (t.id, t.blocks, t.hits, t.time_since_update)
+                for t in tracker.tracks]))
+
+        before = state()
+        for frame in (4, 2):
+            with pytest.raises(ValueError,
+                               match=f"frame {frame} is not after frame 4"):
+                tracker.step(group([]), frame)
+            assert state() == before
+
 
 class TestDetectionValidation:
-    def test_rejects_bad_boxes(self):
-        with pytest.raises(ValueError):
-            det(0, 10, 10, w=0.0)
-        with pytest.raises(ValueError):
-            det(0, 10, 10, objectness=1.5)
+    @pytest.mark.parametrize("row, message", [
+        (det(10, 10, w=0.0), "bbox sides must be at least 1e-100, got "
+                             "0.0x20.0"),
+        (det(10, 10, objectness=1.5), "objectness must be in [0, 1], got "
+                                      "1.5")], ids=["zero-width", "score-1.5"])
+    def test_rejects_bad_boxes(self, row, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            group([row])
 
     @pytest.mark.parametrize("bbox", [
         (1e100, 0.0, 2.0, 2.0), (0.0, -1e100, 2.0, 2.0),
@@ -370,20 +400,48 @@ class TestDetectionValidation:
         (0.0, 0.0, float("nan"), 2.0), (float("inf"), 0.0, 2.0, 2.0)])
     def test_rejects_boxes_out_of_bounds(self, bbox):
         with pytest.raises(ValueError, match="bbox "):
-            Detection(0, bbox, 0.9, probs_for(CAR))
+            group([det(*bbox)])
 
     def test_accepts_boxes_just_inside_bounds(self):
         for bbox in [(9.9e99, -9.9e99, 9.9e99, 1e-100),
                      (-9.9e99, 9.9e99, 1e-100, 9.9e99)]:
-            assert Detection(0, bbox, 0.9, probs_for(CAR)).bbox == bbox
+            assert group([det(*bbox)]).bbox.tolist() == [list(bbox)]
 
-    def test_rejects_bad_probs(self):
-        with pytest.raises(ValueError):
-            Detection(0, (1, 1, 2, 2), 0.5, (0.5,) * 4)
-        with pytest.raises(ValueError):
-            Detection(0, (1, 1, 2, 2), 0.5, (0.2,) * N_CLASSES)
-        with pytest.raises(ValueError):
-            Detection(0, (1, 1, 2, 2), 0.5, (float("nan"),) * N_CLASSES)
+    @pytest.mark.parametrize("probs, message", [
+        ((0.5,) * 4, "expected 11 class probabilities, got 4"),
+        ((0.2,) * N_CLASSES, "class probabilities sum above 1"),
+        ((float("nan"),) * N_CLASSES,
+         "class probabilities must be in [0, 1]")],
+        ids=["four-classes", "sum-2.2", "nan"])
+    def test_rejects_bad_probs(self, probs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DetectionGroup([(1, 1, 2, 2)], [0.5], [probs])
+
+    def test_rejects_columns_of_other_shapes(self):
+        for bbox, score, probs in [
+                ([(1, 1, 2)], [0.5], [probs_for(CAR)]),
+                ([(1, 1, 2, 2)], [0.5, 0.5], [probs_for(CAR)]),
+                ([(1, 1, 2, 2)], 0.5, [probs_for(CAR)]),
+                ([(1, 1, 2, 2)], [0.5], probs_for(CAR))]:
+            with pytest.raises(ValueError, match="expected .n, 4. boxes"):
+                DetectionGroup(bbox, score, probs)
+
+
+def refusal(bbox, score, probs):
+    """The detection rule for one row, check by check: the message of the
+    first check the row fails, or None.  The probabilities are added left
+    to right, as `sum` adds them up to Python 3.11."""
+    if not all(abs(v) < 1e100 for v in bbox):
+        return "bbox numbers must be finite and below 1e+100 in magnitude"
+    if min(bbox[2], bbox[3]) < 1e-100:
+        return f"bbox sides must be at least 1e-100, got {bbox[2]}x{bbox[3]}"
+    if not 0.0 <= score <= 1.0:
+        return f"objectness must be in [0, 1], got {score}"
+    if any(not 0.0 <= p <= 1.0 for p in probs):
+        return "class probabilities must be in [0, 1]"
+    if functools.reduce(operator.add, probs) > 1.0 + 1e-6:
+        return "class probabilities sum above 1"
+    return None
 
 
 # class probabilities whose sum lands on either side of the 1 + 1e-6 bound,
@@ -393,36 +451,39 @@ _probs = st.one_of(
     st.tuples(st.floats(0.0, 1.0), st.floats(-2e-6, 2e-6)).map(
         lambda t: [t[0], 1.0 - t[0] + t[1]] + [0.0] * (N_CLASSES - 2)))
 _edge = st.sampled_from([0.0, -0.0, 1e-100, 9e-101, 9.9e99, 1e100, -1e100])
+_rows = st.tuples(
+    st.lists(st.one_of(_edge, st.floats(-50.0, 50.0)), min_size=4,
+             max_size=4),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.1, 1.1)), _probs)
 
 
 class TestDetectionRows:
     @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.one_of(_edge, st.floats(-50.0, 50.0)), min_size=4,
-                    max_size=4),
-           st.one_of(st.sampled_from([0.0, 1.0]), st.floats(-0.1, 1.1)),
-           _probs)
-    def test_valid_rows_accepts_what_detection_accepts(self, bbox, score,
-                                                       probs):
+    @given(st.lists(_rows, min_size=1, max_size=3))
+    def test_group_refuses_the_first_row_the_rule_refuses(self, rows):
+        refusals = [refusal(*row) for row in rows]
+        want = next((r for r in refusals if r is not None), None)
         try:
-            Detection(0, tuple(bbox), score, tuple(probs))
-            accepted = True
-        except ValueError:
-            accepted = False
-        (valid,) = Detection.valid_rows(np.array([bbox]), np.array([score]),
-                                        np.array([probs]))
-        # only a sum within rounding of the bound is left to the
-        # constructor
-        near = abs(sum(probs) - (1.0 + 1e-6)) < 1e-12
-        assert valid == accepted or (accepted and near)
+            group(rows)
+            got = None
+        except ValueError as exc:
+            got = str(exc)
+        assert got == want
 
     def test_group_of_detections_holds_their_columns(self):
-        dets = [det(0, 10.0, 20.0, cls=VAN), det(0, 30.0, 40.0, w=5.0,
-                                                  objectness=0.5)]
-        group = DetectionGroup.of(dets)
-        assert len(group) == 2 and len(DetectionGroup.of([])) == 0
-        assert group.bbox.tolist() == [list(d.bbox) for d in dets]
-        assert group.objectness.tolist() == [0.9, 0.5]
-        assert group.class_index.tolist() == [VAN, CAR]
+        dets = [det(10.0, 20.0, cls=VAN), det(30.0, 40.0, w=5.0,
+                                              objectness=0.5)]
+        got = group(dets)
+        assert len(got) == 2 and len(group([])) == 0
+        assert got.bbox.tolist() == [list(d[0]) for d in dets]
+        assert got.objectness.tolist() == [0.9, 0.5]
+        assert got.class_index.tolist() == [VAN, CAR]
+        assert {c.dtype for c in (got.bbox, got.objectness,
+                                  got.class_probs)} == {np.dtype(np.float64)}
+        # the first of equal maxima
+        tied = DetectionGroup([(1, 1, 2, 2)], [1.0],
+                              [[0.0, 0.5, 0.5] + [0.0] * (N_CLASSES - 3)])
+        assert tied.class_index.tolist() == [1]
 
 
 @st.composite
@@ -436,7 +497,7 @@ def _detection_groups(draw):
         boxes = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 2),
                                         st.sampled_from([CAR, VAN, PED])),
                               min_size=1, max_size=4))
-        groups.append((frame, [det(frame, 50.0 + 8.0 * i, 50.0 + 8.0 * j,
+        groups.append((frame, [det(50.0 + 8.0 * i, 50.0 + 8.0 * j,
                                    cls=cls) for i, j, cls in boxes]))
         frame += draw(st.integers(1, 2 * max_age + 2))
     return max_age, draw(st.integers(1, 3)), groups
@@ -451,17 +512,17 @@ class TestFrameGaps:
         dense = MomctTracker(max_age=max_age, min_hits=min_hits)
         by_frame = dict(groups)
         for frame in range(groups[-1][0] + 1):
-            snaps = dense.step(by_frame.get(frame, []), frame)
+            snaps = dense.step(group(by_frame.get(frame, [])), frame)
             if frame in by_frame:
-                assert sparse.step(by_frame[frame], frame) == snaps
+                assert sparse.step(group(by_frame[frame]), frame) == snaps
                 assert sparse.next_id == dense.next_id
                 assert ([t.id for t in sparse.tracks]
                         == [t.id for t in dense.tracks])
 
     def test_far_frame_steps_only_until_no_track_is_left(self):
         tracker = MomctTracker(max_age=3)
-        tracker.step([det(0, 50, 50)], 0)
-        assert tracker.step([det(10 ** 12, 50, 50)], 10 ** 12) == []
+        tracker.step(group([det(50, 50)]), 0)
+        assert tracker.step(group([det(50, 50)]), 10 ** 12) == []
         assert [t.id for t in tracker.tracks] == [2]
         assert tracker.frame == 10 ** 12
 
@@ -474,5 +535,6 @@ def test_boxes_of_opposite_shapes_keep_finite_predictions():
         warnings.simplefilter("error")
         for frame in range(8):
             h = 9e99 if frame % 2 == 0 else 2e-100
-            (snap,) = tracker.step([det(frame, 0.0, 0.0, w=9e99, h=h)], frame)
+            (snap,) = tracker.step(group([det(0.0, 0.0, w=9e99, h=h)]),
+                                   frame)
             assert all(map(math.isfinite, snap.bbox)), snap.bbox
