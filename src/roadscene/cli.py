@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from pathlib import Path
 
@@ -314,13 +313,11 @@ def _cmd_segment(args) -> int:
     from .imaging import read_pnm, to_gray, write_pnm
     from .roadmodel import extract_boundary, refine_mask, srg_segment
     cfg = _config_from(args)
-    rows = load_tracks(args.tracks)
+    table = load_tracks(args.tracks)
     satellite = to_gray(read_pnm(args.satellite))
     # each vehicle row's cell, rounded as `srg_segment` rounds a seed;
     # region growing does not depend on seed order
-    cells = np.floor(np.array([row["bev"] for row in rows
-                               if row["class"] != PEDESTRIAN]
-                              ).reshape(-1, 2) + 0.5)
+    cells = np.floor(table.xy[~table.pedestrian] + 0.5)
     inside = ((cells >= 0)
               & (cells < (satellite.width, satellite.height))).all(axis=1)
     seeds = [PixelPoint.bev(x, y)
@@ -349,35 +346,6 @@ def _resolve_bev_shape(args, calib) -> tuple[int, int]:
                       "bev_size in calibration.json")
 
 
-def _frame_tracks(rows: list[dict], frames: range):
-    """Yield, for each frame of `frames`, its rows as columns; a negative
-    speed is clamped to 0."""
-    table = FrameTracks(
-        ids=np.array([row["id"] for row in rows], dtype=np.int64),
-        pedestrian=np.array([row["class"] == PEDESTRIAN for row in rows],
-                            dtype=bool),
-        xy=np.array([row["bev"] for row in rows], dtype=float).reshape(-1, 2),
-        speed_mph=np.array([max(row["speed_mph"], 0.0) for row in rows],
-                           dtype=float))
-    # load_tracks keeps frames non-decreasing, so each frame is one slice
-    row_frames = [row["frame"] for row in rows]
-    for frame in frames:
-        part = slice(bisect_left(row_frames, frame),
-                     bisect_right(row_frames, frame))
-        yield FrameTracks(*(column[part] for column in table))
-
-
-def _joined(frame_tracks: list[FrameTracks], frame_states: list[StateSets]
-            ) -> tuple[FrameTracks, StateSets]:
-    """Several frames' tracks as one `FrameTracks`, and their states as one
-    `StateSets` over its rows, dated to the last frame."""
-    masks = ("ids", "parking", "speeding", "collision_risk", "congestion")
-    return (FrameTracks(*map(np.concatenate, zip(*frame_tracks))),
-            StateSets(frame_states[-1].frame, *(
-                np.concatenate([getattr(s, mask) for s in frame_states])
-                for mask in masks)))
-
-
 def _cmd_analyze(args) -> int:
     for flag, frame in (("--from-frame", args.from_frame),
                         ("--to-frame", args.to_frame)):
@@ -393,30 +361,42 @@ def _cmd_analyze(args) -> int:
     calib = load_calibration(args.calibration)
     scale = GroundScale(calib.get("iota_m_per_px") or cfg.iota_m_per_px)
     shape = _resolve_bev_shape(args, calib)
-    rows = load_tracks(args.tracks)
+    table = load_tracks(args.tracks)
     boundary = load_boundary(args.boundary) if args.boundary else None
 
     start = args.from_frame if args.from_frame is not None else 0
     if args.to_frame is not None:
         stop = args.to_frame
     else:
-        stop = rows[-1]["frame"] if rows else start - 1
+        stop = int(table.frame[-1]) if len(table) else start - 1
 
+    # frames never decrease, so the range's rows are one slice, and so is
+    # each frame's within it; a negative speed is clamped to 0
+    rows = slice(np.searchsorted(table.frame, start),
+                 np.searchsorted(table.frame, stop, side="right"))
+    row_frames, speed = table.frame[rows], table.speed_mph[rows]
+    tracks = FrameTracks(table.ids[rows], table.pedestrian[rows],
+                         table.xy[rows], np.where(speed < 0.0, 0.0, speed))
     classifier = StateClassifier(boundary, scale, cfg.analytics, cfg.fps)
     maps = make_heatmaps(shape)
     stats = []
-    frame_tracks = []
     frame_states = []
-    frames = range(start, stop + 1)
-    for frame, tracks in zip(frames, _frame_tracks(rows, frames)):
-        states = classifier.step(frame, tracks)
-        stats.append(frame_stats(frame, tracks, states))
-        frame_tracks.append(tracks)
+    first = 0
+    for frame in range(start, stop + 1):
+        end = np.searchsorted(row_frames, frame, side="right")
+        part = FrameTracks(*(column[first:end] for column in tracks))
+        first = end
+        states = classifier.step(frame, part)
+        stats.append(frame_stats(frame, part, states))
         frame_states.append(states)
     if frame_states:
         # deposits are integer adds, which commute, so one call over all
-        # the range's rows fills the maps as one call per frame would
-        update_heatmaps(maps, *_joined(frame_tracks, frame_states))
+        # the range's rows, with their states joined, fills the maps as one
+        # call per frame would
+        masks = ("ids", "parking", "speeding", "collision_risk", "congestion")
+        update_heatmaps(maps, tracks, StateSets(stop, *(
+            np.concatenate([getattr(s, mask) for s in frame_states])
+            for mask in masks)))
 
     out = _out_dir(args)
     write_stats(out / "stats.csv", stats)

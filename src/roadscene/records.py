@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .analytics import _BUMP_UNITS, HEAT_KINDS, FrameStats, HeatMap
-from .config import CLASS_NAMES
+from .config import CLASS_NAMES, PEDESTRIAN
 from .errors import NonFiniteOutput, SchemaError, SingularMatrix
 
 if TYPE_CHECKING:  # annotations only: functions import what they run
@@ -126,11 +126,11 @@ def dump_rows(rows) -> str:
 
 
 def _frame(row: dict, last: int, lineno: int) -> int:
-    """The row's frame: a non-negative integer, not below `last`."""
+    """The row's frame: a non-negative int64, not below `last`."""
     frame = _require(row, "frame", lineno)
-    if isinstance(frame, bool) or not isinstance(frame, int) or frame < 0:
-        raise SchemaError(f"line {lineno}: frame must be a "
-                          f"non-negative integer, got {frame!r}")
+    if not _int64(frame) or frame < 0:
+        raise SchemaError(f"line {lineno}: frame must be a non-negative "
+                          f"integer below 2**63, got {frame!r}")
     if frame < last:
         raise SchemaError(f"line {lineno}: frame {frame} after "
                           f"frame {last}; frames must be non-decreasing")
@@ -158,8 +158,18 @@ def _float_list(n: int) -> str:
     return ",".join([_FLOAT] * n)
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(map(float, text.split(",")))
+def _match_lines(text: str, pattern: str, groups: tuple, width: int):
+    """(`_lines` of `text`, each one's full match of `pattern` or None, the
+    `width` numbers in each match's `groups` as a float64 row or zeros)."""
+    numbered = list(_lines(text))
+    matches = list(map(re.compile(pattern).fullmatch,
+                       [line for _, line in numbered]))
+    # numpy reads each number with Python's own correctly rounded parser,
+    # so it gets `float`'s bits
+    values = np.fromstring(",".join(
+        [",".join(m.group(*groups)) if m else ",".join("0" * width)
+         for m in matches]), sep=",")
+    return numbered, matches, values.reshape(len(matches), width)
 
 
 # --- detections -------------------------------------------------------------
@@ -180,63 +190,49 @@ def parse_detections(text: str) -> list[tuple[int, DetectionGroup]]:
 
     Rows must carry non-decreasing frame numbers; extra keys are ignored.
     Lines that `write_detections` spelled are matched by one regex, and
-    their numbers are converted and checked all at once.  Any other line,
-    and any that fails a check, goes through the general decoder, which
-    names the fault.
+    their numbers are converted all at once; any other line, and any out of
+    frame order, goes through the general decoder.  The rows are then
+    judged once, as one group, and each frame's group is a slice of it.
+    Whatever its fault, the first faulty line is named.
     """
-    from .tracking import DetectionGroup
-    numbered = list(_lines(text))
-    frames, values, own = _own_detections([line for _, line in numbered])
+    from .tracking import DetectionGroup, _faults
+    numbered, matches, values = _match_lines(text, _DETECTION_LINE, (1, 4, 3),
+                                             5 + len(CLASS_NAMES))
+    frames = [int(m[2]) if m else -1 for m in matches]
     starts = []  # the first row of each frame
+    # the rows before the first line that the general decoder refuses
+    n, fault = len(numbered), None
     last = -1
     for i, (lineno, line) in enumerate(numbered):
-        if not own[i] or frames[i] < last:
-            frames[i], values[i] = _json_detection(line, lineno, last)
+        if matches[i] is None or frames[i] < last:
+            try:
+                frames[i], values[i] = _json_detection(line, lineno, last)
+            except SchemaError as exc:
+                n, fault = i, exc
+                break
         if frames[i] != last:
             starts.append(i)
             last = frames[i]
-    return [(frames[a], DetectionGroup(values[a:b, :4], values[a:b, 4],
-                                       values[a:b, 5:]))
-            for a, b in zip(starts, starts[1:] + [len(numbered)])]
-
-
-# what stands in for the numbers of a line the regex does not match
-_NO_MATCH = ",".join(["0"] * (5 + len(CLASS_NAMES)))
-
-
-def _own_detections(lines: list[str]) -> tuple[list, np.ndarray, list]:
-    """(frames, values, own) of detection lines: when `own[i]`, line i is
-    spelled as `write_detections` spells it and `DetectionGroup` accepts
-    it, and its frame is `frames[i]` and its bbox, score and probs
-    `values[i]`."""
-    from .tracking import _faults
-    matches = list(map(re.compile(_DETECTION_LINE).fullmatch, lines))
-    frames = [int(m[2]) if m else -1 for m in matches]
-    # numpy reads each number with Python's own correctly rounded parser,
-    # so it gets `float`'s bits
-    numbers = ",".join([f"{m[1]},{m[4]},{m[3]}" if m else _NO_MATCH
-                        for m in matches])
-    values = np.fromstring(numbers, sep=",").reshape(len(lines),
-                                                     5 + len(CLASS_NAMES))
-    valid = ~_faults(values[:, :4], values[:, 4], values[:, 5:]).any(axis=0)
-    own = valid & np.array([m is not None for m in matches], dtype=bool)
-    return frames, values, own.tolist()
+    columns = values[:n, :4], values[:n, 4], values[:n, 5:]
+    try:
+        rows = DetectionGroup(*columns)
+    except ValueError as exc:  # which names the first row it refuses
+        first = int(_faults(*columns).any(axis=0).argmax())
+        raise SchemaError(f"line {numbered[first][0]}: {exc}") from None
+    if fault is not None:
+        raise fault
+    return [(frames[a], rows[a:b]) for a, b in zip(starts, starts[1:] + [n])]
 
 
 def _json_detection(line: str, lineno: int, last: int) -> tuple[int, list]:
     """The frame and the bbox, score and probs of a row in any JSON
-    spelling, after every check."""
-    from .tracking import DetectionGroup
+    spelling, decoded and type-checked; `parse_detections` judges them."""
     row = _json_object(line, lineno)
     frame = _frame(row, last, lineno)
     bbox = _number_list(_require(row, "bbox", lineno), "bbox", 4, lineno)
     score = _number(_require(row, "score", lineno), "score", lineno)
     probs = _number_list(_require(row, "probs", lineno), "probs",
                          len(CLASS_NAMES), lineno)
-    try:
-        DetectionGroup([bbox], [score], [probs])
-    except ValueError as exc:
-        raise SchemaError(f"line {lineno}: {exc}") from None
     return frame, [*bbox, score, *probs]
 
 
@@ -315,50 +311,64 @@ _TRACK_LINE = (
     r'"speed_mph":(' + _FLOAT + r')\}')
 
 
-def parse_tracks(text: str) -> list[dict]:
-    """Parse track JSON Lines into rows of the fields that `segment` and
-    `analyze` read: frame, id, class, bev (an (x, y) tuple) and speed_mph.
+class TrackTable:
+    """A tracks file's n rows as columns: `frame` (never decreasing) and
+    `ids` (int64), `class_index` (into `CLASS_NAMES`), `xy` ((n, 2) BEV
+    pixels) and `speed_mph` as written, which may be negative."""
+
+    __slots__ = ("frame", "ids", "class_index", "xy", "speed_mph")
+
+    def __init__(self, frame, ids, class_index, xy, speed_mph):
+        self.frame, self.ids, self.class_index = frame, ids, class_index
+        self.xy, self.speed_mph = xy, speed_mph
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    @property
+    def pedestrian(self) -> np.ndarray:
+        """Whether each row is a pedestrian's."""
+        return self.class_index == CLASS_NAMES.index(PEDESTRIAN)
+
+
+def parse_tracks(text: str) -> TrackTable:
+    """Parse track JSON Lines into a `TrackTable` of the fields that
+    `segment` and `analyze` read.
 
     Every field is checked, and a frame lists each track id at most once.
     Lines that `track` spelled are matched by one regex, which checks the
-    cuboid's syntax without decoding it; any other line goes through the
-    general decoder.
+    cuboid's syntax without decoding it, and their numbers are converted
+    all at once; any other line, and any out of frame order or repeating
+    an id of its frame, goes through the general decoder.
     """
-    own = re.compile(_TRACK_LINE).fullmatch
-    rows: list[dict] = []
-    last, ids = -1, set()
-    for lineno, line in _lines(text):
-        row = (_own_track(own(line), last, ids)
-               or _json_track(line, lineno, last, ids))
-        if row["frame"] != last:
-            last, ids = row["frame"], set()
-        ids.add(row["id"])
-        rows.append(row)
-    return rows
+    # values: bev x, bev y and speed_mph
+    numbered, matches, values = _match_lines(text, _TRACK_LINE, (1, 5), 3)
+    rows = []  # frame, id and class index
+    last, seen = -1, set()  # the current frame and its ids
+    for i, ((lineno, line), m) in enumerate(zip(numbered, matches)):
+        if m is not None:
+            frame, track_id, name = int(m[3]), int(m[4]), m[2]
+        if m is None or frame < last or (frame == last and track_id in seen):
+            frame, track_id, name, values[i] = _json_track(line, lineno,
+                                                           last, seen)
+        if frame != last:
+            last, seen = frame, set()
+        seen.add(track_id)
+        rows.append((frame, track_id, CLASS_NAMES.index(name)))
+    # a copy, so that each column is contiguous
+    columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+    return TrackTable(*columns, values[:, :2], values[:, 2])
 
 
-def _own_track(match, last: int, ids: set) -> dict | None:
-    """The read fields of a matched line, or None; None also when the row
-    is out of frame order or repeats an id of its frame, so that the
-    general path names the fault."""
-    if match is None:
-        return None
-    bev, class_name, frame, track_id, speed = match.groups()
-    frame, track_id = int(frame), int(track_id)
-    if frame < last or (frame == last and track_id in ids):
-        return None
-    return {"frame": frame, "id": track_id, "class": class_name,
-            "bev": _parse_floats(bev), "speed_mph": float(speed)}
-
-
-def _json_track(line: str, lineno: int, last: int, ids: set) -> dict:
-    """The read fields of a row in any JSON spelling, after every check."""
+def _json_track(line: str, lineno: int, last: int, seen: set) -> tuple:
+    """The frame, id, class, and bev and speed_mph of a row in any JSON
+    spelling, after every check."""
     row = _json_object(line, lineno)
     frame = _frame(row, last, lineno)
     track_id = _require(row, "id", lineno)
     if not _int64(track_id):
         raise SchemaError(f"line {lineno}: id must be a 64-bit integer")
-    if frame == last and track_id in ids:
+    if frame == last and track_id in seen:
         raise SchemaError(f"line {lineno}: id {track_id} appears twice "
                           f"in frame {frame}")
     class_name = _require(row, "class", lineno)
@@ -371,11 +381,10 @@ def _json_track(line: str, lineno: int, last: int, ids: set) -> dict:
     heading = _require(row, "heading_deg", lineno)
     if heading is not None:
         _number(heading, "heading_deg", lineno)
-    return {"frame": frame, "id": track_id, "class": class_name,
-            "bev": bev, "speed_mph": speed}
+    return frame, track_id, class_name, (*bev, speed)
 
 
-def load_tracks(path) -> list[dict]:
+def load_tracks(path) -> TrackTable:
     return parse_tracks(Path(path).read_text(encoding="utf-8"))
 
 

@@ -100,6 +100,16 @@ class DetectionGroup:
     def __len__(self) -> int:
         return len(self.objectness)
 
+    def __getitem__(self, rows: slice) -> DetectionGroup:
+        """The group of the rows in `rows`, a slice; they were judged when
+        this group was built, so they are not judged again."""
+        if not isinstance(rows, slice):
+            raise TypeError(f"a group is sliced by rows, got {rows!r}")
+        part = object.__new__(DetectionGroup)
+        for name in ("bbox", "objectness", "class_probs"):
+            object.__setattr__(part, name, getattr(self, name)[rows])
+        return part
+
     @property
     def class_index(self) -> np.ndarray:
         """Each row's most probable class; the first of equal ones."""

@@ -17,7 +17,7 @@ from roadscene.calibration import (Correspondence, es_minimize,
                                    fit_distortion_es, ransac_homography,
                                    ransac_iterations, straightness_objective)
 from roadscene.cli import main
-from roadscene.config import DEFAULT_PRIORS
+from roadscene.config import CLASS_NAMES, DEFAULT_PRIORS
 from roadscene.geometry import (BEV, PERSPECTIVE, CameraModel, GroundScale,
                                 Homography, PixelPoint, apply, apply_many,
                                 compose_from_camera, estimate_dlt_xy,
@@ -129,12 +129,12 @@ def test_criterion_04_speed_accuracy(tmp_path):
     assert main(["track", "--detections", str(tmp_path / "sim/detections.jsonl"),
                  "--calibration", str(cal),
                  "--out", str(tmp_path / "tracks.jsonl")]) == 0
-    rows = [r for r in load_tracks(tmp_path / "tracks.jsonl")
-            if r["frame"] >= 25]
-    inside = sum(1 for r in rows if 28.5 <= r["speed_mph"] <= 31.5)
-    frac = inside / len(rows)
+    table = load_tracks(tmp_path / "tracks.jsonl")
+    speeds = table.speed_mph[table.frame >= 25].tolist()
+    inside = sum(1 for speed in speeds if 28.5 <= speed <= 31.5)
+    frac = inside / len(speeds)
     report(4, frac >= 0.9,
-           f"{inside}/{len(rows)} frames within 28.5-31.5 mph "
+           f"{inside}/{len(speeds)} frames within 28.5-31.5 mph "
            f"({frac:.0%}, need >= 90%)")
 
 
@@ -169,27 +169,29 @@ def test_criterion_06_tracking_stability(tmp_path):
     truth = json.loads((sim / "truth.json").read_text())
     owner = {}
     clean = True
-    for r in rows:
-        bx, by = r["bev"]
+    for frame, track_id, (bx, by) in zip(rows.frame.tolist(),
+                                         rows.ids.tolist(),
+                                         rows.xy.tolist()):
         best = min(range(2), key=lambda i: (
-            (truth["actors"][i]["positions_bev"][r["frame"]][0] - bx) ** 2
-            + (truth["actors"][i]["positions_bev"][r["frame"]][1] - by) ** 2))
-        if r["id"] in owner and owner[r["id"]] != best:
+            (truth["actors"][i]["positions_bev"][frame][0] - bx) ** 2
+            + (truth["actors"][i]["positions_bev"][frame][1] - by) ** 2))
+        if track_id in owner and owner[track_id] != best:
             clean = False
-        owner[r["id"]] = best
+        owner[track_id] = best
     crossing_ok = clean and len(owner) == 2
 
     _, rows, _ = run_scene("occl", [
         {"class": "car", "path": [[0.0, [-8.0, 14.0]], [2.4, [8.0, 14.0]]],
          "hidden": [[20, 29]]}], 60)
-    ids_before = {r["id"] for r in rows if r["frame"] < 20}
-    ids_after = {r["id"] for r in rows if r["frame"] >= 30}
+    ids_before = set(rows.ids[rows.frame < 20].tolist())
+    ids_after = set(rows.ids[rows.frame >= 30].tolist())
     occlusion_ok = ids_before == ids_after and len(ids_before) == 1
 
     _, rows, _ = run_scene("flick", [
         {"class": "car", "path": [[0.0, [-8.0, 14.0]], [4.0, [8.0, 14.0]]],
          "flicker": 0.2}], 100)
-    stable = sum(1 for r in rows if r["class"] == "car") / len(rows)
+    stable = sum(1 for c in rows.class_index.tolist()
+                 if CLASS_NAMES[c] == "car") / len(rows)
     flicker_ok = stable >= 0.95
 
     report(6, crossing_ok and occlusion_ok and flicker_ok,
@@ -447,7 +449,7 @@ def test_criterion_13_desk_scale_performance(tmp_path):
 
     rows = load_tracks(tmp_path / "tracks.jsonl")
     veh = load_heatmap(tmp_path / "an" / "heat_vehicle.json")
-    ids = len({r["id"] for r in rows})
+    ids = len(set(rows.ids.tolist()))
     ok = elapsed < 10.0 and ids >= 10 and veh.events > 0
     report(13, ok, f"track+analyze+render {elapsed:.2f} s (< 10), "
                    f"{ids} identities tracked")

@@ -15,6 +15,7 @@ import roadscene
 from roadscene import cli, records
 from roadscene.analytics import HeatMap
 from roadscene.cli import main
+from roadscene.config import CLASS_NAMES
 from roadscene.records import load_heatmap, load_stats, load_tracks
 
 
@@ -99,19 +100,20 @@ def test_chain_recovers_truth_homography(pipeline):
 
 
 def test_chain_two_identities(pipeline):
-    rows = load_tracks(pipeline["tracks"])
-    assert len({r["id"] for r in rows}) == 2
-    classes = {r["class"] for r in rows}
+    table = load_tracks(pipeline["tracks"])
+    assert len(set(table.ids.tolist())) == 2
+    classes = {CLASS_NAMES[c] for c in table.class_index.tolist()}
     assert classes == {"car", "pedestrian"}
 
 
 def test_chain_speeds_near_truth(pipeline):
     # the car is scripted at 5 m/s = 11.18 mph
-    rows = [r for r in load_tracks(pipeline["tracks"])
-            if r["class"] == "car" and r["frame"] >= 30]
-    assert rows
-    for row in rows:
-        assert row["speed_mph"] == pytest.approx(11.18, rel=0.15)
+    table = load_tracks(pipeline["tracks"])
+    speeds = table.speed_mph[(table.class_index == CLASS_NAMES.index("car"))
+                             & (table.frame >= 30)].tolist()
+    assert speeds
+    for speed in speeds:
+        assert speed == pytest.approx(11.18, rel=0.15)
 
 
 def test_chain_heat_maps_accumulate(pipeline):
@@ -725,13 +727,13 @@ def test_occlusion_preserves_identity(tmp_path, pipeline):
     assert run("track", "--detections", str(sim / "detections.jsonl"),
                "--calibration", str(pipeline["cal"] / "calibration.json"),
                "--out", str(tracks)) == 0
-    rows = load_tracks(tracks)
-    before = {r["id"] for r in rows if r["frame"] < 20}
-    after = {r["id"] for r in rows if r["frame"] >= 30}
+    table = load_tracks(tracks)
+    before = set(table.ids[table.frame < 20].tolist())
+    after = set(table.ids[table.frame >= 30].tolist())
     assert before == after
     assert len(before) == 1
     # nothing is reported while the actor is hidden
-    assert not any(20 <= r["frame"] < 30 for r in rows)
+    assert not ((20 <= table.frame) & (table.frame < 30)).any()
 
 
 def test_crossing_cars_no_switch(tmp_path, pipeline):
@@ -749,17 +751,18 @@ def test_crossing_cars_no_switch(tmp_path, pipeline):
     assert run("track", "--detections", str(sim / "detections.jsonl"),
                "--calibration", str(pipeline["cal"] / "calibration.json"),
                "--out", str(tracks)) == 0
-    rows = load_tracks(tracks)
+    table = load_tracks(tracks)
     truth = json.loads((sim / "truth.json").read_text())
 
     # match each row to the nearest truth actor; an id must never flip
     assignments = {}
-    for row in rows:
-        bx, by = row["bev"]
+    for frame, track_id, (bx, by) in zip(table.frame.tolist(),
+                                         table.ids.tolist(),
+                                         table.xy.tolist()):
         best = min(range(2), key=lambda i: (
-            (truth["actors"][i]["positions_bev"][row["frame"]][0] - bx) ** 2
-            + (truth["actors"][i]["positions_bev"][row["frame"]][1] - by) ** 2))
-        assignments.setdefault(row["id"], set()).add(best)
+            (truth["actors"][i]["positions_bev"][frame][0] - bx) ** 2
+            + (truth["actors"][i]["positions_bev"][frame][1] - by) ** 2))
+        assignments.setdefault(track_id, set()).add(best)
     assert len(assignments) == 2
     for actors_hit in assignments.values():
         assert len(actors_hit) == 1
@@ -781,11 +784,11 @@ def test_speeding_map_mass_matches_truth(tmp_path, pipeline):
     assert run("analyze", "--tracks", str(tracks),
                "--calibration", str(pipeline["cal"] / "calibration.json"),
                "--out", str(an)) == 0
-    rows = load_tracks(tracks)
+    table = load_tracks(tracks)
     heat = load_heatmap(an / "heat_speeding.json")
     # every reported frame is truly above the limit; allow the filter
     # a couple of frames to lock on after track birth
-    assert abs(heat.events - len(rows)) <= 2
+    assert abs(heat.events - len(table)) <= 2
 
 
 def test_merge_rejects_mixed_inputs(tmp_path, pipeline, capsys):

@@ -445,6 +445,23 @@ def test_track_extreme_box_exits_2_without_warning(chain, tmp_path, box):
     assert not (tmp_path / "out" / "tracks.jsonl").exists()
 
 
+@pytest.mark.parametrize("command, slot", [("track", "detections"),
+                                           ("analyze", "tracks")])
+def test_frame_beyond_int64_exits_2(chain, tmp_path, command, slot):
+    lines = chain[slot].read_text().splitlines()
+    far = dict(json.loads(lines[-1]), frame=2 ** 63)
+    rows = tmp_path / f"{slot}.jsonl"
+    rows.write_text("".join(line + "\n" for line in lines)
+                    + json.dumps(far) + "\n")
+    paths = dict(chain, **{slot: rows})
+    code, stderr = _run_uncaptured(_argv(command, paths, tmp_path / "out"))
+    assert code == 2
+    assert len(stderr.splitlines()) == 1
+    assert stderr.startswith(f"error: SchemaError: line {len(lines) + 1}: "
+                             f"frame must be a non-negative integer below "
+                             f"2**63, got {2 ** 63}")
+
+
 def test_analyze_far_apart_tracks_print_no_warning(chain, tmp_path):
     # their distance overflows to inf
     row = json.loads(chain["tracks"].read_text().splitlines()[0])

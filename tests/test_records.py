@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import operator
+import re
 import warnings
 
 import numpy as np
@@ -83,14 +84,14 @@ def test_detection_rule_adds_probabilities_left_to_right(probs, accepted):
     assert (math.fsum(probs) <= _BOUND) != accepted
     row = {"frame": 0, "bbox": [1.0, 1.0, 2.0, 2.0], "score": 0.5,
            "probs": probs, "camera": 0}
-    # the bulk path takes the row as written, and only if it is accepted
-    assert records._own_detections([records._dump_row(row)])[2] \
-        == [accepted]
+    # the bulk path matches the row as written; the row spelled with
+    # spaces goes through the general decoder; both are judged in a group
+    assert re.fullmatch(records._DETECTION_LINE, records._dump_row(row))
     answers = []
     for judge, refusal in [
-            # the general decoder, on the row spelled with spaces
-            (lambda: records._json_detection(json.dumps(row), 1, -1),
+            (lambda: parse_detections(records._dump_row(row) + "\n"),
              SchemaError),
+            (lambda: parse_detections(json.dumps(row) + "\n"), SchemaError),
             (lambda: DetectionGroup([row["bbox"]], [0.5], [probs]),
              ValueError)]:
         try:
@@ -99,7 +100,7 @@ def test_detection_rule_adds_probabilities_left_to_right(probs, accepted):
         except refusal as exc:
             assert str(exc).endswith("class probabilities sum above 1")
             answers.append(False)
-    assert answers == [accepted, accepted]
+    assert answers == [accepted] * 3
 
 
 def test_detections_bad_json_names_line():
@@ -173,11 +174,25 @@ def test_tracks_round_trip(tmp_path):
     # load_tracks returns only the fields segment and analyze read
     assert [json.loads(line) for line in path.read_text().splitlines()] \
         == rows
-    assert load_tracks(path) == [
-        {"frame": 0, "id": 1, "class": "car", "bev": (5.0, 6.0),
-         "speed_mph": 12.5},
-        {"frame": 1, "id": 1, "class": "car", "bev": (5.5, 6.0),
-         "speed_mph": 0.0}]
+    table = load_tracks(path)
+    assert len(table) == 2
+    assert [(name, getattr(table, name).dtype) for name in
+            ("frame", "ids", "class_index", "xy", "speed_mph")] \
+        == [("frame", np.int64), ("ids", np.int64), ("class_index", np.int64),
+            ("xy", np.float64), ("speed_mph", np.float64)]
+    assert table.frame.tolist() == [0, 1]
+    assert table.ids.tolist() == [1, 1]
+    assert [CLASS_NAMES[c] for c in table.class_index] == ["car", "car"]
+    assert table.pedestrian.tolist() == [False, False]
+    assert table.xy.tolist() == [[5.0, 6.0], [5.5, 6.0]]
+    assert table.speed_mph.tolist() == [12.5, 0.0]
+
+
+def test_tracks_empty_file():
+    table = parse_tracks("")
+    assert len(table) == 0
+    assert table.xy.shape == (0, 2)
+    assert table.class_index.dtype == np.int64
 
 
 def test_tracks_unknown_class_names_line():
@@ -208,7 +223,33 @@ def test_tracks_id_must_fit_int64(track_id):
     edge = 2 ** 63 - 1 if track_id > 0 else -2 ** 63
     row = json.dumps(track_row(0, edge, "car", (1, 1, 2, 2), (1, 2),
                                (1, 2), 0.0))
-    assert parse_tracks(row + "\n")[0]["id"] == edge
+    assert parse_tracks(row + "\n").ids.tolist() == [edge]
+
+
+_DETECTION = {"frame": 0, "bbox": [1.0, 1.0, 2.0, 2.0], "score": 0.5,
+              "probs": [0.0] * N, "camera": 0}
+_TRACK = track_row(0, 1, "car", (1, 1, 2, 2), (1, 2), (1, 2), 0.0)
+
+
+@pytest.mark.parametrize("parse, row", [(parse_detections, _DETECTION),
+                                        (parse_tracks, _TRACK)])
+@pytest.mark.parametrize("frame", [2 ** 63, 2 ** 70, -1, True, 1.0])
+def test_frames_must_fit_int64(parse, row, frame):
+    text = "".join(records._dump_row(dict(row, frame=f)) + "\n"
+                   for f in (0, frame))
+    with pytest.raises(SchemaError, match=r"^line 2: frame must be a "
+                       r"non-negative integer below 2\*\*63, got "):
+        parse(text)
+
+
+@pytest.mark.parametrize("parse, row", [(parse_detections, _DETECTION),
+                                        (parse_tracks, _TRACK)])
+def test_frames_of_19_digits_below_2_63_load(parse, row):
+    edge = 2 ** 63 - 1
+    result = parse(records._dump_row(dict(row, frame=edge)) + "\n")
+    frames = result.frame.tolist() if parse is parse_tracks \
+        else [f for f, _ in result]
+    assert frames == [edge]
 
 
 def test_tracks_id_once_per_frame():
@@ -392,9 +433,9 @@ _ROW_MUTATIONS = ["none", "space", "key order", "int", "3-digit exponent",
                   "crlf"]
 _TRACK_MUTATIONS = _ROW_MUTATIONS + ["unknown class", "repeated id",
                                       "null bev", "null speed"]
-_DETECTION_MUTATIONS = _ROW_MUTATIONS + ["camera 1", "negative width",
-                                          "score above 1", "probs sum 1.1",
-                                          "probs just above the bound"]
+_RULE_MUTATIONS = ["negative width", "score above 1", "probs sum 1.1",
+                   "probs just above the bound"]
+_DETECTION_MUTATIONS = _ROW_MUTATIONS + ["camera 1"] + _RULE_MUTATIONS
 
 
 def _mutate(rows, mutation, data):
@@ -462,8 +503,13 @@ def _mutate(rows, mutation, data):
 
 
 def _plain(result) -> str:
-    """A parse result as text, each (frame, `DetectionGroup`) pair with
-    its columns as lists."""
+    """A parse result as text: a `TrackTable`'s columns, or each (frame,
+    `DetectionGroup`) pair's, as dtypes and lists."""
+    if isinstance(result, records.TrackTable):
+        return repr([(column.dtype.str, column.tolist()) for column in (
+            result.frame, result.ids, result.class_index, result.xy,
+            result.speed_mph)])
+
     def plain(item):
         if isinstance(item, tuple):
             frame, group = item
@@ -490,38 +536,73 @@ def _read(parse, general: str, text: str):
             return ("error", str(exc)), decoded
 
 
-def _fast_equals_general(parse, own, refuse_all, general, text, mutated):
-    """`refuse_all(real)` stands in for the fast path `own`, refusing
-    every line."""
-    outcome, decoded = _read(parse, general, text)
-    # the fast path takes every line but the mutated one
-    assert decoded == ([] if mutated is None else [mutated])
+def _fast_equals_general(parse, pattern, general, text, decoded):
+    """The outcome of `parse` on `text`, which decodes just the lines
+    `decoded` with `general`, and gives the same outcome when `pattern`,
+    the fast path's, matches no line."""
+    outcome, seen = _read(parse, general, text)
+    assert seen == decoded
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(records, own, refuse_all(getattr(records, own)))
+        m.setattr(records, pattern, r"(?!)")
         assert _read(parse, general, text)[0] == outcome
+    return outcome
 
 
 @settings(max_examples=400, deadline=None)
 @given(_track_rows(), st.sampled_from(_TRACK_MUTATIONS), st.data())
 def test_tracks_fast_reader_equals_general_decoder(rows, mutation, data):
     text, mutated = _mutate(rows, mutation, data)
-    _fast_equals_general(parse_tracks, "_own_track",
-                         lambda real: lambda *args: None, "_json_track",
-                         text, mutated)
+    # the fast path takes every line but the mutated one
+    outcome = _fast_equals_general(parse_tracks, "_TRACK_LINE", "_json_track",
+                                   text, [] if mutated is None else [mutated])
+    if mutation in ("decreasing frame", "repeated id"):
+        # the general decoder names the row's own line
+        lines = text.splitlines()
+        row, before = (json.loads(lines[mutated - i]) for i in (1, 2))
+        assert outcome == ("error", f"line {mutated}: " + (
+            f"frame {row['frame']} after frame {before['frame']}; frames "
+            f"must be non-decreasing" if mutation == "decreasing frame"
+            else f"id {row['id']} appears twice in frame {row['frame']}"))
 
 
 @settings(max_examples=400, deadline=None)
 @given(_detection_rows(), st.sampled_from(_DETECTION_MUTATIONS), st.data())
 def test_detections_fast_reader_equals_general_decoder(rows, mutation, data):
     text, mutated = _mutate(rows, mutation, data)
-    def refuse_all(real):
-        def own(lines):
-            frames, values, _ = real(lines)
-            return frames, values, [False] * len(lines)
-        return own
+    # the fast path takes every line but the mutated one, and that one too
+    # when it breaks only the rule, which judges every row
+    taken = mutated is None or mutation in _RULE_MUTATIONS
+    _fast_equals_general(parse_detections, "_DETECTION_LINE",
+                         "_json_detection", text, [] if taken else [mutated])
 
-    _fast_equals_general(parse_detections, "_own_detections", refuse_all,
-                         "_json_detection", text, mutated)
+
+def test_detections_judged_once(tmp_path, monkeypatch):
+    from roadscene import tracking
+    frames = [(0, dets(10.0, 30.0)), (2, dets(10.0)), (3, dets(5.0, 9.0))]
+    path = tmp_path / "d.jsonl"
+    write_detections(path, frames)
+    judged = []  # the row count of each call of the detection rule
+    real = tracking._faults
+    monkeypatch.setattr(tracking, "_faults", lambda *columns: judged.append(
+        len(columns[0])) or real(*columns))
+    back = load_detections(path)
+    assert judged == [5]
+    assert [(f, g.bbox.tolist()) for f, g in back] \
+        == [(f, g.bbox.tolist()) for f, g in frames]
+
+
+@pytest.mark.parametrize("first", ["rule", "spaced rule", "json"])
+def test_detections_first_fault_named_whichever_path_finds_it(first):
+    good = records._dump_row(_DETECTION)
+    faults = {"rule": records._dump_row(dict(_DETECTION, score=1.5)),
+              "spaced rule": json.dumps(dict(_DETECTION, score=1.5)),
+              "json": good[:-1]}
+    later = faults["json" if "rule" in first else "rule"]
+    text = "\n".join([good, faults[first], good, later, good]) + "\n"
+    message = "line 2: " + ("invalid JSON: " if first == "json" else
+                            "objectness must be in [0, 1], got 1.5")
+    with pytest.raises(SchemaError, match="^" + re.escape(message)):
+        parse_detections(text)
 
 
 def test_states_template_spells_rows_as_dump_row(tmp_path):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
+from roadscene import tracking
 from roadscene.tracking import (
     CLASS_NAMES,
     N_CLASSES,
@@ -484,6 +485,19 @@ class TestDetectionRows:
         tied = DetectionGroup([(1, 1, 2, 2)], [1.0],
                               [[0.0, 0.5, 0.5] + [0.0] * (N_CLASSES - 3)])
         assert tied.class_index.tolist() == [1]
+
+    def test_slice_holds_its_rows_unjudged(self, monkeypatch):
+        dets = [det(10.0, 20.0, cls=VAN), det(30.0, 40.0, w=5.0),
+                det(50.0, 60.0, objectness=0.5)]
+        whole = group(dets)
+        monkeypatch.setattr(tracking, "_faults", None)  # never called
+        part = whole[1:3]
+        assert isinstance(part, DetectionGroup) and len(part) == 2
+        assert part.bbox.tolist() == whole.bbox[1:].tolist()
+        assert part.objectness.tolist() == [0.9, 0.5]
+        assert part.class_index.tolist() == [CAR, CAR]
+        with pytest.raises(TypeError, match="sliced by rows"):
+            whole[0]
 
 
 @st.composite
