@@ -29,6 +29,9 @@ if TYPE_CHECKING:  # annotations only: functions import what they run
 
 # one bump deposits this many integer units (mass 1.0)
 _BUMP_UNITS = 144
+# whole-map work runs over row bands of about this many cells, so that its
+# temporaries stay small however large the map or the camera view is
+_BAND_CELLS = 32768
 # binomial 3x3 kernel, mass 16 before renormalization
 _KERNEL = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=np.int64)
 
@@ -83,18 +86,30 @@ class FrameStats:
             raise ValueError("counts must be non-negative")
 
 
+def _bands(height: int, width: int) -> list[slice]:
+    """Row slices of about `_BAND_CELLS` cells, at least one row each,
+    that cover a (height, width) grid in order."""
+    step = max(1, _BAND_CELLS // max(width, 1))
+    return [slice(r, min(r + step, height)) for r in range(0, height, step)]
+
+
+def _checked_kind(kind: str, shape: tuple[int, int]) -> str:
+    """`kind`, once it and the grid `shape` are known to be valid."""
+    if kind not in HEAT_KINDS:
+        raise ValueError(f"unknown heat map kind '{kind}'")
+    h, w = shape
+    if h <= 0 or w <= 0:
+        raise ValueError(f"heat map shape must be positive, got {shape}")
+    return kind
+
+
 class HeatMap:
     """Accumulated unit-mass deposits on a BEV-sized grid."""
 
     def __init__(self, shape: tuple[int, int], kind: str):
-        if kind not in HEAT_KINDS:
-            raise ValueError(f"unknown heat map kind '{kind}'")
-        h, w = shape
-        if h <= 0 or w <= 0:
-            raise ValueError(f"heat map shape must be positive, got {shape}")
-        self.kind = kind
+        self.kind = _checked_kind(kind, shape)
         self.events = 0
-        self._units = np.zeros((h, w), dtype=np.int64)
+        self._units = np.zeros(shape, dtype=np.int64)
 
     @classmethod
     def from_units(cls, units: np.ndarray, events: int,
@@ -106,9 +121,10 @@ class HeatMap:
             raise ValueError(f"units must be 2-d, got shape {arr.shape}")
         if events < 0:
             raise ValueError(f"events must be >= 0, got {events}")
-        heat = cls(arr.shape, kind)
-        heat._units = arr
+        heat = cls.__new__(cls)  # no zero grid of its own to replace
+        heat.kind = _checked_kind(kind, arr.shape)
         heat.events = int(events)
+        heat._units = arr
         return heat
 
     @property
@@ -130,11 +146,14 @@ class HeatMap:
                              f"'{self.kind}'")
         if other.shape != self.shape:
             raise ValueError(f"shape mismatch: {other.shape} vs {self.shape}")
-        total = self._units + other._units
-        # a sum wrapped past int64 when its sign differs from both terms'
-        if (((self._units ^ total) & (other._units ^ total)) < 0).any():
-            raise ValueError(f"merged '{self.kind}' units overflow int64")
-        self._units = total
+        mine, theirs = self._units, other._units
+        # a sum wraps past int64 when its sign differs from both terms';
+        # every band is tested before any cell changes
+        for rows in _bands(*self.shape):
+            total = mine[rows] + theirs[rows]
+            if (((mine[rows] ^ total) & (theirs[rows] ^ total)) < 0).any():
+                raise ValueError(f"merged '{self.kind}' units overflow int64")
+        mine += theirs
         self.events += other.events
         return self
 
@@ -200,7 +219,8 @@ class StateClassifier:
         self.scale = scale
         self.cfg = cfg
         self.fps = fps
-        self._border = (np.unique(boundary.points(), axis=0).astype(float)
+        # duplicates and order do not change the nearest border distance
+        self._border = (boundary.points().astype(float)
                         if boundary is not None else np.empty((0, 2)))
         self._still_frames: dict[int, int] = {}
 
@@ -311,22 +331,28 @@ def perspective_sample(h_inv: Homography, view: tuple[int, int],
     width) `view` is carried back to BEV by the forward mapping and samples
     the nearest cell of a map of `shape`.  The result is a `view`-shaped
     int64 array of flat cell indices; pixels that fall off the map hold
-    the cell count, one past the last cell.
+    the cell count, one past the last cell.  The view is mapped in row
+    bands, so nothing but the result grows with it.
     """
     from .geometry import PERSPECTIVE, apply_many, invert
     g = invert(h_inv)  # perspective -> bev
     if g.source != PERSPECTIVE:
         raise ValueError("h_inv must map bev to perspective")
     h, w = shape
-    # (x, y) of each output pixel, row by row
-    grid = np.indices(view, dtype=float)[::-1].reshape(2, -1).T
-    # bounds are tested before the cast, which inf would not survive
-    sx, sy = np.floor(apply_many(g, grid) + 0.5).T
-    inside = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
-    index = np.full(len(grid), h * w, dtype=np.int64)
-    index[inside] = (sy[inside].astype(np.int64) * w
-                     + sx[inside].astype(np.int64))
-    return index.reshape(view)
+    index = np.empty(view, dtype=np.int64)
+    xs = np.arange(view[1], dtype=float)
+    for rows in _bands(*view):
+        ys = np.arange(rows.start, rows.stop, dtype=float)
+        # (x, y) of each pixel of the band, row by row
+        grid = np.stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))], 1)
+        # bounds are tested before the cast, which inf would not survive
+        sx, sy = np.floor(apply_many(g, grid) + 0.5).T
+        inside = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
+        band = index[rows].reshape(-1)  # a view: the rows are contiguous
+        band[:] = h * w
+        band[inside] = (sy[inside].astype(np.int64) * w
+                        + sx[inside].astype(np.int64))
+    return index
 
 
 def render(heat: HeatMap, base: ImageBuffer | None = None,
@@ -337,37 +363,47 @@ def render(heat: HeatMap, base: ImageBuffer | None = None,
     and re-project to the camera view.
 
     With `sample`, from `perspective_sample` for this map's shape, the
-    output is the camera view, and pixels off the map read 0.
+    output is the camera view, and pixels off the map read 0.  The output
+    is filled in row bands, so beside the map and the image only
+    band-sized temporaries are held.
     """
     from .imaging import ImageBuffer
-    values = heat.h
-    vmax = float(values.max())
-    vmin = float(values.min())
+    units = heat._units
+    # int-to-float and the division are monotone: the extremes' images
+    # are the extremes of units / 144
+    vmax = float(units.max() / _BUMP_UNITS)
+    vmin = float(units.min() / _BUMP_UNITS)
     if heat.events == 0 or vmax <= 0:
         raise EmptyHeatMap(f"'{heat.kind}' heat map has no mass to render")
-    if vmax == vmin:
-        norm = np.full(values.shape, 255.0)
-    else:
-        norm = (values - vmin) / (vmax - vmin) * 255.0
-
-    if sample is not None:
-        norm = np.append(norm.ravel(), 0.0)[sample]
-
-    visible = norm >= floor
-    color = _colorize(norm)
-
+    view = units.shape if sample is None else sample.shape
+    out = np.zeros(view + (3,), dtype=np.uint8)
     if base is not None:
         base_px = base.pixels
-        if base_px.ndim == 2:
-            base_rgb = np.repeat(base_px[:, :, None], 3, axis=2)
+        if base_px.shape[:2] != view:
+            raise ShapeMismatch(f"base shape {base_px.shape[:2]} does not "
+                                f"match output {view}")
+        # a gray base repeats over the three channels
+        out[:] = base_px if base_px.ndim == 3 else base_px[:, :, None]
+
+    flat = units.reshape(-1)
+    for rows in _bands(*view):
+        if sample is None:
+            values = units[rows] / _BUMP_UNITS
         else:
-            base_rgb = base_px
-        if base_rgb.shape[:2] != norm.shape:
-            raise ShapeMismatch(f"base shape {base_rgb.shape[:2]} does not "
-                                f"match output {norm.shape}")
-        out = base_rgb.copy()
-        out[visible] = np.floor(alpha * color[visible]
-                                + (1 - alpha) * base_rgb[visible] + 0.5)
-    else:
-        out = np.where(visible[:, :, None], color, 0)
+            cell = sample[rows]
+            values = flat.take(cell, mode="clip") / _BUMP_UNITS
+        if vmax == vmin:
+            norm = np.full(values.shape, 255.0)
+        else:
+            norm = (values - vmin) / (vmax - vmin) * 255.0
+        if sample is not None:
+            norm[cell >= flat.size] = 0.0  # off the map
+        visible = norm >= floor
+        color = _colorize(norm[visible])
+        band = out[rows]
+        if base is None:
+            band[visible] = color
+        else:
+            band[visible] = np.floor(alpha * color
+                                     + (1 - alpha) * band[visible] + 0.5)
     return ImageBuffer(out)

@@ -430,6 +430,8 @@ def _cmd_render(args) -> int:
     written = 0
     samples = {}  # map shape -> where the camera view samples such a map
     for kind in HEAT_KINDS:
+        # the last map and its images are freed before the next map is read
+        heat = img = img_p = None
         path = heat_dir / f"heat_{kind}.json"
         if not path.exists():
             print(f"render: note: {kind}: no heat map file, skipped")

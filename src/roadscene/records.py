@@ -16,7 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analytics import _BUMP_UNITS, HEAT_KINDS, FrameStats, HeatMap
+from .analytics import (
+    _BAND_CELLS, _BUMP_UNITS, HEAT_KINDS, FrameStats, HeatMap, _bands)
 from .config import CLASS_NAMES, PEDESTRIAN
 from .errors import NonFiniteOutput, SchemaError, SingularMatrix
 
@@ -505,34 +506,42 @@ def merge_stats(shards: list[list[FrameStats]]) -> list[FrameStats]:
 
 # --- heat maps --------------------------------------------------------------
 
-def _heatmap_text(kind: str, events: int, units: np.ndarray) -> str:
-    """The map as `_dump_row` spells it, plus a newline.
+def _heatmap_chunks(kind: str, events: int, units: np.ndarray):
+    """The map as `_dump_row` spells it, plus a newline, as ASCII pieces:
+    the header, the rows and the commas between them, and the closing bytes.
 
     That is sorted keys, compact separators, one line.  Each all-zero row is
     one shared string and only nonzero cells are formatted, so the cost
-    follows the deposits rather than the 480k cells of a large map.
+    follows the deposits rather than the 480k cells of a large map, and no
+    piece is longer than a row.
     """
     h, w = units.shape
-    zero = "[" + ",".join("0" * w) + "]"  # cell j at offset 2j + 1
-    rows = [zero] * h
-    for i in np.flatnonzero(units.any(axis=1)).tolist():
+    zero = b"[" + b"0," * (w - 1) + b"0]"  # cell j at offset 2j + 1
+    yield (b'{"events":%d,"kind":%s,"shape":[%d,%d],"units":['
+           % (events, json.dumps(kind).encode(), h, w))
+    for i, nonzero in enumerate(units.any(axis=1).tolist()):
+        if i:
+            yield b","
+        if not nonzero:
+            yield zero
+            continue
         row = units[i]
         cols = np.flatnonzero(row)
         parts = []
         prev = 0
         for j, value in zip(cols.tolist(), row[cols].tolist()):
-            parts += (zero[prev:2 * j + 1], str(value))
+            parts += (zero[prev:2 * j + 1], b"%d" % value)
             prev = 2 * j + 2
         parts.append(zero[prev:])
-        rows[i] = "".join(parts)
-    return (f'{{"events":{events},"kind":{json.dumps(kind)},'
-            f'"shape":[{h},{w}],"units":[' + ",".join(rows) + "]}\n")
+        yield b"".join(parts)
+    yield b"]}\n"
 
 
 def save_heatmap(path, heat: HeatMap) -> None:
     """Write the map as one compact, sorted-key JSON line."""
-    Path(path).write_text(_heatmap_text(heat.kind, heat.events, heat.units()),
-                          encoding="utf-8")
+    with open(path, "wb") as f:
+        # the map's own grid, read without the copy `units()` makes
+        f.writelines(_heatmap_chunks(heat.kind, heat.events, heat._units))
 
 
 # Sides of at most 20 digits: int64 needs 19.  A merged map's events can
@@ -543,7 +552,8 @@ _HEAT_HEAD = (rb'\{"events":(\d{1,57}),"kind":"([a-z]+)",'
 
 
 def _parse_own_heatmap(data: bytes):
-    """(kind, events, units) of bytes that `_heatmap_text` wrote, else None.
+    """(kind, events, units) of bytes that `_heatmap_chunks` wrote, else
+    None.
 
     Only the header and the nonzero cells are parsed.  The result stands
     only if encoding it again gives `data` byte for byte; the encoding is
@@ -555,36 +565,66 @@ def _parse_own_heatmap(data: bytes):
         return None
     events, kind, h, w = (int(head[1]), head[2].decode(), int(head[3]),
                           int(head[4]))
-    body = data[head.end():]
+    raw = np.frombuffer(data, dtype=np.uint8)
     # every cell takes at least two bytes, which bounds the allocation
     if (kind not in HEAT_KINDS or h < 1 or w < 1
-            or len(body) < h * (2 * w + 2)):
+            or len(raw) - head.end() < h * (2 * w + 2)):
         return None
-    b = np.frombuffer(body, dtype=np.uint8)
-    digit = (b >= ord("0")) & (b <= ord("9"))
-    lead = np.flatnonzero(digit & (b != ord("0")))
-    starts = lead[~digit[lead - 1]]  # lead - 1 wraps only in bad input
-    # the 20 bytes from each start, NUL from the first non-digit on, are the
-    # cell's digits; 20 digits overflow int64, so a longer cell does too
-    text = np.lib.stride_tricks.sliding_window_view(
-        np.r_[b, np.zeros(20, dtype=np.uint8)], 20)[starts]
-    text[~np.logical_and.accumulate((text >= ord("0")) & (text <= ord("9")),
-                                    axis=1)] = 0
-    try:
-        values = text.view("S20").ravel().astype(np.int64)
-    except OverflowError:
+    units = _read_units(raw, head.end(), h * w)
+    if units is None:
         return None
-    # a cell's flat index is the number of commas before it
-    cells = np.add.reduceat(b == ord(","), np.r_[0, starts],
-                            dtype=np.int64)[:-1].cumsum()
-    if len(cells) and cells[-1] >= h * w:
-        return None
-    units = np.zeros(h * w, dtype=np.int64)
-    units[cells] = values
     units = units.reshape(h, w)
-    if _heatmap_text(kind, events, units).encode("ascii") != data:
+    # compared piece by piece, so that the encoding is never held whole
+    end = 0
+    for chunk in _heatmap_chunks(kind, events, units):
+        if not data.startswith(chunk, end):
+            return None
+        end += len(chunk)
+    if end != len(data):
         return None
     return kind, events, units
+
+
+def _read_units(raw: np.ndarray, begin: int, size: int):
+    """The flat int64 grid of `size` cells that `raw[begin:]` spells as
+    `_heatmap_chunks` does, else None when a cell overflows int64 or falls
+    past the grid.
+
+    Only the cells that begin with a nonzero digit are read.  The body is
+    scanned in pieces of `_BAND_CELLS` bytes, so that beside the grid only
+    piece-sized temporaries are held.  `raw` holds the header before
+    `begin`, which ends in a non-digit and makes `raw` longer than 20 bytes.
+    """
+    units = np.zeros(size, dtype=np.int64)
+    window = np.lib.stride_tricks.sliding_window_view
+    # the last 20 bytes and 20 NULs, for windows that run past the end
+    tail = len(raw) - 20
+    padded = np.r_[raw[tail:], np.zeros(20, dtype=np.uint8)]
+    commas = 0  # before the piece; a cell's flat index is its commas before
+    for lo in range(begin, len(raw), _BAND_CELLS):
+        span = raw[lo - 1:lo + _BAND_CELLS]  # the piece and the byte before
+        digit = (span >= ord("0")) & (span <= ord("9"))
+        first = np.flatnonzero(digit[1:] & ~digit[:-1]
+                               & (span[1:] != ord("0")))
+        comma = np.flatnonzero(span[1:] == ord(","))
+        cells = commas + np.searchsorted(comma, first)
+        commas += len(comma)
+        if len(cells) and cells[-1] >= size:
+            return None
+        # the 20 bytes from each start, NUL from the first non-digit on, are
+        # the cell's digits; 20 digits overflow int64, so a longer cell does
+        at = lo + first
+        fits = at <= tail
+        text = np.empty((len(at), 20), dtype=np.uint8)
+        text[fits] = window(raw, 20)[at[fits]]
+        text[~fits] = window(padded, 20)[at[~fits] - tail]
+        text[~np.logical_and.accumulate((text >= ord("0"))
+                                        & (text <= ord("9")), axis=1)] = 0
+        try:
+            units[cells] = text.view("S20").ravel().astype(np.int64)
+        except OverflowError:
+            return None
+    return units
 
 
 def load_heatmap(path) -> HeatMap:
@@ -597,8 +637,12 @@ def load_heatmap(path) -> HeatMap:
                           f"kind, and units that fill the shape with int64 "
                           f"integers >= 0")
     kind, events, units = parsed
-    # summed as Python ints, so a corrupt file cannot wrap int64
-    total = sum(units[units > 0].tolist())
+    # summed as Python ints, so a corrupt file cannot wrap int64, and band
+    # by band, so that the ints of a dense map are not all held at once
+    total = 0
+    for rows in _bands(*units.shape):
+        band = units[rows]
+        total += sum(band[band > 0].tolist())
     if total != _BUMP_UNITS * events:
         raise SchemaError(f"{path}: units sum to {total}, not "
                           f"{_BUMP_UNITS} x {events} events")

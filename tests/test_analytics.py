@@ -1,11 +1,15 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from roadscene import analytics
 from roadscene.analytics import (
+    GRADIENT_ANCHORS,
     AnalyticsConfig,
     FrameStats,
     FrameTracks,
@@ -19,9 +23,11 @@ from roadscene.analytics import (
     render,
     update_heatmaps,
 )
-from roadscene.errors import EmptyHeatMap, MissingCalibration
-from roadscene.geometry import BEV, PERSPECTIVE, GroundScale, Homography, PixelPoint
+from roadscene.errors import EmptyHeatMap, MissingCalibration, ShapeMismatch
+from roadscene.geometry import (BEV, PERSPECTIVE, GroundScale, Homography,
+                                PixelPoint, apply_many, invert)
 from roadscene.imaging import ImageBuffer
+from roadscene.records import load_heatmap, save_heatmap
 from roadscene.roadmodel import BoundarySet
 
 SCALE = GroundScale(iota=0.1)  # 10 px per meter
@@ -609,3 +615,228 @@ class TestRender:
         # peak cell h=0.5, mild cell h=0.25 -> normalized 127.5 -> green-ish
         mild = img.pixels[6, 6]
         assert mild[1] == 255
+
+
+# --- whole-grid references for the banded render ----------------------------
+# `render`, `_colorize` and `perspective_sample` as they were before they
+# worked in row bands: every step over the whole grid or view at once.
+
+def reference_colorize(norm: np.ndarray) -> np.ndarray:
+    v = norm.astype(float) / 255.0
+    positions = np.array([p for p, _ in GRADIENT_ANCHORS])
+    out = np.empty(norm.shape + (3,), dtype=np.uint8)
+    for ch in range(3):
+        levels = np.array([c[ch] for _, c in GRADIENT_ANCHORS], dtype=float)
+        out[..., ch] = np.floor(
+            np.interp(v, positions, levels) + 0.5).astype(np.uint8)
+    return out
+
+
+def reference_perspective_sample(h_inv, view, shape) -> np.ndarray:
+    g = invert(h_inv)
+    h, w = shape
+    grid = np.indices(view, dtype=float)[::-1].reshape(2, -1).T
+    sx, sy = np.floor(apply_many(g, grid) + 0.5).T
+    inside = (sx >= 0) & (sx < w) & (sy >= 0) & (sy < h)
+    index = np.full(len(grid), h * w, dtype=np.int64)
+    index[inside] = (sy[inside].astype(np.int64) * w
+                     + sx[inside].astype(np.int64))
+    return index.reshape(view)
+
+
+def reference_render(heat, base=None, sample=None, floor=5, alpha=0.6):
+    values = heat.h
+    vmax = float(values.max())
+    vmin = float(values.min())
+    if heat.events == 0 or vmax <= 0:
+        raise EmptyHeatMap("no mass")
+    if vmax == vmin:
+        norm = np.full(values.shape, 255.0)
+    else:
+        norm = (values - vmin) / (vmax - vmin) * 255.0
+    if sample is not None:
+        norm = np.append(norm.ravel(), 0.0)[sample]
+    visible = norm >= floor
+    color = reference_colorize(norm)
+    if base is not None:
+        base_px = base.pixels
+        base_rgb = (np.repeat(base_px[:, :, None], 3, axis=2)
+                    if base_px.ndim == 2 else base_px)
+        out = base_rgb.copy()
+        out[visible] = np.floor(alpha * color[visible]
+                                + (1 - alpha) * base_rgb[visible] + 0.5)
+    else:
+        out = np.where(visible[:, :, None], color, 0)
+    return ImageBuffer(out)
+
+
+@st.composite
+def render_cases(draw):
+    """A map, an optional camera view through a homography with pixels on
+    and off the map, an optional gray or RGB base, a floor and an alpha."""
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    fill = draw(st.sampled_from(["sparse", "dense", "uniform", "huge"]))
+    if fill == "uniform":  # vmax == vmin
+        units = np.full((h, w), 144 * draw(st.integers(1, 1000)))
+    else:
+        top = 2 ** 62 if fill == "huge" else 144 * 50
+        units = rng.integers(0, top, (h, w))
+        if fill == "sparse":
+            units[rng.random((h, w)) < 0.7] = 0
+        units.flat[rng.integers(h * w)] = top  # some mass in every map
+    heat = HeatMap.from_units(units, draw(st.integers(1, 10 ** 6)), "vehicle")
+    camera = None
+    view = (h, w)
+    if draw(st.booleans()):
+        view = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+        scale = draw(st.floats(0.3, 3.0))
+        matrix = np.array([[scale, draw(st.floats(-0.5, 0.5)),
+                            draw(st.floats(-6, 6))],
+                           [draw(st.floats(-0.5, 0.5)), scale,
+                            draw(st.floats(-6, 6))],
+                           [draw(st.floats(-0.02, 0.02)),
+                            draw(st.floats(-0.02, 0.02)), 1.0]])
+        assume(abs(np.linalg.det(matrix)) > 1e-3)
+        h_inv = Homography(matrix, source=BEV, target=PERSPECTIVE)
+        camera = (h_inv, view)
+    base = draw(st.sampled_from([None, "gray", "rgb"]))
+    if base is not None:
+        shape = view if base == "gray" else view + (3,)
+        base = ImageBuffer(rng.integers(0, 256, shape, dtype=np.uint8))
+    floor = draw(st.sampled_from([0, 1, 5, 128, 255, 256]))
+    alpha = draw(st.sampled_from([0.6, 0.0, 1.0, 0.35]))
+    band_cells = draw(st.sampled_from([1, 2, 5, 7, 13, 32768]))
+    return heat, camera, base, floor, alpha, band_cells
+
+
+class TestBandedRenderEqualsWholeGrid:
+    """The banded `render` and `perspective_sample` against the whole-grid
+    references, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(render_cases())
+    def test_small_maps_any_band(self, case):
+        heat, camera, base, floor, alpha, band_cells = case
+        sample = None
+        # small bands put band edges inside these small views
+        with mock.patch.object(analytics, "_BAND_CELLS", band_cells):
+            if camera is not None:
+                h_inv, view = camera
+                sample = perspective_sample(h_inv, view, heat.shape)
+                want = reference_perspective_sample(h_inv, view, heat.shape)
+                assert sample.dtype == np.int64
+                assert np.array_equal(sample, want)
+            got = render(heat, base=base, sample=sample, floor=floor,
+                         alpha=alpha)
+        want = reference_render(heat, base=base, sample=sample, floor=floor,
+                                alpha=alpha)
+        assert got.pixels.dtype == want.pixels.dtype == np.uint8
+        assert got.pixels.shape == want.pixels.shape
+        assert got.pixels.tobytes() == want.pixels.tobytes()
+
+    @pytest.mark.parametrize("base", [None, "gray", "rgb"])
+    def test_views_larger_than_a_band(self, base):
+        # 203 rows of 170 pixels: bands of 192 rows, then 11
+        rng = np.random.default_rng(3)
+        units = rng.integers(0, 144 * 40, (150, 190))
+        units[rng.random(units.shape) < 0.8] = 0
+        heat = HeatMap.from_units(units, 1, "vehicle")
+        view = (203, 170)
+        h_inv = Homography(np.array([[1.1, 0.1, -8.0], [0.05, 1.3, -20.0],
+                                     [0.0004, 0.001, 1.0]]),
+                           source=BEV, target=PERSPECTIVE)
+        assert view[0] % (analytics._BAND_CELLS // view[1]) != 0
+        sample = perspective_sample(h_inv, view, heat.shape)
+        want = reference_perspective_sample(h_inv, view, heat.shape)
+        assert np.array_equal(sample, want)
+        assert (sample == heat.shape[0] * heat.shape[1]).any()  # off the map
+        for s, size in ((None, heat.shape), (sample, view)):
+            b = None if base is None else ImageBuffer(rng.integers(
+                0, 256, size + ((3,) if base == "rgb" else ()),
+                dtype=np.uint8))
+            for floor in (0, 5):
+                got = render(heat, base=b, sample=s, floor=floor)
+                want = reference_render(heat, base=b, sample=s, floor=floor)
+                assert got.pixels.tobytes() == want.pixels.tobytes()
+
+    def test_empty_map_raises_as_before(self):
+        heat = HeatMap.from_units(np.zeros((3, 4), dtype=np.int64), 2,
+                                  "vehicle")
+        with pytest.raises(EmptyHeatMap):
+            render(heat)
+        with pytest.raises(EmptyHeatMap):
+            reference_render(heat)
+
+    def test_base_of_another_shape_raises(self):
+        heat = HeatMap((4, 5), "vehicle")
+        bump(heat, PixelPoint.bev(2, 2))
+        with pytest.raises(ShapeMismatch, match=r"\(4, 6\).*\(4, 5\)"):
+            render(heat, base=ImageBuffer(np.zeros((4, 6), dtype=np.uint8)))
+
+
+# --- memory ----------------------------------------------------------------
+
+def _transient_peak(call) -> float:
+    """What `call()` allocates at its peak, result included, in bytes, as
+    tracemalloc counts Python objects and numpy buffers."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - before
+
+
+class TestHeatMapMemory:
+    """Each heat-map stage holds its input, its result and small bands, not
+    whole-grid temporaries.  Bounds are on the peak of one call on a
+    1200x1600 map with mass in 10% of its cells, in int64 grids (15.4 MB),
+    the result included: a render's image is 3/8 of a grid, a sample or a
+    loaded map one grid, and a loaded map's file 0.31 grids.  Whole-grid
+    versions of these stages took 5.5 (render), 8.1 (sample), 1.9 (save),
+    4.9 (load) and 3.0 (merge) grids."""
+
+    SHAPE = (1200, 1600)
+    GRID = SHAPE[0] * SHAPE[1] * 8
+
+    @pytest.fixture(scope="class")
+    def heat(self):
+        rng = np.random.default_rng(11)
+        units = 144 * rng.integers(1, 5000, self.SHAPE)
+        units[rng.random(self.SHAPE) < 0.9] = 0  # 10% of cells hold mass
+        return HeatMap.from_units(units, int(units.sum()) // 144, "vehicle")
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        h_inv = Homography(np.array([[1.1, 0.1, -8.0], [0.05, 1.3, -20.0],
+                                     [0.0001, 0.0002, 1.0]]),
+                           source=BEV, target=PERSPECTIVE)
+        return perspective_sample(h_inv, self.SHAPE, self.SHAPE)
+
+    def grids(self, call) -> float:
+        return _transient_peak(call) / self.GRID
+
+    def test_render_bev_over_a_base(self, heat):
+        base = ImageBuffer(np.full(self.SHAPE, 90, dtype=np.uint8))
+        assert self.grids(lambda: render(heat, base=base)) < 0.5
+
+    def test_render_camera_view(self, heat, sample):
+        assert self.grids(lambda: render(heat, sample=sample)) < 0.5
+
+    def test_perspective_sample(self):
+        h_inv = Homography(np.eye(3), source=BEV, target=PERSPECTIVE)
+        assert self.grids(lambda: perspective_sample(
+            h_inv, self.SHAPE, self.SHAPE)) < 1.25
+
+    def test_load_and_save(self, heat, tmp_path):
+        path = tmp_path / "heat_vehicle.json"
+        assert self.grids(lambda: save_heatmap(path, heat)) < 0.25
+        assert self.grids(lambda: load_heatmap(path)) < 1.5
+
+    def test_merge(self, heat):
+        other = HeatMap.from_units(heat.units(), heat.events, heat.kind)
+        assert self.grids(lambda: other.merge(heat)) < 0.25
