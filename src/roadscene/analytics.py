@@ -202,6 +202,14 @@ def _kernel_cells(xy: np.ndarray, shape: tuple[int, int]):
     return np.clip(ys, 0, h - 1), np.clip(xs, 0, w - 1), units
 
 
+def _cell_keys(xy: np.ndarray) -> np.ndarray:
+    """Key (i + 2**26) * 2**28 + j + 2**26 of each (n, 2) point's unit cell
+    (i, j), clipped to +-2**26 (NaN up), so that j - 1 .. j + 1 is a run."""
+    i, j = (np.fmax(np.fmin(np.floor(xy), 2 ** 26), -2 ** 26)
+            + 2 ** 26).astype(np.int64).T
+    return i * 2 ** 28 + j
+
+
 class StateClassifier:
     """Per-frame behavioural classification with parking memory.
 
@@ -219,10 +227,34 @@ class StateClassifier:
         self.scale = scale
         self.cfg = cfg
         self.fps = fps
-        # duplicates and order do not change the nearest border distance
-        self._border = (boundary.points().astype(float)
-                        if boundary is not None else np.empty((0, 2)))
+        # the border sorted by square cell, a pixel wider than the parking
+        # radius, so that a point within the radius lies in the 3x3 cells
+        # around; beyond 2**50 px rounding eats the pixel, so one cell
+        border = (boundary.points().astype(float)
+                  if boundary is not None else np.empty((0, 2)))
+        self._size = scale.to_pixels(cfg.parking_border_m) + 1.0
+        if not self._size < 2 ** 50:
+            self._size = np.inf
+        keys = _cell_keys(border / self._size)
+        order = np.argsort(keys)
+        self._keys, self._border = keys[order], border[order]
         self._still_frames: dict[int, int] = {}
+
+    def _nearest_border(self, p: np.ndarray) -> np.ndarray:
+        """Each (n, 2) position's distance to the nearest border point in
+        its 3x3 cells (inf with none), exact where one is in the radius."""
+        runs = (_cell_keys(p / self._size)[:, None]
+                + 2 ** 28 * np.array([-1, 0, 1]))
+        starts = np.searchsorted(self._keys, runs - 1).ravel()
+        counts = np.searchsorted(self._keys, runs + 2).ravel() - starts
+        owner = np.arange(len(p)).repeat(3).repeat(counts)
+        # each candidate's row in the sorted border
+        first = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        q = self._border[first + np.arange(len(first))]
+        nearest = np.full(len(p), np.inf)
+        np.minimum.at(nearest, owner, np.hypot(q[:, 0] - p[owner, 0],
+                                               q[:, 1] - p[owner, 1]))
+        return nearest
 
     # far-apart finite positions may have infinite distances
     @np.errstate(over="ignore")
@@ -234,10 +266,7 @@ class StateClassifier:
         # still vehicles within parking_border_m of the nearest border point
         still = vehicle & (speed < cfg.parking_speed_mph)
         if still.any():
-            p = tracks.xy[still]
-            d = np.hypot(self._border[:, 0] - p[:, :1],
-                         self._border[:, 1] - p[:, 1:])
-            nearest = d.min(axis=1, initial=np.inf)  # inf with no border
+            nearest = self._nearest_border(tracks.xy[still])
             still[still] = self.scale.to_meters(nearest) < cfg.parking_border_m
         needed = int(math.ceil(cfg.parking_duration_s * self.fps))
         self._still_frames = {i: self._still_frames.get(i, 0) + 1

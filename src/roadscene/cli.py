@@ -12,6 +12,7 @@ includes paths that cannot be read, decoded as UTF-8 or written.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -36,8 +37,7 @@ from .errors import (ConfigError, DegenerateDisplacement, DegeneratePoint,
                      EmptyHeatMap, InputError, NonFiniteOutput,
                      ProcessingError, SchemaError)
 from .geometry import GroundScale, PixelPoint, apply_many, invert
-from .motion import (BevKalmanState, abf, heading, kf_predict, kf_update,
-                     speed_mph)
+from .motion import MPH_PER_MPS, BevKalmanState, abf, heading_of, kf_step
 from .records import (dump_json, dump_track_rows, load_boundary,
                       load_calibration, load_detections, load_heatmap,
                       load_json, load_stats, load_tracks, merge_stats,
@@ -226,7 +226,7 @@ def _cmd_track(args) -> int:
     tracker = MomctTracker(iou_min=cfg.iou_min, max_age=cfg.max_age,
                            min_hits=cfg.min_hits,
                            objectness_min=cfg.objectness_min)
-    motion = {}  # live track id -> (BEV filter, frame last seen, heading)
+    motion = {}  # live track id -> (filter state, covariance, frame, heading)
     identities = n_rows = 0
     # only the rows' text outlives their block
     chunks = []
@@ -270,32 +270,37 @@ def _track_rows(block, motion, g, scale, cfg) -> str:
         x, y = refs[np.isinf(bevs[:, 0])][0]
         raise DegeneratePoint(f"point ({x}, {y}) maps to infinity")
     t_w = 1.0 / cfg.fps
+    states = []  # each row's filter state, checked once for the block
     rows = []  # `dump_track_rows` rows
     lifted = []  # (row, heading) of the rows that get a cuboid
     for (frame, snap), bev in zip(block, bevs.tolist()):
         if snap.track_id not in motion:
-            kf, theta = BevKalmanState.initial(*bev), None
+            kf = BevKalmanState.initial(*bev)
+            x, p, theta = kf.x, kf.p, None
         else:
-            last, seen, theta = motion[snap.track_id]
+            last, p, seen, theta = motion[snap.track_id]
+            x, p = kf_step(last, p, (frame - seen) * t_w, bev)
             try:
-                kf = kf_update(kf_predict(last, (frame - seen) * t_w), bev)
-            except ValueError:  # the state left the float range
-                raise NonFiniteOutput(
-                    f"frame {frame}: the BEV filter of track "
-                    f"{snap.track_id} overflows") from None
-            try:
-                raw = heading(kf.position, last.position)
+                raw = heading_of(x[0] - last[0], x[1] - last[1])
                 theta = raw if theta is None else abf(theta, raw)
             except DegenerateDisplacement:
                 pass
-        motion[snap.track_id] = (kf, frame, theta)
+        motion[snap.track_id] = (x, p, frame, theta)
+        states.append(x)
         row = [frame, snap.track_id, snap.class_name, snap.bbox, snap.ref,
-               kf.x[:2], speed_mph(kf, scale), theta, None]
+               x[:2], math.hypot(x[2], x[3]) * scale.iota * MPH_PER_MPS,
+               theta, None]
         rows.append(row)
         if theta is None and snap.class_name == PEDESTRIAN:
             theta = 0.0
         if theta is not None:
             lifted.append((row, theta))
+    # a state out of the float range stays out: the first such row overflowed
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        frame, snap = block[int(finite.argmin())]
+        raise NonFiniteOutput(f"frame {frame}: the BEV filter of track "
+                              f"{snap.track_id} overflows")
     if lifted:
         owners, headings = zip(*lifted)
         cuboids = lift_cuboids(
@@ -315,13 +320,15 @@ def _cmd_segment(args) -> int:
     cfg = _config_from(args)
     table = load_tracks(args.tracks)
     satellite = to_gray(read_pnm(args.satellite))
-    # each vehicle row's cell, rounded as `srg_segment` rounds a seed;
+    # each vehicle row's cell, rounded as `srg_segment` rounds a seed, once;
     # region growing does not depend on seed order
     cells = np.floor(table.xy[~table.pedestrian] + 0.5)
-    inside = ((cells >= 0)
-              & (cells < (satellite.width, satellite.height))).all(axis=1)
-    seeds = [PixelPoint.bev(x, y)
-             for x, y in np.unique(cells[inside], axis=0).tolist()]
+    h = satellite.height
+    inside = ((cells >= 0) & (cells < (satellite.width, h))).all(axis=1)
+    x, y = cells[inside].astype(np.int64).T
+    keys = np.sort(x * h + y)  # in the order of the (x, y) pairs
+    seeds = [PixelPoint.bev(*divmod(key, h))
+             for key in keys[np.diff(keys, prepend=-1) != 0].tolist()]
     mask = srg_segment(satellite, seeds, cfg.srg)
     refined = refine_mask(mask)
     boundary = extract_boundary(refined)

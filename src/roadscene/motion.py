@@ -10,12 +10,13 @@ reversals but suppresses near-perpendicular bounces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateDisplacement
-from .geometry import BEV, GroundScale, PixelPoint
+from .geometry import GroundScale, PixelPoint
 from .kalman import Cov, kf_predict_step, kf_update_step
 
 MPH_PER_MPS = 2.236936
@@ -46,14 +47,11 @@ class BevKalmanState:
         return BevKalmanState((float(x), float(y), 0.0, 0.0, 0.0, 0.0), _P0)
 
     @property
-    def position(self) -> PixelPoint:
-        return PixelPoint(self.x[0], self.x[1], BEV)
-
-    @property
     def velocity(self) -> tuple[float, float]:
         return (self.x[2], self.x[3])
 
 
+@functools.lru_cache(maxsize=64)  # a run's gaps are few
 def _process_noise(t_w: float) -> Cov:
     q = PROCESS_SPECTRAL_DENSITY
     t2 = t_w * t_w
@@ -87,6 +85,14 @@ def kf_update(state: BevKalmanState,
                                           MEASUREMENT_VARIANCE))
 
 
+def kf_step(x: Sequence[float], p: Cov, t_w: float,
+            z: Sequence[float]) -> tuple[list[float], Cov]:
+    """`kf_update(kf_predict(state, t_w), z)` on a plain (x, p) pair, bit for
+    bit, for a caller that checks t_w > 0, z finite and the result."""
+    x, p = kf_predict_step(x, p, t_w, _process_noise(t_w))
+    return kf_update_step(x, p, z, MEASUREMENT_VARIANCE)
+
+
 def speed_mph(state: BevKalmanState, scale: GroundScale) -> float:
     """Smoothed speed in miles per hour, from the BEV velocity norm."""
     return math.hypot(*state.velocity) * scale.iota * MPH_PER_MPS
@@ -94,8 +100,11 @@ def speed_mph(state: BevKalmanState, scale: GroundScale) -> float:
 
 def heading(l_t: PixelPoint, l_prev: PixelPoint) -> float:
     """Displacement direction in degrees, full quadrant (-180, 180]."""
-    dx = l_t.x - l_prev.x
-    dy = l_t.y - l_prev.y
+    return heading_of(l_t.x - l_prev.x, l_t.y - l_prev.y)
+
+
+def heading_of(dx: float, dy: float) -> float:
+    """Direction of the displacement (dx, dy) in degrees, (-180, 180]."""
     if dx == 0.0 and dy == 0.0:
         raise DegenerateDisplacement("coincident points define no direction")
     return math.degrees(math.atan2(dy, dx))

@@ -262,6 +262,13 @@ def write_detections(path, frames, fps: float | None = None) -> None:
 
 # --- tracks -----------------------------------------------------------------
 
+# a track row and a cuboid, floor then roof; %s takes text spelled already
+_TRACK_ROW = ('{"bbox":[%s,%r,%r,%r],"bev":[%r,%r],"class":"%s",'
+              '"cuboid":%s,"frame":%s,"heading_deg":%s,"id":%s,'
+              '"ref":[%s,%r],"speed_mph":%r}\n')
+_CUBOID = "[" + ",".join(["[%s,%r]"] * 8) + "]"
+
+
 def dump_track_rows(rows) -> str:
     """Track rows as JSON Lines, spelled as `_dump_row` spells them: sorted
     keys, no spaces and `repr` floats, by one template per row.
@@ -270,19 +277,30 @@ def dump_track_rows(rows) -> str:
     cuboid): two ints, a class name, 4, 2 and 2 floats, a float, a float or
     None, and 8 [x, y] pairs or None.  Every float must be a Python float.
     Raises NonFiniteOutput when one of them is NaN or an infinity.
+    `ref`'s x and each roof corner's x reuse the text of the bbox's x and
+    of the floor corner's x where the two are equal and non-zero (+-0.0
+    are the only equal floats whose `repr` differs).
     """
     lines = []
     for frame, track_id, name, bbox, ref, bev, speed, heading, cuboid \
             in rows:
-        corners = "null" if cuboid is None else \
-            "[" + ",".join([f"[{x!r},{y!r}]" for x, y in cuboid]) + "]"
-        lines.append(
-            f'{{"bbox":[{bbox[0]!r},{bbox[1]!r},{bbox[2]!r},{bbox[3]!r}],'
-            f'"bev":[{bev[0]!r},{bev[1]!r}],"class":"{name}",'
-            f'"cuboid":{corners},"frame":{frame},"heading_deg":'
-            f'{"null" if heading is None else repr(heading)},'
-            f'"id":{track_id},"ref":[{ref[0]!r},{ref[1]!r}],'
-            f'"speed_mph":{speed!r}}}\n')
+        corners = "null"
+        if cuboid is not None:
+            (ax, ay), (bx, by), (cx, cy), (dx, dy), \
+                (ex, ey), (fx, fy), (gx, gy), (hx, hy) = cuboid
+            a, b, c, d = repr(ax), repr(bx), repr(cx), repr(dx)
+            corners = _CUBOID % (
+                a, ay, b, by, c, cy, d, dy,
+                a if ex == ax and ex else repr(ex), ey,
+                b if fx == bx and fx else repr(fx), fy,
+                c if gx == cx and gx else repr(gx), gy,
+                d if hx == dx and hx else repr(hx), hy)
+        left = repr(bbox[0])
+        lines.append(_TRACK_ROW % (
+            left, bbox[1], bbox[2], bbox[3], bev[0], bev[1], name, corners,
+            frame, "null" if heading is None else repr(heading), track_id,
+            left if ref[0] == bbox[0] and ref[0] else repr(ref[0]), ref[1],
+            speed))
     text = "".join(lines)
     # `repr` spells a finite float with digits, ".", "e", "+" and "-", and
     # no key or class name holds "inf" or "nan"

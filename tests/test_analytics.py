@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from roadscene import analytics
@@ -226,6 +227,86 @@ class TestParking:
     def test_missing_scale(self):
         with pytest.raises(MissingCalibration):
             StateClassifier(left_border(), None, AnalyticsConfig(), 25.0)
+
+
+# (iota, parking_border_m): radii of 10, 20, 8.33.. and 0.5 px, and one
+# of 1e300 px, where the classifier keeps the border as one cell
+_PARKING_SCALES = [(0.1, 1.0), (0.05, 1.0), (0.3, 2.5), (1.0, 0.5),
+                   (1e-300, 1.0)]
+
+
+@st.composite
+def _border_and_positions(draw):
+    iota, border_m = draw(st.sampled_from(_PARKING_SCALES))
+    radius = border_m / iota
+    size = radius + 1.0  # a cell's side
+    coord = st.integers(-40, 40)
+    points = draw(st.lists(st.tuples(coord, coord), max_size=30))
+    if draw(st.booleans()):  # border points at the int64 edges
+        edge = st.sampled_from([-2 ** 63, 2 ** 63 - 1])
+        points += [(-2 ** 63, draw(coord)), (2 ** 63 - 1, draw(coord)),
+                   (draw(coord), draw(edge))]
+    nudge = st.sampled_from([-math.inf, None, math.inf])
+
+    def moved(v):  # v, or the next float towards an infinity
+        return v[0] if v[1] is None else float(np.nextafter(v[0], v[1]))
+
+    # an offset from a border point: at, within or just past the radius
+    offset = st.tuples(st.one_of(
+        st.sampled_from([0.0, radius, -radius]),
+        st.floats(-1.2 * radius, 1.2 * radius)), nudge).map(moved)
+    # far away, and on or next to the cells' edges
+    anywhere = st.one_of(
+        st.floats(-80.0, 80.0),
+        st.tuples(st.integers(-8, 8).map(lambda k: k * size), nudge).map(
+            moved),
+        st.sampled_from([1e300, -1e300, 1.7976931348623157e308]))
+    near = st.tuples(st.sampled_from(points or [(0, 0)]), offset, offset).map(
+        lambda v: (v[0][0] + v[1], v[0][1] + v[2]))
+    positions = draw(st.lists(st.one_of(near, st.tuples(anywhere, anywhere)),
+                              max_size=12))
+    boundary = draw(st.sampled_from([
+        BoundarySet(chains=(tuple(points),)), BoundarySet(chains=()), None]))
+    return GroundScale(iota), border_m, boundary, positions
+
+
+class TestParkingCells:
+    """The parking test takes each position's border points from its 3x3
+    cells; it must equal the test against every border point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_border_and_positions())
+    @example(case=(SCALE, 1.0, left_border(), [
+        (1e300, -1e300), (-1.7976931348623157e308, 0.0), (0.0, 0.0)]))
+    @example(case=(SCALE, 1.0, BoundarySet(chains=()), [(0.0, 0.0)]))
+    def test_equals_all_pairs(self, case):
+        scale, border_m, boundary, positions = case
+        # parking from the first still frame on
+        cfg = AnalyticsConfig(parking_border_m=border_m,
+                              parking_duration_s=1e-9)
+        n = len(positions)
+        tracks = FrameTracks(np.arange(n), np.zeros(n, dtype=bool),
+                             np.array(positions, dtype=float).reshape(-1, 2),
+                             np.zeros(n))
+        # a warning fails: the cells of a border at the int64 edges must
+        # not overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            clf = StateClassifier(boundary, scale, cfg, 1.0)
+            parking = clf.step(0, tracks).parking
+        border = (boundary.points().astype(float) if boundary is not None
+                  else np.empty((0, 2)))
+        with np.errstate(over="ignore"):
+            true_min = np.hypot(
+                border[:, 0] - tracks.xy[:, :1],
+                border[:, 1] - tracks.xy[:, 1:]).min(axis=1, initial=np.inf)
+            nearest = clf._nearest_border(tracks.xy)
+        near = scale.to_meters(true_min) < border_m
+        assert parking.tolist() == near.tolist()
+        # the candidates are border points, and hold the nearest one
+        # wherever it lies within the radius
+        assert (nearest >= true_min).all()
+        assert nearest[near].tolist() == true_min[near].tolist()
 
 
 class TestStates:

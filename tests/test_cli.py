@@ -215,6 +215,34 @@ def test_segment_rounds_a_row_to_its_cell_as_region_growing_does(
         assert mask[1:-1, 1:-1].all()
 
 
+def test_segment_seeds_each_vehicle_cell_once(tmp_path, monkeypatch):
+    # each in-image vehicle cell once, in (x, y) order, as
+    # `np.unique(cells, axis=0)` gives them
+    from roadscene import roadmodel
+    from roadscene.imaging import ImageBuffer, write_pnm
+    write_pnm(ImageBuffer(np.full((20, 30), 128, dtype=np.uint8)),
+              tmp_path / "sat.pgm")
+    bevs = [(3.2, 7.0), (29.4, 19.4), (2.6, 7.4), (3.0, 1.0), (29.6, 1.0),
+            (-0.4, 0.0), (3.0, 1.2), (12.0, 5.0)]
+    tracks = tmp_path / "tracks.jsonl"
+    tracks.write_text(records.dump_rows([{
+        "frame": frame, "id": 1, "class": "car" if frame != 7 else
+        "pedestrian", "bbox": [1.0, 1.0, 2.0, 2.0], "ref": [1.0, 2.0],
+        "bev": list(bev), "speed_mph": 0.0, "heading_deg": None,
+        "cuboid": None} for frame, bev in enumerate(bevs)]))
+    seen = []
+
+    def srg_segment(image, seeds, params):
+        seen.append([[p.x, p.y] for p in seeds])
+        return grow(image, seeds, params)
+
+    grow = roadmodel.srg_segment
+    monkeypatch.setattr(roadmodel, "srg_segment", srg_segment)
+    assert run("segment", "--tracks", str(tracks), "--satellite",
+               str(tmp_path / "sat.pgm"), "--out", str(tmp_path / "road")) == 0
+    assert seen == [[[0.0, 0.0], [3.0, 1.0], [3.0, 7.0], [29.0, 19.0]]]
+
+
 def test_rerun_is_byte_identical(pipeline, tmp_path):
     sim2 = tmp_path / "sim2"
     assert run("simulate", "--spec", str(pipeline["scene"]),
@@ -457,7 +485,9 @@ def test_bev_filter_overflow_exits_1(tmp_path, capsys):
     out = tmp_path / "tracks.jsonl"
     assert run("track", "--detections", str(detections),
                "--calibration", str(cal), "--out", str(out)) == 1
-    assert _one_error_line(capsys).startswith("error: NonFiniteOutput: ")
+    # the first row whose filter leaves the float range, in file order
+    assert _one_error_line(capsys) == ("error: NonFiniteOutput: frame 3: the "
+                                       "BEV filter of track 1 overflows\n")
     assert not out.exists()
 
 

@@ -12,7 +12,9 @@ from roadscene.motion import (
     abf,
     bounce_weight,
     heading,
+    heading_of,
     kf_predict,
+    kf_step,
     kf_update,
     speed_mph,
     wrap_angle,
@@ -181,6 +183,44 @@ class TestWrapAngle:
         assert wrap_angle(540.0) == 180.0
         assert wrap_angle(0.0) == 0.0
         assert wrap_angle(-190.0) == pytest.approx(170.0)
+
+
+class TestHeadingOf:
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
+           same=st.booleans())
+    def test_equals_heading(self, points, same):
+        x0, y0, x1, y1 = points
+        if same:  # coincident points: both raise
+            x1, y1 = x0, y0
+        a, b = PixelPoint.bev(x1, y1), PixelPoint.bev(x0, y0)
+        try:
+            want = heading(a, b)
+        except DegenerateDisplacement:
+            with pytest.raises(DegenerateDisplacement):
+                heading_of(x1 - x0, y1 - y0)
+        else:
+            assert repr(heading_of(x1 - x0, y1 - y0)) == repr(want)
+
+
+class TestKfStep:
+    """`kf_step` on float pairs is `kf_update(kf_predict(...))` bit for
+    bit, which `track` relies on to write the rows the README loop gets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+           steps=st.integers(0, 5), gap=st.integers(1, 10 ** 6),
+           z=st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)))
+    def test_equals_predict_then_update(self, x, steps, gap, z):
+        # a covariance the filter reaches: a few unit steps from the prior
+        state = BevKalmanState(tuple(x), BevKalmanState.initial(0, 0).p)
+        for _ in range(steps):
+            state = kf_update(kf_predict(state, 0.04), state.x[:2])
+        t_w = gap * (1.0 / 25)
+        want = kf_update(kf_predict(state, t_w), z)
+        got_x, got_p = kf_step(state.x, state.p, t_w, z)
+        assert repr(list(got_x)) == repr(list(want.x))
+        assert repr(got_p) == repr(want.p)
 
 
 class TestPredictGap:

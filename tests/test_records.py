@@ -326,6 +326,30 @@ def test_track_template_spells_rows_as_dump_row():
                                                for row in rows])
 
 
+# a float of a slot whose text the template may share with its twin's:
+# each other one, equal ones, the signed zeros whose reprs differ, and NaN
+_TWINS = [0.0, -0.0, 2.5, -2.5, 1e-300, math.nan]
+
+
+@pytest.mark.parametrize("twin", _TWINS)
+@pytest.mark.parametrize("value", _TWINS)
+def test_track_template_spells_paired_floats_as_dump_row(value, twin):
+    """`ref`'s x pairs with the bbox's, and each roof corner's x with its
+    floor corner's: the row is spelled alike, or refused alike, whatever
+    the pair holds."""
+    row = next(r for r in _edge_track_rows() if None not in r[7:])
+    row[3][0], row[4][0] = twin, value
+    for corner in range(4):
+        row[8][corner][0], row[8][corner + 4][0] = twin, value
+    try:
+        want = dump_rows([track_row(*row)])
+    except NonFiniteOutput:
+        with pytest.raises(NonFiniteOutput):
+            dump_track_rows([row])
+    else:
+        assert dump_track_rows([row]) == want
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_track_template_refuses_non_finite_floats(tmp_path, bad):
     row = next(r for r in _edge_track_rows() if None not in r[7:])

@@ -1,8 +1,9 @@
 """What a command pays before its first line of work.
 
 Each command of the README runs in a fresh interpreter, as a shell starts
-it, and must load only the stages it runs and keep numpy's BLAS on one
-thread.  Importing the package loads nothing until a name is used.
+it, and must load only the stages it runs, not `numpy.ma`, and keep
+numpy's BLAS on one thread.  Importing the package loads nothing until a
+name is used.
 """
 
 import json
@@ -16,14 +17,16 @@ from test_readme import _blocks, _commands
 
 import roadscene
 
-# after the command: its exit code, the roadscene modules loaded, the
-# process's thread count and the BLAS thread setting
+# after the command: its exit code, the roadscene modules loaded, whether
+# numpy.ma was loaded, the process's thread count and the BLAS thread
+# setting
 PROBE = """\
 import json, os, sys
 from roadscene.cli import main
 code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.startswith("roadscene.")),
+                  "numpy.ma" in sys.modules,
                   len(os.listdir("/proc/self/task")),
                   os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
@@ -52,9 +55,12 @@ def test_each_command_loads_only_its_stages(tmp_path):
     assert {a[0] for a in argvs} == {"simulate", "calibrate", "track",
                                      "segment", "analyze", "render", "merge"}
     for argv in argvs:
-        code, loaded, threads, blas = _fresh(PROBE, *argv, cwd=tmp_path)
+        code, loaded, masked, threads, blas = _fresh(PROBE, *argv,
+                                                     cwd=tmp_path)
         name = argv[0]
         assert code == 0, argv
+        # numpy.ma costs ~10 ms to import, and no command needs it
+        assert not masked, argv
         assert ("roadscene.simulate" in loaded) == (name == "simulate")
         assert ("roadscene.calibration" in loaded) == (name == "calibrate")
         if name == "merge":
