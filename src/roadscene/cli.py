@@ -472,11 +472,11 @@ def _cmd_merge(args) -> int:
     paths = [Path(p) for p in args.inputs]
     suffixes = {p.suffix for p in paths}
     if suffixes == {".json"}:
-        maps = [load_heatmap(p) for p in paths]
-        merged = maps[0]
-        for other in maps[1:]:
+        # one shard at a time, so that two grids are held, not N
+        merged = load_heatmap(paths[0])
+        for path in paths[1:]:
             try:
-                merged.merge(other)
+                merged.merge(load_heatmap(path))
             except ValueError as exc:
                 raise SchemaError(str(exc)) from None
         save_heatmap(_out_file(args), merged)

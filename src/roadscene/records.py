@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analytics import (
-    _BAND_CELLS, _BUMP_UNITS, HEAT_KINDS, FrameStats, HeatMap, _bands)
+from .analytics import _BUMP_UNITS, HEAT_KINDS, FrameStats, HeatMap
 from .config import CLASS_NAMES, PEDESTRIAN
 from .errors import NonFiniteOutput, SchemaError, SingularMatrix
 
@@ -469,10 +469,12 @@ def write_states(path, frames) -> None:
 # --- frame stats ------------------------------------------------------------
 
 _STATS_HEADER = "frame,vehicles,pedestrians,avg_speed_mph"
-# a row as `write_stats` spells it: plain decimal integers, and an average
-# that is empty or a float without `_`, spaces or a leading `+`
-_STATS_ROW = (r"(-?[0-9]+),([0-9]+),([0-9]+),"
-              r"((?:-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)?)")
+
+
+def _stats_row(frame, vehicles, pedestrians, avg) -> str:
+    """A row as `write_stats` spells it; `load_stats` takes no other."""
+    avg = "" if avg is None else repr(float(avg))
+    return f"{frame},{vehicles},{pedestrians},{avg}"
 
 
 def write_stats(path, stats: list[FrameStats]) -> None:
@@ -480,15 +482,14 @@ def write_stats(path, stats: list[FrameStats]) -> None:
     for s in stats:
         if not math.isfinite(s.avg_speed_mph or 0.0):  # load_stats refuses
             raise NonFiniteOutput(f"frame {s.frame}: average speed not finite")
-        avg = "" if s.avg_speed_mph is None else repr(float(s.avg_speed_mph))
-        lines.append(f"{s.frame},{s.vehicle_count},{s.pedestrian_count},{avg}")
+        lines.append(_stats_row(s.frame, s.vehicle_count, s.pedestrian_count,
+                                s.avg_speed_mph))
     Path(path).write_text("".join(line + "\n" for line in lines),
                           encoding="utf-8")
 
 
 def load_stats(path) -> list[FrameStats]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != _STATS_HEADER:
         raise SchemaError(f"{path}: line 1: expected header "
                           f"{_STATS_HEADER!r}")
@@ -496,19 +497,17 @@ def load_stats(path) -> list[FrameStats]:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        match = re.fullmatch(_STATS_ROW, line)
         try:
-            if match is None:
+            frame, vehicles, pedestrians, avg = line.split(",")
+            row = (int(frame), int(vehicles), int(pedestrians),
+                   float(avg) if avg else None)
+            if _stats_row(*row) != line or not math.isfinite(row[3] or 0.0):
                 raise ValueError
-            frame, vehicles, pedestrians = map(int, match.groups()[:3])
-            avg = float(match[4]) if match[4] else None
-            if avg is not None and not math.isfinite(avg):
-                raise ValueError
+            out.append(FrameStats(*row))  # which refuses negative counts
         except ValueError:  # also an integer past int()'s digit limit
             raise SchemaError(f"{path}: line {lineno}: expected integer "
                               f"frame and counts and an empty or finite "
                               f"average, got {line!r}") from None
-        out.append(FrameStats(frame, vehicles, pedestrians, avg))
     return out
 
 
@@ -570,28 +569,46 @@ _HEAT_HEAD = (rb'\{"events":(\d{1,57}),"kind":"([a-z]+)",'
 
 
 def _parse_own_heatmap(data: bytes):
-    """(kind, events, units) of bytes that `_heatmap_chunks` wrote, else
-    None.
+    """(kind, events, units, their sum as a Python int) of bytes that
+    `_heatmap_chunks` wrote, else None.
 
-    Only the header and the nonzero cells are parsed.  The result stands
-    only if encoding it again gives `data` byte for byte; the encoding is
-    one-to-one, so a parse that round-trips is the right one whatever the
-    input was.
+    An all-zero row is one string compare; any other row is one numpy parse
+    up to its own `]`, which must give `w` cells, none negative.  numpy
+    also takes `+5`, `05` and spaces and clamps a cell past int64, so the
+    result stands only if encoding it again gives `data` byte for byte; the
+    encoding is one-to-one, so a parse that round-trips is the right one
+    whatever the input was.
     """
     head = re.match(_HEAT_HEAD, data)
     if head is None:
         return None
     events, kind, h, w = (int(head[1]), head[2].decode(), int(head[3]),
                           int(head[4]))
-    raw = np.frombuffer(data, dtype=np.uint8)
     # every cell takes at least two bytes, which bounds the allocation
     if (kind not in HEAT_KINDS or h < 1 or w < 1
-            or len(raw) - head.end() < h * (2 * w + 2)):
+            or len(data) - head.end() < h * (2 * w + 2)):
         return None
-    units = _read_units(raw, head.end(), h * w)
-    if units is None:
-        return None
-    units = units.reshape(h, w)
+    units = np.zeros((h, w), dtype=np.int64)
+    zero = b"[" + b"0," * (w - 1) + b"0]"
+    total, at = 0, head.end()  # `at` is a row's "["
+    with warnings.catch_warnings():
+        # numpy 1.x warns, and 2.x raises, on a row it cannot read whole
+        warnings.simplefilter("error", DeprecationWarning)
+        for row in units:
+            if data.startswith(zero, at):
+                at += len(zero) + 1
+                continue
+            try:
+                end = data.index(b"]", at)
+                cells = np.fromstring(data[at + 1:end], dtype=np.int64,
+                                      sep=",")
+            except (ValueError, DeprecationWarning):
+                return None
+            if len(cells) != w or cells.min() < 0:
+                return None
+            row[:] = cells
+            total += sum(cells[cells > 0].tolist())  # Python ints cannot wrap
+            at = end + 2
     # compared piece by piece, so that the encoding is never held whole
     end = 0
     for chunk in _heatmap_chunks(kind, events, units):
@@ -600,49 +617,7 @@ def _parse_own_heatmap(data: bytes):
         end += len(chunk)
     if end != len(data):
         return None
-    return kind, events, units
-
-
-def _read_units(raw: np.ndarray, begin: int, size: int):
-    """The flat int64 grid of `size` cells that `raw[begin:]` spells as
-    `_heatmap_chunks` does, else None when a cell overflows int64 or falls
-    past the grid.
-
-    Only the cells that begin with a nonzero digit are read.  The body is
-    scanned in pieces of `_BAND_CELLS` bytes, so that beside the grid only
-    piece-sized temporaries are held.  `raw` holds the header before
-    `begin`, which ends in a non-digit and makes `raw` longer than 20 bytes.
-    """
-    units = np.zeros(size, dtype=np.int64)
-    window = np.lib.stride_tricks.sliding_window_view
-    # the last 20 bytes and 20 NULs, for windows that run past the end
-    tail = len(raw) - 20
-    padded = np.r_[raw[tail:], np.zeros(20, dtype=np.uint8)]
-    commas = 0  # before the piece; a cell's flat index is its commas before
-    for lo in range(begin, len(raw), _BAND_CELLS):
-        span = raw[lo - 1:lo + _BAND_CELLS]  # the piece and the byte before
-        digit = (span >= ord("0")) & (span <= ord("9"))
-        first = np.flatnonzero(digit[1:] & ~digit[:-1]
-                               & (span[1:] != ord("0")))
-        comma = np.flatnonzero(span[1:] == ord(","))
-        cells = commas + np.searchsorted(comma, first)
-        commas += len(comma)
-        if len(cells) and cells[-1] >= size:
-            return None
-        # the 20 bytes from each start, NUL from the first non-digit on, are
-        # the cell's digits; 20 digits overflow int64, so a longer cell does
-        at = lo + first
-        fits = at <= tail
-        text = np.empty((len(at), 20), dtype=np.uint8)
-        text[fits] = window(raw, 20)[at[fits]]
-        text[~fits] = window(padded, 20)[at[~fits] - tail]
-        text[~np.logical_and.accumulate((text >= ord("0"))
-                                        & (text <= ord("9")), axis=1)] = 0
-        try:
-            units[cells] = text.view("S20").ravel().astype(np.int64)
-        except OverflowError:
-            return None
-    return units
+    return kind, events, units, total
 
 
 def load_heatmap(path) -> HeatMap:
@@ -654,13 +629,7 @@ def load_heatmap(path) -> HeatMap:
                           f"it: one line, sorted keys, no spaces, a known "
                           f"kind, and units that fill the shape with int64 "
                           f"integers >= 0")
-    kind, events, units = parsed
-    # summed as Python ints, so a corrupt file cannot wrap int64, and band
-    # by band, so that the ints of a dense map are not all held at once
-    total = 0
-    for rows in _bands(*units.shape):
-        band = units[rows]
-        total += sum(band[band > 0].tolist())
+    kind, events, units, total = parsed
     if total != _BUMP_UNITS * events:
         raise SchemaError(f"{path}: units sum to {total}, not "
                           f"{_BUMP_UNITS} x {events} events")

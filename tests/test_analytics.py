@@ -24,6 +24,7 @@ from roadscene.analytics import (
     render,
     update_heatmaps,
 )
+from roadscene.cli import main
 from roadscene.errors import EmptyHeatMap, MissingCalibration, ShapeMismatch
 from roadscene.geometry import (BEV, PERSPECTIVE, GroundScale, Homography,
                                 PixelPoint, apply_many, invert)
@@ -879,7 +880,9 @@ class TestHeatMapMemory:
     the result included: a render's image is 3/8 of a grid, a sample or a
     loaded map one grid, and a loaded map's file 0.31 grids.  Whole-grid
     versions of these stages took 5.5 (render), 8.1 (sample), 1.9 (save),
-    4.9 (load) and 3.0 (merge) grids."""
+    4.9 (load) and 3.0 (merge) grids.  The `merge` command on six shard
+    files holds its sum and one shard (2.3 grids); loading every shard
+    before adding any took 6.4."""
 
     SHAPE = (1200, 1600)
     GRID = SHAPE[0] * SHAPE[1] * 8
@@ -921,3 +924,10 @@ class TestHeatMapMemory:
     def test_merge(self, heat):
         other = HeatMap.from_units(heat.units(), heat.events, heat.kind)
         assert self.grids(lambda: other.merge(heat)) < 0.25
+
+    def test_merge_command_folds_shards(self, heat, tmp_path):
+        shard, out = tmp_path / "heat_vehicle.json", tmp_path / "merged.json"
+        save_heatmap(shard, heat)
+        argv = ["merge", *[str(shard)] * 6, "--out", str(out)]
+        assert self.grids(lambda: main(argv)) < 3
+        assert load_heatmap(out).events == 6 * heat.events

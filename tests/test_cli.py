@@ -558,6 +558,46 @@ def test_corrupt_heat_shard_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+_FROMSTRING = np.fromstring
+
+
+def _numpy1_fromstring(text, dtype, sep):
+    """`np.fromstring` as numpy 1.x behaves on text it cannot read to the
+    end: a DeprecationWarning and what it read (here, nothing) rather than
+    numpy 2.x's ValueError."""
+    try:
+        return _FROMSTRING(text, dtype=dtype, sep=sep)
+    except ValueError:
+        warnings.warn("string or file could not be read to its end",
+                      DeprecationWarning)
+        return np.zeros(0, dtype)
+
+
+@pytest.mark.parametrize("numpy1", [False, True])
+@pytest.mark.parametrize("units", [
+    "[[144,-5,5]]",  # sums to 144 and spells back: only its sign refuses it
+    "[[139,+5,0]]", "[[139,05,0]]", "[[139, 5,0]]",
+    "[[139,%d,0]]" % 10 ** 19, "[[139,%d,0]]" % 2 ** 63,
+    "[[144,0]]", "[[144,0,0,0]]", "[[144,0,0,]]", "[[144,0,0",
+    "[[144,,0]]", "[[143,1.0,0]]",  # which numpy cannot read to the end
+])
+def test_merge_refuses_heat_rows_the_writer_never_spells(
+        tmp_path, capsys, monkeypatch, units, numpy1):
+    if numpy1:
+        monkeypatch.setattr(np, "fromstring", _numpy1_fromstring)
+    shard = tmp_path / "heat_vehicle.json"
+    shard.write_text('{"events":1,"kind":"vehicle","shape":[1,3],'
+                     '"units":%s}\n' % units)
+    out = tmp_path / "merged.json"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # no warning reaches the user
+        assert run("merge", str(shard), str(shard), "--out", str(out)) == 2
+    assert not caught, caught
+    assert "SchemaError: " + str(shard) + ": not a heat map as save_heatmap " \
+        "writes it" in _one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_merge_refuses_units_past_int64(tmp_path, capsys):
     # each shard is valid: 144 units per event, every cell fits int64
     shard = tmp_path / "heat_vehicle.json"

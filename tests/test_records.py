@@ -685,6 +685,7 @@ def test_stats_round_trip_written_spellings(tmp_path, stats):
     "0,-1,0,", "0,1,2_0,", "0,1,0,1_5.0", "0,1,0, 1.5", "0,1,0,+1.5",
     "0,1,0,1.5 ", "0,1,0,0x10", "0,1,0,1e999", "\u0663,1,0,", "0,1,0",
     "0,1,0,1.5,", "0.0,1,0,", "0,1," + "1" * 5000 + ",",
+    "007,1,0,2.50", "-0,1,0,", "3,1,0,1E5", "4,1,0,1.", "5,01,0,.5",
 ])
 def test_stats_accept_only_the_written_spelling(tmp_path, row):
     path = tmp_path / "s.csv"
@@ -828,6 +829,19 @@ def _with_mass(heat: HeatMap) -> HeatMap:
     units[0, 0] += -sum(units.ravel().tolist()) % 144
     return HeatMap.from_units(units, sum(units.ravel().tolist()) // 144,
                               heat.kind)
+
+
+@pytest.mark.parametrize("density", [1.0, 0.3])
+def test_heatmap_dense_maps_load_back(tmp_path, density):
+    rng = np.random.default_rng(5)
+    units = rng.integers(1, 10 ** 6, (600, 800))
+    units[rng.random((600, 800)) >= density] = 0
+    heat = _with_mass(HeatMap.from_units(units, 0, "vehicle"))
+    path = tmp_path / "h.json"
+    save_heatmap(path, heat)
+    back = load_heatmap(path)
+    assert (back.kind, back.events) == (heat.kind, heat.events)
+    assert np.array_equal(back.units(), heat.units())
 
 
 def _full_map() -> HeatMap:
