@@ -12,6 +12,7 @@ includes paths that cannot be read, decoded as UTF-8 or written.
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -25,18 +26,13 @@ if "numpy" not in sys.modules:
 
 import numpy as np
 
-# Every command loads these; each imports the other stages it runs.  motion
-# is here only while perfbench/tracer.py wraps its Kalman steps as soon as
-# this module is imported (ROADMAP item 6).
+# Every command loads these and imports its other stages itself; motion is
+# here as perfbench/tracer.py wraps it from sys.modules after this import.
 from . import records
-from .analytics import (HEAT_KINDS, FrameTracks, StateClassifier, StateSets,
-                        frame_stats, make_heatmaps, perspective_sample,
-                        render, update_heatmaps)
 from .config import PEDESTRIAN, Config, load_config
 from .errors import (ConfigError, DegenerateDisplacement, DegeneratePoint,
                      EmptyHeatMap, InputError, NonFiniteOutput,
                      ProcessingError, SchemaError)
-from .geometry import GroundScale, PixelPoint, apply_many, invert
 from .motion import MPH_PER_MPS, BevKalmanState, abf, heading_of, kf_step
 from .records import (dump_json, dump_track_rows, load_boundary,
                       load_calibration, load_detections, load_heatmap,
@@ -101,6 +97,7 @@ _MATCH_BOUND = 2.0 ** 510
 
 def _load_matches(path):
     from .calibration import Correspondence
+    from .geometry import PixelPoint
     data = load_json(path)
     if not isinstance(data, dict) or not isinstance(data.get("pairs"), list):
         raise SchemaError(f"{path}: matches need a 'pairs' list")
@@ -120,7 +117,8 @@ def _load_matches(path):
     return out
 
 
-def _load_trajectories(path) -> list[list[PixelPoint]]:
+def _load_trajectories(path):
+    from .geometry import PixelPoint
     trajectories = []
     text = Path(path).read_text(encoding="utf-8")
     for lineno, row in records.json_rows(text):
@@ -137,6 +135,7 @@ def _load_trajectories(path) -> list[list[PixelPoint]]:
 
 def _cmd_calibrate(args) -> int:
     from .calibration import fit_distortion_es, ransac_homography
+    from .geometry import apply_many
     from .imaging import (BackgroundAccumulator, accumulate_background,
                           histogram_match, read_pnm, to_gray, write_pnm)
     from .seeding import subsystem_seed
@@ -216,6 +215,7 @@ _BLOCK_ROWS = 4096
 
 
 def _cmd_track(args) -> int:
+    from .geometry import GroundScale
     from .tracking import MomctTracker
     cfg = _config_from(args)
     calib = load_calibration(args.calibration)
@@ -264,6 +264,7 @@ def _track_rows(block, motion, g, scale, cfg) -> str:
     mapped to BEV and folded into its track's filter in `motion`, and
     cuboids are lifted for the rows with a heading."""
     from .box3d import lift_cuboids
+    from .geometry import apply_many, invert
     refs = np.array([snap.ref for _, snap in block])
     bevs = apply_many(g, refs)
     if np.isinf(bevs).any():  # the Kalman filters take finite points
@@ -315,6 +316,7 @@ def _track_rows(block, motion, g, scale, cfg) -> str:
 # --- segment ----------------------------------------------------------------
 
 def _cmd_segment(args) -> int:
+    from .geometry import PixelPoint
     from .imaging import read_pnm, to_gray, write_pnm
     from .roadmodel import extract_boundary, refine_mask, srg_segment
     cfg = _config_from(args)
@@ -354,6 +356,10 @@ def _resolve_bev_shape(args, calib) -> tuple[int, int]:
 
 
 def _cmd_analyze(args) -> int:
+    from .analytics import (HEAT_KINDS, FrameTracks, StateClassifier,
+                            StateSets, frame_stats, make_heatmaps,
+                            update_heatmaps)
+    from .geometry import GroundScale
     for flag, frame in (("--from-frame", args.from_frame),
                         ("--to-frame", args.to_frame)):
         if frame is not None and frame < 0:
@@ -418,6 +424,8 @@ def _cmd_analyze(args) -> int:
 # --- render -----------------------------------------------------------------
 
 def _cmd_render(args) -> int:
+    from .analytics import HEAT_KINDS, perspective_sample, render
+    from .geometry import invert
     from .imaging import read_pnm, to_gray, write_pnm
     if args.perspective_base and not args.calibration:
         raise ConfigError("--perspective-base needs --calibration")
@@ -598,5 +606,17 @@ def main(argv=None) -> int:
         return _fail(exc, 1)
 
 
+def run() -> None:
+    """Process entry: `main`, its output flushed, no interpreter teardown."""
+    gc.freeze()  # later collections skip the import heap
+    code = main()
+    try:
+        sys.stdout.flush()
+    except OSError as exc:  # closed by its reader: as an unwritable --out
+        code = code or _fail(exc, 2)
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -13,11 +13,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DegenerateDisplacement
-from .geometry import GroundScale, PixelPoint
 from .kalman import Cov, kf_predict_step, kf_update_step
+
+if TYPE_CHECKING:  # annotations only
+    from .geometry import GroundScale, PixelPoint
 
 MPH_PER_MPS = 2.236936
 

@@ -17,11 +17,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analytics import _BUMP_UNITS, HEAT_KINDS, FrameStats, HeatMap
 from .config import CLASS_NAMES, PEDESTRIAN
 from .errors import NonFiniteOutput, SchemaError, SingularMatrix
 
 if TYPE_CHECKING:  # annotations only: functions import what they run
+    from .analytics import FrameStats, HeatMap
     from .geometry import Homography
     from .tracking import DetectionGroup
 
@@ -489,6 +489,7 @@ def write_stats(path, stats: list[FrameStats]) -> None:
 
 
 def load_stats(path) -> list[FrameStats]:
+    from .analytics import FrameStats
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != _STATS_HEADER:
         raise SchemaError(f"{path}: line 1: expected header "
@@ -579,6 +580,7 @@ def _parse_own_heatmap(data: bytes):
     encoding is one-to-one, so a parse that round-trips is the right one
     whatever the input was.
     """
+    from .analytics import HEAT_KINDS
     head = re.match(_HEAT_HEAD, data)
     if head is None:
         return None
@@ -623,6 +625,7 @@ def _parse_own_heatmap(data: bytes):
 def load_heatmap(path) -> HeatMap:
     """Read a heat map that `save_heatmap` wrote, checking that its units
     sum to 144 x events.  Any other spelling is refused."""
+    from .analytics import _BUMP_UNITS, HeatMap
     parsed = _parse_own_heatmap(Path(path).read_bytes())
     if parsed is None:
         raise SchemaError(f"{path}: not a heat map as save_heatmap writes "

@@ -28,10 +28,11 @@ def run(*argv):
     return main(list(argv))
 
 
-def _source_env() -> dict:
-    """The environment for a fresh interpreter that imports this roadscene."""
+def _source_env(*unset: str) -> dict:
+    """The environment for a fresh interpreter that imports this roadscene,
+    without the variables named in `unset`."""
     src = str(Path(roadscene.__file__).parents[1])
-    env = dict(os.environ)
+    env = {k: v for k, v in os.environ.items() if k not in unset}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
     return env
@@ -468,10 +469,12 @@ def test_reference_point_mapping_to_infinity_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bev_filter_overflow_exits_1(tmp_path, capsys):
-    # g maps (x, y) to (1/x, y/x), so a box whose reference point sways
-    # between x = +-2e-307 jumps by 1e307 BEV px a frame, and the filter's
-    # velocity overflows
+def overflow_scene(tmp_path) -> list[str]:
+    """`track` arguments whose BEV filter overflows at frame 3.
+
+    g maps (x, y) to (1/x, y/x), so a box whose reference point sways
+    between x = +-2e-307 jumps by 1e307 BEV px a frame, and the filter's
+    velocity overflows."""
     cal = tmp_path / "calibration.json"
     cal.write_text(json.dumps({"g": [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
                                "iota_m_per_px": 0.05,
@@ -482,13 +485,19 @@ def test_bev_filter_overflow_exits_1(tmp_path, capsys):
         json.dumps(dict(det, frame=f,
                         bbox=[2e-307 * (-1) ** f, 10.0, 1.0, 1.0])) + "\n"
         for f in range(24)))
-    out = tmp_path / "tracks.jsonl"
-    assert run("track", "--detections", str(detections),
-               "--calibration", str(cal), "--out", str(out)) == 1
-    # the first row whose filter leaves the float range, in file order
-    assert _one_error_line(capsys) == ("error: NonFiniteOutput: frame 3: the "
-                                       "BEV filter of track 1 overflows\n")
-    assert not out.exists()
+    return ["track", "--detections", str(detections), "--calibration",
+            str(cal), "--out", str(tmp_path / "tracks.jsonl")]
+
+
+# the first row whose filter leaves the float range, in file order
+OVERFLOW_ERROR = ("error: NonFiniteOutput: frame 3: the BEV filter of track "
+                  "1 overflows\n")
+
+
+def test_bev_filter_overflow_exits_1(tmp_path, capsys):
+    assert run(*overflow_scene(tmp_path)) == 1
+    assert _one_error_line(capsys) == OVERFLOW_ERROR
+    assert not (tmp_path / "tracks.jsonl").exists()
 
 
 def _one_error_line(capsys) -> str:

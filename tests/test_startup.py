@@ -1,9 +1,10 @@
-"""What a command pays before its first line of work.
+"""What a command pays before its first line of work, and how it ends.
 
 Each command of the README runs in a fresh interpreter, as a shell starts
 it, and must load only the stages it runs, not `numpy.ma`, and keep
 numpy's BLAS on one thread.  Importing the package loads nothing until a
-name is used.
+name is used.  `python -m roadscene.cli` flushes what a command printed and
+ends without interpreter teardown, with `main`'s exit code and error line.
 """
 
 import json
@@ -13,6 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_cli import OVERFLOW_ERROR, _source_env, overflow_scene
 from test_readme import _blocks, _commands
 
 import roadscene
@@ -32,17 +34,28 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 
 
+# what `import roadscene.cli` loads.  Only `track` runs motion: it is loaded
+# because perfbench/tracer.py wraps motion's Kalman steps from sys.modules
+# right after that import, so a leaner import would break the traced bench.
+CLI_MODULES = {"cli", "config", "errors", "kalman", "motion", "records"}
+# what each command loads on top; `analyze --boundary` also reads the
+# boundary through roadmodel, which loads imaging
+STAGES = {"simulate": {"geometry", "imaging", "seeding", "simulate",
+                       "tracking"},
+          "calibrate": {"calibration", "geometry", "imaging", "seeding"},
+          "track": {"box3d", "geometry", "tracking"},
+          "segment": {"geometry", "imaging", "roadmodel"},
+          "analyze": {"analytics", "geometry"},
+          "render": {"analytics", "geometry", "imaging"},
+          "merge": {"analytics"}}
+
+
 def _fresh(code: str, *argv: str, cwd=None):
     """Run `code` in a fresh interpreter that imports this roadscene and
     has no BLAS thread setting; returns the JSON its last line prints."""
-    env = {k: v for k, v in os.environ.items()
-           if k != "OPENBLAS_NUM_THREADS"}
-    src = str(Path(roadscene.__file__).parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (src, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code, *argv], cwd=cwd,
-                         env=env, check=True, capture_output=True, text=True,
-                         timeout=120).stdout
+                         env=_source_env("OPENBLAS_NUM_THREADS"), check=True,
+                         capture_output=True, text=True, timeout=120).stdout
     return json.loads(out.splitlines()[-1])
 
 
@@ -57,17 +70,17 @@ def test_each_command_loads_only_its_stages(tmp_path):
     for argv in argvs:
         code, loaded, masked, threads, blas = _fresh(PROBE, *argv,
                                                      cwd=tmp_path)
-        name = argv[0]
         assert code == 0, argv
         # numpy.ma costs ~10 ms to import, and no command needs it
         assert not masked, argv
-        assert ("roadscene.simulate" in loaded) == (name == "simulate")
-        assert ("roadscene.calibration" in loaded) == (name == "calibrate")
-        if name == "merge":
-            assert not {f"roadscene.{m}" for m in (
-                "tracking", "box3d", "imaging", "roadmodel", "calibration",
-                "seeding")} & set(loaded), loaded
+        want = CLI_MODULES | STAGES[argv[0]]
+        if "--boundary" in argv:
+            want |= {"imaging", "roadmodel"}
+        assert loaded == sorted(f"roadscene.{m}" for m in want), argv
         assert (threads, blas) == (1, "1"), argv
+    assert _fresh("import json, sys, roadscene.cli; print(json.dumps(sorted("
+                  "m for m in sys.modules if m.startswith('roadscene.'))))"
+                  ) == sorted(f"roadscene.{m}" for m in CLI_MODULES)
 
 
 def test_package_import_loads_no_submodule():
@@ -87,3 +100,57 @@ def test_library_import_leaves_blas_threads_alone():
     assert _fresh("import json, os; from roadscene import MomctTracker; "
                   "print(json.dumps(os.environ.get('OPENBLAS_NUM_THREADS')))"
                   ) is None
+
+
+def _entry(*argv: str, cwd, stdout=subprocess.PIPE):
+    """Run `python -m roadscene.cli` as a shell does, with stdout block
+    buffered (no PYTHONUNBUFFERED), so that only the entry's own flush
+    writes a summary line."""
+    return subprocess.run([sys.executable, "-m", "roadscene.cli", *argv],
+                          cwd=cwd, env=_source_env("PYTHONUNBUFFERED"),
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+
+
+def _stats_shards(tmp_path) -> list[str]:
+    header = "frame,vehicles,pedestrians,avg_speed_mph\n"
+    (tmp_path / "a.csv").write_text(header + "0,1,0,2.5\n")
+    (tmp_path / "b.csv").write_text(header + "1,0,2,\n")
+    return ["merge", "a.csv", "b.csv", "--out", "m.csv"]
+
+
+MERGED_STATS = "frame,vehicles,pedestrians,avg_speed_mph\n0,1,0,2.5\n1,0,2,\n"
+
+
+def test_entry_flushes_the_summary_into_a_pipe(tmp_path):
+    proc = _entry(*_stats_shards(tmp_path), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "merge: 2 stats shards -> m.csv (2 frames)\n", "")
+    assert (tmp_path / "m.csv").read_text() == MERGED_STATS
+
+
+def test_entry_keeps_main_exit_codes_and_error_lines(tmp_path):
+    proc = _entry("merge", "missing.json", "--out", "x.json", cwd=tmp_path)
+    assert proc.returncode == 2 and proc.stdout == "", proc
+    assert proc.stderr.startswith("error: FileNotFoundError: "), proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    proc = _entry(*overflow_scene(tmp_path), cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "",
+                                                           OVERFLOW_ERROR)
+    assert not (tmp_path / "tracks.jsonl").exists()
+
+
+def test_entry_stdout_closed_by_its_reader_exits_2(tmp_path):
+    # the reader is gone before the command prints: an output that cannot
+    # be written, reported as `main` reports an unwritable --out, and no
+    # teardown "Exception ignored ... BrokenPipeError" block
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _entry(*_stats_shards(tmp_path), cwd=tmp_path,
+                      stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: BrokenPipeError: [Errno 32] Broken pipe\n")
+    assert (tmp_path / "m.csv").read_text() == MERGED_STATS
