@@ -215,7 +215,9 @@ class StateClassifier:
 
     Parking needs more than `parking_duration_s` of consecutive frames
     near the road border at near-zero speed; membership drops on the
-    first frame either condition breaks.
+    first frame either condition breaks.  A frame that is not the one
+    after the last stepped ends every run, as stepping the frames between
+    without rows would.
     """
 
     def __init__(self, boundary: BoundarySet | None, scale: GroundScale,
@@ -239,6 +241,7 @@ class StateClassifier:
         order = np.argsort(keys)
         self._keys, self._border = keys[order], border[order]
         self._still_frames: dict[int, int] = {}
+        self._next_frame = None
 
     def _nearest_border(self, p: np.ndarray) -> np.ndarray:
         """Each (n, 2) position's distance to the nearest border point in
@@ -269,8 +272,10 @@ class StateClassifier:
             nearest = self._nearest_border(tracks.xy[still])
             still[still] = self.scale.to_meters(nearest) < cfg.parking_border_m
         needed = int(math.ceil(cfg.parking_duration_s * self.fps))
-        self._still_frames = {i: self._still_frames.get(i, 0) + 1
+        runs = self._still_frames if frame == self._next_frame else {}
+        self._still_frames = {i: runs.get(i, 0) + 1
                               for i in ids[still].tolist()}
+        self._next_frame = frame + 1
         parked = still.copy()  # runs are in the order of ids[still]
         parked[still] = np.array(list(self._still_frames.values())) >= needed
 

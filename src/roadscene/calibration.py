@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,13 +23,10 @@ from .errors import (
     InsufficientTrajectories,
     InvalidProbability,
     NoConsensus,
-    SingularMatrix,
 )
 from .geometry import (
     BEV,
     PERSPECTIVE,
-    _SINGULAR,
-    _UNSCALED,
     Homography,
     PixelPoint,
     _canonical_stack,
@@ -101,7 +98,8 @@ def ransac_homography(matches: Sequence[Correspondence],
     The budget shrinks adaptively: whenever a better model appears, the
     required iteration count is recomputed from its inlier ratio.  The
     winner is refit on its full inlier set unless the refit would lose
-    inliers, in which case the voted model is kept.
+    inliers, in which case the voted model is kept.  A sample or refit
+    whose fit does not stand yields no model and wins no votes.
 
     Samples are drawn, fitted and scored in blocks of up to _BLOCK (see
     `_block_hypotheses`), then walked in draw order with the budget checked
@@ -127,78 +125,56 @@ def ransac_homography(matches: Sequence[Correspondence],
     while i < budget:
         draws = np.array([rng.choice(n, size=_SAMPLE_SIZE, replace=False)
                           for _ in range(min(_BLOCK, budget - i))])
-        block = _block_hypotheses(cam_xy, sat_xy, draws, tau2)
+        g, masks, votes = _block_hypotheses(cam_xy, sat_xy, draws, tau2)
         for k in range(len(draws)):
             if i >= budget:
                 break
             i += 1
-            votes = block.votes_of(k)
-            history.append(votes)
-            if votes > best_votes:
-                best_h = Homography(block.g[k], source=PERSPECTIVE, target=BEV)
-                best_mask, best_votes = block.masks[k], votes
-                eps = best_votes / n
+            history.append(votes[k])
+            if votes[k] > best_votes:
+                best_h = Homography(g[k], source=PERSPECTIVE, target=BEV)
+                best_mask, best_votes = masks[k], votes[k]
                 budget = min(params.max_iter,
-                             ransac_iterations(params.rho, eps))
+                             ransac_iterations(params.rho, best_votes / n))
 
     if best_votes < _SAMPLE_SIZE:
         raise NoConsensus(f"best consensus has {best_votes} votes, "
                           f"need at least {_SAMPLE_SIZE}")
 
-    # a degenerate refit has 0 votes, fewer than the winner's
-    refit = _block_hypotheses(cam_xy, sat_xy,
-                              np.flatnonzero(best_mask)[None], tau2)
-    if refit.votes_of(0) >= best_votes:
-        best_h = Homography(refit.g[0], source=PERSPECTIVE, target=BEV)
-        best_mask, best_votes = refit.masks[0], refit.votes[0]
+    # a refit that does not stand has 0 votes, fewer than the winner's
+    (g,), (mask,), (votes,) = _block_hypotheses(
+        cam_xy, sat_xy, np.flatnonzero(best_mask)[None], tau2)
+    if votes >= best_votes:
+        best_h = Homography(g, source=PERSPECTIVE, target=BEV)
+        best_mask, best_votes = mask, votes
 
     return RansacResult(h=best_h, inlier_mask=best_mask, votes=best_votes,
                         iterations_run=i, vote_history=history)
 
 
-class _Block(NamedTuple):
-    """A block of RANSAC samples, fitted and scored: per sample the matrix
-    `estimate_dlt_xy` gives, the inlier mask and vote count of its
-    `Homography`, whether those stand, whether the fit is degenerate
-    instead, and whether `Homography` refuses the matrix as singular."""
-
-    g: np.ndarray
-    masks: np.ndarray
-    votes: list[int]
-    fitted: np.ndarray
-    degenerate: np.ndarray
-    singular: np.ndarray
-
-    def votes_of(self, k: int) -> int:
-        """Sample k's votes, 0 if its fit is degenerate.  A sample that is
-        neither raises what fitting it alone raises: `estimate_dlt_xy`
-        refuses its fit, or `Homography` its matrix."""
-        if self.degenerate[k]:
-            return 0
-        if not self.fitted[k]:
-            raise SingularMatrix(_SINGULAR if self.singular[k] else _UNSCALED)
-        return self.votes[k]
-
-
 def _block_hypotheses(cam_xy: np.ndarray, sat_xy: np.ndarray,
-                      draws: np.ndarray, tau2: float) -> _Block:
-    """Fit and score a (b, m) block of sampled match indices at once.
+                      draws: np.ndarray, tau2: float):
+    """Fit and score a (b, m) block of sampled match indices at once:
+    returns per sample the matrix `estimate_dlt_xy` gives, and the inlier
+    mask and vote count of its `Homography`.  Those are all False and 0
+    for a fit that does not stand: degenerate, not scaling to norm 1, or
+    singular once canonicalized, which `estimate_dlt_xy` or `Homography`
+    would refuse (Fischler & Bolles, CACM 1981: no model, no consensus).
 
     Every step is the one-at-a-time step on a stack (one SVD, one
     projection), bit for bit, and none warns or raises.  A point whose
     squared error overflows is an outlier.
     """
-    g, fitted, degenerate = _dlt_stack(cam_xy[draws], sat_xy[draws])
-    # `Homography` canonicalizes each fitted matrix a second time; the
-    # others are not scored and project through the identity
+    g, fitted, _ = _dlt_stack(cam_xy[draws], sat_xy[draws])
+    # `Homography` canonicalizes each fitted matrix a second time and
+    # refuses it if singular; the others project through the identity
     h, _ = _canonical_stack(np.where(fitted[:, None, None], g, np.eye(3)))
-    singular = _singular_stack(h)
-    fitted &= ~singular
+    fitted &= ~_singular_stack(h)
     u, v = _project(cam_xy, h)
     with np.errstate(over="ignore"):
         masks = (u - sat_xy[:, 0]) ** 2 + (v - sat_xy[:, 1]) ** 2 < tau2
-    return _Block(g, masks, masks.sum(axis=1).tolist(), fitted, degenerate,
-                  singular)
+    masks &= fitted[:, None]
+    return g, masks, masks.sum(axis=1).tolist()
 
 
 # --- trajectory straightness ------------------------------------------------

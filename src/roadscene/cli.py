@@ -383,8 +383,8 @@ def _cmd_analyze(args) -> int:
     else:
         stop = int(table.frame[-1]) if len(table) else start - 1
 
-    # frames never decrease, so the range's rows are one slice, and so is
-    # each frame's within it; a negative speed is clamped to 0
+    # frames never decrease, so the range's rows are one slice, and so are
+    # those of each frame that has any; a negative speed is clamped to 0
     rows = slice(np.searchsorted(table.frame, start),
                  np.searchsorted(table.frame, stop, side="right"))
     row_frames, speed = table.frame[rows], table.speed_mph[rows]
@@ -394,13 +394,11 @@ def _cmd_analyze(args) -> int:
     maps = make_heatmaps(shape)
     stats = []
     frame_states = []
-    first = 0
-    for frame in range(start, stop + 1):
-        end = np.searchsorted(row_frames, frame, side="right")
+    firsts = np.flatnonzero(np.diff(row_frames, prepend=-1)).tolist()
+    for first, end in zip(firsts, firsts[1:] + [len(row_frames)]):
         part = FrameTracks(*(column[first:end] for column in tracks))
-        first = end
-        states = classifier.step(frame, part)
-        stats.append(frame_stats(frame, part, states))
+        states = classifier.step(int(row_frames[first]), part)
+        stats.append(frame_stats(states.frame, part, states))
         frame_states.append(states)
     if frame_states:
         # deposits are integer adds, which commute, so one call over all
@@ -513,10 +511,13 @@ def _add_common(sub, seed=False):
 
 class _Parser(argparse.ArgumentParser):
     """Raises an argument error as a ConfigError instead of printing the
-    usage and exiting."""
+    usage and exiting, and an unwritable --help as the OSError it is."""
 
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
+
+    def _print_message(self, message, file=None):
+        (file or sys.stderr).write(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -609,7 +610,10 @@ def main(argv=None) -> int:
 def run() -> None:
     """Process entry: `main`, its output flushed, no interpreter teardown."""
     gc.freeze()  # later collections skip the import heap
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse's --help, printed but not flushed
+        code = exc.code
     try:
         sys.stdout.flush()
     except OSError as exc:  # closed by its reader: as an unwritable --out

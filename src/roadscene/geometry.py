@@ -49,12 +49,6 @@ WORLD = "world"
 # makes a matrix singular.
 _EPS = 1e-12
 
-# why `Homography` refuses a singular matrix, and `estimate_dlt_xy` a fit
-# that does not scale to norm 1
-_SINGULAR = "homography matrix is singular"
-_UNSCALED = "estimated matrix does not scale to norm 1"
-
-
 @dataclass(frozen=True)
 class PixelPoint:
     """A 2-D point tagged with the frame it lives in."""
@@ -111,7 +105,7 @@ class Homography:
     def __post_init__(self):
         g = canonicalize_matrix(self.matrix)
         if _singular_stack(g[None])[0]:
-            raise SingularMatrix(_SINGULAR)
+            raise SingularMatrix("homography matrix is singular")
         g.setflags(write=False)
         object.__setattr__(self, "matrix", g)
 
@@ -177,7 +171,7 @@ def invert(h: Homography) -> Homography:
     try:
         inv = np.linalg.inv(h.matrix)
     except np.linalg.LinAlgError:
-        raise SingularMatrix(_SINGULAR) from None
+        raise SingularMatrix("homography matrix is singular") from None
     return Homography(inv, source=h.target, target=h.source)
 
 
@@ -208,7 +202,7 @@ def estimate_dlt_xy(src_xy: np.ndarray, dst_xy: np.ndarray) -> np.ndarray:
         raise DegenerateConfiguration(
             "sample points coincide, are collinear or give a singular matrix")
     if not fitted:
-        raise SingularMatrix(_UNSCALED)
+        raise SingularMatrix("estimated matrix does not scale to norm 1")
     return g
 
 

@@ -225,6 +225,16 @@ class TestParking:
             states = clf.step(frame, ft([obs(1, 5.0, 30.0, 0.0)]))
         assert 1 not in members(states, "parking")
 
+    def test_skipped_frame_ends_run(self):
+        # two still frames park, if the second is the one after the first
+        row = ft([obs(1, 5.0, 30.0, 0.0)])
+        for frames, parked in (((5, 6), {1}), ((5, 9), set()),
+                               ((5, 5), set())):
+            clf = self.make(parking_duration_s=2.0)
+            for frame in frames:
+                states = clf.step(frame, row)
+            assert members(states, "parking") == parked, frames
+
     def test_missing_scale(self):
         with pytest.raises(MissingCalibration):
             StateClassifier(left_border(), None, AnalyticsConfig(), 25.0)

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -125,9 +126,10 @@ def test_chain_heat_maps_accumulate(pipeline):
     assert abs(float(ped.h.sum()) - ped.events) < 1e-9
 
 
-def test_chain_stats_cover_all_frames(pipeline):
+def test_chain_stats_cover_the_frames_with_rows(pipeline):
     stats = load_stats(pipeline["an"] / "stats.csv")
-    assert stats[0].frame == 0
+    frames = load_tracks(pipeline["tracks"]).frame.tolist()
+    assert [s.frame for s in stats] == sorted(set(frames))
     assert stats[-1].frame == 79
     busy = [s for s in stats if s.vehicle_count == 1]
     assert len(busy) > 70
@@ -438,6 +440,36 @@ def test_far_frame_number_adds_nothing_and_finishes(tmp_path, pipeline):
             env=_source_env(), check=True, capture_output=True, timeout=60)
         outputs.append(out.read_bytes())
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_far_track_row_finishes_analyze(tmp_path, pipeline):
+    rows = pipeline["tracks"].read_text().splitlines()
+    far = dict(json.loads(rows[-1]), frame=10 ** 9)
+    # a limit the car exceeds, so that states.jsonl has rows to compare
+    config = tmp_path / "limit.cfg"
+    config.write_text("speed_limit_mph=5\n")
+    outputs = []
+    for name, lines in (("near", rows), ("far", rows + [json.dumps(far)])):
+        tracks = tmp_path / f"{name}.jsonl"
+        tracks.write_text("".join(line + "\n" for line in lines))
+        # in a subprocess, so that stepping every frame number up to the
+        # far one fails by the timeout instead of hanging the suite
+        start = time.perf_counter()
+        subprocess.run(
+            [sys.executable, "-m", "roadscene.cli", "analyze", "--tracks",
+             str(tracks), "--calibration",
+             str(pipeline["cal"] / "calibration.json"), "--boundary",
+             str(pipeline["road"] / "boundary.json"), "--config",
+             str(config), "--out", str(tmp_path / name)],
+            env=_source_env(), check=True, capture_output=True, timeout=60)
+        assert time.perf_counter() - start < 5.0, name
+        outputs.append([(tmp_path / name / f).read_text()
+                        for f in ("states.jsonl", "stats.csv")])
+    (near_states, near_stats), (far_states, far_stats) = outputs
+    assert near_states and far_states == near_states
+    far_lines = far_stats.splitlines()
+    assert far_lines[:-1] == near_stats.splitlines()
+    assert far_lines[-1].startswith(f"{10 ** 9},")
 
 
 def test_malformed_detections_names_line(tmp_path, pipeline, capsys):

@@ -3,7 +3,9 @@
 `ransac_homography` draws, fits and scores its hypotheses in blocks; the
 loop below is the reference it must equal exactly: the same homography bit
 for bit, the same inlier mask, votes, iteration count and vote history,
-and the same exception where the input provokes one.  Neither warns.
+and the same exception where the input provokes one.  A sample or refit
+whose fit does not stand, the fit refused by `estimate_dlt_xy` or its
+matrix by `Homography`, yields no model and scores 0 votes.  Neither warns.
 """
 
 import itertools
@@ -21,7 +23,8 @@ from roadscene.calibration import (
     ransac_iterations,
 )
 from roadscene.config import RansacParams
-from roadscene.errors import DegenerateConfiguration, NoConsensus
+from roadscene.errors import (DegenerateConfiguration, NoConsensus,
+                              SingularMatrix)
 from roadscene.geometry import (
     BEV,
     PERSPECTIVE,
@@ -40,11 +43,18 @@ def one_at_a_time(matches, params=RansacParams(), rng_seed=0):
     rng = np.random.default_rng(rng_seed)
     tau2 = params.tau_z ** 2
 
-    def vote(h):
+    def fit_and_vote(idx):
+        """The sample's homography and inlier mask, (None, all False) if
+        its fit does not stand."""
+        try:
+            g = estimate_dlt_xy(cam_xy[idx], sat_xy[idx])
+            h = Homography(g, source=PERSPECTIVE, target=BEV)
+        except (DegenerateConfiguration, SingularMatrix):
+            return None, np.zeros(n, dtype=bool)
         proj = apply_many(h, cam_xy)
         with np.errstate(over="ignore"):  # an overflowing error is an outlier
             err2 = np.sum((proj - sat_xy) ** 2, axis=1)
-        return err2 < tau2
+        return h, err2 < tau2
 
     best_h = best_mask = None
     best_votes = 0
@@ -53,14 +63,7 @@ def one_at_a_time(matches, params=RansacParams(), rng_seed=0):
     i = 0
     while i < budget:
         idx = rng.choice(n, size=_SAMPLE_SIZE, replace=False)
-        try:
-            g = estimate_dlt_xy(cam_xy[idx], sat_xy[idx])
-        except DegenerateConfiguration:
-            history.append(0)
-            i += 1
-            continue
-        h = Homography(g, source=PERSPECTIVE, target=BEV)
-        mask = vote(h)
+        h, mask = fit_and_vote(idx)
         votes = int(mask.sum())
         history.append(votes)
         if votes > best_votes:
@@ -72,13 +75,8 @@ def one_at_a_time(matches, params=RansacParams(), rng_seed=0):
     if best_votes < _SAMPLE_SIZE:
         raise NoConsensus(f"best consensus has {best_votes} votes, "
                           f"need at least {_SAMPLE_SIZE}")
-    try:
-        g = estimate_dlt_xy(cam_xy[best_mask], sat_xy[best_mask])
-        refit = Homography(g, source=PERSPECTIVE, target=BEV)
-        refit_mask = vote(refit)
-        refit_votes = int(refit_mask.sum())
-    except DegenerateConfiguration:
-        refit_votes = -1
+    refit, refit_mask = fit_and_vote(best_mask)
+    refit_votes = int(refit_mask.sum())
     if refit_votes >= best_votes:
         best_h, best_mask, best_votes = refit, refit_mask, refit_votes
     return RansacResult(h=best_h, inlier_mask=best_mask, votes=best_votes,
@@ -204,12 +202,15 @@ def far_match_set(seed):
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("max_iter", [10, 150])
 def test_unscaled_fit_raises_at_its_turn(seed, max_iter):
-    # the walk raises the SingularMatrix of the first such sample within
-    # the budget, as fitting it alone does; none comes within 10 samples
-    # for some seeds, which end in a result or in NoConsensus
+    # an unscaled fit's turn comes, and it raises nothing: its sample wins
+    # no votes and the walk goes on, so a larger budget cannot turn a
+    # result into an error
     matches = far_match_set(seed)
     params = RansacParams(max_iter=max_iter)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert outcome(ransac_homography, matches, params, seed) == \
-            outcome(one_at_a_time, matches, params, seed)
+        blocked = outcome(ransac_homography, matches, params, seed)
+        assert blocked == outcome(one_at_a_time, matches, params, seed)
+    assert blocked[0] is not SingularMatrix, blocked
+    if seed == 4:
+        assert isinstance(blocked[0], bytes), blocked

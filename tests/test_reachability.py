@@ -30,6 +30,10 @@ ALLOWED = {
                                     "itself to skip the copy",
     ("cli", "_Parser.error"): "argparse calls it on a bad argument, so that "
                               "the error is a ConfigError",
+    ("cli", "_Parser._print_message"): "argparse writes --help and usage "
+                                       "through it; it lets an unwritable "
+                                       "stdout's OSError through, which "
+                                       "argparse's own swallows",
 }
 
 

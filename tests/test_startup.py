@@ -102,14 +102,26 @@ def test_library_import_leaves_blas_threads_alone():
                   ) is None
 
 
-def _entry(*argv: str, cwd, stdout=subprocess.PIPE):
+def _entry(*argv: str, cwd, stdout=subprocess.PIPE, unbuffered=False):
     """Run `python -m roadscene.cli` as a shell does, with stdout block
-    buffered (no PYTHONUNBUFFERED), so that only the entry's own flush
-    writes a summary line."""
+    buffered (no PYTHONUNBUFFERED) unless `unbuffered`, so that only the
+    entry's own flush writes a summary line."""
+    env = _source_env("PYTHONUNBUFFERED")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "roadscene.cli", *argv],
-                          cwd=cwd, env=_source_env("PYTHONUNBUFFERED"),
-                          stdout=stdout, stderr=subprocess.PIPE, text=True,
-                          timeout=120)
+                          cwd=cwd, env=env, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+
+
+def _closed_pipe_entry(*argv: str, cwd, unbuffered=False):
+    """`_entry` with stdout a pipe whose reader is gone before it starts."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return _entry(*argv, cwd=cwd, stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
 
 
 def _stats_shards(tmp_path) -> list[str]:
@@ -144,13 +156,20 @@ def test_entry_stdout_closed_by_its_reader_exits_2(tmp_path):
     # the reader is gone before the command prints: an output that cannot
     # be written, reported as `main` reports an unwritable --out, and no
     # teardown "Exception ignored ... BrokenPipeError" block
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = _entry(*_stats_shards(tmp_path), cwd=tmp_path,
-                      stdout=write_end)
-    finally:
-        os.close(write_end)
+    proc = _closed_pipe_entry(*_stats_shards(tmp_path), cwd=tmp_path)
     assert (proc.returncode, proc.stderr) == (
         2, "error: BrokenPipeError: [Errno 32] Broken pipe\n")
     assert (tmp_path / "m.csv").read_text() == MERGED_STATS
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_help_into_a_closed_pipe_exits_2(tmp_path, unbuffered):
+    # argparse prints --help and exits; buffered, the write fails at the
+    # entry's flush, unbuffered at argparse's own write, and either is the
+    # same one line
+    proc = _entry("--help", cwd=tmp_path, unbuffered=unbuffered)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: roadscene"), proc.stdout
+    proc = _closed_pipe_entry("--help", cwd=tmp_path, unbuffered=unbuffered)
+    assert (proc.returncode, proc.stderr) == (
+        2, "error: BrokenPipeError: [Errno 32] Broken pipe\n")
