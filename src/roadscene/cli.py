@@ -308,7 +308,7 @@ def _track_rows(block, motion, g, scale, cfg) -> str:
             [row[5] for row in owners], [row[2] for row in owners], headings,
             [row[3] for row in owners], invert(g), cfg.priors, scale,
             beta=cfg.beta)
-        for row, cuboid in zip(owners, cuboids.tolist()):
+        for row, cuboid in zip(owners, cuboids.reshape(-1, 16).tolist()):
             row[8] = cuboid
     return dump_track_rows(rows)
 
@@ -609,7 +609,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """Process entry: `main`, its output flushed, no interpreter teardown."""
-    gc.freeze()  # later collections skip the import heap
+    gc.disable()  # a command makes few cycles, and its exit frees all
     try:
         code = main()
     except SystemExit as exc:  # argparse's --help, printed but not flushed

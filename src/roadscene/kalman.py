@@ -1,12 +1,11 @@
-"""Closed-form Kalman steps for kinematic blocks that share one covariance.
+"""Closed-form Kalman steps for the BEV filter's constant-acceleration block.
 
-A block is a chain (value[, rate[, acceleration]]) over m axes that follow
-the same model and noise, so they share one symmetric n x n covariance `p`
-(n <= 3).  Its state is flat and derivative-major: `state[k * m + i]` is
-the k-th derivative on axis i, e.g. [x, y, vx, vy, ax, ay].  Each axis's
-value is observed as a scalar, so no matrix inverse is needed; `p` is
-computed on and above the diagonal and mirrored, so it stays exactly
-symmetric.  Plain floats: at n <= 3 a numpy call costs more than the math.
+The chain (value, rate, acceleration) on both BEV axes, which share one
+symmetric 3x3 covariance `p`; the state is derivative-major,
+[x, y, vx, vy, ax, ay].  Each value is observed as a scalar, so no matrix
+inverse is needed; `p` is computed on and above the diagonal and mirrored,
+so it stays exactly symmetric.  Plain floats: at this size a numpy call
+costs more than the math.
 """
 
 from __future__ import annotations
@@ -17,26 +16,13 @@ Cov = tuple[tuple[float, ...], ...]
 
 
 def kf_predict_step(state: Sequence[float], p: Cov, t: float,
-                    q: Cov) -> tuple[Sequence[float], Cov]:
-    """Advance every axis of a block by t; `q` is the process noise."""
-    n = len(p)
-    if n == 1:
-        return state, ((p[0][0] + q[0][0],),)
-    m = len(state) // n
-    out = list(state)
-    if n == 2:
-        (a, b), (_, d) = p
-        for i in range(m):
-            out[i] += t * state[m + i]
-        bd = b + t * d
-        p01 = bd + q[0][1]
-        return out, ((a + t * (b + bd) + q[0][0], p01), (p01, d + q[1][1]))
+                    q: Cov) -> tuple[list[float], Cov]:
+    """Advance both axes by t; `q` is the process noise."""
+    x, y, vx, vy, ax, ay = state
     (a, b, c), (_, d, e), (_, _, f) = p
     h = 0.5 * t * t
-    for i in range(m):
-        v, w = state[m + i], state[2 * m + i]
-        out[i] = state[i] + t * v + h * w
-        out[m + i] = v + t * w
+    out = [x + t * vx + h * ax, y + t * vy + h * ay,
+           vx + t * ax, vy + t * ay, ax, ay]
     # rows of F P, then (F P) F^T on and above the diagonal
     r00 = a + t * b + h * c
     r01 = b + t * d + h * e
@@ -52,36 +38,19 @@ def kf_predict_step(state: Sequence[float], p: Cov, t: float,
 
 def kf_update_step(state: Sequence[float], p: Cov, z: Sequence[float],
                    r: float) -> tuple[list[float], Cov]:
-    """Fold in z[i], an observation of axis i's value with variance r.
+    """Fold in z = (zx, zy), each axis's value observed with variance r.
 
     The innovation variance is the scalar p[0][0] + r, and the k-th
-    derivative's gain is p[k][0] / (p[0][0] + r) on every axis.
+    derivative's gain is p[k][0] / (p[0][0] + r) on both axes.
     """
-    n, m = len(p), len(z)
-    s = p[0][0] + r
-    out = list(state)
-    if n == 1:
-        (a,), = p
-        ka = a / s
-        for i, zi in enumerate(z):
-            out[i] += ka * (zi - state[i])
-        return out, ((a - ka * a,),)
-    if n == 2:
-        (a, b), (_, d) = p
-        ka, kb = a / s, b / s
-        for i, zi in enumerate(z):
-            inn = zi - state[i]
-            out[i] += ka * inn
-            out[m + i] += kb * inn
-        p01 = b - ka * b
-        return out, ((a - ka * a, p01), (p01, d - kb * b))
+    x, y, vx, vy, ax, ay = state
+    zx, zy = z
     (a, b, c), (_, d, e), (_, _, f) = p
+    s = a + r
     ka, kb, kc = a / s, b / s, c / s
-    for i, zi in enumerate(z):
-        inn = zi - state[i]
-        out[i] += ka * inn
-        out[m + i] += kb * inn
-        out[2 * m + i] += kc * inn
+    ix, iy = zx - x, zy - y
+    out = [x + ka * ix, y + ka * iy, vx + kb * ix, vy + kb * iy,
+           ax + kc * ix, ay + kc * iy]
     p01, p02, p12 = b - ka * b, c - ka * c, e - kb * c
     return out, ((a - ka * a, p01, p02), (p01, d - kb * b, p12),
                  (p02, p12, f - kc * c))

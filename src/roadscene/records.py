@@ -159,18 +159,19 @@ def _float_list(n: int) -> str:
     return ",".join([_FLOAT] * n)
 
 
-def _match_lines(text: str, pattern: str, groups: tuple, width: int):
-    """(`_lines` of `text`, each one's full match of `pattern` or None, the
-    `width` numbers in each match's `groups` as a float64 row or zeros)."""
-    numbered = list(_lines(text))
-    matches = list(map(re.compile(pattern).fullmatch,
-                       [line for _, line in numbered]))
-    # numpy reads each number with Python's own correctly rounded parser,
-    # so it gets `float`'s bits
-    values = np.fromstring(",".join(
-        [",".join(m.group(*groups)) if m else ",".join("0" * width)
-         for m in matches]), sep=",")
-    return numbered, matches, values.reshape(len(matches), width)
+def _own_lines(text: str, pattern: str) -> list | None:
+    """The groups of every line of `text`, by one scan of the whole text,
+    when each line is a full match of `pattern`; else None."""
+    found = re.findall("^" + pattern + "$", text, re.MULTILINE)
+    # matches are whole lines; a last line without its newline is a line too
+    lines = text.count("\n") + (not text.endswith("\n"))
+    return found if len(found) == lines else None
+
+
+def _numbers(texts, dtype=np.float64) -> np.ndarray:
+    """The numbers in `texts` as one flat array; numpy reads each float with
+    Python's own correctly rounded parser, so it gets `float`'s bits."""
+    return np.fromstring(",".join(texts), dtype=dtype, sep=",")
 
 
 # --- detections -------------------------------------------------------------
@@ -190,39 +191,45 @@ def parse_detections(text: str) -> list[tuple[int, DetectionGroup]]:
     per frame that has detections, in frame order.
 
     Rows must carry non-decreasing frame numbers; extra keys are ignored.
-    Lines that `write_detections` spelled are matched by one regex, and
-    their numbers are converted all at once; any other line, and any out of
-    frame order, goes through the general decoder.  The rows are then
-    judged once, as one group, and each frame's group is a slice of it.
-    Whatever its fault, the first faulty line is named.
+    If every line is spelled as `write_detections` spells it and frames
+    never decrease, one scan reads the text and each column is converted at
+    once; else the general decoder reads every line.  The rows are judged
+    once, as one group, and the first faulty line is named.
     """
     from .tracking import DetectionGroup, _faults
-    numbered, matches, values = _match_lines(text, _DETECTION_LINE, (1, 4, 3),
-                                             5 + len(CLASS_NAMES))
-    frames = [int(m[2]) if m else -1 for m in matches]
-    starts = []  # the first row of each frame
-    # the rows before the first line that the general decoder refuses
-    n, fault = len(numbered), None
-    last = -1
-    for i, (lineno, line) in enumerate(numbered):
-        if matches[i] is None or frames[i] < last:
+    found, fault = _own_lines(text, _DETECTION_LINE), None
+    if found:
+        bbox, frames, probs, score = zip(*found)
+        frames = _numbers(frames, np.int64)
+    if found and (np.diff(frames) >= 0).all():
+        linenos = range(1, len(found) + 1)
+        columns = (_numbers(bbox).reshape(-1, 4), _numbers(score),
+                   _numbers(probs).reshape(-1, len(CLASS_NAMES)))
+    else:  # every line up to the first that the general decoder refuses
+        linenos, frames, values = [], [-1], []
+        for lineno, line in _lines(text):
             try:
-                frames[i], values[i] = _json_detection(line, lineno, last)
+                frame, row = _json_detection(line, lineno, frames[-1])
             except SchemaError as exc:
-                n, fault = i, exc
+                fault = exc
                 break
-        if frames[i] != last:
-            starts.append(i)
-            last = frames[i]
-    columns = values[:n, :4], values[:n, 4], values[:n, 5:]
+            linenos.append(lineno)
+            frames.append(frame)
+            values.append(row)
+        frames = frames[1:]
+        values = np.array(values).reshape(-1, 5 + len(CLASS_NAMES))
+        columns = values[:, :4], values[:, 4], values[:, 5:]
     try:
         rows = DetectionGroup(*columns)
     except ValueError as exc:  # which names the first row it refuses
         first = int(_faults(*columns).any(axis=0).argmax())
-        raise SchemaError(f"line {numbered[first][0]}: {exc}") from None
+        raise SchemaError(f"line {linenos[first]}: {exc}") from None
     if fault is not None:
         raise fault
-    return [(frames[a], rows[a:b]) for a, b in zip(starts, starts[1:] + [n])]
+    starts = np.flatnonzero(np.diff(frames, prepend=-1)).tolist()
+    frames = np.asarray(frames).tolist()
+    return [(frames[a], rows[a:b])
+            for a, b in zip(starts, starts[1:] + [len(frames)])]
 
 
 def _json_detection(line: str, lineno: int, last: int) -> tuple[int, list]:
@@ -275,7 +282,7 @@ def dump_track_rows(rows) -> str:
 
     Each row is (frame, id, class, bbox, ref, bev, speed_mph, heading_deg,
     cuboid): two ints, a class name, 4, 2 and 2 floats, a float, a float or
-    None, and 8 [x, y] pairs or None.  Every float must be a Python float.
+    None, and 16 floats (8 [x, y] corners) or None, all Python floats.
     Raises NonFiniteOutput when one of them is NaN or an infinity.
     `ref`'s x and each roof corner's x reuse the text of the bbox's x and
     of the floor corner's x where the two are equal and non-zero (+-0.0
@@ -286,8 +293,8 @@ def dump_track_rows(rows) -> str:
             in rows:
         corners = "null"
         if cuboid is not None:
-            (ax, ay), (bx, by), (cx, cy), (dx, dy), \
-                (ex, ey), (fx, fy), (gx, gy), (hx, hy) = cuboid
+            ax, ay, bx, by, cx, cy, dx, dy, ex, ey, fx, fy, gx, gy, hx, hy \
+                = cuboid
             a, b, c, d = repr(ax), repr(bx), repr(cx), repr(dx)
             corners = _CUBOID % (
                 a, ay, b, by, c, cy, d, dy,
@@ -318,6 +325,7 @@ def write_tracks(path, chunks) -> None:
 
 # groups: bev, class, frame, id, speed_mph; the cuboid is checked, not read
 _POINT = r"\[" + _float_list(2) + r"\]"
+_CLASS_INDEX = {name: i for i, name in enumerate(CLASS_NAMES)}
 _TRACK_LINE = (
     r'\{"bbox":\[' + _float_list(4) + r'\],'
     r'"bev":\[(' + _float_list(2) + r')\],'
@@ -355,27 +363,35 @@ def parse_tracks(text: str) -> TrackTable:
     `segment` and `analyze` read.
 
     Every field is checked, and a frame lists each track id at most once.
-    Lines that `track` spelled are matched by one regex, which checks the
-    cuboid's syntax without decoding it, and their numbers are converted
-    all at once; any other line, and any out of frame order or repeating
-    an id of its frame, goes through the general decoder.
+    If every line is spelled as `track` spells it, frames never decrease
+    and no (frame, id) pair repeats, one scan reads the text, checking the
+    cuboid's syntax without decoding it, and each column is converted at
+    once; else the general decoder reads every line.
     """
-    # values: bev x, bev y and speed_mph
-    numbered, matches, values = _match_lines(text, _TRACK_LINE, (1, 5), 3)
-    rows = []  # frame, id and class index
+    found = _own_lines(text, _TRACK_LINE)
+    if found:
+        bev, names, frame, ids, speed = zip(*found)
+        frame, ids = _numbers(frame, np.int64), _numbers(ids, np.int64)
+        # frames never decrease, so sorting the (frame, id) pairs puts a
+        # repeat, which is one within its frame, next to its twin
+        order = np.lexsort((ids, frame))
+        if (np.diff(frame) >= 0).all() and (
+                np.diff(frame[order]) | np.diff(ids[order])).all():
+            return TrackTable(frame, ids, np.array(
+                list(map(_CLASS_INDEX.__getitem__, names)), dtype=np.int64),
+                _numbers(bev).reshape(-1, 2), _numbers(speed))
+    rows, values = [], []  # frame, id and class index; bev and speed
     last, seen = -1, set()  # the current frame and its ids
-    for i, ((lineno, line), m) in enumerate(zip(numbered, matches)):
-        if m is not None:
-            frame, track_id, name = int(m[3]), int(m[4]), m[2]
-        if m is None or frame < last or (frame == last and track_id in seen):
-            frame, track_id, name, values[i] = _json_track(line, lineno,
-                                                           last, seen)
+    for lineno, line in _lines(text):
+        frame, track_id, name, row = _json_track(line, lineno, last, seen)
         if frame != last:
             last, seen = frame, set()
         seen.add(track_id)
-        rows.append((frame, track_id, CLASS_NAMES.index(name)))
+        rows.append((frame, track_id, _CLASS_INDEX[name]))
+        values.append(row)
     # a copy, so that each column is contiguous
     columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T.copy()
+    values = np.array(values).reshape(-1, 3)
     return TrackTable(*columns, values[:, :2], values[:, 2])
 
 

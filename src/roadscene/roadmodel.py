@@ -117,24 +117,25 @@ def srg_segment(image: ImageBuffer, seeds: Sequence[PixelPoint],
     return RoadMask(visited.reshape(h, w))
 
 
-def _windows3x3(road: np.ndarray) -> np.ndarray:
-    """The 3x3 neighborhood of each pixel, (h, w, 3, 3); off-image pixels
-    read False."""
+def _over3x3(road: np.ndarray, op) -> np.ndarray:
+    """`op` (`|` or `&`) of each pixel's 3x3 neighborhood, off-image pixels
+    False: a pass of shifted slices along rows, then one along columns."""
     h, w = road.shape
     padded = np.zeros((h + 2, w + 2), dtype=bool)
     padded[1:-1, 1:-1] = road
-    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
+    rows = op(op(padded[:, :-2], padded[:, 1:-1]), padded[:, 2:])
+    return op(op(rows[:-2], rows[1:-1]), rows[2:])
 
 
 def refine_mask(mask: RoadMask) -> RoadMask:
     """Morphological closing: fill sub-kernel holes and gaps.  Dilation is
     any pixel of the 3x3 window, erosion all of them."""
-    dilated = _windows3x3(mask.pixels).any(axis=(2, 3))
-    return RoadMask(_windows3x3(dilated).all(axis=(2, 3)))
+    return RoadMask(_over3x3(_over3x3(mask.pixels, np.bitwise_or),
+                             np.bitwise_and))
 
 
 def _boundary_pixels(road: np.ndarray) -> np.ndarray:
-    return road & ~_windows3x3(road).all(axis=(2, 3))
+    return road & ~_over3x3(road, np.bitwise_and)
 
 
 def _next_contour_step(road: np.ndarray, cur: tuple[int, int],

@@ -9,21 +9,20 @@ class-agnostic.
 State vector (18): [x, y, s, r, vx, vy, vs, c0..c10] where (x, y) is the
 bottom-center reference point of the box, s the box area, r the aspect
 ratio (constant in the process model).  Observation (15): [x, y, s, r,
-c0..c10].  The covariance stays block-diagonal, so a track keeps four
-`kalman` blocks: {x, vx} and {y, vy} sharing one 2x2 covariance, {s, vs},
-{r}, and the category components sharing one variance.
-"""
+c0..c10].  The model is fixed and the covariance block-diagonal, so a
+`Track` steps four blocks in closed form: {x, vx} and {y, vy} sharing one
+2x2 covariance, {s, vs}, {r}, and the category components sharing one
+variance."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import CLASS_NAMES
-from .kalman import Cov, kf_predict_step, kf_update_step
 
 N_CLASSES = len(CLASS_NAMES)
 _BBOX_MAX = 1e100
@@ -267,32 +266,12 @@ def _min_cost_assignment(cost: list[list[float]]
 
 # --- per-track Kalman model -------------------------------------------------
 
-class _Block(NamedTuple):
-    """One block of the track filter: initial and process covariance, and
-    the observation variance shared by its axes."""
-
-    p0: Cov
-    q: Cov
-    r: float
-
-
-# the blocks in state order: [x, y, vx, vy]; [s, vs]; [r]; [c0..c10]
-_BLOCKS = (
-    _Block(((10.0, 0.0), (0.0, 1e4)), ((1.0, 0.0), (0.0, 0.01)), 1.0),
-    _Block(((10.0, 0.0), (0.0, 1e4)), ((1.0, 0.0), (0.0, 1e-4)), 10.0),
-    _Block(((10.0,),), ((1.0,),), 0.01),
-    _Block(((10.0,),), ((1e-4,),), 0.01),
-)
-_XY, _AREA, _ASPECT, _CATEGORY = range(len(_BLOCKS))
-
-
-def _observation(bbox: Sequence[float],
-                 class_index: int) -> tuple[Sequence[float], ...]:
-    """Per-block observation: reference point, area, aspect, class one-hot."""
-    _, _, w_b, h_b = bbox
-    one_hot = [0.0] * N_CLASSES
-    one_hot[class_index] = 1.0
-    return reference_point(bbox), (w_b * h_b,), (w_b / h_b,), one_hot
+# variances: initial; process (t = 1, zero off the diagonal), observation
+_P0, _P0_RATE = 10.0, 1e4
+_Q_XY, _Q_VXY, _R_XY = 1.0, 0.01, 1.0  # {x, vx} and {y, vy}
+_Q_S, _Q_VS, _R_S = 1.0, 1e-4, 10.0  # {s, vs}
+_Q_R, _R_R = 1.0, 0.01  # {r}
+_Q_C, _R_C = 1e-4, 0.01  # each of c0..c10
 
 
 @dataclass(frozen=True)
@@ -309,55 +288,90 @@ class TrackSnapshot:
 class Track:
     """Mutable tracker-internal record; snapshots are handed out instead.
 
-    `blocks` holds one (state, covariance) pair per `_BLOCKS` entry, in
-    the layout of `kalman`.  A detection is one row of a `DetectionGroup`:
-    its box and its most probable class.
-    """
+    The blocks are plain floats, covariances as (p00, p01, p11): `pxx`,
+    `pxv`, `pvv` for {x, vx} and {y, vy}, `pss`, `psv`, `pvs`, `prr` and
+    `pcc` for the `category`.  Each float is computed as the generic block
+    steps in tests/test_kalman.py compute it.  A detection is one row of a
+    `DetectionGroup`: its box and its most probable class."""
+
+    __slots__ = ("id", "x", "y", "vx", "vy", "pxx", "pxv", "pvv", "s", "vs",
+                 "pss", "psv", "pvs", "r", "prr", "category", "pcc", "hits",
+                 "time_since_update")
 
     def __init__(self, track_id: int, bbox: Sequence[float],
                  class_index: int):
         self.id = track_id
-        # observed values, then zero rates
-        self.blocks = [([*z] + [0.0] * (len(z) * (len(m.p0) - 1)), m.p0)
-                       for z, m in zip(_observation(bbox, class_index),
-                                       _BLOCKS)]
-        self.hits = 1
-        self.time_since_update = 0
+        # observed values, zero rates
+        self.x, self.y = reference_point(bbox)
+        self.s, self.r = bbox[2] * bbox[3], bbox[2] / bbox[3]
+        self.category = [0.0] * N_CLASSES
+        self.category[class_index] = 1.0
+        self.vx = self.vy = self.vs = self.pxv = self.psv = 0.0
+        self.pxx = self.pss = self.prr = self.pcc = _P0
+        self.pvv = self.pvs = _P0_RATE
+        self.hits, self.time_since_update = 1, 0
 
     def predict(self):
-        (s, vs), _ = self.blocks[_AREA]
-        if s + vs <= 0:
-            self.blocks[_AREA][0][1] = 0.0
-        self.blocks = [kf_predict_step(state, p, 1.0, m.q)
-                       for (state, p), m in zip(self.blocks, _BLOCKS)]
+        if self.s + self.vs <= 0:
+            self.vs = 0.0
+        self.x, self.y = self.x + self.vx, self.y + self.vy
+        self.s += self.vs
+        # F P F^T + Q with F = [[1, 1], [0, 1]]; adding the zero cross
+        # noise turns a -0.0 into 0.0
+        b, e = self.pxv + self.pvv, self.psv + self.pvs
+        self.pxx, self.pxv, self.pvv = (self.pxx + (self.pxv + b) + _Q_XY,
+                                        b + 0.0, self.pvv + _Q_VXY)
+        self.pss, self.psv, self.pvs = (self.pss + (self.psv + e) + _Q_S,
+                                        e + 0.0, self.pvs + _Q_VS)
+        self.prr, self.pcc = self.prr + _Q_R, self.pcc + _Q_C
         self.time_since_update += 1
 
     def update(self, bbox: Sequence[float], class_index: int):
-        self.blocks = [kf_update_step(state, p, z, m.r) for (state, p), z, m
-                       in zip(self.blocks, _observation(bbox, class_index),
-                              _BLOCKS)]
+        _, _, w_b, h_b = bbox
+        zx, zy = reference_point(bbox)
+        # a block's gains: its covariance column over p[0][0] + r
+        a, b = self.pxx, self.pxv
+        ka, kb = a / (a + _R_XY), b / (a + _R_XY)
+        ix, iy = zx - self.x, zy - self.y
+        self.x, self.y = self.x + ka * ix, self.y + ka * iy
+        self.vx, self.vy = self.vx + kb * ix, self.vy + kb * iy
+        self.pxx, self.pxv, self.pvv = a - ka * a, b - ka * b, \
+            self.pvv - kb * b
+        a, b = self.pss, self.psv
+        ka, kb = a / (a + _R_S), b / (a + _R_S)
+        inn = w_b * h_b - self.s
+        self.s, self.vs = self.s + ka * inn, self.vs + kb * inn
+        self.pss, self.psv, self.pvs = a - ka * a, b - ka * b, \
+            self.pvs - kb * b
+        a = self.prr
+        ka = a / (a + _R_R)
+        self.r, self.prr = self.r + ka * (w_b / h_b - self.r), a - ka * a
+        a = self.pcc
+        ka = a / (a + _R_C)
+        # the observed one-hot: 1.0 for the class, 0.0 for the others
+        c = self.category[class_index]
+        self.category = [v + ka * (0.0 - v) for v in self.category]
+        self.category[class_index] = c + ka * (1.0 - c)
+        self.pcc = a - ka * a
         self.hits += 1
         self.time_since_update = 0
 
     def predicted_bbox(self) -> tuple[float, float, float, float]:
-        x, y = self.blocks[_XY][0][:2]
-        s = max(self.blocks[_AREA][0][0], 1e-6)
-        r = max(self.blocks[_ASPECT][0][0], 1e-6)
+        s = max(self.s, 1e-6)
+        r = max(self.r, 1e-6)
         w = math.sqrt(s * r)
         if w == math.inf:  # s and r come from boxes of very different shape
             w = math.sqrt(s) * math.sqrt(r)
         h = s / w
-        return (x, y - h / 2.0, w, h)
+        return (self.x, self.y - h / 2.0, w, h)
 
     def class_index(self) -> int:
-        category, _ = self.blocks[_CATEGORY]
-        return category.index(max(category))
+        return self.category.index(max(self.category))
 
     def snapshot(self, frame: int) -> TrackSnapshot:
-        x, y = self.blocks[_XY][0][:2]
         return TrackSnapshot(
             frame=frame, track_id=self.id, bbox=self.predicted_bbox(),
-            class_name=CLASS_NAMES[self.class_index()], ref=(x, y))
+            class_name=CLASS_NAMES[self.class_index()], ref=(self.x, self.y))
 
 
 _NO_DETECTIONS = DetectionGroup(np.zeros((0, 4)), np.zeros(0),

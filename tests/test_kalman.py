@@ -1,9 +1,10 @@
-"""The closed-form block filters against the dense filters they replace.
+"""The closed-form block filters against the filters they replace.
 
 The reference models below are the dense 18-state tracker filter and 6-state
 BEV filter, written with full matrices and a matrix inverse.  The block
 forms must follow them within 1e-9 relative over random predict, update
-and gap sequences.
+and gap sequences.  `Track`'s written-out blocks must also equal, bit for
+bit, the generic block steps they were written from, which are kept here.
 """
 
 import numpy as np
@@ -77,13 +78,15 @@ def measurement(bbox, class_index):
 
 def block_track_dense(track):
     """The 18-vector and 18x18 covariance spelled out from the blocks."""
-    (xy, p_xy), (area, p_s), (aspect, p_r), (category, p_c) = track.blocks
-    x = np.array([*xy[:2], area[0], *aspect, *xy[2:], area[1], *category])
+    t = track
+    x = np.array([t.x, t.y, t.s, t.r, t.vx, t.vy, t.vs, *t.category])
     p = np.zeros((DIM_X, DIM_X))
+    p_xy = [[t.pxx, t.pxv], [t.pxv, t.pvv]]
+    p_s = [[t.pss, t.psv], [t.psv, t.pvs]]
     for rows, block in (((0, 4), p_xy), ((1, 5), p_xy), ((2, 6), p_s),
-                        ((3,), p_r)):
+                        ((3,), [[t.prr]])):
         p[np.ix_(rows, rows)] = block
-    p[7:, 7:] = np.eye(N_CLASSES) * p_c[0][0]
+    p[7:, 7:] = np.eye(N_CLASSES) * t.pcc
     return x, p
 
 
@@ -116,6 +119,137 @@ def test_track_filter_matches_dense(seed):
         assert_close(x, dense.x)
         assert_close(p, dense.p)
     assert track.class_index() == int(np.argmax(dense.x[7:]))
+
+
+# --- tracker: the generic block steps that `Track` writes out ---------------
+
+def block_predict(state, p, t, q):
+    """Advance a block of n <= 2 derivatives over m axes by t.  Its state
+    is derivative-major, [value on each axis, then rate on each]."""
+    n = len(p)
+    if n == 1:
+        return state, ((p[0][0] + q[0][0],),)
+    m = len(state) // n
+    out = list(state)
+    (a, b), (_, d) = p
+    for i in range(m):
+        out[i] += t * state[m + i]
+    bd = b + t * d
+    p01 = bd + q[0][1]
+    return out, ((a + t * (b + bd) + q[0][0], p01), (p01, d + q[1][1]))
+
+
+def block_update(state, p, z, r):
+    """Fold in z[i], an observation of axis i's value with variance r."""
+    n, m = len(p), len(z)
+    s = p[0][0] + r
+    out = list(state)
+    if n == 1:
+        (a,), = p
+        ka = a / s
+        for i, zi in enumerate(z):
+            out[i] += ka * (zi - state[i])
+        return out, ((a - ka * a,),)
+    (a, b), (_, d) = p
+    ka, kb = a / s, b / s
+    for i, zi in enumerate(z):
+        inn = zi - state[i]
+        out[i] += ka * inn
+        out[m + i] += kb * inn
+    p01 = b - ka * b
+    return out, ((a - ka * a, p01), (p01, d - kb * b))
+
+
+# (initial covariance, process noise, observation variance) of each block,
+# in state order: [x, y, vx, vy]; [s, vs]; [r]; [c0..c10]
+BLOCKS = (
+    (((10.0, 0.0), (0.0, 1e4)), ((1.0, 0.0), (0.0, 0.01)), 1.0),
+    (((10.0, 0.0), (0.0, 1e4)), ((1.0, 0.0), (0.0, 1e-4)), 10.0),
+    (((10.0,),), ((1.0,),), 0.01),
+    (((10.0,),), ((1e-4,),), 0.01),
+)
+
+
+class BlockTrack:
+    """The tracker's filter as four generic blocks of (state, covariance)."""
+
+    def __init__(self, bbox, class_index):
+        self.blocks = [([*z] + [0.0] * (len(z) * (len(p0) - 1)), p0)
+                       for z, (p0, _, _) in zip(observation(bbox, class_index),
+                                                BLOCKS)]
+
+    def predict(self):
+        (s, vs), _ = self.blocks[1]
+        if s + vs <= 0:
+            self.blocks[1][0][1] = 0.0
+        self.blocks = [block_predict(state, p, 1.0, q)
+                       for (state, p), (_, q, _) in zip(self.blocks, BLOCKS)]
+
+    def update(self, bbox, class_index):
+        self.blocks = [block_update(state, p, z, r)
+                       for (state, p), z, (_, _, r) in zip(
+                           self.blocks, observation(bbox, class_index),
+                           BLOCKS)]
+
+    def written_out(self):
+        """The blocks in `Track`'s fields, as `track_fields` gives them."""
+        (xy, p_xy), (area, p_s), (aspect, p_r), (category, p_c) = self.blocks
+        return (*xy, *p_xy[0], p_xy[1][1], *area, *p_s[0], p_s[1][1],
+                *aspect, p_r[0][0], category, p_c[0][0])
+
+
+def observation(bbox, class_index):
+    """Per-block observation: reference point, area, aspect, class one-hot."""
+    _, _, w, h = bbox
+    one_hot = [0.0] * N_CLASSES
+    one_hot[class_index] = 1.0
+    return reference_point(bbox), (w * h,), (w / h,), one_hot
+
+
+def track_fields(track):
+    return (track.x, track.y, track.vx, track.vy, track.pxx, track.pxv,
+            track.pvv, track.s, track.vs, track.pss, track.psv, track.pvs,
+            track.r, track.prr, track.category, track.pcc)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_track_equals_generic_blocks_bit_for_bit(seed):
+    """Over random predict, update and gap sequences, with boxes shrinking
+    fast enough to trip the s + vs <= 0 clamp, every float of `Track` is
+    the generic blocks' float; `repr` tells -0.0 from 0.0."""
+    rng = np.random.default_rng(200 + seed)
+    center = rng.uniform(50, 500, 2)
+    size = rng.uniform(5, 60, 2)
+    det = random_detection(rng, center, size)
+    track, blocks = Track(1, *det), BlockTrack(*det)
+    clamped = 0
+    for _ in range(200):
+        clamped += track.s + track.vs <= 0
+        track.predict()
+        blocks.predict()
+        center = center + rng.normal(0, 3, 2)
+        size = np.maximum(size * rng.uniform(0.6, 1.25, 2), 1e-3)
+        for _ in range(int(rng.choice([0, 1, 1, 1, 2]))):  # 0: a gap
+            det = random_detection(rng, center + rng.normal(0, 1, 2), size)
+            det = (tuple(map(float, det[0])), det[1])
+            track.update(*det)
+            blocks.update(*det)
+        assert repr(track_fields(track)) == repr(blocks.written_out())
+    assert clamped
+
+
+def test_track_predict_adds_the_zero_cross_noise():
+    """A cross term b + d of -0.0 and -0.0 is -0.0, which the generic
+    step's `+ q[0][1]` turns into 0.0; `Track` must too."""
+    det = ((10.0, 20.0, 4.0, 6.0), 3)
+    track, blocks = Track(1, *det), BlockTrack(*det)
+    track.pxv = track.pvv = track.psv = track.pvs = -0.0
+    for k in (0, 1):
+        blocks.blocks[k] = (blocks.blocks[k][0], ((10.0, -0.0), (-0.0, -0.0)))
+    track.predict()
+    blocks.predict()
+    assert repr(track_fields(track)) == repr(blocks.written_out())
+    assert repr((track.pxv, track.psv)) == "(0.0, 0.0)"
 
 
 # --- BEV: [x, y, vx, vy, ax, ay] observed on [x, y] ---------------------------

@@ -11,6 +11,7 @@ from roadscene.imaging import ImageBuffer
 from roadscene.roadmodel import (
     RoadMask,
     SrgParams,
+    _boundary_pixels,
     extract_boundary,
     refine_mask,
     srg_segment,
@@ -258,6 +259,40 @@ class TestRefineMask:
     def test_equals_uint8_closing(self, road):
         assert np.array_equal(refine_mask(RoadMask(road)).pixels,
                               _uint8_closing(road))
+
+
+def _windows3x3(road: np.ndarray) -> np.ndarray:
+    """The 3x3 neighborhood of each pixel, (h, w, 3, 3); off-image pixels
+    read False.  The windowed form the separable passes replaced."""
+    h, w = road.shape
+    padded = np.zeros((h + 2, w + 2), dtype=bool)
+    padded[1:-1, 1:-1] = road
+    return np.lib.stride_tricks.sliding_window_view(padded, (3, 3))
+
+
+@st.composite
+def _large_masks(draw):
+    """Masks up to 60x80 with road at a random density, its edge pixels
+    included."""
+    h, w = draw(st.integers(1, 60)), draw(st.integers(1, 80))
+    seed, density = draw(st.integers(0, 2 ** 32 - 1)), draw(st.floats(0, 1))
+    return np.random.default_rng(seed).random((h, w)) < density
+
+
+class TestSeparablePasses:
+    """The closing and the border test by rows-then-columns passes equal
+    the windowed reductions, edge pixels included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_masks() | _large_masks())
+    @example(np.ones((1, 1), dtype=bool))
+    @example(np.ones((2, 9), dtype=bool))
+    def test_closing_and_border_equal_windowed(self, road):
+        dilated = _windows3x3(road).any(axis=(2, 3))
+        closed = _windows3x3(dilated).all(axis=(2, 3))
+        assert np.array_equal(refine_mask(RoadMask(road)).pixels, closed)
+        border = road & ~_windows3x3(road).all(axis=(2, 3))
+        assert np.array_equal(_boundary_pixels(road), border)
 
 
 def block_mask(h, w, y0, y1, x0, x1):

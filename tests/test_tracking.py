@@ -18,6 +18,7 @@ from roadscene.tracking import (
     N_CLASSES,
     DetectionGroup,
     MomctTracker,
+    Track,
     _min_cost_assignment,
     _unique_best_assignment,
     associate,
@@ -39,6 +40,11 @@ def probs_for(index, p=0.9):
 def det(x, y, w=30.0, h=20.0, cls=CAR, objectness=0.9):
     """One detection: (bbox, objectness, class probabilities)."""
     return (x, y, w, h), objectness, probs_for(cls)
+
+
+def track_state(track):
+    """Every field of a `Track`, its filter's floats included, copied."""
+    return {name: copy.copy(getattr(track, name)) for name in Track.__slots__}
 
 
 def group(dets):
@@ -362,10 +368,13 @@ class TestMomctTracker:
         for frame in range(60):
             cls = int(rng.integers(0, N_CLASSES))
             tracker.step(group([det(60, 40, cls=cls)]), frame)
-        category, _ = tracker.tracks[0].blocks[-1]
-        cat = np.array(category)
+        (track,) = tracker.tracks
+        state = track_state(track)
+        cat = np.array(state.pop("category"))
         assert np.all(cat >= -0.5)
         assert np.all(cat <= 1.5)
+        # and every other float of the filter stays finite
+        assert all(map(math.isfinite, state.values()))
 
     def test_frame_at_or_before_the_last_raises(self):
         tracker = MomctTracker()
@@ -373,9 +382,8 @@ class TestMomctTracker:
             tracker.step(group([det(100.0 + 2.0 * frame, 80.0)]), frame)
 
         def state():
-            return copy.deepcopy((tracker.frame, tracker.next_id, [
-                (t.id, t.blocks, t.hits, t.time_since_update)
-                for t in tracker.tracks]))
+            return (tracker.frame, tracker.next_id,
+                    [track_state(t) for t in tracker.tracks])
 
         before = state()
         for frame in (4, 2):
