@@ -21,21 +21,19 @@ import numpy as np
 
 from .config import AnalyticsConfig
 from .errors import EmptyHeatMap, MissingCalibration, ShapeMismatch
+# the file format's names, which a merge reads without numpy
+from .records import _BUMP_UNITS, HEAT_KINDS, FrameStats
 
 if TYPE_CHECKING:  # annotations only: functions import what they run
     from .geometry import GroundScale, Homography, PixelPoint
     from .imaging import ImageBuffer
     from .roadmodel import BoundarySet
 
-# one bump deposits this many integer units (mass 1.0)
-_BUMP_UNITS = 144
 # whole-map work runs over row bands of about this many cells, so that its
 # temporaries stay small however large the map or the camera view is
 _BAND_CELLS = 32768
 # binomial 3x3 kernel, mass 16 before renormalization
 _KERNEL = np.array([[1, 2, 1], [2, 4, 2], [1, 2, 1]], dtype=np.int64)
-
-HEAT_KINDS = ("pedestrian", "vehicle", "speeding", "congestion", "proximity")
 
 GRADIENT_ANCHORS = (
     (0.00, (0, 0, 255)),
@@ -72,18 +70,6 @@ class StateSets:
     def __post_init__(self):
         if (self.parking & self.congestion).any():
             raise ValueError("parking and congestion masks must be disjoint")
-
-
-@dataclass(frozen=True)
-class FrameStats:
-    frame: int
-    vehicle_count: int
-    pedestrian_count: int
-    avg_speed_mph: float | None
-
-    def __post_init__(self):
-        if self.vehicle_count < 0 or self.pedestrian_count < 0:
-            raise ValueError("counts must be non-negative")
 
 
 def _bands(height: int, width: int) -> list[slice]:

@@ -20,14 +20,14 @@ from dataclasses import replace
 from pathlib import Path
 
 # numpy's OpenBLAS starts worker threads as numpy loads, which costs more
-# than a command's tiny products gain; the caller's own setting wins
+# than a command's tiny products gain; the caller's own setting wins.  Set
+# here, before any command imports numpy: `merge` and `--help` never do.
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import numpy as np
-
-# Every command loads these and imports its other stages itself; motion is
-# here as perfbench/tracer.py wraps it from sys.modules after this import.
+# Every command loads these and imports numpy and its other stages itself;
+# motion is here as perfbench/tracer.py wraps it from sys.modules after
+# this import.
 from . import records
 from .config import PEDESTRIAN, Config, load_config
 from .errors import (ConfigError, DegenerateDisplacement, DegeneratePoint,
@@ -36,9 +36,9 @@ from .errors import (ConfigError, DegenerateDisplacement, DegeneratePoint,
 from .motion import MPH_PER_MPS, BevKalmanState, abf, heading_of, kf_step
 from .records import (dump_json, dump_track_rows, load_boundary,
                       load_calibration, load_detections, load_heatmap,
-                      load_json, load_stats, load_tracks, merge_stats,
-                      save_boundary, save_heatmap, write_states, write_stats,
-                      write_tracks)
+                      load_json, load_stats, load_tracks, merge_heatmaps,
+                      merge_stats, save_boundary, save_heatmap, write_states,
+                      write_stats, write_tracks)
 
 
 def _config_from(args) -> Config:
@@ -134,6 +134,8 @@ def _load_trajectories(path):
 
 
 def _cmd_calibrate(args) -> int:
+    import numpy as np
+
     from .calibration import fit_distortion_es, ransac_homography
     from .geometry import apply_many
     from .imaging import (BackgroundAccumulator, accumulate_background,
@@ -263,6 +265,8 @@ def _track_rows(block, motion, g, scale, cfg) -> str:
     """The text of a block's track rows.  Each row's reference point is
     mapped to BEV and folded into its track's filter in `motion`, and
     cuboids are lifted for the rows with a heading."""
+    import numpy as np
+
     from .box3d import lift_cuboids
     from .geometry import apply_many, invert
     refs = np.array([snap.ref for _, snap in block])
@@ -316,6 +320,8 @@ def _track_rows(block, motion, g, scale, cfg) -> str:
 # --- segment ----------------------------------------------------------------
 
 def _cmd_segment(args) -> int:
+    import numpy as np
+
     from .geometry import PixelPoint
     from .imaging import read_pnm, to_gray, write_pnm
     from .roadmodel import extract_boundary, refine_mask, srg_segment
@@ -356,6 +362,8 @@ def _resolve_bev_shape(args, calib) -> tuple[int, int]:
 
 
 def _cmd_analyze(args) -> int:
+    import numpy as np
+
     from .analytics import (HEAT_KINDS, FrameTracks, StateClassifier,
                             StateSets, frame_stats, make_heatmaps,
                             update_heatmaps)
@@ -478,13 +486,7 @@ def _cmd_merge(args) -> int:
     paths = [Path(p) for p in args.inputs]
     suffixes = {p.suffix for p in paths}
     if suffixes == {".json"}:
-        # one shard at a time, so that two grids are held, not N
-        merged = load_heatmap(paths[0])
-        for path in paths[1:]:
-            try:
-                merged.merge(load_heatmap(path))
-            except ValueError as exc:
-                raise SchemaError(str(exc)) from None
+        merged = merge_heatmaps(paths)
         save_heatmap(_out_file(args), merged)
         print(f"merge: {len(paths)} heat shards -> {args.out} "
               f"({merged.events} events)")

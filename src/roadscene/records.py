@@ -4,6 +4,8 @@ Detections and tracks travel as JSON Lines, calibration and heat maps as
 JSON, per-frame stats as CSV.  All writers are deterministic: keys are
 sorted, separators fixed, floats serialized by repr.  Readers fail fast,
 name the offending line and refuse non-finite numbers, as writers do.
+Stats and heat-map files are read, merged and written in plain Python;
+the functions that convert rows to arrays import numpy themselves.
 """
 
 from __future__ import annotations
@@ -11,17 +13,18 @@ from __future__ import annotations
 import json
 import math
 import re
-import warnings
+from dataclasses import dataclass
+from itertools import accumulate, compress, repeat
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .config import CLASS_NAMES, PEDESTRIAN
 from .errors import NonFiniteOutput, SchemaError, SingularMatrix
 
 if TYPE_CHECKING:  # annotations only: functions import what they run
-    from .analytics import FrameStats, HeatMap
+    import numpy as np
+
+    from .analytics import HeatMap
     from .geometry import Homography
     from .tracking import DetectionGroup
 
@@ -168,9 +171,10 @@ def _own_lines(text: str, pattern: str) -> list | None:
     return found if len(found) == lines else None
 
 
-def _numbers(texts, dtype=np.float64) -> np.ndarray:
+def _numbers(texts, dtype=float) -> np.ndarray:
     """The numbers in `texts` as one flat array; numpy reads each float with
     Python's own correctly rounded parser, so it gets `float`'s bits."""
+    import numpy as np
     return np.fromstring(",".join(texts), dtype=dtype, sep=",")
 
 
@@ -196,6 +200,8 @@ def parse_detections(text: str) -> list[tuple[int, DetectionGroup]]:
     once; else the general decoder reads every line.  The rows are judged
     once, as one group, and the first faulty line is named.
     """
+    import numpy as np
+
     from .tracking import DetectionGroup, _faults
     found, fault = _own_lines(text, _DETECTION_LINE), None
     if found:
@@ -368,6 +374,7 @@ def parse_tracks(text: str) -> TrackTable:
     cuboid's syntax without decoding it, and each column is converted at
     once; else the general decoder reads every line.
     """
+    import numpy as np
     found = _own_lines(text, _TRACK_LINE)
     if found:
         bev, names, frame, ids, speed = zip(*found)
@@ -456,6 +463,8 @@ def load_calibration(path) -> dict:
             and all(type(v) is int and v > 0 for v in size)):
         raise SchemaError(f"{path}: bev_size must be null or two positive "
                           f"integers, got {size!r}")
+    import numpy as np
+
     from .geometry import Homography, invert
     try:
         h = Homography(np.array(g, dtype=np.float64))
@@ -484,6 +493,18 @@ def write_states(path, frames) -> None:
 
 # --- frame stats ------------------------------------------------------------
 
+@dataclass(frozen=True)
+class FrameStats:
+    frame: int
+    vehicle_count: int
+    pedestrian_count: int
+    avg_speed_mph: float | None
+
+    def __post_init__(self):
+        if self.vehicle_count < 0 or self.pedestrian_count < 0:
+            raise ValueError("counts must be non-negative")
+
+
 _STATS_HEADER = "frame,vehicles,pedestrians,avg_speed_mph"
 
 
@@ -505,7 +526,6 @@ def write_stats(path, stats: list[FrameStats]) -> None:
 
 
 def load_stats(path) -> list[FrameStats]:
-    from .analytics import FrameStats
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != _STATS_HEADER:
         raise SchemaError(f"{path}: line 1: expected header "
@@ -540,7 +560,29 @@ def merge_stats(shards: list[list[FrameStats]]) -> list[FrameStats]:
 
 # --- heat maps --------------------------------------------------------------
 
-def _heatmap_chunks(kind: str, events: int, units: np.ndarray):
+HEAT_KINDS = ("pedestrian", "vehicle", "speeding", "congestion", "proximity")
+# one event deposits this many integer units (mass 1.0)
+_BUMP_UNITS = 144
+_INT64_MAX = 2 ** 63 - 1
+
+
+class HeatRows(NamedTuple):
+    """A heat map row by row, as its file spells it.  Each of the `shape[0]`
+    `rows` is None when it is all zero, else its nonzero cells as
+    (columns, values): two lists of Python ints, in column order."""
+
+    kind: str
+    events: int
+    shape: tuple[int, int]
+    rows: Iterable
+
+
+def _zero_row(w: int) -> bytes:
+    """An all-zero row of `w` cells, as spelled; cell j is at 2j + 1."""
+    return b"[" + b"0," * (w - 1) + b"0]"
+
+
+def _heatmap_chunks(heat: HeatRows):
     """The map as `_dump_row` spells it, plus a newline, as ASCII pieces:
     the header, the rows and the commas between them, and the closing bytes.
 
@@ -549,21 +591,19 @@ def _heatmap_chunks(kind: str, events: int, units: np.ndarray):
     follows the deposits rather than the 480k cells of a large map, and no
     piece is longer than a row.
     """
-    h, w = units.shape
-    zero = b"[" + b"0," * (w - 1) + b"0]"  # cell j at offset 2j + 1
+    h, w = heat.shape
+    zero = _zero_row(w)
     yield (b'{"events":%d,"kind":%s,"shape":[%d,%d],"units":['
-           % (events, json.dumps(kind).encode(), h, w))
-    for i, nonzero in enumerate(units.any(axis=1).tolist()):
+           % (heat.events, json.dumps(heat.kind).encode(), h, w))
+    for i, row in enumerate(heat.rows):
         if i:
             yield b","
-        if not nonzero:
+        if row is None:
             yield zero
             continue
-        row = units[i]
-        cols = np.flatnonzero(row)
         parts = []
         prev = 0
-        for j, value in zip(cols.tolist(), row[cols].tolist()):
+        for j, value in zip(*row):
             parts += (zero[prev:2 * j + 1], b"%d" % value)
             prev = 2 * j + 2
         parts.append(zero[prev:])
@@ -571,88 +611,184 @@ def _heatmap_chunks(kind: str, events: int, units: np.ndarray):
     yield b"]}\n"
 
 
-def save_heatmap(path, heat: HeatMap) -> None:
+def _grid_rows(units: np.ndarray):
+    """The rows of an int64 grid as `HeatRows` holds them."""
+    import numpy as np
+    for row, nonzero in zip(units, units.any(axis=1).tolist()):
+        if not nonzero:
+            yield None
+            continue
+        cols = np.flatnonzero(row)
+        yield cols.tolist(), row[cols].tolist()
+
+
+def save_heatmap(path, heat: HeatMap | HeatRows) -> None:
     """Write the map as one compact, sorted-key JSON line."""
+    if not isinstance(heat, HeatRows):
+        # a HeatMap's own grid, read without the copy `units()` makes
+        heat = HeatRows(heat.kind, heat.events, heat.shape,
+                        _grid_rows(heat._units))
     with open(path, "wb") as f:
-        # the map's own grid, read without the copy `units()` makes
-        f.writelines(_heatmap_chunks(heat.kind, heat.events, heat._units))
+        f.writelines(_heatmap_chunks(heat))
 
 
 # Sides of at most 20 digits: int64 needs 19.  A merged map's events can
-# pass int64, but not h * w * 2**63 / 144 < 10**57.  The pattern is a
-# string, which `re` compiles and caches on first use rather than at import.
+# pass int64, but not h * w * 2**63 / 144 < 10**57.  The patterns are
+# strings, which `re` compiles and caches on first use rather than at import.
 _HEAT_HEAD = (rb'\{"events":(\d{1,57}),"kind":"([a-z]+)",'
               rb'"shape":\[(\d{1,20}),(\d{1,20})\],"units":\[')
+# a nonzero cell's digits, which a mostly zero row is split around
+_NONZERO_CELL = rb"([1-9][0-9]*)"
 
 
-def _parse_own_heatmap(data: bytes):
-    """(kind, events, units, their sum as a Python int) of bytes that
-    `_heatmap_chunks` wrote, else None.
+def _not_written(path) -> SchemaError:
+    return SchemaError(f"{path}: not a heat map as save_heatmap writes it: "
+                       f"one line, sorted keys, no spaces, a known kind, "
+                       f"and units that fill the shape with int64 integers "
+                       f">= 0")
 
-    An all-zero row is one string compare; any other row is one numpy parse
-    up to its own `]`, which must give `w` cells, none negative.  numpy
-    also takes `+5`, `05` and spaces and clamps a cell past int64, so the
-    result stands only if encoding it again gives `data` byte for byte; the
-    encoding is one-to-one, so a parse that round-trips is the right one
-    whatever the input was.
+
+def _read_heat_rows(path) -> HeatRows:
+    """The map that `save_heatmap` wrote to `path`, with rows that are
+    judged as they are taken; any other spelling is refused.
+
+    The header is checked at once.  Taking the rows checks each one: an
+    all-zero row is one string compare, and any other must spell exactly
+    `w` cells as the writer does, none past 2**63 - 1.  The rows raise
+    SchemaError at the first that the writer would not spell, and after
+    the last unless the units sum to 144 x events, so a caller takes them
+    all.
     """
-    from .analytics import HEAT_KINDS
+    data = Path(path).read_bytes()
     head = re.match(_HEAT_HEAD, data)
     if head is None:
-        return None
+        raise _not_written(path)
     events, kind, h, w = (int(head[1]), head[2].decode(), int(head[3]),
                           int(head[4]))
-    # every cell takes at least two bytes, which bounds the allocation
+    # every cell takes at least two bytes, which bounds what a row holds
     if (kind not in HEAT_KINDS or h < 1 or w < 1
             or len(data) - head.end() < h * (2 * w + 2)):
+        raise _not_written(path)
+    return HeatRows(kind, events, (h, w),
+                    _heat_rows(data, head.end(), (h, w), events, path))
+
+
+def _heat_rows(data: bytes, at: int, shape, events: int, path):
+    """`_read_heat_rows`' rows of `data`; the first row's "[" is at `at`."""
+    h, w = shape
+    zero = _zero_row(w)
+    total = 0  # a Python int, which cannot wrap
+    for i in range(h):
+        if data.startswith(zero, at):
+            end, row = at + len(zero), None
+        else:
+            end = data.find(b"]", at) + 1  # 0 when there is none
+            row = (end and data.startswith(b"[", at)
+                   and _row_cells(data[at + 1:end - 1], w))
+            if not row:
+                raise _not_written(path)
+            total += sum(row[1])
+        if not data.startswith(b"," if i < h - 1 else b"]}\n", end):
+            raise _not_written(path)
+        at = end + 1
+        yield row
+    if at + 2 != len(data):  # anything after the closing "]}\n"
+        raise _not_written(path)
+    if total != _BUMP_UNITS * events:
+        raise SchemaError(f"{path}: units sum to {total}, not "
+                          f"{_BUMP_UNITS} x {events} events")
+
+
+def _row_cells(text: bytes, w: int) -> tuple[list, list] | None:
+    """The nonzero (columns, values) of a row that is not all zero, from
+    the text between its brackets, if that spells `w` cells as the writer
+    does: each 0, or an integer up to 2**63 - 1 with no leading zero;
+    else None."""
+    # digits and commas only: no sign, space, point or exponent
+    if text.count(b",") != w - 1 or text.translate(None, b"0123456789,"):
         return None
-    units = np.zeros((h, w), dtype=np.int64)
-    zero = b"[" + b"0," * (w - 1) + b"0]"
-    total, at = 0, head.end()  # `at` is a row's "["
-    with warnings.catch_warnings():
-        # numpy 1.x warns, and 2.x raises, on a row it cannot read whole
-        warnings.simplefilter("error", DeprecationWarning)
-        for row in units:
-            if data.startswith(zero, at):
-                at += len(zero) + 1
-                continue
-            try:
-                end = data.index(b"]", at)
-                cells = np.fromstring(data[at + 1:end], dtype=np.int64,
-                                      sep=",")
-            except (ValueError, DeprecationWarning):
-                return None
-            if len(cells) != w or cells.min() < 0:
-                return None
-            row[:] = cells
-            total += sum(cells[cells > 0].tolist())  # Python ints cannot wrap
-            at = end + 2
-    # compared piece by piece, so that the encoding is never held whole
-    end = 0
-    for chunk in _heatmap_chunks(kind, events, units):
-        if not data.startswith(chunk, end):
+    if 4 * text.count(b"0,") < 3 * w:
+        # more than about a quarter of the cells are nonzero: JSON reads
+        # the row whole, and it refuses a leading zero and an empty cell
+        try:
+            cells = json.loads(b"[%s]" % text)
+        except ValueError:
             return None
-        end += len(chunk)
-    if end != len(data):
+        cols = list(compress(range(w), cells))
+        values = list(filter(None, cells))
+    else:
+        # only the nonzero cells are read.  With each of them as 1, the row
+        # must be w cells of 0 or 1 between commas, which refuses a
+        # leading zero and an empty cell
+        parts = re.split(_NONZERO_CELL, text)
+        digits = parts[1::2]
+        marks = b"1".join(parts[::2])
+        if (len(marks) != 2 * w - 1 or marks[1::2] != b"," * (w - 1)
+                or max(map(len, digits), default=0) > 19):
+            return None
+        # the commas before a nonzero cell count the cells before it
+        cols = list(accumulate(map(bytes.count, parts[:-1:2], repeat(b","))))
+        values = list(map(int, digits))
+    if not values or max(values) > _INT64_MAX:
         return None
-    return kind, events, units, total
+    return cols, values
 
 
 def load_heatmap(path) -> HeatMap:
     """Read a heat map that `save_heatmap` wrote, checking that its units
     sum to 144 x events.  Any other spelling is refused."""
-    from .analytics import _BUMP_UNITS, HeatMap
-    parsed = _parse_own_heatmap(Path(path).read_bytes())
-    if parsed is None:
-        raise SchemaError(f"{path}: not a heat map as save_heatmap writes "
-                          f"it: one line, sorted keys, no spaces, a known "
-                          f"kind, and units that fill the shape with int64 "
-                          f"integers >= 0")
-    kind, events, units, total = parsed
-    if total != _BUMP_UNITS * events:
-        raise SchemaError(f"{path}: units sum to {total}, not "
-                          f"{_BUMP_UNITS} x {events} events")
-    return HeatMap.from_units(units, events, kind)
+    import numpy as np
+
+    from .analytics import HeatMap
+    heat = _read_heat_rows(path)
+    units = np.zeros(heat.shape, dtype=np.int64)
+    for i, row in enumerate(heat.rows):
+        if row is not None:
+            units[i, row[0]] = row[1]
+    return HeatMap.from_units(units, heat.events, heat.kind)
+
+
+def merge_heatmaps(paths) -> HeatRows:
+    """The cellwise sum of the heat maps that `save_heatmap` wrote to
+    `paths`, read one at a time and added row by row, without a grid.
+
+    Each map is judged whole as `load_heatmap` judges it.  A row that is
+    zero in every map stays zero, a row nonzero in one
+    map is taken as it is, and only rows nonzero in two or more are added.
+    A map of another kind or shape than the first, and a sum past int64,
+    are refused with `HeatMap.merge`'s messages, as SchemaError.
+    """
+    first = _read_heat_rows(paths[0])
+    kind, events, shape = first.kind, first.events, first.shape
+    rows = list(first.rows)
+    for path in paths[1:]:
+        heat = _read_heat_rows(path)
+        fits = (heat.kind, heat.shape) == (kind, shape)
+        overflow = False
+        for i, row in enumerate(heat.rows):
+            if row is None or not fits:
+                continue
+            if rows[i] is not None:
+                row = _add_rows(rows[i], row)
+                overflow = overflow or max(row[1]) > _INT64_MAX
+            rows[i] = row
+        if heat.kind != kind:
+            raise SchemaError(f"cannot merge '{heat.kind}' into '{kind}'")
+        if heat.shape != shape:
+            raise SchemaError(f"shape mismatch: {heat.shape} vs {shape}")
+        if overflow:
+            raise SchemaError(f"merged '{kind}' units overflow int64")
+        events += heat.events
+    return HeatRows(kind, events, shape, rows)
+
+
+def _add_rows(a, b):
+    """The cellwise sum of two nonzero rows as `HeatRows` holds them."""
+    sums = dict(zip(*a))
+    for j, value in zip(*b):
+        sums[j] = sums.get(j, 0) + value
+    cols = sorted(sums)
+    return cols, [sums[j] for j in cols]
 
 
 # --- road boundary ----------------------------------------------------------

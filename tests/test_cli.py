@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scene_helpers import scene_dict
 
 import roadscene
@@ -17,7 +19,8 @@ from roadscene import cli, records
 from roadscene.analytics import HeatMap
 from roadscene.cli import main
 from roadscene.config import CLASS_NAMES
-from roadscene.records import load_heatmap, load_stats, load_tracks
+from roadscene.records import (HEAT_KINDS, load_heatmap, load_stats,
+                               load_tracks, save_heatmap)
 
 
 def write_scene(path, **kw):
@@ -650,6 +653,76 @@ def test_merge_refuses_units_past_int64(tmp_path, capsys):
     assert run("merge", str(shard), str(shard), "--out", str(out)) == 2
     assert "overflow" in _one_error_line(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("a, b", [(2 ** 63 - 1, 1),
+                                  (144 * 2 ** 55, 144 * 2 ** 55)])
+def test_merge_refuses_a_summed_cell_past_int64(tmp_path, capsys, a, b):
+    # each shard's first cell is a or b, and a second cell fills its mass
+    paths = []
+    for name, cell in (("a", a), ("b", b)):
+        path = tmp_path / name / "heat_vehicle.json"
+        path.parent.mkdir()
+        save_heatmap(path, HeatMap.from_units(
+            np.array([[cell, -cell % 144]]), -(-cell // 144), "vehicle"))
+        paths.append(str(path))
+    out = tmp_path / "merged.json"
+    assert run("merge", *paths, "--out", str(out)) == 2
+    assert _one_error_line(capsys) == ("error: SchemaError: merged 'vehicle' "
+                                       "units overflow int64\n")
+    assert not out.exists()
+
+
+@st.composite
+def _shards(draw):
+    """1 to 6 maps of one kind and shape, each of 144 units per event:
+    sparse to dense, 1 x N, N x 1 and N x N, cells up to the int64 edge."""
+    n = draw(st.integers(1, 6))
+    side = st.integers(2, 30)
+    h, w = draw(st.one_of(st.just((1, 1)), st.tuples(st.just(1), side),
+                          st.tuples(side, st.just(1)), st.tuples(side, side)))
+    kind = draw(st.sampled_from(HEAT_KINDS))
+    # below the edge, a cell is raised by at most 143 to fill the mass
+    top = draw(st.sampled_from([144, 2 ** 31, (2 ** 63 - 1) // n - 143,
+                                2 ** 63 - 144]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shards = []
+    for _ in range(n):
+        units = rng.integers(0, top, size=(h, w), endpoint=True)
+        units[rng.random((h, w)) >= draw(
+            st.sampled_from([0.0, 0.05, 0.5, 1.0]))] = 0
+        units[0, 0] += -sum(units.ravel().tolist()) % 144
+        shards.append(HeatMap.from_units(
+            units, sum(units.ravel().tolist()) // 144, kind))
+    return shards
+
+
+@settings(max_examples=80, deadline=None)
+@given(_shards())
+def test_merge_command_writes_what_heatmap_merge_sums(tmp_path_factory,
+                                                      shards):
+    """The command's row-by-row fold and `HeatMap.merge` give the same
+    bytes, or both refuse a sum past int64."""
+    root = tmp_path_factory.mktemp("merge")
+    paths = []
+    for k, heat in enumerate(shards):
+        paths.append(root / f"{k}.json")
+        save_heatmap(paths[-1], heat)
+    merged = HeatMap.from_units(shards[0].units(), shards[0].events,
+                                shards[0].kind)
+    try:
+        for heat in shards[1:]:
+            merged.merge(heat)
+    except ValueError:
+        merged = None
+    out = root / "merged.json"
+    code = run("merge", *map(str, paths), "--out", str(out))
+    if merged is None:
+        assert code == 2 and not out.exists()
+    else:
+        assert code == 0
+        save_heatmap(root / "expected.json", merged)
+        assert out.read_bytes() == (root / "expected.json").read_bytes()
 
 
 def _scipy_modules_after(code: str) -> str:

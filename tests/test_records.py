@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import operator
+import random
 import re
 import warnings
 
@@ -977,6 +978,45 @@ def test_heatmap_reader_takes_exactly_the_writer_bytes(
         path.write_text(_respell(text, mutation, pick), encoding="utf-8")
         with pytest.raises(SchemaError, match=_NOT_WRITTEN):
             load_heatmap(path)
+
+
+# cells the writer spells, and cells it never does
+_CELLS = st.one_of(
+    st.just("0"), st.integers(1, 2 ** 63 - 1).map(str),
+    st.sampled_from(["", "00", "05", "+5", "-5", " 5", "5 ", "5.0", "1e5",
+                     "1_0", str(2 ** 63), "1" * 20, "0x5", "NaN"]))
+
+
+def _writer_cells(cells: list[str]):
+    """The nonzero (columns, values) of a row whose cells the writer
+    spells, reckoned cell by cell, or None."""
+    if not all(re.fullmatch(r"0|[1-9][0-9]{0,18}", c) for c in cells):
+        return None
+    values = [int(c) for c in cells]
+    if max(values) >= 2 ** 63 or not any(values):
+        return None
+    return ([j for j, v in enumerate(values) if v],
+            [v for v in values if v])
+
+
+@settings(max_examples=400, deadline=None)
+# a leading zero and an empty cell in one mostly zero row: the width holds
+@example(cells=["05", ""], zeros=20, width=0, rnd=random.Random(0))
+# past the digits that int() takes
+@example(cells=["9" * 5000], zeros=20, width=0, rnd=random.Random(0))
+@given(cells=st.lists(_CELLS, min_size=1, max_size=12),
+       zeros=st.integers(0, 40), width=st.integers(-1, 1),
+       rnd=st.randoms(use_true_random=False))
+def test_heat_row_reader_takes_exactly_the_writer_cells(cells, zeros, width,
+                                                         rnd):
+    """A row's text yields its nonzero cells only when every cell is
+    spelled as the writer spells it, mostly zero or not; `width` off by
+    one refuses any row."""
+    cells = cells + ["0"] * zeros
+    rnd.shuffle(cells)
+    text = ",".join(cells).encode()
+    want = _writer_cells(cells) if width == 0 else None
+    assert records._row_cells(text, len(cells) + width) == want
 
 
 # --- boundary ---------------------------------------------------------------

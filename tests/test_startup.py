@@ -2,9 +2,11 @@
 
 Each command of the README runs in a fresh interpreter, as a shell starts
 it, and must load only the stages it runs, not `numpy.ma`, and keep
-numpy's BLAS on one thread.  Importing the package loads nothing until a
-name is used.  `python -m roadscene.cli` flushes what a command printed and
-ends without interpreter teardown, with `main`'s exit code and error line.
+numpy's BLAS on one thread.  `import roadscene.cli`, `--help` and `merge`
+load no numpy at all, and `merge` runs where numpy cannot be imported.
+Importing the package loads nothing until a name is used.  `python -m
+roadscene.cli` flushes what a command printed and ends without interpreter
+teardown, with `main`'s exit code and error line.
 """
 
 import json
@@ -18,10 +20,11 @@ from test_cli import OVERFLOW_ERROR, _source_env, overflow_scene
 from test_readme import _blocks, _commands
 
 import roadscene
+from roadscene.cli import main
 
 # after the command: its exit code, the roadscene modules loaded, whether
-# numpy.ma was loaded, the process's thread count and the BLAS thread
-# setting
+# numpy.ma and whether any numpy module was loaded, the process's thread
+# count and the BLAS thread setting
 PROBE = """\
 import json, os, sys
 from roadscene.cli import main
@@ -29,8 +32,15 @@ code = main(sys.argv[1:])
 print(json.dumps([code, sorted(m for m in sys.modules
                                if m.startswith("roadscene.")),
                   "numpy.ma" in sys.modules,
+                  any(m.startswith("numpy") for m in sys.modules),
                   len(os.listdir("/proc/self/task")),
                   os.environ.get("OPENBLAS_NUM_THREADS")]))
+"""
+# the numpy modules loaded after `code`
+NUMPY_AFTER = """\
+import json, sys
+{code}
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy"))))
 """
 
 
@@ -47,7 +57,7 @@ STAGES = {"simulate": {"geometry", "imaging", "seeding", "simulate",
           "segment": {"geometry", "imaging", "roadmodel"},
           "analyze": {"analytics", "geometry"},
           "render": {"analytics", "geometry", "imaging"},
-          "merge": {"analytics"}}
+          "merge": set()}
 
 
 def _fresh(code: str, *argv: str, cwd=None):
@@ -68,11 +78,13 @@ def test_each_command_loads_only_its_stages(tmp_path):
     assert {a[0] for a in argvs} == {"simulate", "calibrate", "track",
                                      "segment", "analyze", "render", "merge"}
     for argv in argvs:
-        code, loaded, masked, threads, blas = _fresh(PROBE, *argv,
-                                                     cwd=tmp_path)
+        code, loaded, masked, numpy, threads, blas = _fresh(
+            PROBE, *argv, cwd=tmp_path)
         assert code == 0, argv
-        # numpy.ma costs ~10 ms to import, and no command needs it
+        # numpy.ma costs ~10 ms to import, and no command needs it; numpy
+        # itself ~60 ms, and only merge, heat maps or stats, goes without
         assert not masked, argv
+        assert numpy == (argv[0] != "merge"), argv
         want = CLI_MODULES | STAGES[argv[0]]
         if "--boundary" in argv:
             want |= {"imaging", "roadmodel"}
@@ -81,6 +93,43 @@ def test_each_command_loads_only_its_stages(tmp_path):
     assert _fresh("import json, sys, roadscene.cli; print(json.dumps(sorted("
                   "m for m in sys.modules if m.startswith('roadscene.'))))"
                   ) == sorted(f"roadscene.{m}" for m in CLI_MODULES)
+
+
+def test_cli_import_and_help_load_no_numpy():
+    assert _fresh(NUMPY_AFTER.format(code="import roadscene.cli")) == []
+    assert _fresh(NUMPY_AFTER.format(code="""\
+from roadscene.cli import main
+try:
+    main(["--help"])
+except SystemExit:
+    pass""")) == []
+
+
+# the README's merges, with every numpy import failing
+BLOCKED_MERGES = """\
+import json, sys
+sys.modules["numpy"] = None
+from roadscene.cli import main
+print(json.dumps([main(json.loads(argv)) for argv in sys.argv[1:]]))
+"""
+
+
+def test_readme_merges_run_without_numpy(tmp_path, monkeypatch):
+    (scene,) = [b for b in _blocks("json") if '"camera"' in b]
+    (tmp_path / "scene.json").write_text(scene)
+    monkeypatch.chdir(tmp_path)
+    argvs = _commands()
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    merges = [argv for argv in argvs if argv[0] == "merge"]
+    outs = [argv[argv.index("--out") + 1] for argv in merges]
+    assert sorted(Path(out).suffix for out in outs) == [".csv", ".json"]
+    bare = [[f"bare/{word}" if word == out else word for word in argv]
+            for argv, out in zip(merges, outs)]
+    assert _fresh(BLOCKED_MERGES, *map(json.dumps, bare),
+                  cwd=tmp_path) == [0, 0]
+    for out in outs:
+        assert Path("bare", out).read_bytes() == Path(out).read_bytes(), out
 
 
 def test_package_import_loads_no_submodule():
