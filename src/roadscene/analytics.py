@@ -125,6 +125,18 @@ class HeatMap:
     def units(self) -> np.ndarray:
         return self._units.copy()
 
+    @property
+    def rows(self):
+        """The grid row by row as `records.HeatRows` holds it: None for an
+        all-zero row, else its nonzero (columns, values)."""
+        units = self._units
+        for row, nonzero in zip(units, units.any(axis=1).tolist()):
+            if not nonzero:
+                yield None
+                continue
+            cols = np.flatnonzero(row)
+            yield cols.tolist(), row[cols].tolist()
+
     def merge(self, other: "HeatMap") -> "HeatMap":
         """Element-wise addition; exact, so sharded runs equal one pass."""
         if other.kind != self.kind:

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -563,13 +564,12 @@ def merge_stats(shards: list[list[FrameStats]]) -> list[FrameStats]:
 HEAT_KINDS = ("pedestrian", "vehicle", "speeding", "congestion", "proximity")
 # one event deposits this many integer units (mass 1.0)
 _BUMP_UNITS = 144
-_INT64_MAX = 2 ** 63 - 1
 
 
 class HeatRows(NamedTuple):
     """A heat map row by row, as its file spells it.  Each of the `shape[0]`
     `rows` is None when it is all zero, else its nonzero cells as
-    (columns, values): two lists of Python ints, in column order."""
+    (columns, values): two sequences of ints, in column order."""
 
     kind: str
     events: int
@@ -582,7 +582,7 @@ def _zero_row(w: int) -> bytes:
     return b"[" + b"0," * (w - 1) + b"0]"
 
 
-def _heatmap_chunks(heat: HeatRows):
+def _heatmap_chunks(heat: HeatMap | HeatRows):
     """The map as `_dump_row` spells it, plus a newline, as ASCII pieces:
     the header, the rows and the commas between them, and the closing bytes.
 
@@ -611,23 +611,9 @@ def _heatmap_chunks(heat: HeatRows):
     yield b"]}\n"
 
 
-def _grid_rows(units: np.ndarray):
-    """The rows of an int64 grid as `HeatRows` holds them."""
-    import numpy as np
-    for row, nonzero in zip(units, units.any(axis=1).tolist()):
-        if not nonzero:
-            yield None
-            continue
-        cols = np.flatnonzero(row)
-        yield cols.tolist(), row[cols].tolist()
-
-
 def save_heatmap(path, heat: HeatMap | HeatRows) -> None:
-    """Write the map as one compact, sorted-key JSON line."""
-    if not isinstance(heat, HeatRows):
-        # a HeatMap's own grid, read without the copy `units()` makes
-        heat = HeatRows(heat.kind, heat.events, heat.shape,
-                        _grid_rows(heat._units))
+    """Write the map as one compact, sorted-key JSON line.  `heat` is a
+    HeatMap or a HeatRows: both give their kind, events, shape and rows."""
     with open(path, "wb") as f:
         f.writelines(_heatmap_chunks(heat))
 
@@ -637,7 +623,7 @@ def save_heatmap(path, heat: HeatMap | HeatRows) -> None:
 # strings, which `re` compiles and caches on first use rather than at import.
 _HEAT_HEAD = (rb'\{"events":(\d{1,57}),"kind":"([a-z]+)",'
               rb'"shape":\[(\d{1,20}),(\d{1,20})\],"units":\[')
-# a nonzero cell's digits, which a mostly zero row is split around
+# a nonzero cell's digits, which a row is split around
 _NONZERO_CELL = rb"([1-9][0-9]*)"
 
 
@@ -703,35 +689,30 @@ def _row_cells(text: bytes, w: int) -> tuple[list, list] | None:
     """The nonzero (columns, values) of a row that is not all zero, from
     the text between its brackets, if that spells `w` cells as the writer
     does: each 0, or an integer up to 2**63 - 1 with no leading zero;
-    else None."""
+    else None.
+
+    Only the nonzero cells are read: the text is split around them, so a
+    row of the mostly zero maps that tracks deposit costs what its
+    deposits do.  With each nonzero cell as 1, the row must be `w` cells
+    of 0 or 1 between commas, which refuses a leading zero and an empty
+    cell.
+    """
     # digits and commas only: no sign, space, point or exponent
     if text.count(b",") != w - 1 or text.translate(None, b"0123456789,"):
         return None
-    if 4 * text.count(b"0,") < 3 * w:
-        # more than about a quarter of the cells are nonzero: JSON reads
-        # the row whole, and it refuses a leading zero and an empty cell
-        try:
-            cells = json.loads(b"[%s]" % text)
-        except ValueError:
-            return None
-        cols = list(compress(range(w), cells))
-        values = list(filter(None, cells))
-    else:
-        # only the nonzero cells are read.  With each of them as 1, the row
-        # must be w cells of 0 or 1 between commas, which refuses a
-        # leading zero and an empty cell
-        parts = re.split(_NONZERO_CELL, text)
-        digits = parts[1::2]
-        marks = b"1".join(parts[::2])
-        if (len(marks) != 2 * w - 1 or marks[1::2] != b"," * (w - 1)
-                or max(map(len, digits), default=0) > 19):
-            return None
-        # the commas before a nonzero cell count the cells before it
-        cols = list(accumulate(map(bytes.count, parts[:-1:2], repeat(b","))))
-        values = list(map(int, digits))
-    if not values or max(values) > _INT64_MAX:
+    parts = re.split(_NONZERO_CELL, text)
+    digits = parts[1::2]
+    marks = b"1".join(parts[::2])
+    if (not digits or len(marks) != 2 * w - 1
+            or marks[1::2] != b"," * (w - 1)
+            or max(map(len, digits)) > 19):
         return None
-    return cols, values
+    values = list(map(int, digits))
+    if max(values) >= 2 ** 63:
+        return None
+    # the commas before a nonzero cell count the cells before it
+    return (list(accumulate(map(bytes.count, parts[:-1:2], repeat(b",")))),
+            values)
 
 
 def load_heatmap(path) -> HeatMap:
@@ -750,28 +731,31 @@ def load_heatmap(path) -> HeatMap:
 
 def merge_heatmaps(paths) -> HeatRows:
     """The cellwise sum of the heat maps that `save_heatmap` wrote to
-    `paths`, read one at a time and added row by row, without a grid.
+    `paths`, read one at a time and added row by row.
 
-    Each map is judged whole as `load_heatmap` judges it.  A row that is
-    zero in every map stays zero, a row nonzero in one
-    map is taken as it is, and only rows nonzero in two or more are added.
-    A map of another kind or shape than the first, and a sum past int64,
-    are refused with `HeatMap.merge`'s messages, as SchemaError.
+    Each map is judged whole as `load_heatmap` judges it.  The sum keeps a
+    row that is nonzero in any map as `w` int64 cells and a row that is
+    zero in every map as None, so it holds at most one grid.  A map of
+    another kind or shape than the first, and a sum past int64, are
+    refused with `HeatMap.merge`'s messages, as SchemaError.
     """
     first = _read_heat_rows(paths[0])
-    kind, events, shape = first.kind, first.events, first.shape
-    rows = list(first.rows)
-    for path in paths[1:]:
-        heat = _read_heat_rows(path)
+    kind, shape, events = first.kind, first.shape, 0
+    sums = [None] * shape[0]
+    for heat in chain([first], map(_read_heat_rows, paths[1:])):
         fits = (heat.kind, heat.shape) == (kind, shape)
         overflow = False
         for i, row in enumerate(heat.rows):
-            if row is None or not fits:
-                continue
-            if rows[i] is not None:
-                row = _add_rows(rows[i], row)
-                overflow = overflow or max(row[1]) > _INT64_MAX
-            rows[i] = row
+            if row is None or not fits or overflow:
+                continue  # the rest of the map is still judged
+            if sums[i] is None:
+                sums[i] = array("q", [0]) * shape[1]
+            cells = sums[i]
+            try:  # an int64 cell refuses a value past int64
+                for j, value in zip(*row):
+                    cells[j] += value
+            except OverflowError:
+                overflow = True
         if heat.kind != kind:
             raise SchemaError(f"cannot merge '{heat.kind}' into '{kind}'")
         if heat.shape != shape:
@@ -779,16 +763,11 @@ def merge_heatmaps(paths) -> HeatRows:
         if overflow:
             raise SchemaError(f"merged '{kind}' units overflow int64")
         events += heat.events
-    return HeatRows(kind, events, shape, rows)
-
-
-def _add_rows(a, b):
-    """The cellwise sum of two nonzero rows as `HeatRows` holds them."""
-    sums = dict(zip(*a))
-    for j, value in zip(*b):
-        sums[j] = sums.get(j, 0) + value
-    cols = sorted(sums)
-    return cols, [sums[j] for j in cols]
+    columns = range(shape[1])
+    return HeatRows(kind, events, shape, (
+        None if cells is None
+        else (list(compress(columns, cells)), list(filter(None, cells)))
+        for cells in sums))
 
 
 # --- road boundary ----------------------------------------------------------

@@ -891,8 +891,10 @@ class TestHeatMapMemory:
     loaded map one grid, and a loaded map's file 0.31 grids.  Whole-grid
     versions of these stages took 5.5 (render), 8.1 (sample), 1.9 (save),
     4.9 (load) and 3.0 (merge) grids.  The `merge` command on six shard
-    files holds its sum and one shard (2.3 grids); loading every shard
-    before adding any took 6.4."""
+    files holds one shard's file and a sum of at most one grid, 1.3 grids
+    here and under 3 on a map with mass in every cell; adding loaded
+    grids took 2.3 at any density, and loading every shard before adding
+    any took 6.4."""
 
     SHAPE = (1200, 1600)
     GRID = SHAPE[0] * SHAPE[1] * 8
@@ -940,4 +942,16 @@ class TestHeatMapMemory:
         save_heatmap(shard, heat)
         argv = ["merge", *[str(shard)] * 6, "--out", str(out)]
         assert self.grids(lambda: main(argv)) < 3
+        assert load_heatmap(out).events == 6 * heat.events
+
+    def test_merge_command_folds_dense_shards(self, tmp_path):
+        """Mass in every cell, on 100 rows to keep the test short: the sum
+        is still one grid (2.2 with the shard's file), not Python objects
+        per cell (10.6)."""
+        units = 144 * np.random.default_rng(12).integers(1, 5000, (100, 1600))
+        heat = HeatMap.from_units(units, int(units.sum()) // 144, "vehicle")
+        shard, out = tmp_path / "heat_vehicle.json", tmp_path / "merged.json"
+        save_heatmap(shard, heat)
+        argv = ["merge", *[str(shard)] * 6, "--out", str(out)]
+        assert _transient_peak(lambda: main(argv)) / (8 * units.size) < 3
         assert load_heatmap(out).events == 6 * heat.events
