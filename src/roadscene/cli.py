@@ -5,8 +5,9 @@ Subcommands cover the whole pipeline: simulate (oracle scene), calibrate
 segment (road mask from trajectories), analyze (states, stats, heat maps),
 render (heat map images) and merge (combine sharded outputs).
 
-Exit codes: 0 success, 1 runtime/numerical failure, 2 bad input, which
-includes paths that cannot be read, decoded as UTF-8 or written.
+Exit codes: 0 success, 1 runtime/numerical failure or a MemoryError, 2 bad
+input, which includes paths that cannot be read, decoded as UTF-8 or
+written, and grid sides above MAX_SIDE.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ if "numpy" not in sys.modules:
 # motion is here as perfbench/tracer.py wraps it from sys.modules after
 # this import.
 from . import records
-from .config import PEDESTRIAN, Config, load_config
+from .config import PEDESTRIAN, SIZE, Config, load_config
 from .errors import (ConfigError, DegenerateDisplacement, DegeneratePoint,
                      EmptyHeatMap, InputError, NonFiniteOutput,
                      ProcessingError, SchemaError)
@@ -52,10 +53,10 @@ def _config_from(args) -> Config:
 
 
 def _check_size(flag: str, size) -> None:
-    """Refuse a W H size flag unless both are positive."""
-    if size is not None and min(size) < 1:
-        raise ConfigError(f"{flag} must be two positive integers, got "
-                          f"{size[0]} {size[1]}")
+    """Refuse a W H size flag unless it passes the rule for grid sides."""
+    ok, rule = SIZE
+    if size is not None and not ok(size):
+        raise ConfigError(f"{flag} must be {rule}, got {size[0]} {size[1]}")
 
 
 def _out_dir(args) -> Path:
@@ -607,6 +608,8 @@ def main(argv=None) -> int:
         return _fail(exc, 2)
     except ProcessingError as exc:
         return _fail(exc, 1)
+    except MemoryError as exc:  # numpy's is a subclass with a private name
+        return _fail(MemoryError(str(exc)), 1)
 
 
 def run() -> None:

@@ -34,6 +34,26 @@ PEDESTRIAN = "pedestrian"
 
 HEIGHT_COEFFICIENT = 0.6  # fraction of detected pixel height kept for roofs
 
+# The largest image or grid side: an array over two such sides, at up to
+# 2**15 bytes a cell, stays below the 2**63 bytes numpy can address, so one
+# too large for memory fails as MemoryError.  SIZE: the (w, h) pair's rule.
+MAX_SIDE = 2 ** 24
+SIZE = (lambda pair: all(1 <= side <= MAX_SIDE for side in pair),
+        f"two sides in [1, {MAX_SIDE}]")
+
+
+def check_fields(obj, *rules, error=ValueError) -> None:
+    """Raise `error` naming the first field of `obj` that breaks its rule.
+
+    Each rule is (field names, the test each value passes, how the test
+    reads); NaN fails every test.
+    """
+    for names, ok, rule in rules:
+        for name in names:
+            value = getattr(obj, name)
+            if not ok(value):
+                raise error(f"{name} must be {rule}, got {value}")
+
 
 @dataclass(frozen=True)
 class DimensionPrior:
@@ -43,9 +63,8 @@ class DimensionPrior:
     width_m: float
 
     def __post_init__(self):
-        if not (self.length_m > 0 and self.width_m > 0):
-            raise ValueError(f"prior dimensions must be positive, got "
-                             f"{self.length_m}x{self.width_m}")
+        check_fields(self, (("length_m", "width_m"), lambda v: v > 0,
+                            "positive"))
 
 
 # Only the bus size is a measured reference value (UK double-decker);
@@ -72,12 +91,10 @@ class RansacParams:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.tau_z <= 0:
-            raise ValueError(f"tau_z must be > 0, got {self.tau_z}")
-        if not 0.0 < self.rho < 1.0:
-            raise InvalidProbability(f"rho must be in (0, 1), got {self.rho}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        check_fields(self, (("tau_z",), lambda v: v > 0, "> 0"),
+                     (("max_iter",), lambda v: v >= 1, ">= 1"))
+        check_fields(self, (("rho",), lambda v: 0 < v < 1, "in (0, 1)"),
+                     error=InvalidProbability)
 
 
 @dataclass(frozen=True)
@@ -85,9 +102,8 @@ class SrgParams:
     tau_alpha: float = 12.0
 
     def __post_init__(self):
-        if not 0 < self.tau_alpha < 256:
-            raise ValueError(f"tau_alpha must be in (0, 256), "
-                             f"got {self.tau_alpha}")
+        check_fields(self, (("tau_alpha",), lambda v: 0 < v < 256,
+                            "in (0, 256)"))
 
 
 @dataclass(frozen=True)
@@ -101,13 +117,12 @@ class AnalyticsConfig:
     congestion_speed_mph: float = 5.0
 
     def __post_init__(self):
-        for name in ("speed_limit_mph", "parking_border_m",
-                     "parking_duration_s", "proximity_risk_m",
-                     "congestion_distance_m", "congestion_speed_mph"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.parking_speed_mph < 0:
-            raise ValueError("parking_speed_mph must be non-negative")
+        check_fields(
+            self, (("speed_limit_mph", "parking_border_m",
+                    "parking_duration_s", "proximity_risk_m",
+                    "congestion_distance_m", "congestion_speed_mph"),
+                   lambda v: v > 0, "positive"),
+            (("parking_speed_mph",), lambda v: v >= 0, "non-negative"))
 
 
 @dataclass(frozen=True)
@@ -136,22 +151,16 @@ class Config:
         default_factory=lambda: dict(DEFAULT_PRIORS))
 
     def __post_init__(self):
-        for names, ok, rule in _RANGES:
-            for name in names:
-                value = getattr(self, name)
-                if not ok(value):
-                    raise ValueError(f"{name} must be {rule}, got {value}")
+        check_fields(
+            self, (("fps", "iota_m_per_px", "beta"), lambda v: v > 0,
+                   "positive"),
+            (("iou_min", "objectness_min", "render_alpha"),
+             lambda v: 0 <= v <= 1, "in [0, 1]"),
+            (("max_age", "min_hits", "background_frames"), lambda v: v >= 1,
+             ">= 1"),
+            (("seed", "render_floor"), lambda v: v >= 0, ">= 0"),
+            (("alpha",), lambda v: 0 < v < 1, "in (0, 1)"))
 
-
-# Config's scalar fields -> the test each value passes, and how it reads
-_RANGES = (
-    (("fps", "iota_m_per_px", "beta"), lambda v: v > 0, "positive"),
-    (("iou_min", "objectness_min", "render_alpha"), lambda v: 0 <= v <= 1,
-     "in [0, 1]"),
-    (("max_age", "min_hits", "background_frames"), lambda v: v >= 1, ">= 1"),
-    (("seed", "render_floor"), lambda v: v >= 0, ">= 0"),
-    (("alpha",), lambda v: 0 < v < 1, "in (0, 1)"),
-)
 
 # key in the file -> the Config attribute or "section.field" it sets
 _KEYS = {

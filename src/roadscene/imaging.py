@@ -300,11 +300,13 @@ def write_pnm(img: ImageBuffer, dest=None) -> bytes:
     """Serialize to canonical binary PGM/PPM bytes; optionally write a file.
 
     The header is exactly "P5\\n{w} {h}\\n255\\n" (P6 for color), so writing
-    the result of `read_pnm` reproduces canonical input byte for byte.
+    the result of `read_pnm` reproduces canonical input byte for byte.  The
+    bytes are joined from the header and the pixels' own buffer, so the
+    call holds one copy of the image.
     """
     magic = b"P5" if img.channels == 1 else b"P6"
     header = magic + b"\n%d %d\n255\n" % (img.width, img.height)
-    payload = header + img.pixels.tobytes()
+    payload = b"".join((header, img.pixels.data))
     if dest is not None:
         Path(dest).write_bytes(payload)
     return payload

@@ -19,7 +19,7 @@ from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
-from .config import CLASS_NAMES, PEDESTRIAN
+from .config import CLASS_NAMES, PEDESTRIAN, SIZE
 from .errors import NonFiniteOutput, SchemaError, SingularMatrix
 
 if TYPE_CHECKING:  # annotations only: functions import what they run
@@ -443,7 +443,7 @@ def load_calibration(path) -> dict:
     `g` must be three rows of three finite numbers that make an invertible
     homography (its inverse too, which `track` and `render` use),
     `iota_m_per_px` null or a finite number > 0, and `bev_size` null or two
-    positive integers.
+    integer sides in [1, MAX_SIDE].
     """
     data = load_json(path)
     if not isinstance(data, dict) or "g" not in data:
@@ -459,11 +459,12 @@ def load_calibration(path) -> dict:
         raise SchemaError(f"{path}: iota_m_per_px must be null or a finite "
                           f"number > 0, got {iota!r}")
     size = data.get("bev_size")
+    ok, rule = SIZE
     if size is not None and not (
             isinstance(size, list) and len(size) == 2
-            and all(type(v) is int and v > 0 for v in size)):
-        raise SchemaError(f"{path}: bev_size must be null or two positive "
-                          f"integers, got {size!r}")
+            and all(type(v) is int for v in size) and ok(size)):
+        raise SchemaError(f"{path}: bev_size must be null or {rule}, "
+                          f"got {size!r}")
     import numpy as np
 
     from .geometry import Homography, invert
@@ -733,21 +734,27 @@ def merge_heatmaps(paths) -> HeatRows:
     """The cellwise sum of the heat maps that `save_heatmap` wrote to
     `paths`, read one at a time and added row by row.
 
-    Each map is judged whole as `load_heatmap` judges it.  The sum keeps a
-    row that is nonzero in any map as `w` int64 cells and a row that is
-    zero in every map as None, so it holds at most one grid.  A map of
-    another kind or shape than the first, and a sum past int64, are
-    refused with `HeatMap.merge`'s messages, as SchemaError.
+    Each map is refused at its first fault, as SchemaError: a kind or
+    shape other than the first map's, named with its path, at its header;
+    then a row `load_heatmap` would refuse, or a summed cell past int64
+    (with `HeatMap.merge`'s message), at that row.  The sum keeps a row
+    that is nonzero in any map as `w` int64 cells and a row that is zero in
+    every map as None, so it holds at most one grid.
     """
-    first = _read_heat_rows(paths[0])
+    heats = map(_read_heat_rows, paths)  # each read once the last is added
+    first = next(heats)
     kind, shape, events = first.kind, first.shape, 0
     sums = [None] * shape[0]
-    for heat in chain([first], map(_read_heat_rows, paths[1:])):
-        fits = (heat.kind, heat.shape) == (kind, shape)
-        overflow = False
+    for path, heat in zip(paths, chain([first], heats)):
+        if heat.kind != kind:
+            raise SchemaError(f"{path}: cannot merge '{heat.kind}' into "
+                              f"'{kind}'")
+        if heat.shape != shape:
+            raise SchemaError(f"{path}: shape mismatch: {heat.shape} vs "
+                              f"{shape}")
         for i, row in enumerate(heat.rows):
-            if row is None or not fits or overflow:
-                continue  # the rest of the map is still judged
+            if row is None:
+                continue
             if sums[i] is None:
                 sums[i] = array("q", [0]) * shape[1]
             cells = sums[i]
@@ -755,13 +762,8 @@ def merge_heatmaps(paths) -> HeatRows:
                 for j, value in zip(*row):
                     cells[j] += value
             except OverflowError:
-                overflow = True
-        if heat.kind != kind:
-            raise SchemaError(f"cannot merge '{heat.kind}' into '{kind}'")
-        if heat.shape != shape:
-            raise SchemaError(f"shape mismatch: {heat.shape} vs {shape}")
-        if overflow:
-            raise SchemaError(f"merged '{kind}' units overflow int64")
+                raise SchemaError(f"merged '{kind}' units overflow "
+                                  f"int64") from None
         events += heat.events
     columns = range(shape[1])
     return HeatRows(kind, events, shape, (

@@ -36,10 +36,6 @@ class RoadMask:
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.pixels.shape
-
     def to_image(self) -> ImageBuffer:
         return ImageBuffer(np.where(self.pixels, 255, 0).astype(np.uint8))
 

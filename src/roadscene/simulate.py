@@ -12,12 +12,12 @@ projections a detector would have produced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .config import CLASS_NAMES, DEFAULT_PRIORS
+from .config import CLASS_NAMES, DEFAULT_PRIORS, SIZE, check_fields
 from .errors import InvalidSpec
 from .geometry import (BEV, PERSPECTIVE, CameraModel, Homography,
                        apply_many, compose_from_camera, invert,
@@ -56,6 +56,20 @@ class ActorScript:
     hidden: tuple[tuple[int, int], ...] = ()
     flicker: float = 0.0
 
+    def __post_init__(self):
+        if self.class_name not in CLASS_NAMES:
+            raise InvalidSpec(f"unknown class {self.class_name!r}")
+        if not self.waypoints:
+            raise InvalidSpec("path must be a non-empty list")
+        times = [t for t, _ in self.waypoints]
+        if any(t1 <= t0 for t0, t1 in zip(times, times[1:])):
+            raise InvalidSpec("path timestamps must be increasing")
+        for a, b in self.hidden:
+            if a < 0 or b < a:
+                raise InvalidSpec(f"bad hidden range [{a}, {b}]")
+        check_fields(self, (("flicker",), lambda v: 0 <= v < 1, "in [0, 1)"),
+                     error=InvalidSpec)
+
     def position(self, t: float) -> tuple[float, float]:
         """Piecewise-linear interpolation, clamped at both ends."""
         wps = self.waypoints
@@ -65,10 +79,9 @@ class ActorScript:
             return wps[-1][1]
         for (t0, p0), (t1, p1) in zip(wps, wps[1:]):
             if t < t1:
-                u = (t - t0) / (t1 - t0)
-                return (p0[0] + u * (p1[0] - p0[0]),
-                        p0[1] + u * (p1[1] - p0[1]))
-        return wps[-1][1]
+                break
+        u = (t - t0) / (t1 - t0)
+        return (p0[0] + u * (p1[0] - p0[0]), p0[1] + u * (p1[1] - p0[1]))
 
     def velocity(self, t: float) -> tuple[float, float]:
         """Path derivative in m/s; zero before the first and after the
@@ -78,9 +91,9 @@ class ActorScript:
             return (0.0, 0.0)
         for (t0, p0), (t1, p1) in zip(wps, wps[1:]):
             if t < t1:
-                dt = t1 - t0
-                return ((p1[0] - p0[0]) / dt, (p1[1] - p0[1]) / dt)
-        return (0.0, 0.0)
+                break
+        dt = t1 - t0
+        return ((p1[0] - p0[0]) / dt, (p1[1] - p0[1]) / dt)
 
     def hidden_at(self, frame: int) -> bool:
         return any(a <= frame <= b for a, b in self.hidden)
@@ -88,6 +101,9 @@ class ActorScript:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """A scene to simulate; refuses out-of-range values and paths that
+    leave the BEV window's world rectangle, as InvalidSpec."""
+
     camera: CameraModel
     image_size: tuple[int, int]       # (width, height) px
     bev_size: tuple[int, int]         # (width, height) px
@@ -103,6 +119,34 @@ class ScenarioSpec:
     outlier_fraction: float = 0.0
     road_polygon: tuple[tuple[float, float], ...] = ()
 
+    def __post_init__(self):
+        check_fields(
+            self, (("image_size", "bev_size"), *SIZE),
+            (("iota_m_per_px", "fps"), lambda v: v > 0, "positive"),
+            (("duration",), lambda v: v >= 1, ">= 1"),
+            (("noise_sigma_px", "n_matches", "match_sigma_px"),
+             lambda v: v >= 0, "non-negative"),
+            (("dropout", "outlier_fraction"), lambda v: 0 <= v < 1,
+             "in [0, 1)"), error=InvalidSpec)
+        if 0 < len(self.road_polygon) < 3:
+            raise InvalidSpec("road_polygon needs at least 3 vertices")
+        (xmin, ymin), (bw, bh) = self.world_origin, self.bev_size
+        xmax = xmin + bw * self.iota_m_per_px
+        ymax = ymin + bh * self.iota_m_per_px
+        for i, actor in enumerate(self.actors):
+            for j, (_, (x, y)) in enumerate(actor.waypoints):
+                if not (xmin <= x <= xmax and ymin <= y <= ymax):
+                    raise InvalidSpec(
+                        f"actors[{i}]: path[{j}] at ({x}, {y}) leaves the "
+                        f"world rectangle [{xmin}, {xmax}] x [{ymin}, {ymax}]")
+
+
+# number field -> the JSON number it takes; and the fields with no default
+_NUMBERS = {"iota_m_per_px": float, "fps": float, "duration": int,
+            "noise_sigma_px": float, "dropout": float, "n_matches": int,
+            "match_sigma_px": float, "outlier_fraction": float}
+_REQUIRED = {f.name for f in fields(ScenarioSpec) if f.default is MISSING}
+
 
 def _finite(value, label: str, cast=float):
     """A finite JSON number, not a bool, as `cast`; int takes only ints."""
@@ -111,23 +155,10 @@ def _finite(value, label: str, cast=float):
     raise InvalidSpec(f"{label}: bad value {value!r}")
 
 
-def _spec_number(data: dict, key: str, cast=float, default=None):
-    """Finite `cast(data[key])`; `default` when given and the key is absent."""
-    if key not in data:
-        if default is None:
-            raise InvalidSpec(f"missing field {key!r}")
-        return default
-    return _finite(data[key], f"field {key!r}", cast)
-
-
 def _pair(value, label: str, cast=float):
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise InvalidSpec(f"{label} must be a pair")
     return (_finite(value[0], label, cast), _finite(value[1], label, cast))
-
-
-def _spec_pair(data: dict, key: str, cast=float):
-    return _pair(data.get(key), f"field {key!r}", cast)
 
 
 def _spec_list(data: dict, key: str) -> list:
@@ -137,12 +168,32 @@ def _spec_list(data: dict, key: str) -> list:
     return value
 
 
-def _world_rect(spec_fields) -> tuple[float, float, float, float]:
-    (ox, oy), (bw, bh), iota = spec_fields
-    return (ox, oy, ox + bw * iota, oy + bh * iota)
+def _parse_actor(actor, label: str) -> ActorScript:
+    if not isinstance(actor, dict):
+        raise InvalidSpec(f"{label} must be an object")
+    path = actor.get("path")
+    if not isinstance(path, list):
+        raise InvalidSpec(f"{label}: path must be a non-empty list")
+    waypoints = []
+    for j, node in enumerate(path):
+        if not isinstance(node, list) or len(node) != 2:
+            raise InvalidSpec(f"{label}: path[{j}] must be [t, [x, y]]")
+        waypoints.append((_finite(node[0], f"{label}: path[{j}] time"),
+                          _pair(node[1], f"{label}: path[{j}] position")))
+    hidden = tuple(_pair(pair, f"{label}: hidden range", int)
+                   for pair in _spec_list(actor, "hidden"))
+    flicker = ({"flicker": _finite(actor["flicker"], "field 'flicker'")}
+               if "flicker" in actor else {})
+    try:
+        return ActorScript(actor.get("class"), tuple(waypoints), hidden,
+                           **flicker)
+    except InvalidSpec as exc:
+        raise InvalidSpec(f"{label}: {exc}") from None
 
 
 def parse_scenario(data: dict) -> ScenarioSpec:
+    """The scene a JSON document describes.  Only types are judged here:
+    the spec checks the values, and fills in omitted optional fields."""
     if not isinstance(data, dict):
         raise InvalidSpec("scenario must be a JSON object")
     cam_data = data.get("camera")
@@ -154,90 +205,20 @@ def parse_scenario(data: dict) -> ScenarioSpec:
         raise InvalidSpec(f"camera is missing {missing}")
     camera = CameraModel(**{k: _finite(cam_data[k], f"camera.{k}")
                             for k in cam_keys})
-
-    image_size = _spec_pair(data, "image_size", int)
-    bev_size = _spec_pair(data, "bev_size", int)
-    if min(image_size) < 1 or min(bev_size) < 1:
-        raise InvalidSpec("image_size and bev_size must be positive")
-    iota = _spec_number(data, "iota_m_per_px")
-    if iota <= 0:
-        raise InvalidSpec("iota_m_per_px must be positive")
-    world_origin = _spec_pair(data, "world_origin")
-    fps = _spec_number(data, "fps")
-    if fps <= 0:
-        raise InvalidSpec("fps must be positive")
-    duration = _spec_number(data, "duration", int)
-    if duration < 1:
-        raise InvalidSpec(f"duration must be >= 1, got {duration}")
-
-    noise = _spec_number(data, "noise_sigma_px", default=0.0)
-    dropout = _spec_number(data, "dropout", default=0.0)
-    if noise < 0:
-        raise InvalidSpec("noise_sigma_px must be non-negative")
-    if not 0.0 <= dropout < 1.0:
-        raise InvalidSpec("dropout must be in [0, 1)")
-    n_matches = _spec_number(data, "n_matches", int, default=0)
-    if n_matches < 0:
-        raise InvalidSpec("n_matches must be non-negative")
-    match_sigma = _spec_number(data, "match_sigma_px", default=0.0)
-    if match_sigma < 0:
-        raise InvalidSpec("match_sigma_px must be non-negative")
-    outlier_fraction = _spec_number(data, "outlier_fraction", default=0.0)
-    if not 0.0 <= outlier_fraction < 1.0:
-        raise InvalidSpec("outlier_fraction must be in [0, 1)")
-
+    values = {key: _pair(data.get(key), f"field {key!r}", cast)
+              for key, cast in (("image_size", int), ("bev_size", int),
+                                ("world_origin", float))}
+    for key, cast in _NUMBERS.items():
+        if key in data:
+            values[key] = _finite(data[key], f"field {key!r}", cast)
+        elif key in _REQUIRED:
+            raise InvalidSpec(f"missing field {key!r}")
     road_polygon = tuple(_pair(v, f"road_polygon[{i}]") for i, v
                          in enumerate(_spec_list(data, "road_polygon")))
-    if road_polygon and len(road_polygon) < 3:
-        raise InvalidSpec("road_polygon needs at least 3 vertices")
-
-    xmin, ymin, xmax, ymax = _world_rect((world_origin, bev_size, iota))
-    actors = []
-    for i, actor in enumerate(_spec_list(data, "actors")):
-        label = f"actors[{i}]"
-        if not isinstance(actor, dict):
-            raise InvalidSpec(f"{label} must be an object")
-        class_name = actor.get("class")
-        if class_name not in CLASS_NAMES:
-            raise InvalidSpec(f"{label}: unknown class {class_name!r}")
-        path = actor.get("path")
-        if not isinstance(path, list) or not path:
-            raise InvalidSpec(f"{label}: path must be a non-empty list")
-        waypoints = []
-        for j, node in enumerate(path):
-            if not isinstance(node, list) or len(node) != 2:
-                raise InvalidSpec(f"{label}: path[{j}] must be [t, [x, y]]")
-            t = _finite(node[0], f"{label}: path[{j}] time")
-            x, y = _pair(node[1], f"{label}: path[{j}] position")
-            if waypoints and t <= waypoints[-1][0]:
-                raise InvalidSpec(
-                    f"{label}: path timestamps must be increasing")
-            if not (xmin <= x <= xmax and ymin <= y <= ymax):
-                raise InvalidSpec(
-                    f"{label}: path[{j}] at ({x}, {y}) leaves the world "
-                    f"rectangle [{xmin}, {xmax}] x [{ymin}, {ymax}]")
-            waypoints.append((t, (x, y)))
-        hidden = []
-        for rng_pair in _spec_list(actor, "hidden"):
-            a, b = _pair(rng_pair, f"{label}: hidden range", int)
-            if a < 0 or b < a:
-                raise InvalidSpec(f"{label}: bad hidden range [{a}, {b}]")
-            hidden.append((a, b))
-        flicker = _spec_number(actor, "flicker", default=0.0)
-        if not 0.0 <= flicker < 1.0:
-            raise InvalidSpec(f"{label}: flicker must be in [0, 1)")
-        actors.append(ActorScript(class_name=class_name,
-                                  waypoints=tuple(waypoints),
-                                  hidden=tuple(hidden), flicker=flicker))
-
-    return ScenarioSpec(camera=camera, image_size=image_size,
-                        bev_size=bev_size, iota_m_per_px=iota,
-                        world_origin=world_origin, fps=fps,
-                        duration=duration, actors=tuple(actors),
-                        noise_sigma_px=noise, dropout=dropout,
-                        n_matches=n_matches, match_sigma_px=match_sigma,
-                        outlier_fraction=outlier_fraction,
-                        road_polygon=road_polygon)
+    actors = tuple(_parse_actor(actor, f"actors[{i}]")
+                   for i, actor in enumerate(_spec_list(data, "actors")))
+    return ScenarioSpec(camera=camera, actors=actors,
+                        road_polygon=road_polygon, **values)
 
 
 def load_scenario(path) -> ScenarioSpec:

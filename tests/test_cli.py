@@ -415,6 +415,38 @@ def test_trajectory_points_must_be_json_numbers(tmp_path, pipeline, capsys,
     assert "SchemaError: line 2" in _one_error_line(capsys)
 
 
+def test_trajectory_row_without_points_exits_2(tmp_path, pipeline, capsys):
+    trajectories = tmp_path / "trajectories.jsonl"
+    trajectories.write_text('{"path": [[1, 2], [3, 4]]}\n')
+    code = run("calibrate", "--matches",
+               str(pipeline["sim"] / "matches.json"), "--trajectories",
+               str(trajectories), "--image-size", "640", "480",
+               "--out", str(tmp_path / "cal"))
+    assert code == 2
+    assert _one_error_line(capsys) == (
+        "error: SchemaError: line 1: expected {'points': [...]}\n")
+
+
+def test_frames_dir_without_pgm_frames_exits_2(tmp_path, pipeline, capsys):
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    (frames / "frame_0000.ppm").write_bytes(b"P6\n1 1\n255\n\0\0\0")
+    code = run("calibrate", "--matches",
+               str(pipeline["sim"] / "matches.json"), "--frames-dir",
+               str(frames), "--out", str(tmp_path / "cal"))
+    assert code == 2
+    assert _one_error_line(capsys) == (
+        f"error: SchemaError: no .pgm frames in {frames}\n")
+
+
+def test_calibrate_records_bev_size_without_satellite(tmp_path, pipeline):
+    assert run("calibrate", "--matches",
+               str(pipeline["sim"] / "matches.json"), "--bev-size", "80",
+               "60", "--out", str(tmp_path / "cal")) == 0
+    cal = json.loads((tmp_path / "cal" / "calibration.json").read_text())
+    assert cal["bev_size"] == [80, 60]
+
+
 def test_empty_detections_empty_tracks(tmp_path, pipeline):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -668,6 +700,51 @@ def test_merge_refuses_a_summed_cell_past_int64(tmp_path, capsys, a, b):
         paths.append(str(path))
     out = tmp_path / "merged.json"
     assert run("merge", *paths, "--out", str(out)) == 2
+    assert _one_error_line(capsys) == ("error: SchemaError: merged 'vehicle' "
+                                       "units overflow int64\n")
+    assert not out.exists()
+
+
+def _heat_file(path, units, kind="vehicle", events=None):
+    """`units` as a heat map file; `events` defaults to their mass / 144."""
+    path.write_text(records._dump_row({
+        "events": sum(map(sum, units)) // 144 if events is None else events,
+        "kind": kind, "shape": [len(units), len(units[0])],
+        "units": units}) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("kind, units, message", [
+    ("speeding", [[144, 0, 0], [0, 0, 0]],
+     "cannot merge 'speeding' into 'vehicle'"),
+    ("vehicle", [[144, 0], [0, 0], [0, 0]],
+     "shape mismatch: (3, 2) vs (2, 3)"),
+    # the units do not sum to 144 x 1 event either: the header's fault is
+    # named first
+    ("speeding", [[144, 0, 0], [0, 0, 7]],
+     "cannot merge 'speeding' into 'vehicle'"),
+], ids=["kind", "shape", "kind-and-mass"])
+def test_merge_refuses_a_shard_of_another_kind_or_shape(tmp_path, capsys,
+                                                        kind, units, message):
+    first = _heat_file(tmp_path / "a.json", [[0, 96, 0], [0, 48, 0]])
+    other = _heat_file(tmp_path / "b.json", units, kind, events=1)
+    out = tmp_path / "merged.json"
+    assert run("merge", first, other, "--out", str(out)) == 2
+    assert _one_error_line(capsys) == f"error: SchemaError: {other}: " \
+        f"{message}\n"
+    assert not out.exists()
+
+
+def test_merge_names_an_overflow_before_a_later_fault(tmp_path, capsys):
+    # the second shard's first row overflows the sum; its second row is
+    # not spelled as the writer would
+    first = _heat_file(tmp_path / "a.json", [[2 ** 63 // 144 * 144, 0],
+                                             [0, 0]])
+    other = tmp_path / "b.json"
+    other.write_text('{"events":1,"kind":"vehicle","shape":[2,2],'
+                     '"units":[[144,0],[0,-0]]}\n')
+    out = tmp_path / "merged.json"
+    assert run("merge", first, str(other), "--out", str(out)) == 2
     assert _one_error_line(capsys) == ("error: SchemaError: merged 'vehicle' "
                                        "units overflow int64\n")
     assert not out.exists()
@@ -1043,6 +1120,7 @@ def test_render_heat_dir_must_be_a_directory(tmp_path, pipeline, capsys):
     ("bev_size", [10]),
     ("g", [[1, 0, 0], [0, 1, 0], [0, 0, "x"]]),
     ("g", [[1, 0, 0], [0, 1, 0]]),
+    ("bev_size", [2 ** 24 + 1, 10]),
 ])
 def test_bad_calibration_field_exits_2(tmp_path, pipeline, capsys, key,
                                        value):

@@ -356,9 +356,10 @@ FLAG_CASES = [
                                                             *size],
                    id=f"{command}-bev-size-{'_'.join(size)}")
       for command in ("calibrate", "analyze")
-      for size in (("0", "5"), ("-4", "0"))),
-    pytest.param("calibrate", lambda argv: argv + ["--image-size", "0", "1"],
-                 id="calibrate-image-size-0_1"),
+      for size in (("0", "5"), ("-4", "0"), ("16777217", "1"))),
+    *(pytest.param("calibrate", lambda argv, size=size: argv + [
+        "--image-size", *size], id=f"calibrate-image-size-{'_'.join(size)}")
+      for size in (("0", "1"), ("640", "16777217"))),
     pytest.param("render", lambda argv: _without(argv, "--calibration", 1),
                  id="render-perspective-base-without-calibration"),
     pytest.param("calibrate", lambda argv: _without(argv, "--trajectories", 1),
@@ -382,6 +383,51 @@ def test_refused_flag_exits_2_with_one_config_error(chain, tmp_path,
     assert len(lines) == 1 and lines[0].startswith("error: ConfigError: "), \
         lines
     assert not out.exists()
+
+
+# --- grids too large for numpy or for memory ---------------------------------
+
+# (command, flags added or scene fields changed, exit code, error line start):
+# a side above MAX_SIDE is refused before anything is built; a grid of
+# allowed sides that memory cannot hold fails as MemoryError
+OVERSIZED = [
+    pytest.param("analyze", ["--bev-size", "4000000000", "4000000000"], 2,
+                 "ConfigError: --bev-size must be two sides in [1, 16777216], "
+                 "got 4000000000 4000000000", id="analyze-bev-size-4e9"),
+    pytest.param("analyze", ["--bev-size", "100000000000000", "2"], 2,
+                 "ConfigError: --bev-size must be two sides in [1, 16777216], "
+                 "got 100000000000000 2", id="analyze-bev-size-1e14"),
+    # numpy's MemoryError is a subclass with a private name
+    pytest.param("analyze", ["--bev-size", "16777216", "16777216"], 1,
+                 "MemoryError: Unable to allocate ",
+                 id="analyze-bev-size-at-the-bound"),
+    pytest.param("simulate", {"bev_size": [10 ** 12, 300]}, 2,
+                 "InvalidSpec: bev_size must be two sides in [1, 16777216], "
+                 "got (1000000000000, 300)", id="simulate-bev-size-1e12"),
+    pytest.param("simulate", {"image_size": [10 ** 12, 480]}, 2,
+                 "InvalidSpec: image_size must be two sides in [1, 16777216], "
+                 "got (1000000000000, 480)", id="simulate-frames-image-size"),
+    pytest.param("simulate", {"duration": 10 ** 15}, 1, "MemoryError: ",
+                 id="simulate-duration-1e15"),
+]
+
+
+@pytest.mark.parametrize("command, change, code, error", OVERSIZED)
+def test_oversized_grid_ends_with_one_error_line(chain, tmp_path, command,
+                                                 change, code, error):
+    paths, flags = dict(chain), change
+    if command == "simulate":
+        scene = dict(json.loads(chain["scene"].read_text()), **change)
+        paths["scene"] = tmp_path / "scene.json"
+        paths["scene"].write_text(json.dumps(scene))
+        flags = ["--frames"]
+    argv = [str(a) for a in _argv(command, paths, tmp_path / "out") + flags]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == code
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + error), lines
 
 
 # --- inputs that once printed numpy warnings --------------------------------

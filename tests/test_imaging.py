@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -208,6 +210,17 @@ class TestPnm:
         path = tmp_path / "img.pgm"
         write_pnm(img, path)
         assert read_pnm(path) == img
+
+    def test_write_holds_one_copy_of_the_image(self, tmp_path):
+        img = ImageBuffer(np.zeros((600, 800, 3), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            data = write_pnm(img, tmp_path / "img.ppm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data == (tmp_path / "img.ppm").read_bytes()
+        assert peak < 1.5 * img.pixels.nbytes, peak
 
     def test_comments_in_header(self):
         data = b"P5 # comment\n# another\n2 1\n255\n\x01\x02"

@@ -129,7 +129,10 @@ def test_detections_bad_bbox_rejected():
                          '"probs": ' + str([0.0] * N) + '}\n')
 
 
-@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("value", [
+    "NaN", "Infinity", "-Infinity", "1e400",
+    # a JSON integer, which Python reads exactly and a float cannot hold
+    pytest.param("1" + "0" * 400, id="integer-past-float-range")])
 def test_detections_non_finite_rejected(value):
     row = ('{"frame": 0, "bbox": [1, 1, 2, 2], "score": 0.5, '
            '"probs": [%s' + ", 0.0" * (N - 1) + ']}')
@@ -848,6 +851,15 @@ def test_heatmap_sum_does_not_wrap_int64(tmp_path, separator):
     match = (r"h\.json: units sum to 18446744073709551616, not 144 x 0 "
              r"events" if separator == "," else _NOT_WRITTEN)
     with pytest.raises(SchemaError, match=match):
+        load_heatmap(path)
+
+
+@pytest.mark.parametrize("tail", [b"x", b"\n", b" "])
+def test_heatmap_bytes_after_the_map_rejected(tmp_path, tail):
+    path = tmp_path / "h.json"
+    save_heatmap(path, HeatMap((2, 3), "vehicle"))
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(SchemaError, match=_NOT_WRITTEN):
         load_heatmap(path)
 
 

@@ -1,9 +1,15 @@
+import contextlib
+import io
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scene_helpers import scene_dict
 
+from roadscene.cli import main
+from roadscene.config import MAX_SIDE
 from roadscene.errors import InvalidSpec
 from roadscene.geometry import PixelPoint, apply
 from roadscene.motion import MPH_PER_MPS
@@ -79,6 +85,108 @@ def test_behind_camera_rejected_at_generation():
     spec = parse_scenario(data)
     with pytest.raises(InvalidSpec, match="behind"):
         generate_detections(spec, seed=0)
+
+
+# each refusal of a scene: (a change to scene_dict(), the same fault in a
+# spec built in code or None, the message)
+def _actor(**change):
+    return lambda data: data["actors"][0].update(change)
+
+
+def _spec(**change):
+    return lambda spec: replace(spec, **change)
+
+
+def _script(*args):
+    return lambda spec: ActorScript(*args)
+
+
+SCENE_REFUSALS = {
+    # what only JSON can spell: a spec built in code has typed fields
+    "missing-field": (lambda data: data.pop("fps"), None,
+                      "missing field 'fps'"),
+    "camera-not-object": (lambda data: data.update(camera=[1]), None,
+                          "field 'camera' must be an object"),
+    "actor-not-object": (lambda data: data.update(actors=[5]), None,
+                         "actors[0] must be an object"),
+    "path-node": (_actor(path=[[0.0, 1.0, 2.0]]), None,
+                  "actors[0]: path[0] must be [t, [x, y]]"),
+    # values
+    "bev-size": (lambda data: data.update(bev_size=[0, 300]),
+                 _spec(bev_size=(0, 300)),
+                 f"bev_size must be two sides in [1, {MAX_SIDE}], "
+                 f"got (0, 300)"),
+    "image-size": (lambda data: data.update(image_size=[640, MAX_SIDE + 1]),
+                   _spec(image_size=(640, MAX_SIDE + 1)),
+                   f"image_size must be two sides in [1, {MAX_SIDE}], "
+                   f"got (640, {MAX_SIDE + 1})"),
+    "iota": (lambda data: data.update(iota_m_per_px=-0.5),
+             _spec(iota_m_per_px=-0.5),
+             "iota_m_per_px must be positive, got -0.5"),
+    "fps": (lambda data: data.update(fps=0), _spec(fps=0.0),
+            "fps must be positive, got 0.0"),
+    "duration": (lambda data: data.update(duration=0), _spec(duration=0),
+                 "duration must be >= 1, got 0"),
+    "noise": (lambda data: data.update(noise_sigma_px=-1),
+              _spec(noise_sigma_px=-1.0),
+              "noise_sigma_px must be non-negative, got -1.0"),
+    "n-matches": (lambda data: data.update(n_matches=-3),
+                  _spec(n_matches=-3),
+                  "n_matches must be non-negative, got -3"),
+    "match-sigma": (lambda data: data.update(match_sigma_px=-0.5),
+                    _spec(match_sigma_px=-0.5),
+                    "match_sigma_px must be non-negative, got -0.5"),
+    "dropout": (lambda data: data.update(dropout=1.0), _spec(dropout=1.0),
+                "dropout must be in [0, 1), got 1.0"),
+    "outlier-fraction": (lambda data: data.update(outlier_fraction=1.5),
+                         _spec(outlier_fraction=1.5),
+                         "outlier_fraction must be in [0, 1), got 1.5"),
+    "road-polygon": (lambda data: data.update(road_polygon=[[0, 12], [1, 12]]),
+                     _spec(road_polygon=((0.0, 12.0), (1.0, 12.0))),
+                     "road_polygon needs at least 3 vertices"),
+    "world-rectangle": (
+        _actor(path=[[0.0, [50.0, 15.0]]]),
+        _spec(actors=(ActorScript("car", ((0.0, (50.0, 15.0)),)),)),
+        "actors[0]: path[0] at (50.0, 15.0) leaves the world rectangle "
+        "[-10.0, 10.0] x [10.0, 25.0]"),
+    "actor-class": (_actor(**{"class": "hoverboard"}),
+                    _script("hoverboard", ((0.0, (0.0, 15.0)),)),
+                    "actors[0]: unknown class 'hoverboard'"),
+    "empty-path": (_actor(path=[]), _script("car", ()),
+                   "actors[0]: path must be a non-empty list"),
+    "path-times": (_actor(path=[[1.0, [0, 15]], [1.0, [1, 15]]]),
+                   _script("car", ((1.0, (0.0, 15.0)), (1.0, (1.0, 15.0)))),
+                   "actors[0]: path timestamps must be increasing"),
+    "hidden-range": (_actor(hidden=[[5, 2]]),
+                     _script("car", ((0.0, (0.0, 15.0)),), ((5, 2),)),
+                     "actors[0]: bad hidden range [5, 2]"),
+    "flicker": (_actor(flicker=1.0),
+                _script("car", ((0.0, (0.0, 15.0)),), (), 1.0),
+                "actors[0]: flicker must be in [0, 1), got 1.0"),
+}
+
+
+@pytest.mark.parametrize("name", SCENE_REFUSALS)
+def test_scene_refusal_from_a_file_and_in_code(tmp_path, name):
+    """`simulate` refuses the faulty file with exit 2 and one InvalidSpec
+    line; a spec built in code with the same fault raises the same
+    message."""
+    change, build, message = SCENE_REFUSALS[name]
+    data = scene_dict()
+    change(data)
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(data))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["simulate", "--spec", str(scene),
+                     "--out", str(tmp_path / "out")])
+    assert (code, err.getvalue()) == (2, f"error: InvalidSpec: {message}\n")
+    assert not (tmp_path / "out").exists()
+    if build is not None:
+        with pytest.raises(InvalidSpec) as caught:
+            build(parse())
+        # an ActorScript does not know its place in the scene
+        assert message in (str(caught.value), f"actors[0]: {caught.value}")
 
 
 # --- actor scripts ----------------------------------------------------------
