@@ -21,7 +21,7 @@ _EXPORTS = {
                 "apply_many compose_from_camera estimate_dlt_xy invert",
     "imaging": "BackgroundAccumulator DistortionParams ImageBuffer "
                "histogram_match read_pnm write_pnm",
-    "motion": "BevKalmanState abf heading kf_predict kf_update speed_mph",
+    "motion": "BevKalmanState abf kf_predict kf_update speed_mph",
     "roadmodel": "extract_boundary refine_mask srg_segment",
     "tracking": "DetectionGroup MomctTracker",
 }

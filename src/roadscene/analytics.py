@@ -90,12 +90,14 @@ def _checked_kind(kind: str, shape: tuple[int, int]) -> str:
 
 
 class HeatMap:
-    """Accumulated unit-mass deposits on a BEV-sized grid."""
+    """Accumulated unit-mass deposits on a BEV-sized grid: `units` is the
+    int64 grid, 144 units per event.  Saved maps are summed by
+    `records.merge_heatmaps`, which the `merge` command runs."""
 
     def __init__(self, shape: tuple[int, int], kind: str):
         self.kind = _checked_kind(kind, shape)
         self.events = 0
-        self._units = np.zeros(shape, dtype=np.int64)
+        self.units = np.zeros(shape, dtype=np.int64)
 
     @classmethod
     def from_units(cls, units: np.ndarray, events: int,
@@ -110,50 +112,24 @@ class HeatMap:
         heat = cls.__new__(cls)  # no zero grid of its own to replace
         heat.kind = _checked_kind(kind, arr.shape)
         heat.events = int(events)
-        heat._units = arr
+        heat.units = arr
         return heat
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._units.shape
-
-    @property
-    def h(self) -> np.ndarray:
-        """Real-valued view; sums to exactly `events`."""
-        return self._units / _BUMP_UNITS
-
-    def units(self) -> np.ndarray:
-        return self._units.copy()
+        return self.units.shape
 
     @property
     def rows(self):
         """The grid row by row as `records.HeatRows` holds it: None for an
         all-zero row, else its nonzero (columns, values)."""
-        units = self._units
+        units = self.units
         for row, nonzero in zip(units, units.any(axis=1).tolist()):
             if not nonzero:
                 yield None
                 continue
             cols = np.flatnonzero(row)
             yield cols.tolist(), row[cols].tolist()
-
-    def merge(self, other: "HeatMap") -> "HeatMap":
-        """Element-wise addition; exact, so sharded runs equal one pass."""
-        if other.kind != self.kind:
-            raise ValueError(f"cannot merge '{other.kind}' into "
-                             f"'{self.kind}'")
-        if other.shape != self.shape:
-            raise ValueError(f"shape mismatch: {other.shape} vs {self.shape}")
-        mine, theirs = self._units, other._units
-        # a sum wraps past int64 when its sign differs from both terms';
-        # every band is tested before any cell changes
-        for rows in _bands(*self.shape):
-            total = mine[rows] + theirs[rows]
-            if (((mine[rows] ^ total) & (theirs[rows] ^ total)) < 0).any():
-                raise ValueError(f"merged '{self.kind}' units overflow int64")
-        mine += theirs
-        self.events += other.events
-        return self
 
 
 def bump(heat: HeatMap, p: PixelPoint) -> HeatMap:
@@ -174,7 +150,7 @@ def bump(heat: HeatMap, p: PixelPoint) -> HeatMap:
     x0, x1 = max(cx - 1, 0), min(cx + 2, w)
     patch = _KERNEL[y0 - cy + 1:y1 - cy + 1, x0 - cx + 1:x1 - cx + 1]
     # clipped kernel sums always divide 144, so the deposit stays integral
-    heat._units[y0:y1, x0:x1] += patch * (_BUMP_UNITS // int(patch.sum()))
+    heat.units[y0:y1, x0:x1] += patch * (_BUMP_UNITS // int(patch.sum()))
     heat.events += 1
     return heat
 
@@ -319,7 +295,7 @@ def update_heatmaps(maps: Mapping[str, HeatMap], tracks: FrameTracks,
             if heat.shape not in kernels:
                 kernels[heat.shape] = _kernel_cells(tracks.xy, heat.shape)
             ys, xs, units = kernels[heat.shape]
-            np.add.at(heat._units, (ys[mask], xs[mask]), units[mask])
+            np.add.at(heat.units, (ys[mask], xs[mask]), units[mask])
             heat.events += int(mask.sum())
     return maps
 
@@ -400,7 +376,7 @@ def render(heat: HeatMap, base: ImageBuffer | None = None,
     band-sized temporaries are held.
     """
     from .imaging import ImageBuffer
-    units = heat._units
+    units = heat.units
     # int-to-float and the division are monotone: the extremes' images
     # are the extremes of units / 144
     vmax = float(units.max() / _BUMP_UNITS)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import math
 import os
 import sys
 from dataclasses import replace
@@ -34,7 +33,7 @@ from .config import PEDESTRIAN, SIZE, Config, load_config
 from .errors import (ConfigError, DegenerateDisplacement, DegeneratePoint,
                      EmptyHeatMap, InputError, NonFiniteOutput,
                      ProcessingError, SchemaError)
-from .motion import MPH_PER_MPS, BevKalmanState, abf, heading_of, kf_step
+from .motion import BevKalmanState, abf, heading_of, kf_step, speed_mph
 from .records import (dump_json, dump_track_rows, load_boundary,
                       load_calibration, load_detections, load_heatmap,
                       load_json, load_stats, load_tracks, merge_heatmaps,
@@ -294,8 +293,7 @@ def _track_rows(block, motion, g, scale, cfg) -> str:
         motion[snap.track_id] = (x, p, frame, theta)
         states.append(x)
         row = [frame, snap.track_id, snap.class_name, snap.bbox, snap.ref,
-               x[:2], math.hypot(x[2], x[3]) * scale.iota * MPH_PER_MPS,
-               theta, None]
+               x[:2], speed_mph(x, scale), theta, None]
         rows.append(row)
         if theta is None and snap.class_name == PEDESTRIAN:
             theta = 0.0
@@ -351,17 +349,6 @@ def _cmd_segment(args) -> int:
 
 # --- analyze ----------------------------------------------------------------
 
-def _resolve_bev_shape(args, calib) -> tuple[int, int]:
-    if args.bev_size:
-        w, h = args.bev_size
-        return (h, w)
-    size = calib.get("bev_size")
-    if size:
-        return (int(size[1]), int(size[0]))
-    raise ConfigError("BEV size unknown: pass --bev-size W H or record "
-                      "bev_size in calibration.json")
-
-
 def _cmd_analyze(args) -> int:
     import numpy as np
 
@@ -378,11 +365,13 @@ def _cmd_analyze(args) -> int:
             and args.to_frame < args.from_frame:
         raise ConfigError(f"--to-frame must be >= --from-frame "
                           f"({args.from_frame}), got {args.to_frame}")
-    _check_size("--bev-size", args.bev_size)
     cfg = _config_from(args)
     calib = load_calibration(args.calibration)
     scale = GroundScale(calib.get("iota_m_per_px") or cfg.iota_m_per_px)
-    shape = _resolve_bev_shape(args, calib)
+    if calib.get("bev_size") is None:
+        raise ConfigError(f"{args.calibration}: no bev_size, which calibrate "
+                          f"records from --satellite or --bev-size")
+    w, h = calib["bev_size"]
     table = load_tracks(args.tracks)
     boundary = load_boundary(args.boundary) if args.boundary else None
 
@@ -400,7 +389,7 @@ def _cmd_analyze(args) -> int:
     tracks = FrameTracks(table.ids[rows], table.pedestrian[rows],
                          table.xy[rows], np.where(speed < 0.0, 0.0, speed))
     classifier = StateClassifier(boundary, scale, cfg.analytics, cfg.fps)
-    maps = make_heatmaps(shape)
+    maps = make_heatmaps((h, w))
     stats = []
     frame_states = []
     firsts = np.flatnonzero(np.diff(row_frames, prepend=-1)).tolist()
@@ -569,8 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tracks", required=True, help="tracks JSONL")
     p.add_argument("--calibration", required=True, help="calibration JSON")
     p.add_argument("--boundary", help="road boundary JSON (enables parking)")
-    p.add_argument("--bev-size", type=int, nargs=2, metavar=("W", "H"),
-                   help="heat map size if not in calibration")
     p.add_argument("--from-frame", type=int, default=None)
     p.add_argument("--to-frame", type=int, default=None)
     _add_common(p)

@@ -19,7 +19,7 @@ from .errors import DegenerateDisplacement
 from .kalman import Cov, kf_predict_step, kf_update_step
 
 if TYPE_CHECKING:  # annotations only
-    from .geometry import GroundScale, PixelPoint
+    from .geometry import GroundScale
 
 MPH_PER_MPS = 2.236936
 
@@ -47,10 +47,6 @@ class BevKalmanState:
     @staticmethod
     def initial(x: float, y: float) -> "BevKalmanState":
         return BevKalmanState((float(x), float(y), 0.0, 0.0, 0.0, 0.0), _P0)
-
-    @property
-    def velocity(self) -> tuple[float, float]:
-        return (self.x[2], self.x[3])
 
 
 @functools.lru_cache(maxsize=64)  # a run's gaps are few
@@ -95,14 +91,10 @@ def kf_step(x: Sequence[float], p: Cov, t_w: float,
     return kf_update_step(x, p, z, MEASUREMENT_VARIANCE)
 
 
-def speed_mph(state: BevKalmanState, scale: GroundScale) -> float:
-    """Smoothed speed in miles per hour, from the BEV velocity norm."""
-    return math.hypot(*state.velocity) * scale.iota * MPH_PER_MPS
-
-
-def heading(l_t: PixelPoint, l_prev: PixelPoint) -> float:
-    """Displacement direction in degrees, full quadrant (-180, 180]."""
-    return heading_of(l_t.x - l_prev.x, l_t.y - l_prev.y)
+def speed_mph(x: Sequence[float], scale: GroundScale) -> float:
+    """Smoothed speed in miles per hour, from the velocity norm of the
+    state vector `x` ([x, y, vx, vy, ax, ay], as `BevKalmanState.x`)."""
+    return math.hypot(x[2], x[3]) * scale.iota * MPH_PER_MPS
 
 
 def heading_of(dx: float, dy: float) -> float:

@@ -736,10 +736,10 @@ def merge_heatmaps(paths) -> HeatRows:
 
     Each map is refused at its first fault, as SchemaError: a kind or
     shape other than the first map's, named with its path, at its header;
-    then a row `load_heatmap` would refuse, or a summed cell past int64
-    (with `HeatMap.merge`'s message), at that row.  The sum keeps a row
-    that is nonzero in any map as `w` int64 cells and a row that is zero in
-    every map as None, so it holds at most one grid.
+    then a row `load_heatmap` would refuse, or a summed cell past int64,
+    at that row.  The sum keeps a row that is nonzero in any map as `w`
+    int64 cells and a row that is zero in every map as None, so it holds at
+    most one grid.
     """
     heats = map(_read_heat_rows, paths)  # each read once the last is added
     first = next(heats)

@@ -123,7 +123,8 @@ class ScenarioSpec:
         check_fields(
             self, (("image_size", "bev_size"), *SIZE),
             (("iota_m_per_px", "fps"), lambda v: v > 0, "positive"),
-            (("duration",), lambda v: v >= 1, ">= 1"),
+            # frames are numbered as in the row files, below 2**63
+            (("duration",), lambda v: 1 <= v < 2 ** 63, "in [1, 2**63)"),
             (("noise_sigma_px", "n_matches", "match_sigma_px"),
              lambda v: v >= 0, "non-negative"),
             (("dropout", "outlier_fraction"), lambda v: 0 <= v < 1,
@@ -468,14 +469,16 @@ def render_frame(spec: ScenarioSpec, frame: int) -> ImageBuffer:
 
 def run_simulate(spec: ScenarioSpec, out_dir, seed: int,
                  with_frames: bool = False) -> None:
-    """Write all oracle artifacts for one scenario into `out_dir`."""
+    """Write all oracle artifacts for one scenario into `out_dir`; a scene
+    that cannot be drawn is refused before anything is written."""
+    frames, visible = generate_detections(spec, seed)
+    if spec.n_matches > 0:
+        pairs, mask = generate_matches(spec, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    frames, visible = generate_detections(spec, seed)
     write_detections(out / "detections.jsonl", frames, fps=spec.fps)
     dump_json(build_truth(spec, visible), out / "truth.json")
     if spec.n_matches > 0:
-        pairs, mask = generate_matches(spec, seed)
         dump_json({
             "pairs": [{"cam": [c[0], c[1]], "sat": [s[0], s[1]]}
                       for c, s in pairs],

@@ -27,7 +27,8 @@ from roadscene.imaging import (BackgroundAccumulator, DistortionParams,
                                ImageBuffer, accumulate_background,
                                distort_point)
 from roadscene.motion import bounce_weight
-from roadscene.records import load_heatmap, load_tracks
+from roadscene.records import (load_heatmap, load_tracks, merge_heatmaps,
+                               save_heatmap)
 from roadscene.roadmodel import SrgParams, srg_segment
 from roadscene.simulate import (generate_matches, parse_scenario,
                                 run_simulate, truth_homography)
@@ -242,8 +243,8 @@ def test_criterion_07_srg_oracle_equivalence():
 
 
 # 8. Heat-map mass conservation over 1e5 bumps with border clipping, and
-#    exact shard merging.
-def test_criterion_08_heatmap_conservation():
+#    exact shard merging through the files that `merge` folds.
+def test_criterion_08_heatmap_conservation(tmp_path):
     from roadscene.analytics import HeatMap, bump
     rng = np.random.default_rng(800)
     single = HeatMap((40, 50), "vehicle")
@@ -256,9 +257,13 @@ def test_criterion_08_heatmap_conservation():
         p = PixelPoint.bev(xs[i], ys[i])
         bump(single, p)
         bump(s1 if i < n // 2 else s2, p)
-    err = abs(float(single.h.sum()) - n)
-    merged = s1.merge(s2)
-    exact = (np.array_equal(merged.units(), single.units())
+    err = abs(float((single.units / 144).sum()) - n)
+    shards = [tmp_path / "s1.json", tmp_path / "s2.json"]
+    for path, heat in zip(shards, (s1, s2)):
+        save_heatmap(path, heat)
+    save_heatmap(tmp_path / "merged.json", merge_heatmaps(shards))
+    merged = load_heatmap(tmp_path / "merged.json")
+    exact = (np.array_equal(merged.units, single.units)
              and merged.events == single.events)
     report(8, err < 1e-9 and exact,
            f"|sum - {n}| = {err:.2e} (< 1e-9), shard merge exact={exact}")

@@ -25,11 +25,12 @@ from roadscene.analytics import (
     update_heatmaps,
 )
 from roadscene.cli import main
-from roadscene.errors import EmptyHeatMap, MissingCalibration, ShapeMismatch
+from roadscene.errors import (EmptyHeatMap, MissingCalibration, SchemaError,
+                              ShapeMismatch)
 from roadscene.geometry import (BEV, PERSPECTIVE, GroundScale, Homography,
                                 PixelPoint, apply_many, invert)
 from roadscene.imaging import ImageBuffer
-from roadscene.records import load_heatmap, save_heatmap
+from roadscene.records import load_heatmap, merge_heatmaps, save_heatmap
 from roadscene.roadmodel import BoundarySet
 
 SCALE = GroundScale(iota=0.1)  # 10 px per meter
@@ -74,44 +75,44 @@ class TestBump:
         heat = HeatMap((20, 20), "vehicle")
         bump(heat, PixelPoint.bev(10, 10))
         assert heat.events == 1
-        assert heat.units().sum() == 144
-        assert heat.h.sum() == pytest.approx(1.0, abs=1e-12)
-        assert heat.h[10, 10] == pytest.approx(4 / 16)
-        assert heat.h[9, 10] == pytest.approx(2 / 16)
-        assert heat.h[9, 9] == pytest.approx(1 / 16)
+        assert heat.units.sum() == 144
+        # 4/16, 2/16 and 1/16 of the event's mass
+        assert heat.units[10, 10] == 36
+        assert heat.units[9, 10] == 18
+        assert heat.units[9, 9] == 9
 
     def test_corner_bump_renormalized(self):
         heat = HeatMap((20, 20), "vehicle")
         bump(heat, PixelPoint.bev(0, 0))
-        assert heat.units().sum() == 144
-        assert heat.h[2:, :].sum() == 0.0
+        assert heat.units.sum() == 144
+        assert heat.units[2:, :].sum() == 0
 
     def test_edge_bump_renormalized(self):
         heat = HeatMap((20, 20), "vehicle")
         bump(heat, PixelPoint.bev(5, 0))
-        assert heat.units().sum() == 144
+        assert heat.units.sum() == 144
 
     def test_one_pixel_map(self):
         heat = HeatMap((1, 1), "vehicle")
         bump(heat, PixelPoint.bev(0, 0))
-        assert heat.h[0, 0] == 1.0
+        assert heat.units[0, 0] == 144
 
     def test_one_row_map(self):
         heat = HeatMap((1, 7), "vehicle")
         bump(heat, PixelPoint.bev(3, 0))
-        assert heat.units().sum() == 144
+        assert heat.units.sum() == 144
 
     def test_out_of_bounds_center_clamped(self):
         heat = HeatMap((10, 10), "vehicle")
         bump(heat, PixelPoint.bev(-4.0, 25.0))
         assert heat.events == 1
-        assert heat.units().sum() == 144
-        assert heat.h[9, 0] > 0
+        assert heat.units.sum() == 144
+        assert heat.units[9, 0] > 0
 
     def test_fractional_position_rounds(self):
         heat = HeatMap((10, 10), "vehicle")
         bump(heat, PixelPoint.bev(4.5, 4.49))
-        assert heat.h[4, 5] == pytest.approx(4 / 16)
+        assert heat.units[4, 5] == 36
 
     def test_mass_conservation_random(self):
         rng = np.random.default_rng(7)
@@ -120,8 +121,7 @@ class TestBump:
         for x, y in rng.uniform(-2, 66, size=(n, 2)):
             bump(heat, PixelPoint.bev(x, y))
         assert heat.events == n
-        assert heat.units().sum() == 144 * n
-        assert heat.h.sum() == pytest.approx(n, abs=1e-9)
+        assert heat.units.sum() == 144 * n
 
     def test_perspective_point_rejected(self):
         heat = HeatMap((10, 10), "vehicle")
@@ -133,8 +133,25 @@ class TestBump:
             HeatMap((10, 10), "velocity")
 
 
+def _filled(cell: int) -> HeatMap:
+    """A 1 x 2 map whose first cell is `cell`; the second fills its mass."""
+    return HeatMap.from_units(np.array([[cell, -cell % 144]]),
+                              -(-cell // 144), "vehicle")
+
+
 class TestMerge:
-    def test_sharded_equals_single_pass(self):
+    """`records.merge_heatmaps`, the fold that the `merge` command runs,
+    over maps saved by `save_heatmap`."""
+
+    @staticmethod
+    def fold(root, *maps) -> HeatMap:
+        paths = [root / f"{k}.json" for k in range(len(maps))]
+        for path, heat in zip(paths, maps):
+            save_heatmap(path, heat)
+        save_heatmap(root / "merged.json", merge_heatmaps(paths))
+        return load_heatmap(root / "merged.json")
+
+    def test_sharded_equals_single_pass(self, tmp_path):
         rng = np.random.default_rng(11)
         points = rng.uniform(0, 32, size=(500, 2))
         whole = HeatMap((32, 32), "vehicle")
@@ -146,33 +163,33 @@ class TestMerge:
             bump(first, PixelPoint.bev(x, y))
         for x, y in points[250:]:
             bump(second, PixelPoint.bev(x, y))
-        first.merge(second)
-        assert first.events == whole.events
-        assert np.array_equal(first.units(), whole.units())
+        merged = self.fold(tmp_path, first, second)
+        assert merged.events == whole.events
+        assert np.array_equal(merged.units, whole.units)
 
-    def test_kind_mismatch(self):
-        with pytest.raises(ValueError):
-            HeatMap((8, 8), "vehicle").merge(HeatMap((8, 8), "speeding"))
+    def test_kind_mismatch(self, tmp_path):
+        with pytest.raises(SchemaError, match="cannot merge 'speeding'"):
+            self.fold(tmp_path, HeatMap((8, 8), "vehicle"),
+                      HeatMap((8, 8), "speeding"))
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            HeatMap((8, 8), "vehicle").merge(HeatMap((9, 8), "vehicle"))
+    def test_shape_mismatch(self, tmp_path):
+        with pytest.raises(SchemaError, match="shape mismatch"):
+            self.fold(tmp_path, HeatMap((8, 8), "vehicle"),
+                      HeatMap((9, 8), "vehicle"))
 
-    @pytest.mark.parametrize("a, b", [
-        (2 ** 63 - 1, 1), (144 * 2 ** 55, 144 * 2 ** 55),
-        (-2 ** 63, -1), (-(2 ** 62) - 1, -(2 ** 62))])
-    def test_overflow_refused_and_map_kept(self, a, b):
-        first = HeatMap.from_units(np.array([[a, 5]]), 0, "vehicle")
-        second = HeatMap.from_units(np.array([[b, 7]]), 0, "vehicle")
-        with pytest.raises(ValueError, match="overflow"):
-            first.merge(second)
-        assert first.units().tolist() == [[a, 5]]
+    @pytest.mark.parametrize("a, b", [(2 ** 63 - 1, 1),
+                                      (144 * 2 ** 55, 144 * 2 ** 55)])
+    def test_overflow_refused_and_map_kept(self, tmp_path, a, b):
+        with pytest.raises(SchemaError, match="overflow"):
+            self.fold(tmp_path, _filled(a), _filled(b))
+        assert not (tmp_path / "merged.json").exists()
+        assert load_heatmap(tmp_path / "0.json").units.tolist() == [
+            [a, -a % 144]]
 
-    def test_sums_at_the_int64_edges_merge(self):
-        first = HeatMap.from_units(np.array([[2 ** 63 - 2, -2 ** 63 + 1]]),
-                                   0, "vehicle")
-        first.merge(HeatMap.from_units(np.array([[1, -1]]), 0, "vehicle"))
-        assert first.units().tolist() == [[2 ** 63 - 1, -2 ** 63]]
+    def test_sums_at_the_int64_edges_merge(self, tmp_path):
+        merged = self.fold(tmp_path, _filled(2 ** 63 - 2), _filled(1))
+        assert merged.units.tolist() == [[2 ** 63 - 1,
+                                          -(2 ** 63 - 2) % 144 + 143]]
 
 
 class TestParking:
@@ -542,7 +559,7 @@ class TestAgainstScalarReference:
             reference_bumps(ref_maps, rows, states)
         for kind, heat in ref_maps.items():
             assert maps[kind].events == heat.events
-            assert np.array_equal(maps[kind].units(), heat.units()), kind
+            assert np.array_equal(maps[kind].units, heat.units), kind
 
 
 class TestUpdateHeatmaps:
@@ -602,7 +619,7 @@ class TestUpdateHeatmaps:
         reference_bumps(expected, rows, states)
         for kind, heat in expected.items():
             assert maps[kind].events == heat.events
-            assert np.array_equal(maps[kind].units(), heat.units()), kind
+            assert np.array_equal(maps[kind].units, heat.units), kind
 
 
 class TestFrameStats:
@@ -737,7 +754,7 @@ def reference_perspective_sample(h_inv, view, shape) -> np.ndarray:
 
 
 def reference_render(heat, base=None, sample=None, floor=5, alpha=0.6):
-    values = heat.h
+    values = heat.units / 144
     vmax = float(values.max())
     vmin = float(values.min())
     if heat.events == 0 or vmax <= 0:
@@ -932,10 +949,6 @@ class TestHeatMapMemory:
         path = tmp_path / "heat_vehicle.json"
         assert self.grids(lambda: save_heatmap(path, heat)) < 0.25
         assert self.grids(lambda: load_heatmap(path)) < 1.5
-
-    def test_merge(self, heat):
-        other = HeatMap.from_units(heat.units(), heat.events, heat.kind)
-        assert self.grids(lambda: other.merge(heat)) < 0.25
 
     def test_merge_command_folds_shards(self, heat, tmp_path):
         shard, out = tmp_path / "heat_vehicle.json", tmp_path / "merged.json"

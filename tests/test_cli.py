@@ -126,7 +126,7 @@ def test_chain_heat_maps_accumulate(pipeline):
     veh = load_heatmap(pipeline["an"] / "heat_vehicle.json")
     assert ped.events > 0
     assert veh.events > 0
-    assert abs(float(ped.h.sum()) - ped.events) < 1e-9
+    assert abs(float((ped.units / 144).sum()) - ped.events) < 1e-9
 
 
 def test_chain_stats_cover_the_frames_with_rows(pipeline):
@@ -778,27 +778,23 @@ def _shards(draw):
 @given(_shards())
 def test_merge_command_writes_what_heatmap_merge_sums(tmp_path_factory,
                                                       shards):
-    """The command's row-by-row fold and `HeatMap.merge` give the same
-    bytes, or both refuse a sum past int64."""
+    """The command's row-by-row fold writes the cellwise sum of the shards,
+    taken in Python integers, or refuses a sum past int64."""
     root = tmp_path_factory.mktemp("merge")
     paths = []
     for k, heat in enumerate(shards):
         paths.append(root / f"{k}.json")
         save_heatmap(paths[-1], heat)
-    merged = HeatMap.from_units(shards[0].units(), shards[0].events,
-                                shards[0].kind)
-    try:
-        for heat in shards[1:]:
-            merged.merge(heat)
-    except ValueError:
-        merged = None
+    total = sum(heat.units.astype(object) for heat in shards)
     out = root / "merged.json"
     code = run("merge", *map(str, paths), "--out", str(out))
-    if merged is None:
+    if max(total.ravel()) >= 2 ** 63:
         assert code == 2 and not out.exists()
     else:
         assert code == 0
-        save_heatmap(root / "expected.json", merged)
+        save_heatmap(root / "expected.json", HeatMap.from_units(
+            total.astype(np.int64), sum(heat.events for heat in shards),
+            shards[0].kind))
         assert out.read_bytes() == (root / "expected.json").read_bytes()
 
 
@@ -1059,18 +1055,24 @@ def test_merge_rejects_mixed_inputs(tmp_path, pipeline, capsys):
     assert code == 2
 
 
-def test_analyze_without_bev_size_fails(tmp_path, pipeline):
+def test_analyze_without_bev_size_fails(tmp_path, pipeline, capsys):
     cal = tmp_path / "cal.json"
     data = json.loads((pipeline["cal"] / "calibration.json").read_text())
-    data["bev_size"] = None
-    cal.write_text(json.dumps(data))
-    code = run("analyze", "--tracks", str(pipeline["tracks"]),
-               "--calibration", str(cal), "--out", str(tmp_path / "an"))
-    assert code == 2
-    # the flag fills the gap
+    del data["bev_size"]
+    for recorded in ({"bev_size": None}, {}):
+        cal.write_text(json.dumps(dict(data, **recorded)))
+        code = run("analyze", "--tracks", str(pipeline["tracks"]),
+                   "--calibration", str(cal), "--out", str(tmp_path / "an"))
+        assert code == 2
+        assert _one_error_line(capsys) == (
+            f"error: ConfigError: {cal}: no bev_size, which calibrate "
+            f"records from --satellite or --bev-size\n")
+        assert not (tmp_path / "an").exists()
+    # the calibration alone sizes the grid: analyze takes no --bev-size
     assert run("analyze", "--tracks", str(pipeline["tracks"]),
                "--calibration", str(cal), "--bev-size", "400", "300",
-               "--out", str(tmp_path / "an2")) == 0
+               "--out", str(tmp_path / "an")) == 2
+    assert _one_error_line(capsys).startswith("error: ConfigError: ")
 
 
 def test_unreadable_paths_exit_2(tmp_path, pipeline, capsys):

@@ -296,6 +296,21 @@ def test_coordinate_as_string_or_bool_exits_2(chain, slot, data):
     assert check_contract(chain, "calibrate", slot, text.encode()) == 2
 
 
+def test_satellite_maxval_without_whitespace_exits_2(chain, tmp_path):
+    # a comment may not start right after the maxval: one whitespace byte
+    # must, and the raster follows it
+    satellite = tmp_path / "satellite.pgm"
+    satellite.write_bytes(b"P5\n80 60\n255#" + bytes(80 * 60))
+    argv = _argv("segment", dict(chain, satellite=satellite), tmp_path / "out")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in argv])
+    assert (code, err.getvalue()) == (
+        2, "error: MalformedHeader: missing whitespace after maxval\n")
+    assert not (tmp_path / "out").exists()
+
+
 # the heat map in spellings other than `save_heatmap`'s
 _RESPELLED = {
     "spaces": json.dumps,
@@ -352,6 +367,8 @@ FLAG_CASES = [
                  id="analyze-from-frame-not-an-integer"),
     pytest.param("calibrate", lambda argv: argv + ["--bev-size", "7", "9"],
                  id="calibrate-bev-size-with-satellite"),
+    # calibrate refuses the sides; analyze takes no --bev-size at all, as
+    # its grid is the one calibration.json records
     *(pytest.param(command, lambda argv, size=size: argv + ["--bev-size",
                                                             *size],
                    id=f"{command}-bev-size-{'_'.join(size)}")
@@ -389,7 +406,9 @@ def test_refused_flag_exits_2_with_one_config_error(chain, tmp_path,
 
 # (command, flags added or scene fields changed, exit code, error line start):
 # a side above MAX_SIDE is refused before anything is built; a grid of
-# allowed sides that memory cannot hold fails as MemoryError
+# allowed sides that memory cannot hold fails as MemoryError.  The analyze
+# flags go to a calibrate run before it, which records the grid analyze
+# builds.
 OVERSIZED = [
     pytest.param("analyze", ["--bev-size", "4000000000", "4000000000"], 2,
                  "ConfigError: --bev-size must be two sides in [1, 16777216], "
@@ -409,23 +428,36 @@ OVERSIZED = [
                  "got (1000000000000, 480)", id="simulate-frames-image-size"),
     pytest.param("simulate", {"duration": 10 ** 15}, 1, "MemoryError: ",
                  id="simulate-duration-1e15"),
+    # frames are numbered below 2**63, as in the row files
+    pytest.param("simulate", {"duration": 10 ** 30}, 2,
+                 "InvalidSpec: duration must be in [1, 2**63), got "
+                 f"{10 ** 30}", id="simulate-duration-1e30"),
 ]
 
 
 @pytest.mark.parametrize("command, change, code, error", OVERSIZED)
 def test_oversized_grid_ends_with_one_error_line(chain, tmp_path, command,
                                                  change, code, error):
-    paths, flags = dict(chain), change
+    paths, flags, argvs = dict(chain), change, []
     if command == "simulate":
         scene = dict(json.loads(chain["scene"].read_text()), **change)
         paths["scene"] = tmp_path / "scene.json"
         paths["scene"].write_text(json.dumps(scene))
         flags = ["--frames"]
-    argv = [str(a) for a in _argv(command, paths, tmp_path / "out") + flags]
+    else:
+        argvs.append(["calibrate", "--matches", chain["matches"],
+                      "--out", tmp_path / "cal", *flags])
+        paths["calibration"] = tmp_path / "cal" / "calibration.json"
+        flags = []
+    argvs.append(_argv(command, paths, tmp_path / "out") + flags)
     err = io.StringIO()
     with contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
-        assert main(argv) == code
+        for argv in argvs:
+            got = main([str(a) for a in argv])
+            if got:
+                break
+    assert got == code
     lines = err.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: " + error), lines
 

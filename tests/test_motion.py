@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadscene.errors import DegenerateDisplacement
-from roadscene.geometry import GroundScale, PixelPoint
+from roadscene.geometry import GroundScale
 from roadscene.motion import (
     BevKalmanState,
     abf,
     bounce_weight,
-    heading,
     heading_of,
     kf_predict,
     kf_step,
@@ -81,7 +80,7 @@ class TestKfUpdate:
             s = kf_update(s, (100.0 + rng.normal(0, 1),
                               100.0 + rng.normal(0, 1)))
             if k >= 25:
-                worst = max(worst, speed_mph(s, GroundScale(0.05)))
+                worst = max(worst, speed_mph(s.x, GroundScale(0.05)))
         assert worst < 0.5
 
     @pytest.mark.parametrize("observation", [
@@ -107,33 +106,32 @@ class TestKfUpdate:
 
 class TestSpeedMph:
     def test_zero(self):
-        assert speed_mph(state_with(), GroundScale(0.05)) == 0.0
+        assert speed_mph(state_with().x, GroundScale(0.05)) == 0.0
 
     def test_hand_example(self):
-        v = speed_mph(state_with(vx=10.0), GroundScale(0.05))
+        v = speed_mph(state_with(vx=10.0).x, GroundScale(0.05))
         assert v == pytest.approx(1.118, abs=1e-3)
 
     def test_rotation_invariance(self):
         scale = GroundScale(0.05)
-        assert speed_mph(state_with(vx=6.0, vy=8.0), scale) == pytest.approx(
-            speed_mph(state_with(vx=10.0), scale), abs=1e-12)
+        assert speed_mph(state_with(vx=6.0, vy=8.0).x,
+                         scale) == pytest.approx(
+            speed_mph(state_with(vx=10.0).x, scale), abs=1e-12)
 
 
 class TestHeading:
     def test_east(self):
-        assert heading(PixelPoint.bev(1, 0), PixelPoint.bev(0, 0)) == 0.0
+        assert heading_of(1.0, 0.0) == 0.0
 
     def test_down(self):
-        assert heading(PixelPoint.bev(0, 1), PixelPoint.bev(0, 0)) == 90.0
+        assert heading_of(0.0, 1.0) == 90.0
 
     def test_diagonal(self):
-        assert heading(PixelPoint.bev(-1, -1),
-                       PixelPoint.bev(0, 0)) == pytest.approx(-135.0)
+        assert heading_of(-1.0, -1.0) == pytest.approx(-135.0)
 
     def test_degenerate(self):
-        p = PixelPoint.bev(4, 4)
         with pytest.raises(DegenerateDisplacement):
-            heading(p, p)
+            heading_of(0.0, 0.0)
 
 
 class TestAbf:
@@ -183,24 +181,6 @@ class TestWrapAngle:
         assert wrap_angle(540.0) == 180.0
         assert wrap_angle(0.0) == 0.0
         assert wrap_angle(-190.0) == pytest.approx(170.0)
-
-
-class TestHeadingOf:
-    @settings(max_examples=300, deadline=None)
-    @given(points=st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=4),
-           same=st.booleans())
-    def test_equals_heading(self, points, same):
-        x0, y0, x1, y1 = points
-        if same:  # coincident points: both raise
-            x1, y1 = x0, y0
-        a, b = PixelPoint.bev(x1, y1), PixelPoint.bev(x0, y0)
-        try:
-            want = heading(a, b)
-        except DegenerateDisplacement:
-            with pytest.raises(DegenerateDisplacement):
-                heading_of(x1 - x0, y1 - y0)
-        else:
-            assert repr(heading_of(x1 - x0, y1 - y0)) == repr(want)
 
 
 class TestKfStep:

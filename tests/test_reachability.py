@@ -24,15 +24,6 @@ ALLOWED = {
     ("analytics", "bump"): "scalar reference that the batched deposits of "
                            "`update_heatmaps` must equal cell for cell "
                            "(tests/test_analytics.py)",
-    ("analytics", "HeatMap.merge"): "the exported HeatMap's in-memory sum "
-                                    "of shards (criterion 8); the `merge` "
-                                    "command adds the files row by row "
-                                    "without numpy, and a test pins that "
-                                    "both give the same bytes",
-    ("analytics", "HeatMap.units"):"the exported HeatMap's exact integer "
-                                    "grid, as a copy (`h` is the float "
-                                    "view); the package reads the grid "
-                                    "itself to skip the copy",
     ("cli", "_Parser.error"): "argparse calls it on a bad argument, so that "
                               "the error is a ConfigError",
     ("cli", "_Parser._print_message"): "argparse writes --help and usage "

@@ -798,7 +798,7 @@ def test_heatmap_round_trip(tmp_path):
     assert back.kind == "vehicle"
     assert back.shape == (8, 9)
     assert back.events == 2
-    assert np.array_equal(back.units(), heat.units())
+    assert np.array_equal(back.units, heat.units)
 
 
 # `load_heatmap`'s refusal of any bytes that `save_heatmap` would not write
@@ -876,7 +876,7 @@ def test_heatmap_shape_must_be_two_positive_ints(tmp_path, shape):
 def _json_spelling(heat: HeatMap, **changes) -> str:
     """The heat map as `json.dumps` spells it, compact and sorted."""
     doc = {"kind": heat.kind, "shape": list(heat.shape),
-           "events": heat.events, "units": heat.units().tolist()}
+           "events": heat.events, "units": heat.units.tolist()}
     doc.update(changes)
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -910,7 +910,7 @@ def test_heatmap_writer_bytes_equal_json_dumps(tmp_path_factory, heat):
 
 def _with_mass(heat: HeatMap) -> HeatMap:
     """`heat` with one cell raised so that the units sum to 144 x events."""
-    units = heat.units()
+    units = heat.units
     units[0, 0] += -sum(units.ravel().tolist()) % 144
     return HeatMap.from_units(units, sum(units.ravel().tolist()) // 144,
                               heat.kind)
@@ -926,7 +926,7 @@ def test_heatmap_dense_maps_load_back(tmp_path, density):
     save_heatmap(path, heat)
     back = load_heatmap(path)
     assert (back.kind, back.events) == (heat.kind, heat.events)
-    assert np.array_equal(back.units(), heat.units())
+    assert np.array_equal(back.units, heat.units)
 
 
 def _full_map() -> HeatMap:
@@ -980,7 +980,7 @@ def test_heatmap_reader_takes_exactly_the_writer_bytes(
         warnings.simplefilter("error")
         back = load_heatmap(path)
         assert (back.kind, back.events) == (heat.kind, heat.events)
-        assert np.array_equal(back.units(), heat.units())
+        assert np.array_equal(back.units, heat.units)
         # one event more breaks only the mass
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace(f'"events":{heat.events},',

@@ -111,6 +111,8 @@ SCENE_REFUSALS = {
                          "actors[0] must be an object"),
     "path-node": (_actor(path=[[0.0, 1.0, 2.0]]), None,
                   "actors[0]: path[0] must be [t, [x, y]]"),
+    "path-not-list": (_actor(path={"t": 0}), None,
+                      "actors[0]: path must be a non-empty list"),
     # values
     "bev-size": (lambda data: data.update(bev_size=[0, 300]),
                  _spec(bev_size=(0, 300)),
@@ -126,7 +128,10 @@ SCENE_REFUSALS = {
     "fps": (lambda data: data.update(fps=0), _spec(fps=0.0),
             "fps must be positive, got 0.0"),
     "duration": (lambda data: data.update(duration=0), _spec(duration=0),
-                 "duration must be >= 1, got 0"),
+                 "duration must be in [1, 2**63), got 0"),
+    "duration-past-int64": (lambda data: data.update(duration=2 ** 63),
+                            _spec(duration=2 ** 63),
+                            f"duration must be in [1, 2**63), got {2 ** 63}"),
     "noise": (lambda data: data.update(noise_sigma_px=-1),
               _spec(noise_sigma_px=-1.0),
               "noise_sigma_px must be non-negative, got -1.0"),
@@ -163,6 +168,15 @@ SCENE_REFUSALS = {
     "flicker": (_actor(flicker=1.0),
                 _script("car", ((0.0, (0.0, 15.0)),), (), 1.0),
                 "actors[0]: flicker must be in [0, 1), got 1.0"),
+    # a scene that holds but cannot be drawn, refused as it is generated
+    "degenerate-box": (lambda data: data.update(
+        world_origin=[-10.0, -5.0],
+        actors=[{"class": "car", "path": [[0.0, [0.0, -1.0]]]}]), None,
+        "degenerate projected box for car at (0.0, -1.0)"),
+    "matches-off-view": (lambda data: data.update(
+        world_origin=[1000.0, 10.0], actors=[], n_matches=1), None,
+        "cannot place correspondences: the BEV window barely overlaps the "
+        "camera view"),
 }
 
 
