@@ -109,6 +109,8 @@ class HeatMap:
             raise ValueError(f"units must be 2-d, got shape {arr.shape}")
         if events < 0:
             raise ValueError(f"events must be >= 0, got {events}")
+        if (arr < 0).any():  # the readers refuse a negative cell
+            raise ValueError(f"units must be >= 0, got {arr.min()}")
         heat = cls.__new__(cls)  # no zero grid of its own to replace
         heat.kind = _checked_kind(kind, arr.shape)
         heat.events = int(events)

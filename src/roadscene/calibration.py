@@ -179,13 +179,13 @@ def _block_hypotheses(cam_xy: np.ndarray, sat_xy: np.ndarray,
 
 # --- trajectory straightness ------------------------------------------------
 
-def _scatter(xy: np.ndarray) -> tuple[float, float, float]:
-    """Centered second moments (sxx, sxy, syy) of an (n, 2) array."""
-    d = xy - xy.mean(axis=0)
-    sxx = float(np.dot(d[:, 0], d[:, 0]))
-    syy = float(np.dot(d[:, 1], d[:, 1]))
-    sxy = float(np.dot(d[:, 0], d[:, 1]))
-    return sxx, sxy, syy
+def _scatter(xy: np.ndarray) -> list[tuple[float, float, float]]:
+    """Centered second moments (sxx, sxy, syy) of each (n, 2) array of an
+    (m, n, 2) stack; a (1, n) @ (n, 1) product is `np.dot`'s, bit for bit."""
+    d = xy - xy.mean(axis=1, keepdims=True)
+    x, y = d[..., :1], d[..., 1:]
+    return list(zip(*[(a.swapaxes(1, 2) @ b)[:, 0, 0].tolist()
+                      for a, b in ((x, x), (x, y), (y, y))]))
 
 
 def _min_scatter_eig(sxx: float, sxy: float, syy: float) -> float:
@@ -205,18 +205,19 @@ class EsResult:
     generations: int
 
 
-def es_minimize(objective: Callable[[np.ndarray], float],
+def es_minimize(objective: Callable[[np.ndarray], float | np.ndarray],
                 x0: Sequence[float],
                 rng: np.random.Generator) -> EsResult:
     """Elitist (1+lambda) evolution strategy with multiplicative step control.
 
     Each generation draws _ES_LAMBDA isotropic Gaussian offspring around
-    the parent; the parent is replaced only by a strictly better offspring,
-    so the best objective value never increases.  The step size starts at
-    _ES_SIGMA0, grows by 1.5 on success and shrinks by 0.82 on failure.
-    Terminates after _ES_MAX_GENERATIONS, or earlier once the relative
-    improvement has stayed below _ES_REL_TOL for _ES_PATIENCE consecutive
-    generations.
+    the parent and scores them in one call (`objective` maps a point to a
+    score and a (_ES_LAMBDA, d) stack to _ES_LAMBDA scores); the parent is
+    replaced only by a strictly better offspring, so the best objective
+    value never increases.  The step size starts at _ES_SIGMA0, grows by
+    1.5 on success and shrinks by 0.82 on failure.  Terminates after
+    _ES_MAX_GENERATIONS, or earlier once the relative improvement has
+    stayed below _ES_REL_TOL for _ES_PATIENCE consecutive generations.
     """
     parent = np.asarray(x0, dtype=np.float64)
     f_parent = float(objective(parent))
@@ -227,7 +228,7 @@ def es_minimize(objective: Callable[[np.ndarray], float],
     for gen in range(1, _ES_MAX_GENERATIONS + 1):
         offspring = parent + sigma * rng.standard_normal(
             (_ES_LAMBDA, parent.size))
-        scores = np.array([objective(o) for o in offspring])
+        scores = np.reshape(objective(offspring), _ES_LAMBDA)
         j = int(np.argmin(scores))
         if scores[j] < f_parent:
             improvement = (f_parent - scores[j]) / max(abs(f_parent), 1e-300)
@@ -251,19 +252,21 @@ def straightness_objective(trajectories: Sequence[np.ndarray],
 
     For each trajectory the score contribution is the minimum over lines of
     the squared point-line residual sum, i.e. the smallest eigenvalue of
-    the undistorted coordinate scatter; contributions are summed.
+    the undistorted coordinate scatter; contributions are summed.  A (2,)
+    k gets one float, an (m, 2) stack the m floats its rows get.
     """
     stacked = np.vstack(trajectories)
     bounds = np.cumsum([0] + [len(t) for t in trajectories])
 
-    def objective(k: np.ndarray) -> float:
-        params = DistortionParams.centered((float(k[0]), float(k[1])),
-                                           image_size)
-        und = undistort_xy(stacked, params)
-        total = 0.0
+    def objective(k: np.ndarray) -> float | np.ndarray:
+        ks = np.reshape(k, (-1, 2))
+        for k1, k2 in ks.tolist():  # each row must be a lens model
+            params = DistortionParams.centered((k1, k2), image_size)
+        und = undistort_xy(stacked, params, ks=ks)
+        total = np.zeros(len(ks))
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            total += _min_scatter_eig(*_scatter(und[lo:hi]))
-        return total
+            total += [_min_scatter_eig(*m) for m in _scatter(und[:, lo:hi])]
+        return total if np.ndim(k) > 1 else float(total[0])
 
     return objective
 

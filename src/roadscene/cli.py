@@ -176,6 +176,7 @@ def _cmd_calibrate(args) -> int:
         for path in files[:cfg.background_frames]:
             accumulate_background(acc, to_gray(read_pnm(path)))
         background = acc.background()
+        del acc  # its two float64 frames are not needed past the fold
         write_pnm(background, out / "background.pgm")
         if args.satellite:
             matched, _ = histogram_match(background, to_gray(sat))

@@ -87,9 +87,9 @@ class BackgroundAccumulator:
     """Running weighted average of a frame stream.
 
     The first frame becomes the estimate as-is; every later frame is blended
-    in with weight alpha.  The estimate stays real-valued; quantization to
-    8 bits happens only in `background()`.  Single-writer: one accumulator
-    per stream.
+    in with weight alpha, in place, through one scratch frame.  The estimate
+    stays real-valued; quantization to 8 bits happens only in
+    `background()`.  Single-writer: one accumulator per stream.
     """
 
     def __init__(self, alpha: float = 0.01):
@@ -97,6 +97,7 @@ class BackgroundAccumulator:
             raise ValueError(f"alpha must be in (0, 1), got {alpha}")
         self.alpha = alpha
         self.b: np.ndarray | None = None
+        self.scratch: np.ndarray | None = None  # alpha times a frame
 
     def background(self) -> ImageBuffer:
         if self.b is None:
@@ -106,17 +107,18 @@ class BackgroundAccumulator:
 
 def accumulate_background(acc: BackgroundAccumulator,
                           frame: ImageBuffer) -> BackgroundAccumulator:
-    """Fold one frame into the running background estimate."""
-    pix = frame.pixels.astype(np.float64)
+    """Fold one frame into the running estimate, in place after the first."""
     if acc.b is None:
-        acc.b = pix.copy()
+        acc.b = frame.pixels.astype(np.float64)
+        acc.scratch = np.empty_like(acc.b)
     else:
-        if acc.b.shape != pix.shape:
+        if acc.b.shape != frame.pixels.shape:
             raise ShapeMismatch(
-                f"frame shape {pix.shape} does not match accumulator "
-                f"shape {acc.b.shape}")
-        acc.b *= (1.0 - acc.alpha)
-        acc.b += acc.alpha * pix
+                f"frame shape {frame.pixels.shape} does not match "
+                f"accumulator shape {acc.b.shape}")
+        acc.b *= 1.0 - acc.alpha
+        np.multiply(frame.pixels, acc.alpha, acc.scratch, dtype=np.float64)
+        acc.b += acc.scratch
     return acc
 
 
@@ -206,26 +208,26 @@ def distort_point(p: PixelPoint, params: DistortionParams) -> PixelPoint:
 
 
 def undistort_xy(xy: np.ndarray, params: DistortionParams,
-                 rounds: int = 5) -> np.ndarray:
+                 rounds: int = 5, ks: np.ndarray | None = None) -> np.ndarray:
     """Approximate inverse of `distort_point` over an (n, 2) array.
 
     Iterates r_u <- r_d / (1 + k1 r_u^2 + k2 r_u^4) starting from r_u = r_d
     for a fixed number of rounds; five is plenty for |k| <= 0.5 over the
-    unit-normalized image.
+    unit-normalized image.  With `ks`, (m, 2) rows of (k1, k2) in place of
+    `params.k`, it returns the (m, n, 2) inverses, one under each row.
     """
     xs, ys = params.center
     scale = params.half_diagonal
-    k1, k2 = params.k
+    k1, k2 = np.reshape(params.k if ks is None else ks, (-1, 2)).T[..., None]
     norm = (np.asarray(xy, dtype=np.float64) - (xs, ys)) / scale
     rd = np.hypot(norm[:, 0], norm[:, 1])
-    ru = rd.copy()
+    ru = np.broadcast_to(rd, (len(k1), len(rd)))
     for _ in range(rounds):
         r2 = ru * ru
         ru = rd / (1.0 + k1 * r2 + k2 * r2 * r2)
-    ratio = np.ones_like(rd)
-    nz = rd > 0
-    ratio[nz] = ru[nz] / rd[nz]
-    return (xs, ys) + norm * ratio[:, None] * scale
+    ratio = np.divide(ru, rd, out=np.ones(ru.shape), where=rd > 0)
+    out = (xs, ys) + norm * ratio[..., None] * scale
+    return out[0] if ks is None else out
 
 
 # --- PNM I/O ----------------------------------------------------------------

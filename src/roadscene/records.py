@@ -742,7 +742,9 @@ def merge_heatmaps(paths) -> HeatRows:
     most one grid.
     """
     heats = map(_read_heat_rows, paths)  # each read once the last is added
-    first = next(heats)
+    first = next(heats, None)
+    if first is None:
+        raise ValueError("merge_heatmaps needs at least one heat map path")
     kind, shape, events = first.kind, first.shape, 0
     sums = [None] * shape[0]
     for path, heat in zip(paths, chain([first], heats)):

@@ -192,6 +192,17 @@ class TestMerge:
                                           -(2 ** 63 - 2) % 144 + 143]]
 
 
+@pytest.mark.parametrize("units", [[[-5, 149]], [[0, 0], [-1, 1]],
+                                   [[-(2 ** 63), 0]]])
+def test_from_units_refuses_negative_units(tmp_path, units):
+    """No map holds a negative cell, so `save_heatmap` cannot write one
+    that `load_heatmap`, `render` and `merge` refuse."""
+    with pytest.raises(ValueError, match="units must be >= 0"):
+        save_heatmap(tmp_path / "h.json",
+                     HeatMap.from_units(np.array(units), 1, "vehicle"))
+    assert not (tmp_path / "h.json").exists()
+
+
 class TestParking:
     def make(self, fps=1.0, **kwargs):
         return StateClassifier(left_border(), SCALE,

@@ -24,7 +24,7 @@ from roadscene.geometry import (
     PixelPoint,
     apply_many,
 )
-from roadscene.imaging import DistortionParams, distort_point
+from roadscene.imaging import DistortionParams, distort_point, undistort_xy
 
 
 def planted_homography(rng):
@@ -203,6 +203,126 @@ class TestStraightnessObjective:
         assert total == pytest.approx(parts, rel=1e-12)
 
 
+# The one-candidate objective as it was scored before each ES generation
+# became one stack: undistort one (k1, k2), then one scatter and one
+# eigenvalue per trajectory, summed in trajectory order.
+
+def one_candidate_undistort(xy, params, rounds=5):
+    xs, ys = params.center
+    scale = params.half_diagonal
+    k1, k2 = params.k
+    norm = (np.asarray(xy, dtype=np.float64) - (xs, ys)) / scale
+    rd = np.hypot(norm[:, 0], norm[:, 1])
+    ru = rd.copy()
+    for _ in range(rounds):
+        r2 = ru * ru
+        ru = rd / (1.0 + k1 * r2 + k2 * r2 * r2)
+    ratio = np.ones_like(rd)
+    nz = rd > 0
+    ratio[nz] = ru[nz] / rd[nz]
+    return (xs, ys) + norm * ratio[:, None] * scale
+
+
+def one_candidate_scatter(xy):
+    d = xy - xy.mean(axis=0)
+    sxx = float(np.dot(d[:, 0], d[:, 0]))
+    syy = float(np.dot(d[:, 1], d[:, 1]))
+    sxy = float(np.dot(d[:, 0], d[:, 1]))
+    return sxx, sxy, syy
+
+
+def one_candidate_min_eig(sxx, sxy, syy):
+    tr = sxx + syy
+    disc = math.sqrt((sxx - syy) ** 2 + 4.0 * sxy * sxy)
+    return 0.5 * (tr - disc)
+
+
+def one_candidate_objective(trajectories, image_size):
+    stacked = np.vstack(trajectories)
+    bounds = np.cumsum([0] + [len(t) for t in trajectories])
+
+    def objective(k):
+        params = DistortionParams.centered((float(k[0]), float(k[1])),
+                                           image_size)
+        und = one_candidate_undistort(stacked, params)
+        total = 0.0
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            total += one_candidate_min_eig(*one_candidate_scatter(und[lo:hi]))
+        return total
+
+    return objective
+
+
+class TestStackedObjectiveEqualsOneCandidate:
+    """`straightness_objective` scores a stack of candidates at once; each
+    score must be the one-candidate objective's float, bit for bit."""
+
+    @staticmethod
+    def stacks(rng):
+        """k = 0, |k| <= 0.5, and the ~1e17 a lens fit of already
+        straight tracks reaches (survey writes k = (4.08e17, 2.24e17))."""
+        yield np.zeros((8, 2))
+        for _ in range(10):
+            yield rng.uniform(-0.5, 0.5, size=(8, 2))
+            yield rng.uniform(0.5, 5.0, size=(8, 2)) * 1e17
+        yield np.array([[0.0, 0.0], [-0.5, 0.5], [0.5, -0.5], [1e-9, 0.0],
+                        [4.08e17, 2.24e17], [2.24e17, 4.08e17], [0.1, 0.0],
+                        [0.0, 0.1]])
+
+    @pytest.mark.parametrize("image_size", [(320, 240), (800, 600)])
+    def test_scores_equal_bit_for_bit(self, image_size):
+        rng = np.random.default_rng(86)
+        w, h = image_size
+        trajectories = [rng.uniform(0, (w, h), size=(n, 2))
+                        for n in (5, 31, 8, 200, 13, 6)]
+        stacked = straightness_objective(trajectories, image_size)
+        oracle = one_candidate_objective(trajectories, image_size)
+        for ks in self.stacks(rng):
+            scores = stacked(ks)
+            want = [oracle(k) for k in ks]
+            assert np.all(np.isfinite(want))
+            assert scores.tolist() == want
+            for k, score in zip(ks, want):
+                one = stacked(k)
+                assert type(one) is float and one == score
+
+    def test_undistort_rows_equal_one_at_a_time(self):
+        rng = np.random.default_rng(87)
+        xy = rng.uniform(0, (640, 480), size=(50, 2))
+        xy[0] = (320.0, 240.0)  # the center, where r_d = 0
+        ks = rng.uniform(-0.5, 0.5, size=(8, 2))
+        params = DistortionParams.centered((0.0, 0.0), (640, 480))
+        rows = undistort_xy(xy, params, ks=ks)
+        for k, row in zip(ks, rows):
+            one = DistortionParams.centered(tuple(k.tolist()), (640, 480))
+            assert np.array_equal(row, one_candidate_undistort(xy, one))
+            assert np.array_equal(undistort_xy(xy, one),
+                                  one_candidate_undistort(xy, one))
+
+    def test_a_non_finite_candidate_is_refused(self):
+        objective = straightness_objective(
+            [np.arange(10.0).reshape(5, 2)], (320, 240))
+        with pytest.raises(ValueError, match="finite"):
+            objective(np.array([[0.0, 0.0], [np.inf, 0.0]]))
+
+    def test_lens_fit_keeps_its_bits(self):
+        """Noisy straight tracks of unequal length on an 800 x 600 view:
+        the fitted k is the one-candidate ES's, bit for bit."""
+        rng = np.random.default_rng(85)
+        trajectories = []
+        for n in (12, 30, 7, 21, 16):
+            x0, x1 = sorted(rng.uniform(20, 780, size=2))
+            y0, y1 = rng.uniform(20, 580, size=2)
+            ts = np.linspace(0.0, 1.0, n)
+            pts = np.column_stack([x0 + ts * (x1 - x0), y0 + ts * (y1 - y0)])
+            pts += rng.normal(0, 0.5, (n, 2))
+            trajectories.append([PixelPoint.perspective(x, y)
+                                 for x, y in pts])
+        params = fit_distortion_es(trajectories, (800, 600), seed=3)
+        assert [k.hex() for k in params.k] == ["0x1.5fb011b5ba6b5p-10",
+                                               "-0x1.9f7c00b179386p-6"]
+
+
 def synthetic_trajectories(rng, k, image_size=(320, 240), n_traj=12,
                            n_pts=30):
     """Straight lines distorted by the given coefficients."""
@@ -260,8 +380,8 @@ class TestEsMinimize:
         rng = np.random.default_rng(91)
         target = np.array([0.3, -0.1])
 
-        def objective(x):
-            return float(np.sum((x - target) ** 2))
+        def objective(x):  # a point or a stack of points
+            return np.sum((x - target) ** 2, axis=-1)
 
         result = es_minimize(objective, (0.0, 0.0), rng)
         assert isinstance(result, EsResult)
@@ -270,6 +390,22 @@ class TestEsMinimize:
 
     def test_zero_objective_terminates_early(self):
         rng = np.random.default_rng(92)
-        result = es_minimize(lambda x: 0.0, (0.0, 0.0), rng)
+        result = es_minimize(lambda x: np.zeros(np.shape(x)[:-1]),
+                             (0.0, 0.0), rng)
         assert result.generations < 200
         assert result.fx == 0.0
+
+    def test_one_call_per_generation(self):
+        shapes = []
+
+        def objective(x):
+            shapes.append(np.shape(x))
+            return np.sum(x ** 2, axis=-1)
+
+        result = es_minimize(objective, (0.3, 0.2),
+                             np.random.default_rng(93))
+        assert shapes == [(2,)] + [(8, 2)] * result.generations
+
+    def test_objective_must_score_each_offspring(self):
+        with pytest.raises(ValueError):  # one score for 8 offspring
+            es_minimize(lambda x: 0.0, (0.0, 0.0), np.random.default_rng(94))

@@ -99,6 +99,30 @@ class TestBackground:
         actual = np.abs(acc.b - 200.0)
         assert np.max(np.abs(actual - expected) / np.maximum(expected, 1e-30)) < 1e-9
 
+    def test_folds_in_place_bit_for_bit(self):
+        """Twenty 640 x 480 frames fold to what float64 copies of them give
+        under `b *= 1 - alpha; b += alpha * frame`, and folding frames 2-20
+        never holds one float64 frame of new memory (that formula holds
+        two a frame)."""
+        rng = np.random.default_rng(13)
+        frames = [gray(rng.integers(0, 256, size=(480, 640)))
+                  for _ in range(20)]
+        acc = BackgroundAccumulator(alpha=0.01)
+        accumulate_background(acc, frames[0])
+        tracemalloc.start()
+        try:
+            for frame in frames[1:]:
+                accumulate_background(acc, frame)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 480 * 640 * 8
+        want = frames[0].pixels.astype(np.float64)
+        for frame in frames[1:]:
+            want *= (1.0 - 0.01)
+            want += 0.01 * frame.pixels.astype(np.float64)
+        assert np.array_equal(acc.b, want)
+
     def test_shape_mismatch(self):
         acc = BackgroundAccumulator()
         accumulate_background(acc, gray(np.zeros((2, 2))))

@@ -786,6 +786,11 @@ def test_stats_merge_rejects_overlap():
 
 # --- heat maps --------------------------------------------------------------
 
+def test_merge_heatmaps_refuses_an_empty_input():
+    with pytest.raises(ValueError, match="at least one heat map path"):
+        records.merge_heatmaps([])
+
+
 def test_heatmap_round_trip(tmp_path):
     heat = HeatMap((8, 9), "vehicle")
     bump(heat, PixelPoint.bev(3.0, 4.0))
