@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 import numpy as np
 
 from .config import AnalyticsConfig
-from .errors import EmptyHeatMap, MissingCalibration, ShapeMismatch
+from .errors import EmptyHeatMap, InputError
 # the file format's names, which a merge reads without numpy
 from .records import _BUMP_UNITS, HEAT_KINDS, FrameStats
 
@@ -199,7 +199,7 @@ class StateClassifier:
     def __init__(self, boundary: BoundarySet | None, scale: GroundScale,
                  cfg: AnalyticsConfig, fps: float):
         if scale is None:
-            raise MissingCalibration("analytics needs a ground scale")
+            raise InputError("analytics needs a ground scale")
         if fps <= 0:
             raise ValueError(f"fps must be positive, got {fps}")
         self.scale = scale
@@ -390,8 +390,8 @@ def render(heat: HeatMap, base: ImageBuffer | None = None,
     if base is not None:
         base_px = base.pixels
         if base_px.shape[:2] != view:
-            raise ShapeMismatch(f"base shape {base_px.shape[:2]} does not "
-                                f"match output {view}")
+            raise InputError(f"base shape {base_px.shape[:2]} does not "
+                             f"match output {view}")
         # a gray base repeats over the three channels
         out[:] = base_px if base_px.ndim == 3 else base_px[:, :, None]
 

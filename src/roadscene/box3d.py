@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .config import HEIGHT_COEFFICIENT, PEDESTRIAN, DimensionPrior
-from .errors import MissingPrior
+from .errors import InputError
 from .geometry import (BEV, GroundScale, Homography, PixelPoint, apply,
                        apply_many)
 
@@ -52,7 +52,7 @@ def _footprints_xy(centers: np.ndarray, class_names: Sequence[str],
     for name in class_names:
         prior = priors.get(name)
         if prior is None:
-            raise MissingPrior(f"no dimension prior for class '{name}'")
+            raise InputError(f"no dimension prior for class '{name}'")
         half.append((scale.to_pixels(prior.length_m) / 2.0,
                      scale.to_pixels(prior.width_m) / 2.0))
     half = np.array(half).reshape(-1, 2)

@@ -18,12 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config import RansacParams
-from .errors import (
-    InsufficientMatches,
-    InsufficientTrajectories,
-    InvalidProbability,
-    NoConsensus,
-)
+from .errors import InputError, ProcessingError
 from .geometry import (
     BEV,
     PERSPECTIVE,
@@ -79,9 +74,9 @@ def ransac_iterations(rho: float, epsilon: float) -> int:
     1 when epsilon = 1.
     """
     if not 0.0 < rho < 1.0:
-        raise InvalidProbability(f"rho must be in (0, 1), got {rho}")
+        raise InputError(f"rho must be in (0, 1), got {rho}")
     if not 0.0 < epsilon <= 1.0:
-        raise InvalidProbability(f"epsilon must be in (0, 1], got {epsilon}")
+        raise InputError(f"epsilon must be in (0, 1], got {epsilon}")
     if epsilon == 1.0:
         return 1
     denom = math.log1p(-epsilon ** _SAMPLE_SIZE)
@@ -108,8 +103,7 @@ def ransac_homography(matches: Sequence[Correspondence],
     """
     n = len(matches)
     if n < _SAMPLE_SIZE:
-        raise InsufficientMatches(
-            f"need at least {_SAMPLE_SIZE} matches, got {n}")
+        raise InputError(f"need at least {_SAMPLE_SIZE} matches, got {n}")
     cam_xy = np.array([[m.cam.x, m.cam.y] for m in matches])
     sat_xy = np.array([[m.sat.x, m.sat.y] for m in matches])
 
@@ -138,8 +132,8 @@ def ransac_homography(matches: Sequence[Correspondence],
                              ransac_iterations(params.rho, best_votes / n))
 
     if best_votes < _SAMPLE_SIZE:
-        raise NoConsensus(f"best consensus has {best_votes} votes, "
-                          f"need at least {_SAMPLE_SIZE}")
+        raise ProcessingError(f"best consensus has {best_votes} votes, "
+                              f"need at least {_SAMPLE_SIZE}")
 
     # a refit that does not stand has 0 votes, fewer than the winner's
     (g,), (mask,), (votes,) = _block_hypotheses(
@@ -284,8 +278,7 @@ def fit_distortion_es(trajectories: Sequence[Sequence[PixelPoint]],
     arrays = [np.array([[p.x, p.y] for p in t], dtype=np.float64)
               for t in trajectories if len(t) >= 5]
     if not arrays:
-        raise InsufficientTrajectories(
-            "need at least one trajectory with >= 5 points")
+        raise InputError("need at least one trajectory with >= 5 points")
     objective = straightness_objective(arrays, image_size)
     rng = np.random.default_rng(seed)
     # points far outside the image overflow r**2; their nan or inf score
@@ -293,7 +286,7 @@ def fit_distortion_es(trajectories: Sequence[Sequence[PixelPoint]],
     with np.errstate(over="ignore", invalid="ignore"):
         result = es_minimize(objective, (0.0, 0.0), rng)
     if not math.isfinite(result.fx):
-        raise InsufficientTrajectories(
+        raise InputError(
             "trajectory points lie too far out to score, even without "
             "distortion")
     return DistortionParams.centered((float(result.x[0]), float(result.x[1])),

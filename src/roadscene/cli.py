@@ -30,9 +30,8 @@ if "numpy" not in sys.modules:
 # this import.
 from . import records
 from .config import PEDESTRIAN, SIZE, Config, load_config
-from .errors import (ConfigError, DegenerateDisplacement, DegeneratePoint,
-                     EmptyHeatMap, InputError, NonFiniteOutput,
-                     ProcessingError, SchemaError)
+from .errors import (ConfigError, DegeneratePoint, EmptyHeatMap, InputError,
+                     NonFiniteOutput, ProcessingError, SchemaError)
 from .motion import BevKalmanState, abf, heading_of, kf_step, speed_mph
 from .records import (dump_json, dump_track_rows, load_boundary,
                       load_calibration, load_detections, load_heatmap,
@@ -286,11 +285,9 @@ def _track_rows(block, motion, g, scale, cfg) -> str:
         else:
             last, p, seen, theta = motion[snap.track_id]
             x, p = kf_step(last, p, (frame - seen) * t_w, bev)
-            try:
-                raw = heading_of(x[0] - last[0], x[1] - last[1])
+            raw = heading_of(x[0] - last[0], x[1] - last[1])
+            if raw is not None:
                 theta = raw if theta is None else abf(theta, raw)
-            except DegenerateDisplacement:
-                pass
         motion[snap.track_id] = (x, p, frame, theta)
         states.append(x)
         row = [frame, snap.track_id, snap.class_name, snap.bbox, snap.ref,

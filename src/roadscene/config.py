@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Mapping
 
-from .errors import ConfigError, InputError, InvalidProbability
+from .errors import ConfigError, InputError
 
 CLASS_NAMES = (
     "articulated_truck",
@@ -94,7 +94,7 @@ class RansacParams:
         check_fields(self, (("tau_z",), lambda v: v > 0, "> 0"),
                      (("max_iter",), lambda v: v >= 1, ">= 1"))
         check_fields(self, (("rho",), lambda v: 0 < v < 1, "in (0, 1)"),
-                     error=InvalidProbability)
+                     error=InputError)
 
 
 @dataclass(frozen=True)

@@ -31,14 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateConfiguration,
-    DegeneratePoint,
-    FrameMismatch,
-    InsufficientPairs,
-    InvalidCamera,
-    SingularMatrix,
-)
+from .config import check_fields
+from .errors import (DegenerateConfiguration, DegeneratePoint, InputError,
+                     SingularMatrix)
 
 PERSPECTIVE = "perspective"
 BEV = "bev"
@@ -121,7 +116,7 @@ def apply(h: Homography, p: PixelPoint) -> PixelPoint:
     homogeneous denominator is 0 or the image overflows.
     """
     if p.frame != h.source:
-        raise FrameMismatch(
+        raise InputError(
             f"point is in frame '{p.frame}' but homography maps from "
             f"'{h.source}'")
     (u,), (v,) = _project(np.array([[p.x, p.y]]), h.matrix)
@@ -196,7 +191,7 @@ def estimate_dlt_xy(src_xy: np.ndarray, dst_xy: np.ndarray) -> np.ndarray:
     dst_xy = np.asarray(dst_xy, dtype=np.float64)
     n = src_xy.shape[0]
     if n < 4 or dst_xy.shape[0] != n:
-        raise InsufficientPairs(f"need at least 4 pairs, got {n}")
+        raise InputError(f"need at least 4 pairs, got {n}")
     (g,), (fitted,), (degenerate,) = _dlt_stack(src_xy[None], dst_xy[None])
     if degenerate:
         raise DegenerateConfiguration(
@@ -318,17 +313,12 @@ class CameraModel:
     h_c: float
 
     def __post_init__(self):
-        vals = (self.f, self.kx, self.ky, self.shear, self.cx, self.cy,
-                self.theta_c, self.h_c)
-        if not all(math.isfinite(v) for v in vals):
-            raise InvalidCamera("camera parameters must be finite")
-        if self.f <= 0 or self.kx <= 0 or self.ky <= 0:
-            raise InvalidCamera("focal length and pixel densities must be > 0")
-        if not 0.0 < self.theta_c <= 90.0:
-            raise InvalidCamera(
-                f"pitch must be in (0, 90] degrees, got {self.theta_c}")
-        if self.h_c <= 0:
-            raise InvalidCamera("camera height must be > 0")
+        check_fields(
+            self, (("f", "kx", "ky", "h_c"), lambda v: 0 < v < math.inf,
+                   "finite and positive"),
+            (("shear", "cx", "cy"), math.isfinite, "finite"),
+            (("theta_c",), lambda v: 0 < v <= 90, "in (0, 90] degrees"),
+            error=InputError)
 
 
 def intrinsic_matrix(cam: CameraModel) -> np.ndarray:
@@ -393,9 +383,8 @@ class GroundScale:
     iota: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.iota) and self.iota > 0):
-            raise InvalidCamera(f"ground scale must be finite and > 0, "
-                                f"got {self.iota}")
+        check_fields(self, (("iota",), lambda v: 0 < v < math.inf,
+                            "finite and positive"), error=InputError)
 
     def to_meters(self, pixels: float) -> float:
         return pixels * self.iota

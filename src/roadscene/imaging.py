@@ -13,12 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyImage,
-    MalformedHeader,
-    ShapeMismatch,
-    TruncatedData,
-)
+from .errors import InputError, SchemaError
 from .geometry import PixelPoint
 
 _WHITESPACE = b" \t\r\n\x0b\x0c"
@@ -32,13 +27,13 @@ class ImageBuffer:
         if arr.ndim == 3 and arr.shape[2] == 1:
             arr = arr[:, :, 0]
         if arr.ndim not in (2, 3) or (arr.ndim == 3 and arr.shape[2] != 3):
-            raise ShapeMismatch(
+            raise InputError(
                 f"expected (h, w) or (h, w, 3) pixels, got shape {arr.shape}")
         if arr.size == 0:
-            raise EmptyImage("image must contain at least one pixel")
+            raise InputError("image must contain at least one pixel")
         if arr.dtype != np.uint8:
             if np.any(arr < 0) or np.any(arr > 255):
-                raise ShapeMismatch("intensities must lie in [0, 255]")
+                raise InputError("intensities must lie in [0, 255]")
             arr = arr.astype(np.uint8)
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
@@ -101,7 +96,7 @@ class BackgroundAccumulator:
 
     def background(self) -> ImageBuffer:
         if self.b is None:
-            raise EmptyImage("no frames accumulated yet")
+            raise InputError("no frames accumulated yet")
         return ImageBuffer(np.floor(self.b + 0.5).astype(np.uint8))
 
 
@@ -113,7 +108,7 @@ def accumulate_background(acc: BackgroundAccumulator,
         acc.scratch = np.empty_like(acc.b)
     else:
         if acc.b.shape != frame.pixels.shape:
-            raise ShapeMismatch(
+            raise InputError(
                 f"frame shape {frame.pixels.shape} does not match "
                 f"accumulator shape {acc.b.shape}")
         acc.b *= 1.0 - acc.alpha
@@ -135,7 +130,7 @@ def histogram_match(source: ImageBuffer,
     remapped image and the 256-entry monotone lookup table.
     """
     if source.channels != 1 or reference.channels != 1:
-        raise ShapeMismatch("histogram matching expects 1-channel images")
+        raise InputError("histogram matching expects 1-channel images")
     src = source.pixels
     ref = reference.pixels
     src_cdf = np.cumsum(np.bincount(src.ravel(), minlength=256).astype(np.int64))
@@ -169,7 +164,7 @@ class DistortionParams:
             raise ValueError("distortion coefficients must be finite")
         w, h = self.image_size
         if w < 1 or h < 1:
-            raise EmptyImage("image size must be at least 1x1")
+            raise InputError("image size must be at least 1x1")
         xs, ys = self.center
         if not (0 <= xs <= w and 0 <= ys <= h):
             raise ValueError(
@@ -247,7 +242,7 @@ def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     while pos < n and data[pos] not in _WHITESPACE and data[pos] != 0x23:
         pos += 1
     if start == pos:
-        raise MalformedHeader("unexpected end of header")
+        raise SchemaError("unexpected end of header")
     return data[start:pos], pos
 
 
@@ -255,22 +250,27 @@ def read_pnm(source) -> ImageBuffer:
     """Read a binary PGM (P5) or PPM (P6) from a path or a bytes object.
 
     Only maxval 255 is supported.  Bytes past the promised raster length
-    are ignored.
+    are ignored.  Bytes that break the format raise SchemaError, whose
+    message starts with the path when there is one.
     """
-    if isinstance(source, (str, Path)):
-        data = Path(source).read_bytes()
-    elif isinstance(source, (bytes, bytearray)):
-        data = bytes(source)
-    else:
+    if isinstance(source, (bytes, bytearray)):
+        return _parse_pnm(bytes(source))
+    if not isinstance(source, (str, Path)):
         raise TypeError(f"expected a path or bytes, got {type(source)!r}")
+    try:
+        return _parse_pnm(Path(source).read_bytes())
+    except SchemaError as exc:
+        raise SchemaError(f"{source}: {exc}") from None
 
+
+def _parse_pnm(data: bytes) -> ImageBuffer:
     magic, pos = _next_token(data, 0)
     if magic == b"P5":
         channels = 1
     elif magic == b"P6":
         channels = 3
     else:
-        raise MalformedHeader(f"unsupported magic {magic!r}")
+        raise SchemaError(f"unsupported magic {magic!r}")
 
     fields = []
     for _ in range(3):
@@ -278,20 +278,20 @@ def read_pnm(source) -> ImageBuffer:
         try:
             fields.append(int(tok))
         except ValueError:
-            raise MalformedHeader(f"non-numeric header field {tok!r}") from None
+            raise SchemaError(f"non-numeric header field {tok!r}") from None
     width, height, maxval = fields
     if width < 1 or height < 1:
-        raise MalformedHeader(f"invalid dimensions {width}x{height}")
+        raise SchemaError(f"invalid dimensions {width}x{height}")
     if maxval != 255:
-        raise MalformedHeader(f"only maxval 255 is supported, got {maxval}")
+        raise SchemaError(f"only maxval 255 is supported, got {maxval}")
     if pos >= len(data) or data[pos] not in _WHITESPACE:
-        raise MalformedHeader("missing whitespace after maxval")
+        raise SchemaError("missing whitespace after maxval")
     pos += 1
 
     expected = width * height * channels
     raster = data[pos:pos + expected]
     if len(raster) < expected:
-        raise TruncatedData(
+        raise SchemaError(
             f"raster holds {len(raster)} bytes, header promises {expected}")
     arr = np.frombuffer(raster, dtype=np.uint8)
     shape = (height, width) if channels == 1 else (height, width, 3)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .errors import DegenerateDisplacement
 from .kalman import Cov, kf_predict_step, kf_update_step
 
 if TYPE_CHECKING:  # annotations only
@@ -97,10 +96,11 @@ def speed_mph(x: Sequence[float], scale: GroundScale) -> float:
     return math.hypot(x[2], x[3]) * scale.iota * MPH_PER_MPS
 
 
-def heading_of(dx: float, dy: float) -> float:
-    """Direction of the displacement (dx, dy) in degrees, (-180, 180]."""
+def heading_of(dx: float, dy: float) -> float | None:
+    """Direction of the displacement (dx, dy) in degrees, (-180, 180];
+    None for a zero displacement, which has no direction."""
     if dx == 0.0 and dy == 0.0:
-        raise DegenerateDisplacement("coincident points define no direction")
+        return None
     return math.degrees(math.atan2(dy, dx))
 
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .config import SrgParams
-from .errors import EmptyMask, NoSeeds
+from .errors import InputError
 from .geometry import BEV, PixelPoint
 from .imaging import ImageBuffer
 
@@ -59,7 +59,7 @@ class BoundarySet:
 def _seed_cells(image: ImageBuffer,
                 seeds: Sequence[PixelPoint]) -> list[tuple[int, int]]:
     if not seeds:
-        raise NoSeeds("need at least one seed")
+        raise InputError("need at least one seed")
     h, w = image.pixels.shape
     cells = []
     for p in seeds:
@@ -190,7 +190,7 @@ def extract_boundary(mask: RoadMask) -> BoundarySet:
     """
     road = mask.pixels
     if not road.any():
-        raise EmptyMask("mask has no road pixels")
+        raise InputError("mask has no road pixels")
     boundary = _boundary_pixels(road)
     traced = np.zeros_like(boundary)
     chains = []

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import CLASS_NAMES, DEFAULT_PRIORS, SIZE, check_fields
-from .errors import InvalidSpec
+from .errors import InputError, InvalidSpec
 from .geometry import (BEV, PERSPECTIVE, CameraModel, Homography,
                        apply_many, compose_from_camera, invert,
                        projection_matrix)
@@ -204,8 +204,11 @@ def parse_scenario(data: dict) -> ScenarioSpec:
     missing = [k for k in cam_keys if k not in cam_data]
     if missing:
         raise InvalidSpec(f"camera is missing {missing}")
-    camera = CameraModel(**{k: _finite(cam_data[k], f"camera.{k}")
-                            for k in cam_keys})
+    cam_values = {k: _finite(cam_data[k], f"camera.{k}") for k in cam_keys}
+    try:
+        camera = CameraModel(**cam_values)
+    except InputError as exc:
+        raise InvalidSpec(f"camera: {exc}") from None
     values = {key: _pair(data.get(key), f"field {key!r}", cast)
               for key, cast in (("image_size", int), ("bev_size", int),
                                 ("world_origin", float))}

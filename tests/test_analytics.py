@@ -25,8 +25,7 @@ from roadscene.analytics import (
     update_heatmaps,
 )
 from roadscene.cli import main
-from roadscene.errors import (EmptyHeatMap, MissingCalibration, SchemaError,
-                              ShapeMismatch)
+from roadscene.errors import EmptyHeatMap, InputError, SchemaError
 from roadscene.geometry import (BEV, PERSPECTIVE, GroundScale, Homography,
                                 PixelPoint, apply_many, invert)
 from roadscene.imaging import ImageBuffer
@@ -264,7 +263,7 @@ class TestParking:
             assert members(states, "parking") == parked, frames
 
     def test_missing_scale(self):
-        with pytest.raises(MissingCalibration):
+        with pytest.raises(InputError, match="needs a ground scale"):
             StateClassifier(left_border(), None, AnalyticsConfig(), 25.0)
 
 
@@ -891,7 +890,7 @@ class TestBandedRenderEqualsWholeGrid:
     def test_base_of_another_shape_raises(self):
         heat = HeatMap((4, 5), "vehicle")
         bump(heat, PixelPoint.bev(2, 2))
-        with pytest.raises(ShapeMismatch, match=r"\(4, 6\).*\(4, 5\)"):
+        with pytest.raises(InputError, match=r"\(4, 6\).*\(4, 5\)"):
             render(heat, base=ImageBuffer(np.zeros((4, 6), dtype=np.uint8)))
 
 

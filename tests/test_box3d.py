@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from roadscene.box3d import Cuboid, lift_cuboids, lift_to_3d, make_footprint
 from roadscene.config import DEFAULT_PRIORS, DimensionPrior
-from roadscene.errors import MissingPrior
+from roadscene.errors import InputError
 from roadscene.geometry import (
     BEV,
     PERSPECTIVE,
@@ -84,7 +84,8 @@ class TestMakeFootprint:
         assert len(corners_per_class) == 11
 
     def test_missing_prior(self):
-        with pytest.raises(MissingPrior):
+        with pytest.raises(InputError, match="no dimension prior for class "
+                                             "'hovercraft'"):
             make_footprint(PixelPoint.bev(0, 0), "hovercraft", 0.0,
                            DEFAULT_PRIORS, SCALE)
 
@@ -254,7 +255,7 @@ class TestLiftCuboids:
         assert got.shape == (0, 8, 2)
 
     def test_missing_prior(self):
-        with pytest.raises(MissingPrior, match="hovercraft"):
+        with pytest.raises(InputError, match="'hovercraft'"):
             lift_cuboids([(0, 0), (1, 1)], ["car", "hovercraft"], [0, 0],
                          [(0, 0, 5, 5)] * 2, identity_back_projection(),
                          DEFAULT_PRIORS, SCALE)

@@ -13,12 +13,7 @@ from roadscene.calibration import (
     ransac_iterations,
     straightness_objective,
 )
-from roadscene.errors import (
-    InsufficientMatches,
-    InsufficientTrajectories,
-    InvalidProbability,
-    NoConsensus,
-)
+from roadscene.errors import InputError, ProcessingError
 from roadscene.geometry import (
     Homography,
     PixelPoint,
@@ -63,13 +58,13 @@ class TestRansacIterations:
         assert ransac_iterations(0.99, 0.9) == 5
 
     def test_invalid_arguments(self):
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(InputError, match=r"rho must be in \(0, 1\)"):
             ransac_iterations(1.0, 0.5)
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(InputError, match=r"rho must be in \(0, 1\)"):
             ransac_iterations(0.0, 0.5)
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(InputError, match=r"epsilon must be in \(0, 1\]"):
             ransac_iterations(0.99, 0.0)
-        with pytest.raises(InvalidProbability):
+        with pytest.raises(InputError, match=r"epsilon must be in \(0, 1\]"):
             ransac_iterations(0.99, 1.1)
 
 
@@ -130,7 +125,8 @@ class TestRansacHomography:
         rng = np.random.default_rng(66)
         h = planted_homography(rng)
         matches, _, _, _ = make_matches(rng, h, 3, 0)
-        with pytest.raises(InsufficientMatches):
+        with pytest.raises(InputError,
+                           match="need at least 4 matches, got 3"):
             ransac_homography(matches)
 
     def test_no_consensus_on_collinear_matches(self):
@@ -139,7 +135,8 @@ class TestRansacHomography:
         matches = [Correspondence(PixelPoint.perspective(i, 2.0 * i),
                                   PixelPoint.bev(i, 3.0 * i))
                    for i in range(6)]
-        with pytest.raises(NoConsensus):
+        with pytest.raises(ProcessingError,
+                           match="best consensus has [0-3] votes"):
             ransac_homography(matches, RansacParams(max_iter=50), rng_seed=9)
 
 
@@ -371,7 +368,8 @@ class TestFitDistortionEs:
 
     def test_needs_a_long_trajectory(self):
         short = [[PixelPoint.perspective(i, i) for i in range(4)]]
-        with pytest.raises(InsufficientTrajectories):
+        with pytest.raises(InputError, match="at least one trajectory "
+                                             "with >= 5 points"):
             fit_distortion_es(short, (320, 240), seed=1)
 
 

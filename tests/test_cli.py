@@ -341,7 +341,8 @@ def test_too_few_matches_exits_2(tmp_path, capsys):
     code = run("calibrate", "--matches", str(matches),
                "--out", str(tmp_path / "cal"))
     assert code == 2
-    assert "InsufficientMatches" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "error: InputError: need at least 4 matches, got 3\n")
 
 
 @pytest.mark.parametrize("pair", [

@@ -307,8 +307,29 @@ def test_satellite_maxval_without_whitespace_exits_2(chain, tmp_path):
             contextlib.redirect_stdout(io.StringIO()):
         code = main([str(a) for a in argv])
     assert (code, err.getvalue()) == (
-        2, "error: MalformedHeader: missing whitespace after maxval\n")
+        2, f"error: SchemaError: {satellite}: missing whitespace after "
+           f"maxval\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_truncated_frame_is_named(chain, tmp_path):
+    # one frame cut to 100 bytes among whole ones: the error line names it
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    whole = chain["frame"].read_bytes()
+    for i in range(5):
+        (frames / f"{i:04d}.pgm").write_bytes(whole)
+    cut = frames / "0002.pgm"
+    cut.write_bytes(whole[:100])
+    raster = 100 - whole.index(b"255\n") - 4
+    argv = _argv("calibrate", dict(chain, frame=cut), tmp_path / "out")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in argv])
+    assert (code, err.getvalue()) == (
+        2, f"error: SchemaError: {cut}: raster holds {raster} bytes, header "
+           f"promises {640 * 480}\n")
 
 
 # the heat map in spellings other than `save_heatmap`'s
@@ -500,9 +521,9 @@ def test_calibrate_far_trajectories_exit_2_without_warning(chain, tmp_path):
         [1e200 + 9e190 * i, 3e200 - 2e190 * i] for i in range(8)]}) + "\n")
     paths = dict(chain, trajectories=trajectories)
     code, stderr = _run_uncaptured(_argv("calibrate", paths, tmp_path / "out"))
-    assert code == 2
-    assert len(stderr.splitlines()) == 1
-    assert stderr.startswith("error: InsufficientTrajectories")
+    assert (code, stderr) == (
+        2, "error: InputError: trajectory points lie too far out to score, "
+           "even without distortion\n")
 
 
 # the tracker's area times aspect, its area, or its aspect overflowed

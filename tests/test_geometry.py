@@ -10,9 +10,7 @@ from roadscene import geometry as geo
 from roadscene.errors import (
     DegenerateConfiguration,
     DegeneratePoint,
-    FrameMismatch,
-    InsufficientPairs,
-    InvalidCamera,
+    InputError,
     SingularMatrix,
 )
 from roadscene.geometry import (
@@ -66,7 +64,9 @@ class TestApply:
 
     def test_frame_mismatch(self):
         h = Homography(np.eye(3))
-        with pytest.raises(FrameMismatch):
+        with pytest.raises(InputError, match="point is in frame 'bev' but "
+                                             "homography maps from "
+                                             "'perspective'"):
             apply(h, PixelPoint.bev(1, 1))
 
     def test_degenerate_denominator(self):
@@ -225,7 +225,7 @@ class TestEstimateDlt:
 
     def test_too_few_pairs(self):
         points = np.array([(i, i) for i in range(3)], dtype=float)
-        with pytest.raises(InsufficientPairs):
+        with pytest.raises(InputError, match="need at least 4 pairs, got 3"):
             estimate_dlt_xy(points, points)
 
     def test_collinear_degenerate(self):
@@ -237,7 +237,7 @@ class TestEstimateDlt:
     def test_unpaired_points_rejected(self):
         # bare arrays carry no frame tags; the pairing is what can be wrong
         src = np.array([(0, 0), (1, 0), (1, 1), (0, 1), (2, 2)], dtype=float)
-        with pytest.raises(InsufficientPairs):
+        with pytest.raises(InputError, match="need at least 4 pairs, got 5"):
             estimate_dlt_xy(src, src[:4])
 
     @settings(max_examples=50, deadline=None)
@@ -298,7 +298,7 @@ def oracle_dlt(src_xy, dst_xy):
     dst_xy = np.asarray(dst_xy, dtype=np.float64)
     n = src_xy.shape[0]
     if n < 4 or dst_xy.shape[0] != n:
-        raise InsufficientPairs(f"need at least 4 pairs, got {n}")
+        raise InputError(f"need at least 4 pairs, got {n}")
 
     t_src = oracle_similarity(src_xy)
     t_dst = oracle_similarity(dst_xy)
@@ -469,9 +469,18 @@ class TestCameraComposition:
     def test_invalid_cameras(self):
         good = dict(f=900, kx=1, ky=1, shear=0, cx=320, cy=240,
                     theta_c=45, h_c=8)
-        for bad in (dict(f=0), dict(kx=-1), dict(theta_c=0),
-                    dict(theta_c=91), dict(h_c=0), dict(f=float("nan"))):
-            with pytest.raises(InvalidCamera):
+        for bad, rule in (
+                (dict(f=0), "finite and positive"),
+                (dict(kx=-1), "finite and positive"),
+                (dict(theta_c=0), r"in \(0, 90\] degrees"),
+                (dict(theta_c=91), r"in \(0, 90\] degrees"),
+                (dict(h_c=0), "finite and positive"),
+                (dict(f=float("nan")), "finite and positive"),
+                (dict(f=float("inf")), "finite and positive"),
+                (dict(cx=float("inf")), "finite")):
+            (name, value), = bad.items()
+            with pytest.raises(InputError,
+                               match=f"^{name} must be {rule}, got {value}$"):
                 CameraModel(**{**good, **bad})
 
     def test_pitch_90_allowed(self):
@@ -486,7 +495,7 @@ class TestGroundScale:
         assert s.to_pixels(0.5) == pytest.approx(10.0)
 
     def test_positive_required(self):
-        with pytest.raises(InvalidCamera):
-            GroundScale(0.0)
-        with pytest.raises(InvalidCamera):
-            GroundScale(-1.0)
+        for iota in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(InputError, match="^iota must be finite and "
+                                                 f"positive, got {iota}$"):
+                GroundScale(iota)

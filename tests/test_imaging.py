@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadscene.errors import (
-    EmptyImage,
-    MalformedHeader,
-    ShapeMismatch,
-    TruncatedData,
-)
+from roadscene.errors import InputError, SchemaError
 from roadscene.geometry import PixelPoint
 from roadscene.imaging import (
     BackgroundAccumulator,
@@ -43,11 +38,11 @@ class TestImageBuffer:
             img.pixels[0, 0] = 1
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyImage):
+        with pytest.raises(InputError, match="at least one pixel"):
             ImageBuffer(np.zeros((0, 5), dtype=np.uint8))
 
     def test_range_checked(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InputError, match=r"lie in \[0, 255\]"):
             ImageBuffer(np.array([[300.0]]))
 
 
@@ -126,7 +121,8 @@ class TestBackground:
     def test_shape_mismatch(self):
         acc = BackgroundAccumulator()
         accumulate_background(acc, gray(np.zeros((2, 2))))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InputError, match=r"\(3, 3\) does not match "
+                                             r"accumulator shape \(2, 2\)"):
             accumulate_background(acc, gray(np.zeros((3, 3))))
 
 
@@ -159,7 +155,7 @@ class TestHistogramMatch:
 
     def test_rejects_color(self):
         rgb = ImageBuffer(np.zeros((2, 2, 3), dtype=np.uint8))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InputError, match="expects 1-channel"):
             histogram_match(rgb, rgb)
 
     @settings(max_examples=25, deadline=None)
@@ -252,15 +248,17 @@ class TestPnm:
         assert np.array_equal(img.pixels, [[1, 2]])
 
     def test_wide_maxval_rejected(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(SchemaError,
+                           match="^only maxval 255 is supported, got 65535$"):
             read_pnm(b"P5\n1 1\n65535\n\x00\x00")
 
     def test_bad_magic(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(SchemaError, match="^unsupported magic b'P2'$"):
             read_pnm(b"P2\n1 1\n255\n0")
 
     def test_truncated(self):
-        with pytest.raises(TruncatedData):
+        with pytest.raises(SchemaError,
+                           match="^raster holds 2 bytes, header promises 4$"):
             read_pnm(b"P5\n2 2\n255\n\x00\x00")
 
     @settings(max_examples=20, deadline=None)

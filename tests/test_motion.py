@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadscene.errors import DegenerateDisplacement
 from roadscene.geometry import GroundScale
 from roadscene.motion import (
     BevKalmanState,
@@ -130,8 +129,7 @@ class TestHeading:
         assert heading_of(-1.0, -1.0) == pytest.approx(-135.0)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateDisplacement):
-            heading_of(0.0, 0.0)
+        assert heading_of(0.0, 0.0) is None
 
 
 class TestAbf:

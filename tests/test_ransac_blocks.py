@@ -23,7 +23,7 @@ from roadscene.calibration import (
     ransac_iterations,
 )
 from roadscene.config import RansacParams
-from roadscene.errors import (DegenerateConfiguration, NoConsensus,
+from roadscene.errors import (DegenerateConfiguration, ProcessingError,
                               SingularMatrix)
 from roadscene.geometry import (
     BEV,
@@ -73,8 +73,8 @@ def one_at_a_time(matches, params=RansacParams(), rng_seed=0):
         i += 1
 
     if best_votes < _SAMPLE_SIZE:
-        raise NoConsensus(f"best consensus has {best_votes} votes, "
-                          f"need at least {_SAMPLE_SIZE}")
+        raise ProcessingError(f"best consensus has {best_votes} votes, "
+                              f"need at least {_SAMPLE_SIZE}")
     refit, refit_mask = fit_and_vote(best_mask)
     refit_votes = int(refit_mask.sum())
     if refit_votes >= best_votes:

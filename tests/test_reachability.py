@@ -7,14 +7,21 @@ get to it. The same holds for a method or property of a package class whose
 name no other source code reads as an attribute of anything but an imported
 module (`np.floor` does not read `Cuboid.floor`). Such names are deleted,
 or listed in ALLOWED with the reason they stay.
+
+An error type is held to more: besides the three bases, a class in
+`errors.py` stays only if something tells it apart from its family, that
+is an `except` clause in the package names it or the README documents it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import roadscene
 
 SRC = Path(roadscene.__file__).resolve().parent
+README = Path(__file__).resolve().parents[1] / "README.md"
+ERROR_BASES = {"RoadSceneError", "InputError", "ProcessingError"}
 
 # (module, name) -> why it stays although only tests reach it
 ALLOWED = {
@@ -129,3 +136,23 @@ def test_every_top_level_name_is_reached():
     assert not stale, f"allowlisted names now reached or gone: {stale}"
     assert found - set(ALLOWED) == set(), (
         "reachable only from tests; delete them or allowlist with a reason")
+
+
+def _caught(tree: ast.AST) -> set[str]:
+    """Names that the `except` clauses of a subtree catch."""
+    return {node.id for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler) and handler.type
+            for node in ast.walk(handler.type) if isinstance(node, ast.Name)}
+
+
+def test_every_error_type_is_told_apart():
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    types = {node.name for node in errors.body
+             if isinstance(node, ast.ClassDef)} - ERROR_BASES
+    caught = set().union(*(_caught(ast.parse(path.read_text(encoding="utf-8")))
+                           for path in SRC.glob("*.py")))
+    readme = README.read_text(encoding="utf-8")
+    untold = {name for name in types - caught
+              if not re.search(rf"\b{name}\b", readme)}
+    assert not untold, ("neither caught by name under src/ nor in the "
+                        f"README; raise the family base instead: {untold}")

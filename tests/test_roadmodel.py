@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from roadscene.errors import EmptyMask, NoSeeds
+from roadscene.errors import InputError
 from roadscene.geometry import PixelPoint
 from roadscene.imaging import ImageBuffer
 from roadscene.roadmodel import (
@@ -155,7 +155,7 @@ class TestSrgSegment:
         assert np.array_equal(mask.pixels, flood_oracle(arr, cells, tau))
 
     def test_no_seeds_raises(self):
-        with pytest.raises(NoSeeds):
+        with pytest.raises(InputError, match="need at least one seed"):
             srg_segment(gray(np.zeros((4, 4))), [])
 
     def test_seed_outside_image_raises(self):
@@ -358,6 +358,6 @@ class TestExtractBoundary:
         assert boundary.chains == (((2, 2),),)
 
     def test_empty_mask_raises(self):
-        with pytest.raises(EmptyMask):
+        with pytest.raises(InputError, match="mask has no road pixels"):
             extract_boundary(RoadMask(np.zeros((4, 4), dtype=bool)))
 

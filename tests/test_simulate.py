@@ -93,6 +93,10 @@ def _actor(**change):
     return lambda data: data["actors"][0].update(change)
 
 
+def _camera(**change):
+    return lambda data: data["camera"].update(change)
+
+
 def _spec(**change):
     return lambda spec: replace(spec, **change)
 
@@ -113,7 +117,13 @@ SCENE_REFUSALS = {
                   "actors[0]: path[0] must be [t, [x, y]]"),
     "path-not-list": (_actor(path={"t": 0}), None,
                       "actors[0]: path must be a non-empty list"),
-    # values
+    # values; a camera in code refuses its own fields, as InputError
+    "camera-pitch": (_camera(theta_c=95), None,
+                     "camera: theta_c must be in (0, 90] degrees, got 95.0"),
+    "camera-focal-length": (_camera(f=0), None,
+                            "camera: f must be finite and positive, got 0.0"),
+    "camera-height": (_camera(h_c=-2.5), None,
+                      "camera: h_c must be finite and positive, got -2.5"),
     "bev-size": (lambda data: data.update(bev_size=[0, 300]),
                  _spec(bev_size=(0, 300)),
                  f"bev_size must be two sides in [1, {MAX_SIDE}], "
